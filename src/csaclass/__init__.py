@@ -13,7 +13,7 @@ from .omega import (OmegaLocalElement, count_omega, enumerate_omega,
                     flatten_strip, omega_nonempty)
 from .orders import (OrderSpec, enumerate_genera, genus_reduce,
                      local_unit_index, maximal_order, normalize_invariant)
-from .theta import theta, theta_enum, theta_genfun
+from .theta import theta, theta_enum
 
 __all__ = [
     "AlgebraSpec", "BaseField", "OmegaLocalElement", "OrderSpec", "Place",
@@ -23,7 +23,7 @@ __all__ = [
     "enumerate_omega", "flatten_strip", "genus_reduce", "local_unit_index",
     "mass_hereditary", "mass_maximal", "mass_maximal_subalgebra",
     "maximal_order", "normalize_invariant", "omega_nonempty", "pic_order",
-    "prime_degree_class_number", "theta", "theta_enum", "theta_genfun",
+    "prime_degree_class_number", "theta", "theta_enum",
     "total_class_number_genera", "transfer_check", "validate",
     "weight_class_numbers", "zeta_at_negative",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import factorial
 
 from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
@@ -26,36 +26,44 @@ from .theta import theta
 
 DEFAULT_BUDGET = 10 ** 6
 
-_weight_cache: dict[tuple[OrderSpec, str], dict[int, int]] = {}
+_weight_cache: dict[OrderSpec, dict[int, int]] = {}
 
 
 def _divisors_desc(n: int) -> list[int]:
     return sorted((d for d in range(1, n + 1) if n % d == 0), reverse=True)
 
 
-def level_rhs(order: OrderSpec, s: int, engine: str = "genfun") -> Fraction:
-    """Mass of the maximal centralizer order times the local theta product."""
+def level_rhs(order: OrderSpec, s: int) -> tuple[Fraction, dict[str, int]]:
+    """Mass of the maximal centralizer order times the local theta product,
+    and the theta factors by place label."""
     spec = order.algebra
+    thetas = {label: theta(spec.place(label), order.invariant_at(label), s,
+                           spec.base.q)
+              for label in order.relevant_labels()}
     rhs = mass_maximal(centralizer_spec(spec, s))
-    for label in order.relevant_labels():
-        v = spec.place(label)
-        rhs *= theta(v, order.invariant_at(label), s, spec.base.q, engine)
-    return rhs
+    for value in thetas.values():
+        rhs *= value
+    return rhs, thetas
 
 
-def weight_class_numbers(order: OrderSpec, engine: str = "genfun") -> dict[int, int]:
-    """Map s -> h_s over the divisors of the constant field degree."""
-    key = (order, engine)
-    cached = _weight_cache.get(key)
-    if cached is not None:
-        return dict(cached)
+@dataclass(frozen=True)
+class Level:
+    """One solved level: h_s, its right-hand side and its theta factors."""
 
+    s: int
+    h: int
+    rhs: Fraction
+    theta: dict[str, int]
+
+
+def _solve_levels(order: OrderSpec) -> list[Level]:
+    """Solve every level once, largest s first."""
     spec = order.algebra
     q = spec.base.q
-    s0 = constant_field_degree(spec)
     h: dict[int, int] = {}
-    for s in _divisors_desc(s0):
-        rhs = level_rhs(order, s, engine)
+    levels = []
+    for s in _divisors_desc(constant_field_degree(spec)):
+        rhs, thetas = level_rhs(order, s)
         tail = sum(
             (Fraction(h[s2], q ** s2 - 1)
              for s2 in h if s2 > s and s2 % s == 0),
@@ -65,18 +73,26 @@ def weight_class_numbers(order: OrderSpec, engine: str = "genfun") -> dict[int, 
             raise IntegralityViolationError(
                 f"h_{s} = {value} is not a non-negative integer")
         h[s] = int(value)
-
-    _weight_cache[key] = dict(h)
-    return h
-
-
-def class_number(order: OrderSpec, engine: str = "genfun") -> int:
-    return sum(weight_class_numbers(order, engine).values())
+        levels.append(Level(s, h[s], rhs, thetas))
+    return levels
 
 
-def embedding_count(order: OrderSpec, s: int, engine: str = "genfun") -> int:
+def weight_class_numbers(order: OrderSpec) -> dict[int, int]:
+    """Map s -> h_s over the divisors of the constant field degree."""
+    cached = _weight_cache.get(order)
+    if cached is None:
+        cached = _weight_cache[order] = {
+            level.s: level.h for level in _solve_levels(order)}
+    return dict(cached)
+
+
+def class_number(order: OrderSpec) -> int:
+    return sum(weight_class_numbers(order).values())
+
+
+def embedding_count(order: OrderSpec, s: int) -> int:
     """Total count of optimal embeddings of the degree-s constant ring."""
-    h = weight_class_numbers(order, engine)
+    h = weight_class_numbers(order)
     s0 = constant_field_degree(order.algebra)
     if s < 1 or s0 % s != 0:
         raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
@@ -116,8 +132,7 @@ class TransferReport:
 
 
 def transfer_check(order: OrderSpec, s: int, s2: int,
-                   budget: int = DEFAULT_BUDGET,
-                   engine: str = "genfun") -> TransferReport:
+                   budget: int = DEFAULT_BUDGET) -> TransferReport:
     """Verify s * h_{s2} against the sum over the global index set.
 
     Each summand is the weight-(s2/s) class number of the derived order cut
@@ -127,24 +142,27 @@ def transfer_check(order: OrderSpec, s: int, s2: int,
     s0 = constant_field_degree(spec)
     if s < 1 or s2 % s != 0 or s0 % s2 != 0:
         raise InvalidDivisorError(f"need s | s2 | s0, got s={s}, s2={s2}, s0={s0}")
-    h = weight_class_numbers(order, engine)
-    lhs = s * h[s2]
+    lhs = s * weight_class_numbers(order)[s2]
 
     streams = []
     size = 1
     for label in order.relevant_labels():
         v = spec.place(label)
-        elems = list(enumerate_omega(v, order.invariant_at(label), s))
+        # One element past what the budget allows is enough to reject it.
+        stream = enumerate_omega(v, order.invariant_at(label), s)
+        elems = list(islice(stream, max(budget // size, 0) + 1))
         size *= len(elems)
         if size > budget:
             raise BudgetExceededError(
                 f"global index set exceeds budget of {budget} summands")
         streams.append(elems)
+        if not elems:
+            break
 
     rhs = 0
     for combo in product(*streams):
         sub = derived_order(order, s, combo)
-        rhs += weight_class_numbers(sub, engine)[s2 // s]
+        rhs += weight_class_numbers(sub)[s2 // s]
     return TransferReport(s, s2, lhs, rhs)
 
 
@@ -200,8 +218,7 @@ class GeneraReport:
 
 
 def total_class_number_genera(order: OrderSpec,
-                              budget: int = DEFAULT_BUDGET,
-                              engine: str = "genfun") -> GeneraReport:
+                              budget: int = DEFAULT_BUDGET) -> GeneraReport:
     """Class numbers of every genus of right ideals, and their sum."""
     if count_genera(order) > budget:
         raise BudgetExceededError(
@@ -211,7 +228,7 @@ def total_class_number_genera(order: OrderSpec,
     for genus in enumerate_genera(order):
         reduced = {label: genus_reduce(vec) for label, vec in genus.items()}
         sub = OrderSpec(order.algebra, tuple(sorted(reduced.items())))
-        h = class_number(sub, engine)
+        h = class_number(sub)
         rows.append((tuple(sorted(genus.items())), h))
         total += h
     return GeneraReport(tuple(rows), total)
@@ -221,18 +238,19 @@ def total_class_number_genera(order: OrderSpec,
 class ClassNumberReport:
     s0: int
     mass: Fraction
-    per_s: tuple[tuple[int, tuple[int, Fraction]], ...]  # s -> (h_s, rhs)
+    levels: tuple[Level, ...]  # ascending s
     h_total: int
 
 
-def class_number_report(order: OrderSpec, engine: str = "genfun") -> ClassNumberReport:
-    s0 = constant_field_degree(order.algebra)
-    h = weight_class_numbers(order, engine)
+def class_number_report(order: OrderSpec) -> ClassNumberReport:
+    spec = order.algebra
+    levels = sorted(_solve_levels(order), key=lambda level: level.s)
     mass = mass_hereditary(order)
-    per_s = tuple(
-        (s, (h[s], level_rhs(order, s, engine))) for s in sorted(h))
-    consistency = sum(
-        (Fraction(h_s, order.algebra.base.q ** s - 1) for s, (h_s, _) in per_s),
+    resum = sum(
+        (Fraction(level.h, spec.base.q ** level.s - 1) for level in levels),
         Fraction(0))
-    assert consistency == mass, "weight class numbers must resum to the mass"
-    return ClassNumberReport(s0, mass, per_s, sum(h.values()))
+    if resum != mass:
+        raise IntegralityViolationError(
+            f"weight class numbers resum to {resum}, not to the mass {mass}")
+    return ClassNumberReport(constant_field_degree(spec), mass, tuple(levels),
+                             sum(level.h for level in levels))

@@ -16,14 +16,14 @@ from fractions import Fraction
 from .algebra import INFINITY, AlgebraSpec, Place, constant_field_degree, validate
 from .basefield import BaseField
 from .classnum import (DEFAULT_BUDGET, class_number_report, embedding_count,
-                       level_rhs, total_class_number_genera, transfer_check,
+                       total_class_number_genera, transfer_check,
                        weight_class_numbers)
 from .errors import (BudgetExceededError, CsaClassError,
                      IntegralityViolationError, ValidationError)
 from .massform import mass_hereditary, mass_maximal_subalgebra
 from .omega import count_omega, enumerate_omega
 from .orders import OrderSpec, normalize_invariant
-from .theta import theta_enum, theta_genfun
+from .theta import theta, theta_enum
 
 
 class ConfigError(ValidationError):
@@ -85,7 +85,10 @@ def parse_config(text: str) -> RunConfig:
 
     finite_places: list[Place] = []
     infinity_place: Place | None = None
-    for idx, entry in enumerate(doc.get("ramification", [])):
+    ramification = doc.get("ramification", [])
+    if not isinstance(ramification, list):
+        raise ConfigError(["ramification: expected a list"])
+    for idx, entry in enumerate(ramification):
         path = f"ramification[{idx}]"
         if not isinstance(entry, dict) or "place" not in entry:
             errors.append(f"{path}: expected an object with a 'place' field")
@@ -94,14 +97,21 @@ def parse_config(text: str) -> RunConfig:
         if "invariant" in entry:
             try:
                 inv = Fraction(str(entry["invariant"]))
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 errors.append(f"{path}.invariant: not a fraction")
                 continue
             kappa, d = inv.numerator, inv.denominator
         else:
             kappa, d = None, 1
-        if label == INFINITY:
+        if label != INFINITY and "degree" not in entry:
+            errors.append(f"{path}.degree: required for finite places")
+            continue
+        try:
             deg = int(entry.get("degree", base.infinity_degree))
+        except (TypeError, ValueError):
+            errors.append(f"{path}.degree: not an integer")
+            continue
+        if label == INFINITY:
             if deg != base.infinity_degree:
                 errors.append(
                     f"{path}.degree: infinity has degree "
@@ -109,11 +119,8 @@ def parse_config(text: str) -> RunConfig:
                 continue
             infinity_place = Place(INFINITY, deg, d, kappa)
         else:
-            if "degree" not in entry:
-                errors.append(f"{path}.degree: required for finite places")
-                continue
             try:
-                finite_places.append(Place(label, int(entry["degree"]), d, kappa))
+                finite_places.append(Place(label, deg, d, kappa))
             except ValidationError as exc:
                 errors.append(f"{path}: {exc}")
     if errors:
@@ -131,7 +138,10 @@ def parse_config(text: str) -> RunConfig:
     order_node = doc.get("order", {})
     if not isinstance(order_node, dict):
         raise ConfigError(["order: expected an object"])
-    for label, vec in order_node.get("invariants", {}).items():
+    invariant_node = order_node.get("invariants", {})
+    if not isinstance(invariant_node, dict):
+        raise ConfigError(["order.invariants: expected an object"])
+    for label, vec in invariant_node.items():
         path = f"order.invariants[{label!r}]"
         try:
             invariants[label] = normalize_invariant(int(e) for e in vec)
@@ -166,26 +176,17 @@ def _emit(report: dict, output: str) -> None:
             print(f"{key}: {json.dumps(_fmt(report[key]), sort_keys=True)}")
 
 
-def _theta_map(order: OrderSpec, s: int, engine: str) -> dict:
-    spec = order.algebra
-    out = {}
-    for label in order.relevant_labels():
-        v = spec.place(label)
-        fn = theta_enum if engine == "enum" else theta_genfun
-        out[label] = fn(v, order.invariant_at(label), s, spec.base.q)
-    return out
-
-
 def _cmd_classnum(order: OrderSpec, args) -> dict:
-    report = class_number_report(order, args.engine)
+    report = class_number_report(order)
     return {
         "s0": report.s0,
         "mass": report.mass,
-        "h": {str(s): h for s, (h, _) in report.per_s},
+        "h": {str(level.s): level.h for level in report.levels},
         "h_total": report.h_total,
-        "rhs": {str(s): rhs for s, (_, rhs) in report.per_s},
-        "theta": {str(s): _theta_map(order, s, args.engine)
-                  for s, _ in report.per_s},
+        "rhs": {str(level.s): level.rhs for level in report.levels},
+        "theta": {str(level.s): {label: str(value)
+                                 for label, value in level.theta.items()}
+                  for level in report.levels},
     }
 
 
@@ -193,20 +194,22 @@ def _cmd_mass(order: OrderSpec, args) -> dict:
     return {"mass": mass_hereditary(order)}
 
 
+def _place_arg(order: OrderSpec, label: str) -> Place:
+    try:
+        return order.algebra.place(label)
+    except KeyError:
+        raise ValidationError(f"--place: unknown place {label!r}") from None
+
+
 def _cmd_theta(order: OrderSpec, args) -> dict:
-    spec = order.algebra
-    v = spec.place(args.place)
-    f_vec = order.invariant_at(args.place)
-    out: dict = {"place": args.place, "s": args.s}
-    if args.engine in ("enum", "both"):
-        out["enum"] = theta_enum(v, f_vec, args.s, spec.base.q)
-    if args.engine in ("genfun", "both"):
-        out["genfun"] = theta_genfun(v, f_vec, args.s, spec.base.q)
-    return out
+    v = _place_arg(order, args.place)
+    value = theta(v, order.invariant_at(args.place), args.s,
+                  order.algebra.base.q)
+    return {"place": args.place, "s": args.s, "theta": str(value)}
 
 
 def _cmd_omega(order: OrderSpec, args) -> dict:
-    v = order.algebra.place(args.place)
+    v = _place_arg(order, args.place)
     f_vec = order.invariant_at(args.place)
     out: dict = {"place": args.place, "s": args.s,
                  "count": count_omega(v, f_vec, args.s)}
@@ -218,7 +221,7 @@ def _cmd_omega(order: OrderSpec, args) -> dict:
 
 
 def _cmd_genera(order: OrderSpec, args) -> dict:
-    report = total_class_number_genera(order, args.budget, args.engine)
+    report = total_class_number_genera(order, args.budget)
     return {
         "count": len(report.per_genus),
         "per_genus": [
@@ -230,11 +233,11 @@ def _cmd_genera(order: OrderSpec, args) -> dict:
 
 
 def _cmd_embed(order: OrderSpec, args) -> dict:
-    return {"s": args.s, "embeddings": embedding_count(order, args.s, args.engine)}
+    return {"s": args.s, "embeddings": embedding_count(order, args.s)}
 
 
 def _cmd_transfer(order: OrderSpec, args) -> dict:
-    report = transfer_check(order, args.s, args.s2, args.budget, args.engine)
+    report = transfer_check(order, args.s, args.s2, args.budget)
     return {"s": report.s, "s2": report.s2, "lhs": report.lhs,
             "rhs": report.rhs, "equal": report.equal}
 
@@ -245,22 +248,22 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     s0 = constant_field_degree(spec)
     divisors = [s for s in range(1, s0 + 1) if s0 % s == 0]
 
-    h = weight_class_numbers(order, args.engine)
+    h = weight_class_numbers(order)
     mass = mass_hereditary(order)
     total = sum(
         (Fraction(h[s], spec.base.q ** s - 1) for s in h), Fraction(0))
     checks["mass_consistency"] = total == mass
     checks["h_nonnegative_integers"] = all(v >= 0 for v in h.values())
 
-    engines_agree = True
+    theta_matches_enum = True
     for s in divisors:
         for label in order.relevant_labels():
             v = spec.place(label)
             f_vec = order.invariant_at(label)
             if theta_enum(v, f_vec, s, spec.base.q) != \
-                    theta_genfun(v, f_vec, s, spec.base.q):
-                engines_agree = False
-    checks["theta_engines_agree"] = engines_agree
+                    theta(v, f_vec, s, spec.base.q):
+                theta_matches_enum = False
+    checks["theta_engines_agree"] = theta_matches_enum
 
     rotation_ok = True
     for label, f_vec in order.invariants:
@@ -268,7 +271,7 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
         alt = OrderSpec(spec, tuple(
             (lab, rotated if lab == label else vec)
             for lab, vec in order.invariants))
-        if weight_class_numbers(alt, args.engine) != h:
+        if weight_class_numbers(alt) != h:
             rotation_ok = False
     checks["rotation_invariance"] = rotation_ok
 
@@ -304,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta")
     p.add_argument("--place", required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--engine", choices=("enum", "genfun", "both"),
-                   default="both")
     p = sub.add_parser("omega")
     p.add_argument("--place", required=True)
     p.add_argument("--s", type=int, required=True)
@@ -317,11 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--s2", type=int, required=True)
     sub.add_parser("selfcheck")
-
-    for name, p in sub.choices.items():
-        if name not in ("theta",):
-            p.add_argument("--engine", choices=("enum", "genfun"),
-                           default="genfun")
     return parser
 
 

@@ -1,17 +1,23 @@
-"""Local theta factors, by direct enumeration and by generating function.
+"""Local theta factors: a row-by-row integer sum and its enumeration oracle.
 
-Both engines compute the same sum of unit-index products over the local
-index set.  Enumeration is the transparent reference; the generating
-function extracts a single coefficient of a capped multivariate power
-series and is the fast path when the index set is large.
+A theta factor sums, over the local index set, the product of the slice
+unit indices.  Each slice term is a Gaussian multinomial, so the weight of
+one slice depends only on its column counts N (one per entry of f_v) and
+factorises as [m_s; N]_Q * prod_i g_t(N_i), where g_t(N) sums the Gaussian
+multinomials [N; e]_Q over the t-way splits e of N.  `theta` therefore sums
+over l x r matrices with row sums m_s and the scaled targets as column sums,
+one row at a time, memoised on the sorted remaining column budgets; the row
+weight is symmetric in the columns, so sorting loses nothing.  All of it is
+integer arithmetic.  `theta_enum` walks the index set itself and serves as
+the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .algebra import Place
-from .errors import ValidationError
 from .omega import LocalContext, enumerate_omega
 from .orders import local_unit_index
 
@@ -35,76 +41,51 @@ def theta_enum(place: Place, f_vec, s: int, q: int) -> Fraction:
     return total
 
 
-class TruncatedMultiSeries:
-    """Multivariate polynomial with per-axis exponent caps.
-
-    Coefficients are exact rationals keyed by exponent tuples; any product
-    term exceeding a cap is pruned eagerly.  Iteration order over stored
-    keys is sorted, so dumps are stable.
-    """
-
-    def __init__(self, caps: tuple[int, ...]):
-        self.caps = caps
-        self.coeffs: dict[tuple[int, ...], Fraction] = {
-            (0,) * len(caps): Fraction(1)}
-
-    def mul_diagonal_factor(self, axes: tuple[int, ...],
-                            series: list[Fraction]) -> None:
-        """Multiply by sum_nu series[nu] * (prod of axis variables)^nu."""
-        limit = min(self.caps[a] for a in axes)
-        new: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.coeffs.items():
-            head = min(self.caps[a] - exp[a] for a in axes)
-            for nu in range(0, min(limit, head, len(series) - 1) + 1):
-                if series[nu] == 0:
-                    continue
-                bumped = list(exp)
-                for a in axes:
-                    bumped[a] += nu
-                key = tuple(bumped)
-                new[key] = new.get(key, Fraction(0)) + c * series[nu]
-        self.coeffs = new
-
-    def coefficient(self, exp: tuple[int, ...]) -> Fraction:
-        return self.coeffs.get(exp, Fraction(0))
-
-
-def theta_genfun(place: Place, f_vec, s: int, q: int) -> Fraction:
-    """Theta factor via coefficient extraction from the capped series.
-
-    The series multiplies one diagonal factor per (w, i) matrix position,
-    repeated t times for the suppressed third axis, and reads off the
-    coefficient of X_w^{m_s} (all w) times Y_i^{target_i} (all i).
-    """
+def theta(place: Place, f_vec, s: int, q: int) -> int:
+    """Theta factor at v for level s, summed one row (place w above v) at a time."""
     ctx = LocalContext.create(place, f_vec, s)
     targets = ctx.scaled_targets()
-    if targets is None:
-        return Fraction(0)
+    m = ctx.m_s
+    if targets is None or sum(targets) != ctx.l * m:
+        return 0
     Q = residue_power(ctx, q)
-    r = len(ctx.f_vec)
 
-    # a_nu = prod_{k<=nu} (Q^k - 1)^(-1), truncated at the slice capacity.
-    a = [Fraction(1)]
-    for k in range(1, ctx.m_s + 1):
-        a.append(a[-1] / (Q ** k - 1))
+    # [k]_Q! = prod_{j<=k} (Q^j - 1); binom[a][b] = [a]_Q! / ([b]_Q! [a-b]_Q!).
+    fact = [1]
+    for k in range(1, m + 1):
+        fact.append(fact[-1] * (Q ** k - 1))
+    binom = [[fact[a] // (fact[b] * fact[a - b]) for b in range(a + 1)]
+             for a in range(m + 1)]
+    # g[N] sums [N; e]_Q over the t-way splits e of N, one part at a time.
+    g = [1] * (m + 1)
+    for _ in range(ctx.t - 1):
+        g = [sum(binom[N][k] * g[N - k] for k in range(N + 1))
+             for N in range(m + 1)]
+    # Choosing N of the `left` unplaced row entries for the next column
+    # contributes binom[left][N] * g[N]; over a row these give the weight.
+    cell = [[binom[left][N] * g[N] for N in range(left + 1)]
+            for left in range(m + 1)]
 
-    caps = (ctx.m_s,) * ctx.l + targets
-    series = TruncatedMultiSeries(caps)
-    for w in range(ctx.l):
-        for i in range(r):
-            for _ in range(ctx.t):
-                series.mul_diagonal_factor((w, ctx.l + i), a)
+    @cache
+    def rows_below(budget: tuple[int, ...]) -> int:
+        """Sum over the remaining rows, given sorted non-zero column budgets."""
+        if not budget:
+            return 1
+        total = 0
+        rest = [0] * len(budget)
+        tail = [sum(budget[i:]) for i in range(len(budget) + 1)]
 
-    target = (ctx.m_s,) * ctx.l + targets
-    scale = Fraction(1)
-    for k in range(1, ctx.m_s + 1):
-        scale *= Q ** k - 1
-    return series.coefficient(target) * scale ** ctx.l
+        def place_row(i: int, left: int, weight: int) -> None:
+            nonlocal total
+            if i == len(budget):
+                key = tuple(sorted(b for b in rest if b))
+                total += weight * rows_below(key)
+                return
+            for N in range(max(0, left - tail[i + 1]), min(left, budget[i]) + 1):
+                rest[i] = budget[i] - N
+                place_row(i + 1, left - N, weight * cell[left][N])
 
+        place_row(0, m, 1)
+        return total
 
-def theta(place: Place, f_vec, s: int, q: int, engine: str = "genfun") -> Fraction:
-    if engine == "genfun":
-        return theta_genfun(place, f_vec, s, q)
-    if engine == "enum":
-        return theta_enum(place, f_vec, s, q)
-    raise ValidationError(f"unknown theta engine {engine!r}")
+    return rows_below(tuple(sorted(targets)))

@@ -16,7 +16,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       constant_field_degree, centralizer_spec, count_omega,
                       enumerate_omega, mass_hereditary,
                       mass_maximal_subalgebra, maximal_order,
-                      prime_degree_class_number, theta_enum, theta_genfun,
+                      prime_degree_class_number, theta, theta_enum,
                       total_class_number_genera, transfer_check,
                       weight_class_numbers)
 from csaclass.omega import LocalContext
@@ -107,14 +107,14 @@ def test_criterion_03_engine_equivalence():
                             if ctx.l > 3 or ctx.t > 3 or ctx.m_s > 4:
                                 continue
                             ok &= (theta_enum(place, f, s, q)
-                                   == theta_genfun(place, f, s, q))
+                                   == theta(place, f, s, q))
                             shapes.add((ctx.l, r, ctx.t, ctx.m_s))
     ok &= all(l <= 3 and r <= 3 and t <= 3 for l, r, t, _ in shapes)
     # norms in {2,3,4,9} force deg v <= 2, hence l <= 2: every reachable
     # (l, r, t) combination in the stated domain must occur
     ok &= {(l, r, t) for l, r, t, _ in shapes} \
         == {(l, r, t) for l in (1, 2) for r in (1, 2, 3) for t in (1, 2, 3)}
-    _verdict(3, "theta enumeration equals generating function", ok)
+    _verdict(3, "theta equals enumeration", ok)
 
 
 def test_criterion_04_omega_oracle():

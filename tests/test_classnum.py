@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       class_number_report, constant_field_degree,
                       embedding_count, mass_hereditary, maximal_order,
                       prime_degree_class_number, total_class_number_genera,
-                      transfer_check, weight_class_numbers)
+                      theta, theta_enum, transfer_check,
+                      weight_class_numbers)
 from csaclass.classnum import level_rhs
 from csaclass.errors import (BudgetExceededError, InvalidDivisorError,
                              NotPrimeDegreeError)
@@ -20,8 +22,6 @@ from conftest import random_definite_spec, random_order
 
 def test_golden_weight_class_numbers(golden_order):
     assert weight_class_numbers(golden_order) == {1: 64, 2: 14, 4: 4}
-    assert weight_class_numbers(golden_order, engine="enum") \
-        == {1: 64, 2: 14, 4: 4}
 
 
 def test_golden_class_number(golden_order):
@@ -33,9 +33,9 @@ def test_golden_report(golden_order):
     assert report.s0 == 4
     assert report.mass == Fraction(169, 5)
     assert report.h_total == 82
-    assert dict((s, hs) for s, (hs, _) in report.per_s) == {1: 64, 2: 14, 4: 4}
+    assert {level.s: level.h for level in report.levels} == {1: 64, 2: 14, 4: 4}
     # level right-hand sides: s = 4 gives 4*h_4/(q^4-1), etc.
-    rhs = dict((s, r) for s, (_, r) in report.per_s)
+    rhs = {level.s: level.rhs for level in report.levels}
     assert rhs[4] == Fraction(16, 80)
     assert rhs[2] == Fraction(1, 80) * (2 * 12 * 12)
 
@@ -124,7 +124,7 @@ def test_level_one_rhs_is_mass():
     for _ in range(25):
         spec = random_definite_spec(rng)
         order = random_order(rng, spec)
-        assert level_rhs(order, 1) == mass_hereditary(order)
+        assert level_rhs(order, 1)[0] == mass_hereditary(order)
 
 
 def test_mass_consistency_random():
@@ -195,7 +195,40 @@ def test_genera_budget():
 def test_engines_agree_on_random_orders():
     rng = random.Random(8)
     for _ in range(15):
-        spec = random_definite_spec(rng, max_degree=4)
-        order = random_order(rng, spec)
-        assert weight_class_numbers(order, engine="enum") \
-            == weight_class_numbers(order, engine="genfun")
+        order = random_order(rng, random_definite_spec(rng, max_degree=4))
+        spec = order.algebra
+        s0 = constant_field_degree(spec)
+        for s in (s for s in range(1, s0 + 1) if s0 % s == 0):
+            for label in order.relevant_labels():
+                args = (spec.place(label), order.invariant_at(label), s,
+                        spec.base.q)
+                assert theta(*args) == theta_enum(*args)
+
+
+def _one_split_place(q: int, n: int, deg: int, f_vec) -> OrderSpec:
+    """T ramified with 1/n, order data f_vec at one split place U of degree deg."""
+    spec = AlgebraSpec(BaseField.rational(q), n, (Place("T", 1, n, 1),),
+                       Place("infinity", 1, n, -1))
+    spec = spec.with_listed_place("U", deg)
+    return OrderSpec(spec, (("U", tuple(f_vec)),))
+
+
+def test_transfer_budget_stops_enumeration_early():
+    # |Omega| at U is 7,484,400 at s = 6; the budget must trip long before.
+    order = _one_split_place(2, 12, 6, (1,) * 12)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        transfer_check(order, 6, 6, budget=10)
+    assert time.monotonic() - started < 1.0
+
+
+@pytest.mark.parametrize("s2", [2, 4, 6, 12])
+def test_transfer_degree6_iwahori(s2):
+    order = _one_split_place(2, 12, 6, (1,) * 12)
+    report = transfer_check(order, 2, s2)
+    assert report.equal, (s2, report.lhs, report.rhs)
+
+
+def test_prime_degree_13_iwahori():
+    order = _one_split_place(2, 13, 13, (1,) * 13)
+    assert class_number(order) == prime_degree_class_number(order)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
+from csaclass import class_number_report
 from csaclass.cli import ConfigError, main, parse_config
+from csaclass.errors import IntegralityViolationError
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parents[1] / "configs" / "dvg-example.json"
 
@@ -112,13 +115,11 @@ def test_mass_command(golden_config_path, capsys):
     assert json.loads(out) == {"mass": "169/5"}
 
 
-def test_theta_command_both_engines(golden_config_path, capsys):
+def test_theta_command(golden_config_path, capsys):
     code, out = run_cli(capsys, "--config", golden_config_path,
                         "theta", "--place", "T+1", "--s", "2")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["enum"] == "12"
-    assert doc["genfun"] == "12"
+    assert json.loads(out) == {"place": "T+1", "s": 2, "theta": "12"}
 
 
 def test_omega_command(golden_config_path, capsys):
@@ -186,6 +187,50 @@ def test_exit_code_missing_file(capsys):
     code = main(["--config", "/nonexistent/config.json", "classnum"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("mangle,argv,needle", [
+    (None, ("theta", "--place", "X", "--s", "2"), "--place: unknown place 'X'"),
+    (None, ("omega", "--place", "X", "--s", "2"), "--place: unknown place 'X'"),
+    (lambda d: d["ramification"][0].update(degree="x"), ("classnum",),
+     "ramification[0].degree: not an integer"),
+    (lambda d: d["ramification"][3].update(degree=[1]), ("classnum",),
+     "ramification[3].degree: not an integer"),
+    (lambda d: d["ramification"][0].update(invariant="1/0"), ("classnum",),
+     "ramification[0].invariant: not a fraction"),
+    (lambda d: d.update(ramification={}), ("classnum",),
+     "ramification: expected a list"),
+    (lambda d: d.update(order={"invariants": [["T", [1, 1]]]}), ("classnum",),
+     "order.invariants: expected an object"),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, mangle, argv, needle):
+    doc = json.loads(GOLDEN_CONFIG)
+    if mangle is not None:
+        mangle(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["--config", str(path), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {needle}" in err.splitlines()
+
+
+def test_engine_flag_is_gone(golden_config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", golden_config_path, "classnum", "--engine", "enum"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
+def test_resum_violation_exits_3(golden_order, golden_config_path, capsys,
+                                 monkeypatch):
+    monkeypatch.setattr("csaclass.classnum.mass_hereditary",
+                        lambda order: Fraction(1))
+    with pytest.raises(IntegralityViolationError):
+        class_number_report(golden_order)
+    code = main(["--config", golden_config_path, "classnum"])
+    assert code == 3
+    assert "error: weight class numbers resum to" in capsys.readouterr().err
 
 
 def test_exit_code_budget(golden_config_path, capsys):

@@ -1,16 +1,14 @@
-"""Local theta factors: golden values, engine agreement, edge cases."""
+"""Local theta factors: golden values, agreement with enumeration, edge cases."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
-from csaclass import (Place, local_unit_index, omega_nonempty, theta,
-                      theta_enum, theta_genfun)
+from csaclass import Place, local_unit_index, omega_nonempty, theta, theta_enum
 from csaclass.omega import LocalContext
-from csaclass.theta import TruncatedMultiSeries, residue_power
+from csaclass.theta import residue_power
 
 
 GOLDEN_Q = 3
@@ -26,23 +24,26 @@ IW_PLACE = Place("T+1", 1, 2)
 ])
 def test_golden_theta_values(place, f, s, expected):
     assert theta_enum(place, f, s, GOLDEN_Q) == expected
-    assert theta_genfun(place, f, s, GOLDEN_Q) == expected
+    assert theta(place, f, s, GOLDEN_Q) == expected
 
 
 def test_golden_iwahori_hand_expansion():
     # For the index-2 place at level 2: one strip, capacity 2, residue
     # cardinality 9.  The series factor F(Z) = 1 + Z/8 + Z^2/640 appears
     # squared, so the Z^2 coefficient is 2*a_2 + a_1^2 = 3/160, and the
-    # prefactor (9-1)(81-1) = 640 turns that into 12.
+    # prefactor (9-1)(81-1) = 640 turns that into 12.  Row by row, the one
+    # row splits its 2 into t = 2 parts: [2;0] + [2;1] + [2;2] = 1 + 10 + 1.
     ctx = LocalContext.create(IW_PLACE, (2,), 2)
     Q = residue_power(ctx, GOLDEN_Q)
     assert Q == 9
+    assert (ctx.l, ctx.t, ctx.m_s) == (1, 2, 2)
     a1 = Fraction(1, Q - 1)
     a2 = a1 / (Q * Q - 1)
     coeff = 2 * a2 + a1 ** 2
     assert coeff == Fraction(3, 160)
     assert coeff * (Q - 1) * (Q * Q - 1) == 12
-    assert theta_genfun(IW_PLACE, (2,), 2, GOLDEN_Q) == 12
+    assert 1 + (Q * Q - 1) // (Q - 1) + 1 == 12
+    assert theta(IW_PLACE, (2,), 2, GOLDEN_Q) == 12
 
 
 def _compositions_pos(total, parts):
@@ -54,15 +55,13 @@ def _compositions_pos(total, parts):
             yield (first,) + rest
 
 
-def engine_cases():
-    """Local data realizing every (l, r, t) <= 3 with m_s <= 4."""
-    cases = []
-    seen = set()
-    for q in (2, 3, 4, 9):
+def _local_data(qs, max_m):
+    """Every (q, deg, d, s, f) with up to three parts, and its context."""
+    for q in qs:
         for deg in (1, 2, 3):
             for d in (1, 2, 3, 4, 6):
                 for s in (1, 2, 3, 4, 6):
-                    for m in range(1, 7):
+                    for m in range(1, max_m + 1):
                         for r in range(1, min(m, 3) + 1):
                             for f in _compositions_pos(m, r):
                                 try:
@@ -70,13 +69,31 @@ def engine_cases():
                                         Place("v", deg, d), f, s)
                                 except Exception:
                                     continue
-                                if ctx.l > 3 or ctx.t > 3 or ctx.m_s > 4:
-                                    continue
-                                key = (q, deg, d, s, f)
-                                if key in seen:
-                                    continue
-                                seen.add(key)
-                                cases.append(key)
+                                yield (q, deg, d, s, f), ctx
+
+
+def engine_cases():
+    """Local data realizing every (l, r, t) <= 3 with m_s <= 4, followed by
+    one case per (q, l, r, t, m_s) with m_s in {5, 6} and q in {2, 3}.
+
+    The larger slices come last, so the cases before them keep their ids.
+    """
+    cases = []
+    seen = set()
+    for key, ctx in _local_data((2, 3, 4, 9), 6):
+        if ctx.l > 3 or ctx.t > 3 or ctx.m_s > 4:
+            continue
+        if key in seen:
+            continue
+        seen.add(key)
+        cases.append(key)
+    shapes = set()
+    for key, ctx in _local_data((2, 3), 12):
+        shape = (key[0], ctx.l, len(key[4]), ctx.t, ctx.m_s)
+        if ctx.l > 3 or ctx.t > 3 or not 5 <= ctx.m_s <= 6 or shape in shapes:
+            continue
+        shapes.add(shape)
+        cases.append(key)
     return cases
 
 
@@ -84,7 +101,9 @@ def engine_cases():
 def test_engines_agree(q, deg, d, s, f):
     place = Place("v", deg, d)
     value = theta_enum(place, f, s, q)
-    assert theta_genfun(place, f, s, q) == value
+    production = theta(place, f, s, q)
+    assert type(production) is int
+    assert production == value
     assert (value == 0) == (not omega_nonempty(place, f, s))
     if value != 0:
         assert value >= 1
@@ -99,14 +118,14 @@ def test_level_one_equals_unit_index():
                 place = Place("v", 2, d)
                 N = q ** place.degree
                 assert theta_enum(place, f, 1, q) == local_unit_index(N, d, f)
-                assert theta_genfun(place, f, 1, q) == local_unit_index(N, d, f)
+                assert theta(place, f, 1, q) == local_unit_index(N, d, f)
 
 
 def test_zero_iff_empty():
     place = Place("v", 1, 1)
     assert not omega_nonempty(place, (1, 1), 2)
     assert theta_enum(place, (1, 1), 2, 3) == 0
-    assert theta_genfun(place, (1, 1), 2, 3) == 0
+    assert theta(place, (1, 1), 2, 3) == 0
 
 
 def test_rotation_invariance():
@@ -115,36 +134,5 @@ def test_rotation_invariance():
             for f in _compositions_pos(4, 2):
                 place = Place("v", 2, 2)
                 rot = f[1:] + f[:1]
-                assert theta_genfun(place, f, s, q) \
-                    == theta_genfun(place, rot, s, q)
+                assert theta(place, f, s, q) == theta(place, rot, s, q)
 
-
-def test_dispatcher():
-    assert theta(T_PLACE, (1,), 2, 3, engine="enum") == 2
-    assert theta(T_PLACE, (1,), 2, 3, engine="genfun") == 2
-    assert theta(T_PLACE, (1,), 2, 3) == 2
-    with pytest.raises(Exception):
-        theta(T_PLACE, (1,), 2, 3, engine="bogus")
-
-
-def test_truncated_series_matches_dense_product():
-    """Cross-check the capped series against naive dense multiplication."""
-    caps = (2, 2, 3)
-    a = [Fraction(1), Fraction(1, 2), Fraction(1, 5)]
-    series = TruncatedMultiSeries(caps)
-    dense = {(0, 0, 0): Fraction(1)}
-    for axes in ((0, 2), (1, 2), (0, 1)):
-        series.mul_diagonal_factor(axes, a)
-        new = {}
-        for exp, c in dense.items():
-            for nu, coeff in enumerate(a):
-                bumped = list(exp)
-                for ax in axes:
-                    bumped[ax] += nu
-                key = tuple(bumped)
-                if any(k > cap for k, cap in zip(key, caps)):
-                    continue
-                new[key] = new.get(key, Fraction(0)) + c * coeff
-        dense = new
-    for exp in product(range(3), range(3), range(4)):
-        assert series.coefficient(exp) == dense.get(exp, Fraction(0))
