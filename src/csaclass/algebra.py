@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import gcd
 
 from .basefield import BaseField, constant_extension
-from .errors import InvalidDivisorError, ValidationError
+from .errors import (IntegralityViolationError, InvalidDivisorError,
+                     ValidationError)
 
 INFINITY = "infinity"
 
@@ -167,6 +168,15 @@ def validate(spec: AlgebraSpec) -> list[str]:
             for v in spec.all_places() if v.invariant_num is not None)
         if total.denominator != 1:
             violations.append(f"reciprocity fails: sum of invariants = {total}")
+    else:
+        # Whatever the missing invariants are, a p-adic valuation reached at
+        # one place only cannot cancel in the sum.
+        for p in _prime_factors(n):
+            parts = [p ** _ord_p(v.local_index, p) for v in ramified_places]
+            if parts and max(parts) > 1 and parts.count(max(parts)) == 1:
+                violations.append(
+                    f"reciprocity fails: {max(parts)} divides a local index "
+                    "at one place only")
 
     if spec.base.kind == "rational":
         by_degree: dict[int, int] = {}
@@ -235,7 +245,9 @@ def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
     for v in spec.finite_places:
         l, t = splitting_data(v, s)
         m_v = spec.capacity(v)
-        assert (m_v * t) % s == 0, "derived capacity must be integral"
+        if (m_v * t) % s != 0:
+            raise IntegralityViolationError(
+                f"derived capacity {m_v * t}/{s} at {v.label!r} is not integral")
         d_new = v.local_index // t
         if d_new == 1:
             continue

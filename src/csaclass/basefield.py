@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ExtensionNotSupportedError, ValidationError
+from .errors import (ExtensionNotSupportedError, IntegralityViolationError,
+                     ValidationError)
 
 RATIONAL = "rational"
 CUSTOM = "custom"
@@ -134,7 +135,7 @@ def _power_sums_from_l_poly(l_poly: tuple[int, ...], count: int) -> list[Fractio
 
 
 def _l_poly_from_power_sums(p: list[Fraction], deg: int) -> tuple[int, ...]:
-    """Invert Newton's identities; asserts every coefficient is integral."""
+    """Invert Newton's identities; every coefficient must be integral."""
     e: list[Fraction] = [Fraction(1)] + [Fraction(0)] * deg
     for k in range(1, deg + 1):
         acc = Fraction(0)
@@ -145,7 +146,8 @@ def _l_poly_from_power_sums(p: list[Fraction], deg: int) -> tuple[int, ...]:
     for k in range(deg + 1):
         c = (-1) ** k * e[k]
         if c.denominator != 1:
-            raise AssertionError(f"non-integral l_poly coefficient {c} at degree {k}")
+            raise IntegralityViolationError(
+                f"non-integral l_poly coefficient {c} at degree {k}")
         coeffs.append(int(c))
     return tuple(coeffs)
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice, product
-from math import factorial
+from math import factorial, prod
 
 from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
                       splitting_data)
@@ -21,7 +22,8 @@ from .errors import (BudgetExceededError, IntegralityViolationError,
                      InvalidDivisorError, NotPrimeDegreeError)
 from .massform import mass_hereditary, mass_maximal
 from .omega import enumerate_omega, flatten_strip
-from .orders import OrderSpec, count_genera, enumerate_genera, genus_reduce
+from .orders import (OrderSpec, count_genera, enumerate_genera, genus_reduce,
+                     normalize_invariant)
 from .theta import theta
 
 DEFAULT_BUDGET = 10 ** 6
@@ -136,7 +138,11 @@ def transfer_check(order: OrderSpec, s: int, s2: int,
     """Verify s * h_{s2} against the sum over the global index set.
 
     Each summand is the weight-(s2/s) class number of the derived order cut
-    out by one element of the product of local index sets.
+    out by one element of the product of local index sets.  A derived order
+    reads an element only through its normalised strips, so each local set
+    is grouped by them and the sum runs over distinct derived orders, each
+    weighted by the product of its group sizes.  The budget still bounds
+    the full global index set, the product of the local set sizes.
     """
     spec = order.algebra
     s0 = constant_field_degree(spec)
@@ -155,14 +161,20 @@ def transfer_check(order: OrderSpec, s: int, s2: int,
         if size > budget:
             raise BudgetExceededError(
                 f"global index set exceeds budget of {budget} summands")
-        streams.append(elems)
+        groups: dict[tuple, list] = {}
+        for elem in elems:
+            key = tuple(normalize_invariant(flatten_strip(elem, w))
+                        for w in range(1, len(elem.entries) + 1))
+            groups.setdefault(key, [elem, 0])[1] += 1
+        streams.append(groups.values())
         if not elems:
             break
 
     rhs = 0
     for combo in product(*streams):
-        sub = derived_order(order, s, combo)
-        rhs += weight_class_numbers(sub)[s2 // s]
+        sub = derived_order(order, s, [elem for elem, _ in combo])
+        rhs += (prod(count for _, count in combo)
+                * weight_class_numbers(sub)[s2 // s])
     return TransferReport(s, s2, lhs, rhs)
 
 
@@ -219,19 +231,22 @@ class GeneraReport:
 
 def total_class_number_genera(order: OrderSpec,
                               budget: int = DEFAULT_BUDGET) -> GeneraReport:
-    """Class numbers of every genus of right ideals, and their sum."""
+    """Class numbers of every genus of right ideals, and their sum.
+
+    Every genus reduces to the principal genus of another hereditary order,
+    so the class number is solved once per distinct reduced order.  The
+    budget still bounds the full genus count.
+    """
     if count_genera(order) > budget:
         raise BudgetExceededError(
             f"genus count exceeds budget of {budget}")
-    rows = []
-    total = 0
-    for genus in enumerate_genera(order):
-        reduced = {label: genus_reduce(vec) for label, vec in genus.items()}
-        sub = OrderSpec(order.algebra, tuple(sorted(reduced.items())))
-        h = class_number(sub)
-        rows.append((tuple(sorted(genus.items())), h))
-        total += h
-    return GeneraReport(tuple(rows), total)
+    reduce = cache(lambda vec: normalize_invariant(genus_reduce(vec)))
+    solve = cache(lambda key: class_number(OrderSpec(order.algebra, key)))
+    rows = tuple(
+        (tuple(genus.items()),
+         solve(tuple((label, reduce(vec)) for label, vec in genus.items())))
+        for genus in enumerate_genera(order))  # labels in sorted order
+    return GeneraReport(rows, sum(h for _, h in rows))
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,16 @@ def _parse_base(node, errors: list[str]) -> BaseField | None:
                 pic_override=(int(node["pic_order"])
                               if "pic_order" in node else None))
         if kind == "custom":
-            return BaseField.custom(
+            base = BaseField.custom(
                 q=int(node["q"]),
                 l_poly=[int(c) for c in node["l_polynomial"]],
                 infinity_degree=int(node.get("infinity_degree", 1)),
                 pic_override=(int(node["pic_order"])
                               if "pic_order" in node else None))
+            if base.l_poly_at(1) < 1:
+                raise ValidationError(f"l_polynomial has P(1) = "
+                                      f"{base.l_poly_at(1)}, but P(1) = h_K >= 1")
+            return base
         errors.append(f"base.type: unknown kind {kind!r}")
     except KeyError as exc:
         errors.append(f"base.{exc.args[0]}: missing field")
@@ -156,24 +160,20 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(order)
 
 
-def _fmt(value):
+def _fraction(value):
+    """json.dumps fallback: exact rationals as "n" or "n/d" strings."""
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {str(k): _fmt(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    return value
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, output: str) -> None:
     if output == "json":
-        print(json.dumps(_fmt(report), sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2, default=_fraction))
     else:
         for key in sorted(report):
-            print(f"{key}: {json.dumps(_fmt(report[key]), sort_keys=True)}")
+            print(f"{key}: "
+                  f"{json.dumps(report[key], sort_keys=True, default=_fraction)}")
 
 
 def _cmd_classnum(order: OrderSpec, args) -> dict:

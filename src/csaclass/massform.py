@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraSpec, centralizer_spec
 from .basefield import pic_order, zeta_at_negative
-from .errors import NotDefiniteError
+from .errors import IntegralityViolationError, NotDefiniteError
 from .orders import OrderSpec, local_unit_index, maximal_order
 
 
@@ -43,9 +43,12 @@ def mass_hereditary(order: OrderSpec) -> Fraction:
     for label, f_vec in order.invariants:
         v = spec.place(label)
         factor = local_unit_index(spec.norm(v), v.local_index, f_vec)
-        assert factor >= 1
+        if factor < 1:
+            raise IntegralityViolationError(
+                f"place {label!r}: unit index {factor} is below 1")
         mass *= factor
-    assert mass > 0, "mass must be positive"
+    if mass <= 0:
+        raise IntegralityViolationError(f"mass {mass} is not positive")
     return mass
 
 

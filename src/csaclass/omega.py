@@ -81,6 +81,9 @@ def _slices(m_s: int, r: int, t: int, column_budget):
     slots = r * t
     vec = [0] * slots
     budget = list(column_budget)
+    # Columns of the slots after pos; r consecutive slots cover every column.
+    later = [tuple({p % r for p in range(pos + 1, min(slots, pos + 1 + r))})
+             for pos in range(slots)]
 
     def rec(pos: int, left: int):
         if pos == slots:
@@ -89,9 +92,8 @@ def _slices(m_s: int, r: int, t: int, column_budget):
             return
         i = pos % r
         # Lower bound from what later slots can still absorb: each column
-        # contributes at most its remaining budget, however many slots remain.
-        later = {p % r for p in range(pos + 1, slots)}
-        tail_cap = sum(budget[i] for i in later)
+        # contributes at most its remaining budget.
+        tail_cap = sum(budget[c] for c in later[pos])
         lo = max(0, left - tail_cap)
         hi = min(left, budget[i])
         for e in range(lo, hi + 1):
@@ -143,5 +145,5 @@ def flatten_strip(elem: OmegaLocalElement, w: int) -> tuple[int, ...]:
         raise ValidationError(f"w = {w} out of range")
     stripped = tuple(e for e in elem.entries[w - 1] if e != 0)
     if not stripped:
-        raise AssertionError("all-zero slice cannot occur for positive capacity")
+        raise ValidationError(f"slice w = {w} is all zero")
     return stripped

@@ -9,7 +9,9 @@ from itertools import product
 import pytest
 
 from csaclass import BaseField, constant_extension, pic_order, zeta_at_negative
-from csaclass.errors import ExtensionNotSupportedError, ValidationError
+from csaclass.basefield import _l_poly_from_power_sums
+from csaclass.errors import (ExtensionNotSupportedError, IntegralityViolationError,
+                             ValidationError)
 
 
 def divisor_counts_rational(q: int, up_to: int) -> list[int]:
@@ -148,3 +150,9 @@ def test_q_must_be_prime_power():
         BaseField.rational(6)
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27):
         BaseField.rational(q)
+
+
+def test_non_integral_l_poly_is_a_typed_error():
+    # power sums p_1 = 1, p_2 = 0 give e_2 = 1/2
+    with pytest.raises(IntegralityViolationError):
+        _l_poly_from_power_sums([Fraction(0), Fraction(1), Fraction(0)], 2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,9 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       prime_degree_class_number, total_class_number_genera,
                       theta, theta_enum, transfer_check,
                       weight_class_numbers)
-from csaclass.classnum import level_rhs
+from csaclass.classnum import derived_order, level_rhs
+from csaclass.omega import enumerate_omega
+from csaclass.orders import count_genera, enumerate_genera, genus_reduce
 from csaclass.errors import (BudgetExceededError, InvalidDivisorError,
                              NotPrimeDegreeError)
 from conftest import random_definite_spec, random_order
@@ -140,10 +143,11 @@ def test_mass_consistency_random():
         assert h[1] >= 1 or len(h) > 1
 
 
-def test_transfer_random():
+def _random_transfer_cases(count: int = 10):
+    """(order, s, s2, report) for random orders whose transfer fits the budget."""
     rng = random.Random(31)
     checked = 0
-    while checked < 10:
+    while checked < count:
         spec = random_definite_spec(rng, max_degree=4)
         order = random_order(rng, spec)
         s0 = constant_field_degree(spec)
@@ -156,8 +160,13 @@ def test_transfer_random():
             report = transfer_check(order, s, s2, budget=20000)
         except BudgetExceededError:
             continue
-        assert report.equal, (spec, order, s, s2, report)
+        yield order, s, s2, report
         checked += 1
+
+
+def test_transfer_random():
+    for order, s, s2, report in _random_transfer_cases():
+        assert report.equal, (order, s, s2, report)
 
 
 def test_genera_iwahori_quaternion():
@@ -232,3 +241,74 @@ def test_transfer_degree6_iwahori(s2):
 def test_prime_degree_13_iwahori():
     order = _one_split_place(2, 13, 13, (1,) * 13)
     assert class_number(order) == prime_degree_class_number(order)
+
+
+def _brute_force_transfer_rhs(order: OrderSpec, s: int, s2: int) -> int:
+    """One derived order and one weight solve per global index element."""
+    spec = order.algebra
+    streams = [list(enumerate_omega(spec.place(label),
+                                    order.invariant_at(label), s))
+               for label in order.relevant_labels()]
+    return sum(weight_class_numbers(derived_order(order, s, combo))[s2 // s]
+               for combo in product(*streams))
+
+
+def _two_iwahori_places(q: int, n: int, deg: int) -> OrderSpec:
+    spec = AlgebraSpec(BaseField.rational(q), n, (Place("T", 1, n, 1),),
+                       Place("infinity", 1, n, -1))
+    spec = spec.with_listed_place("U", deg).with_listed_place("V", deg)
+    return OrderSpec(spec, (("U", (1,) * n), ("V", (1,) * n)))
+
+
+def test_transfer_matches_brute_force_golden(golden_order):
+    for s, s2 in ((1, 1), (1, 2), (1, 4), (2, 2), (2, 4), (4, 4)):
+        assert transfer_check(golden_order, s, s2).rhs == \
+            _brute_force_transfer_rhs(golden_order, s, s2)
+
+
+def test_transfer_matches_brute_force_random():
+    for order, s, s2, report in _random_transfer_cases():
+        assert report.rhs == _brute_force_transfer_rhs(order, s, s2), \
+            (order, s, s2)
+
+
+@pytest.mark.parametrize("s2", [2, 4, 8])
+def test_transfer_matches_brute_force_two_iwahori_places(s2):
+    # 70 elements per place, all with strips (1, 1, 1, 1): 4900 summands
+    # and a single distinct derived order
+    order = _two_iwahori_places(3, 8, 2)
+    report = transfer_check(order, 2, s2)
+    assert report.equal
+    assert report.rhs == _brute_force_transfer_rhs(order, 2, s2)
+
+
+@pytest.mark.parametrize("make_order", [
+    lambda: _two_iwahori_places(3, 4, 1),
+    lambda: _one_split_place(2, 6, 1, (1,) * 6),
+    lambda: _one_split_place(3, 6, 2, (1, 1, 2, 2)),
+], ids=["two-iwahori-n4", "iwahori-n6", "deg2-1122-n6"])
+def test_genera_match_directly_built_orders(make_order):
+    order = make_order()
+    report = total_class_number_genera(order)
+    assert len(report.per_genus) == sum(1 for _ in enumerate_genera(order))
+    for genus, h in report.per_genus:
+        direct = OrderSpec(order.algebra, tuple(
+            (label, genus_reduce(vec)) for label, vec in genus))
+        assert h == class_number(direct), genus
+    assert report.total == sum(h for _, h in report.per_genus)
+
+
+def test_genera_match_directly_built_orders_random():
+    rng = random.Random(12)
+    checked = 0
+    while checked < 8:
+        order = random_order(rng, random_definite_spec(rng, max_degree=4),
+                             extra_split_places=2)
+        if not 1 < count_genera(order) <= 500:
+            continue
+        checked += 1
+        report = total_class_number_genera(order)
+        for genus, h in report.per_genus:
+            direct = OrderSpec(order.algebra, tuple(
+                (label, genus_reduce(vec)) for label, vec in genus))
+            assert h == class_number(direct), (order, genus)

@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from csaclass import class_number_report
-from csaclass.cli import ConfigError, main, parse_config
+from csaclass.cli import ConfigError, _emit, main, parse_config
 from csaclass.errors import IntegralityViolationError
 
-CONFIG_PATH = pathlib.Path(__file__).resolve().parents[1] / "configs" / "dvg-example.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIG_PATH = ROOT / "configs" / "dvg-example.json"
 
 GOLDEN_CONFIG = CONFIG_PATH.read_text(encoding="utf-8")
 
@@ -202,6 +212,8 @@ def test_exit_code_missing_file(capsys):
      "ramification: expected a list"),
     (lambda d: d.update(order={"invariants": [["T", [1, 1]]]}), ("classnum",),
      "order.invariants: expected an object"),
+    (lambda d: d.update(ramification=[]), ("classnum",),
+     "algebra: reciprocity fails: 4 divides a local index at one place only"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, mangle, argv, needle):
     doc = json.loads(GOLDEN_CONFIG)
@@ -245,3 +257,157 @@ def test_timings_flag(golden_config_path, capsys):
                         "--timings", "mass")
     assert code == 0
     assert "timings_ms" in json.loads(out)
+
+
+# P(1) = 1 - 5 + 3 = -1: no curve has a negative class number h_K = P(1).
+NEGATIVE_P1 = {"type": "custom", "q": 3, "l_polynomial": [1, -5, 3]}
+NEGATIVE_P1_ERROR = ("error: base: l_polynomial has P(1) = -1, "
+                     "but P(1) = h_K >= 1")
+
+
+def _negative_p1_config(tmp_path) -> str:
+    doc = json.loads(GOLDEN_CONFIG)
+    doc["base"] = NEGATIVE_P1
+    path = tmp_path / "negative-p1.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_negative_class_number_base_exits_2(tmp_path, capsys):
+    code = main(["--config", _negative_p1_config(tmp_path), "mass"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [NEGATIVE_P1_ERROR]
+
+
+def test_negative_class_number_base_exits_2_under_optimize(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "csaclass.cli",
+         "--config", _negative_p1_config(tmp_path), "mass"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [NEGATIVE_P1_ERROR]
+
+
+_LABELS = ("T", "T+1", "U", "infinity")
+_leaves = (st.none() | st.booleans() | st.integers(-3, 9)
+           | st.sampled_from(_LABELS) | st.text(max_size=3)
+           | st.builds("{}/{}".format, st.integers(-4, 4), st.integers(-1, 8)))
+_json = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+_base = _json | st.fixed_dictionaries(
+    {"type": st.sampled_from(("rational_function_field", "custom", "x"))
+             | _json,
+     "q": st.sampled_from((2, 3, 4, 6)) | _json},
+    optional={"l_polynomial": st.lists(st.integers(-6, 9), max_size=5) | _json,
+              "infinity_degree": st.integers(-1, 3) | _json,
+              "pic_order": st.integers(-1, 3) | _json})
+
+
+@st.composite
+def _configs(draw):
+    """A near-valid config (T and infinity ramified with +-k/n, order data at
+    a split place U) with random JSON swapped in at a few keys."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.sampled_from([k for k in range(-n, n + 1)
+                              if gcd(k, n) == 1 or n == 1]))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))
+                  if n > 1 else set())
+    ramification = [
+        {"place": "T", "degree": 1, "invariant": f"{k}/{n}"},
+        {"place": "U", "degree": draw(st.integers(1, 2))},
+        {"place": "infinity", "invariant": f"{-k}/{n}"},
+    ]
+    doc = {
+        "base": {"type": "rational_function_field",
+                 "q": draw(st.sampled_from((2, 3, 4, 5)))},
+        "degree": n,
+        "ramification": ramification,
+        "order": {"invariants": {
+            "U": [b - a for a, b in zip([0, *cuts], [*cuts, n])]}},
+    }
+
+    for place in ramification:
+        for key in ("place", "degree", "invariant"):
+            if draw(st.integers(0, 11)) == 0:
+                place[key] = draw(_json)
+    for key, strategy in (("base", _base), ("degree", _json),
+                          ("ramification", _json), ("order", _json)):
+        choice = draw(st.integers(0, 11))
+        if choice == 0:
+            doc[key] = draw(strategy)
+        elif choice == 1:
+            del doc[key]
+    if draw(st.integers(0, 7)) == 0:
+        doc["order"] = {"invariants": draw(st.dictionaries(
+            st.sampled_from(_LABELS),
+            st.lists(st.integers(-1, 4), max_size=5) | _json, max_size=2))}
+    return doc
+
+
+_argv = st.sampled_from((
+    ("classnum",), ("mass",), ("embed", "--s", "2"), ("genera",),
+    ("transfer", "--s", "1", "--s2", "2"), ("selfcheck",),
+    ("theta", "--place", "T", "--s", "1"), ("omega", "--place", "U", "--s", "2"),
+))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_configs(), argv=_argv, output=st.sampled_from(("json", "text")))
+def test_random_config_never_escapes(doc, argv, output):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["--config", path, "--output", output,
+                         "--budget", "2000", *argv])
+    assert code in (0, 1, 2, 3, 4)
+
+
+def _reference_fmt(value):
+    """The report walk the CLI used before it let json.dumps format Fractions."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {str(k): _reference_fmt(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_fmt(v) for v in value]
+    return value
+
+
+EMIT_REPORT = {
+    "mass": Fraction(169, 5),
+    "whole": Fraction(-12, 4),
+    "zero": Fraction(0),
+    "h": {"1": 64, "2": 14},
+    "rows": [{"genus": {"U": (1, 0, 2)}, "class_number": 3},
+             (Fraction(1, 2), [Fraction(7), (Fraction(-3, 8),)])],
+    "flags": {"equal": True, "other": False, "none": None},
+    "name": "T+1",
+}
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_emit_matches_reference_walk(output, capsys):
+    _emit(EMIT_REPORT, output)
+    got = capsys.readouterr().out
+    if output == "json":
+        want = json.dumps(_reference_fmt(EMIT_REPORT), sort_keys=True,
+                          indent=2) + "\n"
+    else:
+        want = "".join(
+            f"{key}: {json.dumps(_reference_fmt(EMIT_REPORT[key]), sort_keys=True)}\n"
+            for key in sorted(EMIT_REPORT))
+    assert got == want
+    assert '"169/5"' in got and '"-3"' in got and '"7"' in got

@@ -10,7 +10,7 @@ import pytest
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       local_unit_index, mass_hereditary, mass_maximal,
                       mass_maximal_subalgebra, maximal_order)
-from csaclass.errors import NotDefiniteError
+from csaclass.errors import IntegralityViolationError, NotDefiniteError
 from csaclass.massform import ramification_factor
 from conftest import random_definite_spec, random_order
 
@@ -100,3 +100,12 @@ def test_mass_positive_random():
         spec = random_definite_spec(rng)
         order = random_order(rng, spec)
         assert mass_hereditary(order) > 0
+
+
+def test_non_positive_mass_is_a_typed_error():
+    # P(1) = -1 is no class number; the mass must not come out negative
+    base = BaseField.custom(3, (1, -5, 3))
+    spec = AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),),
+                       Place("infinity", 1, 2, -1))
+    with pytest.raises(IntegralityViolationError):
+        mass_hereditary(maximal_order(spec))

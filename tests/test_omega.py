@@ -9,6 +9,7 @@ import pytest
 
 from csaclass import (Place, count_omega, enumerate_omega, flatten_strip,
                       normalize_invariant, omega_nonempty)
+from csaclass.errors import ValidationError
 from csaclass.omega import LocalContext, OmegaLocalElement
 
 
@@ -160,3 +161,9 @@ def test_slice_sums_equal_capacity():
             for elem in enumerate_omega(place, f, s):
                 for sl in elem.entries:
                     assert sum(sl) == ctx.m_s
+
+
+def test_flatten_strip_rejects_all_zero_slice():
+    elem = OmegaLocalElement("v", 2, 2, 1, ((1, 1), (0, 0)))
+    with pytest.raises(ValidationError):
+        flatten_strip(elem, 2)
