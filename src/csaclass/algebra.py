@@ -89,6 +89,7 @@ class AlgebraSpec:
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValidationError("algebra degree must be positive")
+        self.base.check_class_number()
         object.__setattr__(self, "finite_places", tuple(self.finite_places))
         if self.infinity is None:
             object.__setattr__(

@@ -107,6 +107,18 @@ class BaseField:
             acc = acc * x + c
         return acc
 
+    def check_class_number(self) -> None:
+        """Raise ValidationError unless P(1) = h_K >= 1, as for every curve.
+
+        Construction accepts any L-polynomial, so that the zeta and extension
+        oracles can probe hypothetical data; an algebra over K needs a real
+        class number.
+        """
+        h = self.l_poly_at(1)
+        if h < 1:
+            raise ValidationError(
+                f"l_polynomial has P(1) = {h}, but P(1) = h_K >= 1")
+
 
 def zeta_at_negative(base: BaseField, i: int) -> Fraction:
     """Exact special value zeta_K(-i) for i >= 1."""

@@ -12,6 +12,8 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .algebra import INFINITY, AlgebraSpec, Place, constant_field_degree, validate
 from .basefield import BaseField
@@ -21,7 +23,7 @@ from .classnum import (DEFAULT_BUDGET, class_number_report, embedding_count,
 from .errors import (BudgetExceededError, CsaClassError,
                      IntegralityViolationError, ValidationError)
 from .massform import mass_hereditary, mass_maximal_subalgebra
-from .omega import count_omega, enumerate_omega
+from .omega import enumerate_omega
 from .orders import OrderSpec, normalize_invariant
 from .theta import theta, theta_enum
 
@@ -56,9 +58,8 @@ def _parse_base(node, errors: list[str]) -> BaseField | None:
                 infinity_degree=int(node.get("infinity_degree", 1)),
                 pic_override=(int(node["pic_order"])
                               if "pic_order" in node else None))
-            if base.l_poly_at(1) < 1:
-                raise ValidationError(f"l_polynomial has P(1) = "
-                                      f"{base.l_poly_at(1)}, but P(1) = h_K >= 1")
+            # AlgebraSpec checks this too, but the fault lies in `base`.
+            base.check_class_number()
             return base
         errors.append(f"base.type: unknown kind {kind!r}")
     except KeyError as exc:
@@ -161,15 +162,66 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _fraction(value):
-    """json.dumps fallback: exact rationals as "n" or "n/d" strings."""
+    """Encoder fallback: exact rationals as "n" or "n/d" strings."""
     if isinstance(value, Fraction):
         return str(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _dumps_indented(report) -> str:
+    """The text of json.dumps(report, sort_keys=True, indent=2,
+    default=_fraction), with each container built by one str.join.
+
+    CPython's C encoder does not indent, so json.dumps(indent=2) falls back
+    to a pure-Python token generator.  Values may be dicts with str keys,
+    lists, tuples, str, int, bool, None and Fraction; anything else raises
+    TypeError.  All-int tuples, such as the genus vectors that repeat across
+    the rows of `genera`, are formatted once per indent.
+    """
+    quote = encode_basestring_ascii  # raises TypeError on a non-str key
+    int_tuples: dict[tuple, str] = {}
+
+    def encode(value, pad: str) -> str:
+        if isinstance(value, str):
+            return quote(value)
+        if type(value) is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = [f"{quote(k)}: {encode(v, inner)}"
+                     for k, v in sorted(value.items())]
+            return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            # The type check keeps (1, True) from sharing (1, 1)'s entry.
+            if type(value) is tuple and {*map(type, value)} == {int}:
+                key = (value, pad)
+                text = int_tuples.get(key)
+                if text is None:
+                    text = int_tuples[key] = (
+                        f"[\n{inner}{sep.join(map(int.__repr__, value))}"
+                        f"\n{pad}]")
+                return text
+            items = [encode(e, inner) for e in value]
+            return f"[\n{inner}{sep.join(items)}\n{pad}]"
+        return quote(_fraction(value))
+
+    return encode(report, "")
+
+
 def _emit(report: dict, output: str) -> None:
     if output == "json":
-        print(json.dumps(report, sort_keys=True, indent=2, default=_fraction))
+        print(_dumps_indented(report))
     else:
         for key in sorted(report):
             print(f"{key}: "
@@ -210,13 +262,19 @@ def _cmd_theta(order: OrderSpec, args) -> dict:
 
 def _cmd_omega(order: OrderSpec, args) -> dict:
     v = _place_arg(order, args.place)
-    f_vec = order.invariant_at(args.place)
-    out: dict = {"place": args.place, "s": args.s,
-                 "count": count_omega(v, f_vec, args.s)}
+    # One element past what the budget allows is enough to reject it.
+    stream = islice(enumerate_omega(v, order.invariant_at(args.place), args.s),
+                    max(args.budget, 0) + 1)
+    out: dict = {"place": args.place, "s": args.s}
     if args.list:
-        out["elements"] = [
-            [list(slice_vec) for slice_vec in elem.entries]
-            for elem in enumerate_omega(v, f_vec, args.s)]
+        out["elements"] = [[list(slice_vec) for slice_vec in elem.entries]
+                           for elem in stream]
+        out["count"] = len(out["elements"])
+    else:
+        out["count"] = sum(1 for _ in stream)
+    if out["count"] > args.budget:
+        raise BudgetExceededError(
+            f"omega: local index set exceeds budget of {args.budget} elements")
     return out
 
 
@@ -225,8 +283,7 @@ def _cmd_genera(order: OrderSpec, args) -> dict:
     return {
         "count": len(report.per_genus),
         "per_genus": [
-            {"genus": {label: list(vec) for label, vec in genus},
-             "class_number": h}
+            {"genus": dict(genus), "class_number": h}
             for genus, h in report.per_genus],
         "total": report.total,
     }

@@ -38,6 +38,15 @@ def test_local_index_must_divide_degree():
                     Place("infinity", 1, 4, -1))
 
 
+def test_algebra_needs_positive_class_number():
+    # P(1) = 1 - 5 + 3 = -1.  The L-polynomial alone is accepted, since the
+    # zeta and extension oracles probe such data; an algebra over it is not.
+    base = BaseField.custom(3, (1, -5, 3))
+    with pytest.raises(ValidationError, match=r"P\(1\) = -1"):
+        AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),),
+                    Place("infinity", 1, 2, -1))
+
+
 def test_too_many_places_of_one_degree():
     # F_2[T] has only two monic irreducibles of degree 1
     base = BaseField.rational(2)

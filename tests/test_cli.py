@@ -18,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from csaclass import class_number_report
-from csaclass.cli import ConfigError, _emit, main, parse_config
+from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
+                          parse_config)
 from csaclass.errors import IntegralityViolationError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -411,3 +412,80 @@ def test_emit_matches_reference_walk(output, capsys):
             for key in sorted(EMIT_REPORT))
     assert got == want
     assert '"169/5"' in got and '"-3"' in got and '"7"' in got
+
+
+# Every subcommand on the golden example, and genera on two Iwahori places,
+# in both output modes.  The files were written with json.dumps(indent=2),
+# so they check the join-based encoder against an independent one.
+GOLDEN_DIR = ROOT / "tests" / "golden"
+GOLDEN_COMMANDS = [
+    ("dvg-example", "classnum", ()),
+    ("dvg-example", "mass", ()),
+    ("dvg-example", "theta", ("--place", "T+1", "--s", "2")),
+    ("dvg-example", "omega", ("--place", "T", "--s", "4", "--list")),
+    ("dvg-example", "genera", ()),
+    ("dvg-example", "embed", ("--s", "2")),
+    ("dvg-example", "transfer", ("--s", "2", "--s2", "4")),
+    ("dvg-example", "selfcheck", ()),
+    ("iwahori-two-places", "genera", ()),
+]
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+@pytest.mark.parametrize("config,command,extra", GOLDEN_COMMANDS,
+                         ids=[f"{c}.{cmd}" for c, cmd, _ in GOLDEN_COMMANDS])
+def test_output_matches_golden_file(config, command, extra, output, capsys):
+    code = main(["--config", str(ROOT / "configs" / f"{config}.json"),
+                 "--output", output, command, *extra])
+    out, err = capsys.readouterr()
+    suffix = "json" if output == "json" else "txt"
+    want = (GOLDEN_DIR / f"{config}.{command}.{suffix}").read_text(
+        encoding="utf-8")
+    assert (code, err) == (0, "")
+    assert out == want
+
+
+def test_omega_budget_exits_4(golden_config_path, capsys):
+    code = main(["--config", golden_config_path, "--budget", "1",
+                 "omega", "--place", "T", "--s", "4"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err == "error: omega: local index set exceeds budget of 1 elements\n"
+
+
+_text = st.text(alphabet=st.characters(), max_size=6) | st.sampled_from(
+    ("", '"', "\\", "\x00\n\t\x1f", "é", " ", "\U0001f600"))
+_report_leaves = (st.none() | st.booleans() | _text
+                  | st.integers(-10, 10) | st.integers(-2 ** 80, 2 ** 80)
+                  | st.fractions(max_denominator=2 ** 70))
+_reports = st.recursive(
+    _report_leaves,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.integers(-3, 3), max_size=4).map(tuple)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_reports)
+def test_dumps_indented_matches_json_dumps(value):
+    # the same all-int tuples twice, at two depths, exercise the memo
+    for v in (value, [value, (1, 2), {"x": value, "y": (1, 2)}]):
+        assert _dumps_indented(v) == json.dumps(
+            v, sort_keys=True, indent=2, default=_fraction)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, object(), {"a": [0.0]}, {1: "x"}, {True: 1}, {None: 1},
+    {"a": {(1,): 2}}, [(1, 2.0)]])
+def test_dumps_indented_rejects_unknown_types(value):
+    with pytest.raises(TypeError):
+        _dumps_indented(value)
+
+
+def test_dumps_indented_keeps_bools_apart_from_ints():
+    value = [(1, 0), (True, False), (1, 0)]
+    assert _dumps_indented(value) == json.dumps(value, indent=2)
+    assert "true" in _dumps_indented(value)

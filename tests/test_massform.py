@@ -10,6 +10,7 @@ import pytest
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       local_unit_index, mass_hereditary, mass_maximal,
                       mass_maximal_subalgebra, maximal_order)
+from csaclass.basefield import zeta_at_negative
 from csaclass.errors import IntegralityViolationError, NotDefiniteError
 from csaclass.massform import ramification_factor
 from conftest import random_definite_spec, random_order
@@ -103,8 +104,11 @@ def test_mass_positive_random():
 
 
 def test_non_positive_mass_is_a_typed_error():
-    # P(1) = -1 is no class number; the mass must not come out negative
-    base = BaseField.custom(3, (1, -5, 3))
+    # P(1) = 1 passes the class number check, but zeta(-1) = P(3) / 16 < 0:
+    # the mass must not come out negative
+    with pytest.warns(UserWarning):  # no functional equation either
+        base = BaseField.custom(3, (1, 1, -1))
+    assert zeta_at_negative(base, 1) == Fraction(-5, 16)
     spec = AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),),
                        Place("infinity", 1, 2, -1))
     with pytest.raises(IntegralityViolationError):
