@@ -15,8 +15,7 @@ from functools import cache
 from itertools import islice, product
 from math import factorial, prod
 
-from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
-                      splitting_data)
+from .algebra import centralizer_spec, constant_field_degree, splitting_data
 from .basefield import constant_extension, pic_order
 from .errors import (BudgetExceededError, IntegralityViolationError,
                      InvalidDivisorError, NotPrimeDegreeError)
@@ -27,8 +26,6 @@ from .orders import (OrderSpec, count_genera, enumerate_genera, genus_reduce,
 from .theta import theta
 
 DEFAULT_BUDGET = 10 ** 6
-
-_weight_cache: dict[OrderSpec, dict[int, int]] = {}
 
 
 def _divisors_desc(n: int) -> list[int]:
@@ -80,12 +77,11 @@ def _solve_levels(order: OrderSpec) -> list[Level]:
 
 
 def weight_class_numbers(order: OrderSpec) -> dict[int, int]:
-    """Map s -> h_s over the divisors of the constant field degree."""
-    cached = _weight_cache.get(order)
-    if cached is None:
-        cached = _weight_cache[order] = {
-            level.s: level.h for level in _solve_levels(order)}
-    return dict(cached)
+    """Map s -> h_s over the divisors of the constant field degree.
+
+    The result is not cached: each call solves every level of `order`.
+    """
+    return {level.s: level.h for level in _solve_levels(order)}
 
 
 def class_number(order: OrderSpec) -> int:

@@ -22,7 +22,7 @@ from .classnum import (DEFAULT_BUDGET, class_number_report, embedding_count,
                        weight_class_numbers)
 from .errors import (BudgetExceededError, CsaClassError,
                      IntegralityViolationError, ValidationError)
-from .massform import mass_hereditary, mass_maximal_subalgebra
+from .massform import mass_hereditary
 from .omega import enumerate_omega
 from .orders import OrderSpec, normalize_invariant
 from .theta import theta, theta_enum
@@ -322,14 +322,15 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
                 theta_matches_enum = False
     checks["theta_engines_agree"] = theta_matches_enum
 
+    # OrderSpec keeps the least rotation, so the rotated vector goes to the
+    # enumeration, which walks the columns in the order given.
     rotation_ok = True
-    for label, f_vec in order.invariants:
-        rotated = f_vec[1:] + f_vec[:1]
-        alt = OrderSpec(spec, tuple(
-            (lab, rotated if lab == label else vec)
-            for lab, vec in order.invariants))
-        if weight_class_numbers(alt) != h:
-            rotation_ok = False
+    for s in divisors:
+        for label, f_vec in order.invariants:
+            v = spec.place(label)
+            if theta_enum(v, f_vec[1:] + f_vec[:1], s, spec.base.q) != \
+                    theta(v, f_vec, s, spec.base.q):
+                rotation_ok = False
     checks["rotation_invariance"] = rotation_ok
 
     return {"checks": checks, "all_passed": all(checks.values())}

@@ -10,7 +10,6 @@ factors and the transfer recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .algebra import Place, splitting_data
 from .errors import ValidationError

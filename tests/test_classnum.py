@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -244,12 +245,14 @@ def test_prime_degree_13_iwahori():
 
 
 def _brute_force_transfer_rhs(order: OrderSpec, s: int, s2: int) -> int:
-    """One derived order and one weight solve per global index element."""
+    """One derived order per global index element; equal derived orders
+    (OrderSpec equality) share one weight solve."""
     spec = order.algebra
     streams = [list(enumerate_omega(spec.place(label),
                                     order.invariant_at(label), s))
                for label in order.relevant_labels()]
-    return sum(weight_class_numbers(derived_order(order, s, combo))[s2 // s]
+    solve = cache(weight_class_numbers)
+    return sum(solve(derived_order(order, s, combo))[s2 // s]
                for combo in product(*streams))
 
 

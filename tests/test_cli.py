@@ -17,10 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from csaclass import class_number_report
+from csaclass import class_number_report, cli
 from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
                           parse_config)
 from csaclass.errors import IntegralityViolationError
+from csaclass.orders import normalize_invariant
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIG_PATH = ROOT / "configs" / "dvg-example.json"
@@ -171,6 +172,39 @@ def test_selfcheck_command(golden_config_path, capsys):
     code, out = run_cli(capsys, "--config", golden_config_path, "selfcheck")
     assert code == 0
     assert json.loads(out)["all_passed"] is True
+
+
+ROTATION_CONFIG = json.dumps({
+    "base": {"type": "rational_function_field", "q": 3},
+    "degree": 4,
+    "ramification": [
+        {"place": "T", "degree": 1, "invariant": "1/4"},
+        {"place": "infinity", "invariant": "-1/4"},
+        {"place": "U", "degree": 1},
+    ],
+    "order": {"invariants": {"U": [1, 1, 2]}},
+})
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_selfcheck_rotation_reaches_the_enumeration(tmp_path, capsys,
+                                                   monkeypatch, broken):
+    # The order stores (1, 1, 2); only the rotation check passes (1, 2, 1).
+    real_enum = cli.theta_enum
+
+    def least_rotation_only(place, f_vec, s, q):
+        value = real_enum(place, f_vec, s, q)
+        return value if tuple(f_vec) == normalize_invariant(f_vec) else value + 1
+
+    if broken:
+        monkeypatch.setattr(cli, "theta_enum", least_rotation_only)
+    path = tmp_path / "rotation.json"
+    path.write_text(ROTATION_CONFIG, encoding="utf-8")
+    code, out = run_cli(capsys, "--config", str(path), "selfcheck")
+    checks = json.loads(out)["checks"]
+    assert checks["theta_engines_agree"] is True
+    assert checks["rotation_invariance"] is not broken
+    assert code == (1 if broken else 0)
 
 
 def test_text_output(golden_config_path, capsys):
