@@ -2,15 +2,14 @@
 algebras over global function fields."""
 
 from .algebra import (AlgebraSpec, Place, centralizer_spec,
-                      constant_field_degree, embedding_possible, validate)
+                      constant_field_degree, validate)
 from .basefield import (BaseField, constant_extension, pic_order,
                         zeta_at_negative)
 from .classnum import (class_number, class_number_report, embedding_count,
                        prime_degree_class_number, total_class_number_genera,
                        transfer_check, weight_class_numbers)
-from .massform import mass_hereditary, mass_maximal, mass_maximal_subalgebra
-from .omega import (OmegaLocalElement, count_omega, enumerate_omega,
-                    flatten_strip, omega_nonempty)
+from .massform import mass_hereditary, mass_maximal
+from .omega import OmegaLocalElement, enumerate_omega, flatten_strip
 from .orders import (OrderSpec, enumerate_genera, genus_reduce,
                      local_unit_index, maximal_order, normalize_invariant)
 from .theta import theta, theta_enum
@@ -18,12 +17,10 @@ from .theta import theta, theta_enum
 __all__ = [
     "AlgebraSpec", "BaseField", "OmegaLocalElement", "OrderSpec", "Place",
     "centralizer_spec", "class_number", "class_number_report",
-    "constant_extension", "constant_field_degree", "count_omega",
-    "embedding_count", "embedding_possible", "enumerate_genera",
-    "enumerate_omega", "flatten_strip", "genus_reduce", "local_unit_index",
-    "mass_hereditary", "mass_maximal", "mass_maximal_subalgebra",
-    "maximal_order", "normalize_invariant", "omega_nonempty", "pic_order",
-    "prime_degree_class_number", "theta", "theta_enum",
-    "total_class_number_genera", "transfer_check", "validate",
+    "constant_extension", "constant_field_degree", "embedding_count",
+    "enumerate_genera", "enumerate_omega", "flatten_strip", "genus_reduce",
+    "local_unit_index", "mass_hereditary", "mass_maximal", "maximal_order",
+    "normalize_invariant", "pic_order", "prime_degree_class_number", "theta",
+    "theta_enum", "total_class_number_genera", "transfer_check", "validate",
     "weight_class_numbers", "zeta_at_negative",
 ]

@@ -213,14 +213,6 @@ def constant_field_degree(spec: AlgebraSpec) -> int:
     return s0
 
 
-def embedding_possible(spec: AlgebraSpec, s: int) -> bool:
-    """Whether the degree-s constant field extension embeds into D."""
-    if s < 1 or spec.degree % s != 0:
-        raise ValidationError(f"s = {s} must divide the algebra degree")
-    return all(
-        spec.capacity(v) % gcd(s, v.degree) == 0 for v in spec.all_places())
-
-
 def splitting_data(place: Place, s: int) -> tuple[int, int]:
     """(l, t): number of places of L_s above v, and the capacity gain there."""
     l = gcd(s, place.degree)

@@ -1,10 +1,11 @@
 """Weight class numbers and everything built on top of them.
 
-The driver solves for the weight-s class numbers one level at a time,
-largest s first: at each level the mass of a maximal order in the
-centralizer algebra times the product of local theta factors pins down a
-weighted partial sum of the remaining unknowns.  Integrality of every
-solved value is enforced, not assumed.
+The weight-s class numbers are solved one level at a time, largest s first:
+at each level the mass M_s of a maximal order in the centralizer algebra
+times the product of the local theta factors pins down a weighted partial
+sum of the remaining unknowns.  Integrality of every solved value is
+enforced, not assumed.  A command solves the orders of one algebra through
+one level solver, which computes each M_s and each theta factor once.
 """
 
 from __future__ import annotations
@@ -15,34 +16,18 @@ from functools import cache
 from itertools import islice, product
 from math import factorial, prod
 
-from .algebra import centralizer_spec, constant_field_degree, splitting_data
+from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
+                      splitting_data)
 from .basefield import constant_extension, pic_order
 from .errors import (BudgetExceededError, IntegralityViolationError,
                      InvalidDivisorError, NotPrimeDegreeError)
 from .massform import mass_hereditary, mass_maximal
 from .omega import enumerate_omega, flatten_strip
-from .orders import (OrderSpec, count_genera, enumerate_genera, genus_reduce,
+from .orders import (OrderSpec, count_genera, genera_with_reductions,
                      normalize_invariant)
 from .theta import theta
 
 DEFAULT_BUDGET = 10 ** 6
-
-
-def _divisors_desc(n: int) -> list[int]:
-    return sorted((d for d in range(1, n + 1) if n % d == 0), reverse=True)
-
-
-def level_rhs(order: OrderSpec, s: int) -> tuple[Fraction, dict[str, int]]:
-    """Mass of the maximal centralizer order times the local theta product,
-    and the theta factors by place label."""
-    spec = order.algebra
-    thetas = {label: theta(spec.place(label), order.invariant_at(label), s,
-                           spec.base.q)
-              for label in order.relevant_labels()}
-    rhs = mass_maximal(centralizer_spec(spec, s))
-    for value in thetas.values():
-        rhs *= value
-    return rhs, thetas
 
 
 @dataclass(frozen=True)
@@ -55,25 +40,47 @@ class Level:
     theta: dict[str, int]
 
 
-def _solve_levels(order: OrderSpec) -> list[Level]:
-    """Solve every level once, largest s first."""
-    spec = order.algebra
+def _level_solver(spec: AlgebraSpec):
+    """solve(order) -> the `Level`s of an order in `spec`, largest s first.
+
+    rhs_s = M_s * prod_v theta_v(f_v, s).  M_s depends on s alone and theta_v
+    on (deg v, d_v, f_v, s) alone, so each is computed once and shared by
+    every order solved.
+    """
     q = spec.base.q
-    h: dict[int, int] = {}
-    levels = []
-    for s in _divisors_desc(constant_field_degree(spec)):
-        rhs, thetas = level_rhs(order, s)
-        tail = sum(
-            (Fraction(h[s2], q ** s2 - 1)
-             for s2 in h if s2 > s and s2 % s == 0),
-            Fraction(0))
-        value = Fraction(q ** s - 1, s) * (rhs - s * tail)
-        if value.denominator != 1 or value < 0:
-            raise IntegralityViolationError(
-                f"h_{s} = {value} is not a non-negative integer")
-        h[s] = int(value)
-        levels.append(Level(s, h[s], rhs, thetas))
-    return levels
+    s0 = constant_field_degree(spec)
+    divisors = [s for s in range(s0, 0, -1) if s0 % s == 0]
+    masses: dict[int, Fraction] = {}
+    thetas: dict[tuple, int] = {}
+
+    def solve(order: OrderSpec) -> list[Level]:
+        local = [(label, spec.place(label), order.invariant_at(label))
+                 for label in order.relevant_labels()]
+        h: dict[int, int] = {}
+        levels = []
+        for s in divisors:
+            factors = {}
+            for label, v, f_vec in local:
+                key = (v.degree, v.local_index, f_vec, s)
+                if key not in thetas:
+                    thetas[key] = theta(v, f_vec, s, q)
+                factors[label] = thetas[key]
+            if s not in masses:
+                masses[s] = mass_maximal(centralizer_spec(spec, s))
+            rhs = masses[s] * prod(factors.values())
+            tail = sum(
+                (Fraction(h[s2], q ** s2 - 1)
+                 for s2 in h if s2 > s and s2 % s == 0),
+                Fraction(0))
+            value = Fraction(q ** s - 1, s) * (rhs - s * tail)
+            if value.denominator != 1 or value < 0:
+                raise IntegralityViolationError(
+                    f"h_{s} = {value} is not a non-negative integer")
+            h[s] = int(value)
+            levels.append(Level(s, h[s], rhs, factors))
+        return levels
+
+    return solve
 
 
 def weight_class_numbers(order: OrderSpec) -> dict[int, int]:
@@ -81,7 +88,7 @@ def weight_class_numbers(order: OrderSpec) -> dict[int, int]:
 
     The result is not cached: each call solves every level of `order`.
     """
-    return {level.s: level.h for level in _solve_levels(order)}
+    return {level.s: level.h for level in _level_solver(order.algebra)(order)}
 
 
 def class_number(order: OrderSpec) -> int:
@@ -229,19 +236,19 @@ def total_class_number_genera(order: OrderSpec,
                               budget: int = DEFAULT_BUDGET) -> GeneraReport:
     """Class numbers of every genus of right ideals, and their sum.
 
-    Every genus reduces to the principal genus of another hereditary order,
-    so the class number is solved once per distinct reduced order.  The
-    budget still bounds the full genus count.
+    Every genus reduces to the principal genus of another hereditary order
+    in the same algebra, so the class number is solved once per distinct
+    reduced order, and all solves share one level solver.  The budget still
+    bounds the full genus count.
     """
     if count_genera(order) > budget:
         raise BudgetExceededError(
             f"genus count exceeds budget of {budget}")
-    reduce = cache(lambda vec: normalize_invariant(genus_reduce(vec)))
-    solve = cache(lambda key: class_number(OrderSpec(order.algebra, key)))
-    rows = tuple(
-        (tuple(genus.items()),
-         solve(tuple((label, reduce(vec)) for label, vec in genus.items())))
-        for genus in enumerate_genera(order))  # labels in sorted order
+    solve = _level_solver(order.algebra)
+    class_number_of = cache(lambda reduced: sum(
+        level.h for level in solve(OrderSpec(order.algebra, reduced))))
+    rows = tuple((genus, class_number_of(reduced))
+                 for genus, reduced in genera_with_reductions(order))
     return GeneraReport(rows, sum(h for _, h in rows))
 
 
@@ -255,7 +262,7 @@ class ClassNumberReport:
 
 def class_number_report(order: OrderSpec) -> ClassNumberReport:
     spec = order.algebra
-    levels = sorted(_solve_levels(order), key=lambda level: level.s)
+    levels = _level_solver(spec)(order)[::-1]
     mass = mass_hereditary(order)
     resum = sum(
         (Fraction(level.h, spec.base.q ** level.s - 1) for level in levels),

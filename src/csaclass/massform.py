@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraSpec, centralizer_spec
+from .algebra import AlgebraSpec
 from .basefield import pic_order, zeta_at_negative
 from .errors import IntegralityViolationError, NotDefiniteError
 from .orders import OrderSpec, local_unit_index, maximal_order
@@ -55,8 +55,3 @@ def mass_hereditary(order: OrderSpec) -> Fraction:
 def mass_maximal(spec: AlgebraSpec) -> Fraction:
     """Mass of a maximal order in the algebra."""
     return mass_hereditary(maximal_order(spec))
-
-
-def mass_maximal_subalgebra(order: OrderSpec, s: int) -> Fraction:
-    """Mass of a maximal order in the centralizer algebra D'_s over L_s."""
-    return mass_maximal(centralizer_spec(order.algebra, s))

@@ -65,11 +65,6 @@ class OmegaLocalElement:
     entries: tuple[tuple[int, ...], ...]
 
 
-def omega_nonempty(place: Place, f_vec, s: int) -> bool:
-    ctx = LocalContext.create(place, f_vec, s)
-    return ctx.scaled_targets() is not None
-
-
 def _slices(m_s: int, r: int, t: int, column_budget):
     """Long vectors of length r*t summing to m_s, respecting column budgets.
 
@@ -132,10 +127,6 @@ def enumerate_omega(place: Place, f_vec, s: int):
                 remaining[i] += consumed[i]
 
     yield from rec(0, [])
-
-
-def count_omega(place: Place, f_vec, s: int) -> int:
-    return sum(1 for _ in enumerate_omega(place, f_vec, s))
 
 
 def flatten_strip(elem: OmegaLocalElement, w: int) -> tuple[int, ...]:

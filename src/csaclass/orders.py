@@ -59,9 +59,7 @@ class OrderSpec:
     def __post_init__(self) -> None:
         cleaned: list[tuple[str, tuple[int, ...]]] = []
         seen = set()
-        pairs = (self.invariants.items()
-                 if isinstance(self.invariants, dict) else self.invariants)
-        for label, f_vec in pairs:
+        for label, f_vec in self.invariants:
             if label in seen:
                 raise ValidationError(f"duplicate invariant for place {label!r}")
             seen.add(label)
@@ -91,10 +89,6 @@ class OrderSpec:
             if lab == label:
                 return f
         return (self.algebra.capacity(self.algebra.place(label)),)
-
-    def nonmaximal_labels(self) -> tuple[str, ...]:
-        """S': finite places where the order is not maximal."""
-        return tuple(lab for lab, _ in self.invariants)
 
     def relevant_labels(self) -> tuple[str, ...]:
         """Finite places that can contribute a nontrivial local factor."""
@@ -135,16 +129,27 @@ def count_genera(order: OrderSpec) -> int:
     return total
 
 
+def genera_with_reductions(order: OrderSpec):
+    """Each genus and its reduction, as two tuples of (label, vector) pairs
+    over the non-maximal places, labels sorted.
+
+    A reduced vector is the normalised `genus_reduce` of a genus vector.
+    Each place's axis of such pairs is built once; a genus picks one pair
+    from every axis.
+    """
+    axes = [[((label, g), (label, normalize_invariant(genus_reduce(g))))
+             for g in _compositions(sum(f), len(f))]
+            for label, f in order.invariants]
+    for combo in product(*axes):
+        # A maximal order has one genus, with no picks to transpose.
+        yield tuple(zip(*combo)) if combo else ((), ())
+
+
 def enumerate_genera(order: OrderSpec):
     """All genus vectors, as {label: vector} over the non-maximal places.
 
     Places with a single invariant block admit only the forced genus and are
     omitted from the dictionaries.
     """
-    labels = [label for label, _ in order.invariants]
-    axes = []
-    for label in labels:
-        f = order.invariant_at(label)
-        axes.append(list(_compositions(sum(f), len(f))))
-    for combo in product(*axes):
-        yield dict(zip(labels, combo))
+    for genus, _ in genera_with_reductions(order):
+        yield dict(genus)

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
-                      constant_field_degree, embedding_possible, validate)
+                      constant_field_degree, embedding_count, maximal_order,
+                      validate)
 from csaclass.algebra import splitting_data
 from csaclass.errors import InvalidDivisorError, ValidationError
 from conftest import random_definite_spec
@@ -81,16 +82,17 @@ def test_constant_field_degree_blocked_by_degree():
 
 
 def test_embedding_possible(golden_spec):
-    assert embedding_possible(golden_spec, 4)
-    assert embedding_possible(golden_spec, 1)
+    # L_s embeds into D exactly when s divides the constant field degree.
+    assert constant_field_degree(golden_spec) % 4 == 0
+    assert constant_field_degree(golden_spec) % 1 == 0
     drinfeld = AlgebraSpec(BaseField.rational(3), 4,
                            (Place("v0", 2, 4, 1),), Place("infinity", 1, 4, -1))
-    assert not embedding_possible(drinfeld, 2)
+    assert constant_field_degree(drinfeld) % 2 != 0
 
 
 def test_embedding_possible_requires_divisor(golden_spec):
-    with pytest.raises(ValidationError):
-        embedding_possible(golden_spec, 3)
+    with pytest.raises(InvalidDivisorError):
+        embedding_count(maximal_order(golden_spec), 3)
 
 
 def test_centralizer_golden_s2(golden_spec):

@@ -16,7 +16,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       prime_degree_class_number, total_class_number_genera,
                       theta, theta_enum, transfer_check,
                       weight_class_numbers)
-from csaclass.classnum import derived_order, level_rhs
+from csaclass.classnum import derived_order
 from csaclass.omega import enumerate_omega
 from csaclass.orders import count_genera, enumerate_genera, genus_reduce
 from csaclass.errors import (BudgetExceededError, InvalidDivisorError,
@@ -95,6 +95,22 @@ def test_drinfeld_values(q, n, deg, expected):
         assert prime_degree_class_number(order) == expected
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_gekeler_supersingular_count(q):
+    # Gekeler: the maximal order of the quaternion algebra over F_q(T)
+    # ramified at a prime of degree d and at infinity has class number
+    # (q^d - 1)/(q^2 - 1) for even d and (q^d - q)/(q^2 - 1) + 1 for odd d,
+    # and h_2 = 1 exactly when d is odd (j = 0 is supersingular).
+    for d in range(1, 31):
+        h = weight_class_numbers(_drinfeld_order(q, 2, d))
+        if d % 2 == 0:
+            expected = Fraction(q ** d - 1, q ** 2 - 1)
+        else:
+            expected = Fraction(q ** d - q, q ** 2 - 1) + 1
+        assert sum(h.values()) == expected, d
+        assert h.get(2, 0) == d % 2, d
+
+
 def test_prime_degree_requires_prime(golden_order):
     with pytest.raises(NotPrimeDegreeError):
         prime_degree_class_number(golden_order)
@@ -128,7 +144,9 @@ def test_level_one_rhs_is_mass():
     for _ in range(25):
         spec = random_definite_spec(rng)
         order = random_order(rng, spec)
-        assert level_rhs(order, 1)[0] == mass_hereditary(order)
+        level_one = class_number_report(order).levels[0]
+        assert level_one.s == 1
+        assert level_one.rhs == mass_hereditary(order)
 
 
 def test_mass_consistency_random():

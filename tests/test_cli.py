@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from csaclass import class_number_report, cli
+from csaclass import class_number_report, classnum, cli
 from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
                           parse_config)
 from csaclass.errors import IntegralityViolationError
@@ -166,6 +166,31 @@ def test_genera_command(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 3
+
+
+def test_genera_computes_each_mass_and_theta_once(capsys, monkeypatch):
+    # 100 genera reduce to several distinct orders of one algebra; M_s and
+    # each theta factor are shared between them.
+    theta_keys, mass_degrees = [], []
+    real_theta, real_mass = classnum.theta, classnum.mass_maximal
+
+    def counted_theta(place, f_vec, s, q):
+        theta_keys.append((place, tuple(f_vec), s))
+        return real_theta(place, f_vec, s, q)
+
+    def counted_mass(spec):
+        mass_degrees.append(spec.degree)  # n / s
+        return real_mass(spec)
+
+    monkeypatch.setattr(classnum, "theta", counted_theta)
+    monkeypatch.setattr(classnum, "mass_maximal", counted_mass)
+    code, out = run_cli(capsys, "--config",
+                        str(ROOT / "configs" / "iwahori-two-places.json"),
+                        "genera")
+    assert code == 0
+    assert json.loads(out)["count"] == 100
+    assert theta_keys and len(theta_keys) == len(set(theta_keys))
+    assert sorted(mass_degrees) == [1, 3]
 
 
 def test_selfcheck_command(golden_config_path, capsys):

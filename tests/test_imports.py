@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and the
+package exports exactly what its `__init__.py` imports."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import ast
 import pathlib
 
 import pytest
+
+import csaclass
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "csaclass"
 # __init__.py imports names only to re-export them.
@@ -36,3 +39,13 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_exports_are_the_imported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(csaclass.__all__) == sorted(imported)
+    missing = [name for name in csaclass.__all__
+               if not hasattr(csaclass, name)]
+    assert missing == []

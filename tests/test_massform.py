@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
+from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
                       local_unit_index, mass_hereditary, mass_maximal,
-                      mass_maximal_subalgebra, maximal_order)
+                      maximal_order)
 from csaclass.basefield import zeta_at_negative
 from csaclass.errors import IntegralityViolationError, NotDefiniteError
 from csaclass.massform import ramification_factor
@@ -37,9 +37,8 @@ def test_golden_mass_assembly(golden_spec):
 
 
 def test_golden_centralizer_mass(golden_spec):
-    order = maximal_order(golden_spec)
-    assert mass_maximal_subalgebra(order, 2) == Fraction(1, 80)
-    assert mass_maximal_subalgebra(order, 1) == Fraction(169, 5)
+    assert mass_maximal(centralizer_spec(golden_spec, 2)) == Fraction(1, 80)
+    assert mass_maximal(centralizer_spec(golden_spec, 1)) == Fraction(169, 5)
 
 
 def test_degree_one_algebra_mass():
@@ -82,17 +81,24 @@ def test_refinement_factorization():
 
 
 def test_rotation_invariance():
+    # OrderSpec stores the least rotation, so the rotated vector goes to the
+    # unit index itself.
     rng = random.Random(99)
-    for _ in range(20):
+    checked = 0
+    while checked < 20:
         spec = random_definite_spec(rng)
         order = random_order(rng, spec)
-        if not order.invariants:
-            continue
-        label, f_vec = order.invariants[0]
-        rotated = dict(order.invariants)
-        rotated[label] = f_vec[1:] + f_vec[:1]
-        other = OrderSpec(order.algebra, tuple(rotated.items()))
-        assert mass_hereditary(other) == mass_hereditary(order)
+        full = order.algebra
+        for label, f_vec in order.invariants:
+            rotated = f_vec[1:] + f_vec[:1]
+            if rotated == f_vec:
+                continue
+            v = full.place(label)
+            N = full.norm(v)
+            assert local_unit_index(N, v.local_index, rotated) == \
+                local_unit_index(N, v.local_index, f_vec)
+            checked += 1
+            break
 
 
 def test_mass_positive_random():

@@ -7,10 +7,17 @@ from math import factorial, gcd
 
 import pytest
 
-from csaclass import (Place, count_omega, enumerate_omega, flatten_strip,
-                      normalize_invariant, omega_nonempty)
+from csaclass import Place, enumerate_omega, flatten_strip, normalize_invariant
 from csaclass.errors import ValidationError
 from csaclass.omega import LocalContext, OmegaLocalElement
+
+
+def count(place: Place, f_vec, s: int) -> int:
+    return sum(1 for _ in enumerate_omega(place, f_vec, s))
+
+
+def nonempty(place: Place, f_vec, s: int) -> bool:
+    return LocalContext.create(place, f_vec, s).scaled_targets() is not None
 
 
 def brute_force_omega(place: Place, f_vec, s: int) -> list[tuple]:
@@ -81,7 +88,7 @@ def test_enumeration_matches_brute_force(deg, d, s, f):
     actual = [elem.entries for elem in enumerate_omega(place, f, s)]
     assert sorted(actual) == sorted(expected)
     assert len(actual) == len(set(actual))
-    assert omega_nonempty(place, f, s) == bool(expected)
+    assert nonempty(place, f, s) == bool(expected)
 
 
 def test_enumeration_is_lexicographic():
@@ -94,10 +101,10 @@ def test_golden_counts():
     # degree-4 example: T has d=4, f=(1); T+1, T+2 have d=2, f=(2)
     t_place = Place("T", 1, 4)
     iw_place = Place("T+1", 1, 2)
-    assert count_omega(t_place, (1,), 4) == 4
-    assert count_omega(iw_place, (2,), 4) == 2
-    assert count_omega(t_place, (1,), 2) == 2
-    assert count_omega(iw_place, (2,), 2) == 3
+    assert count(t_place, (1,), 4) == 4
+    assert count(iw_place, (2,), 4) == 2
+    assert count(t_place, (1,), 2) == 2
+    assert count(iw_place, (2,), 2) == 3
 
 
 def test_split_singleton():
@@ -109,19 +116,19 @@ def test_split_singleton():
 
 
 def test_nonempty_divisibility():
-    assert not omega_nonempty(Place("v", 1, 1), (1, 1), 2)
-    assert omega_nonempty(Place("v", 1, 4), (1,), 4)
-    assert omega_nonempty(Place("v", 2, 1), (4,), 2)
+    assert not nonempty(Place("v", 1, 1), (1, 1), 2)
+    assert nonempty(Place("v", 1, 4), (1,), 4)
+    assert nonempty(Place("v", 2, 1), (4,), 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_prime_degree_counts(n):
     # fully split place at level n: multinomial count
     for f in _compositions_pos(n, 2):
-        assert count_omega(Place("v", n, 1), f, n) == \
+        assert count(Place("v", n, 1), f, n) == \
             factorial(n) // (factorial(f[0]) * factorial(f[1]))
     # ramified place of degree coprime to n: n elements
-    assert count_omega(Place("v", 1, n), (1,), n) == n
+    assert count(Place("v", 1, n), (1,), n) == n
 
 
 def test_rotation_bijection():
@@ -129,8 +136,8 @@ def test_rotation_bijection():
     for s in (1, 2, 4):
         for f in _compositions_pos(4 // 2 * 2, 2):
             rot = f[1:] + f[:1]
-            if not omega_nonempty(place, f, s):
-                assert not omega_nonempty(place, rot, s)
+            if not nonempty(place, f, s):
+                assert not nonempty(place, rot, s)
                 continue
             # rotating f permutes the columns cyclically, so compare the
             # derived strips up to cyclic rotation

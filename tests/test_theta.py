@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
-from csaclass import Place, local_unit_index, omega_nonempty, theta, theta_enum
+from csaclass import Place, local_unit_index, theta, theta_enum
 from csaclass.omega import LocalContext
 from csaclass.theta import residue_power
 
@@ -104,7 +105,8 @@ def test_engines_agree(q, deg, d, s, f):
     production = theta(place, f, s, q)
     assert type(production) is int
     assert production == value
-    assert (value == 0) == (not omega_nonempty(place, f, s))
+    assert (value == 0) == (LocalContext.create(place, f, s).scaled_targets()
+                            is None)
     if value != 0:
         assert value >= 1
 
@@ -121,9 +123,31 @@ def test_level_one_equals_unit_index():
                 assert theta(place, f, 1, q) == local_unit_index(N, d, f)
 
 
+def test_iwahori_product_form():
+    # f = (1)^n at a split place of degree deg: each of the l = s rows picks
+    # m = n/s columns, and a row of ones has unit index [m]_Q!, so
+    # theta = n!/(m!)^s * ([m]_Q!)^s with Q = q^deg when s | deg, else 0.
+    for q in (2, 3, 4):
+        for deg in (1, 2, 3, 4, 6):
+            Q = q ** deg
+            for n in range(1, 13):
+                for s in range(1, n + 1):
+                    if n % s:
+                        continue
+                    m = n // s
+                    expected = 0
+                    if deg % s == 0:
+                        q_factorial = prod((Q ** j - 1) // (Q - 1)
+                                           for j in range(1, m + 1))
+                        expected = (factorial(n) // factorial(m) ** s
+                                    * q_factorial ** s)
+                    assert theta(Place("v", deg), (1,) * n, s, q) == \
+                        expected, (q, deg, n, s)
+
+
 def test_zero_iff_empty():
     place = Place("v", 1, 1)
-    assert not omega_nonempty(place, (1, 1), 2)
+    assert LocalContext.create(place, (1, 1), 2).scaled_targets() is None
     assert theta_enum(place, (1, 1), 2, 3) == 0
     assert theta(place, (1, 1), 2, 3) == 0
 
