@@ -128,39 +128,34 @@ def zeta_at_negative(base: BaseField, i: int) -> Fraction:
     return Fraction(base.l_poly_at(q ** i), (1 - q ** i) * (1 - q ** (i + 1)))
 
 
-def _power_sums_from_l_poly(l_poly: tuple[int, ...], count: int) -> list[Fraction]:
+def _power_sums_from_l_poly(l_poly: tuple[int, ...], count: int) -> list[int]:
     """Power sums p_1..p_count of the inverse roots of P(T) = prod(1 - a_i T).
 
-    Newton's identities with e_k = (-1)^k * coefficient of T^k.
+    Newton's identities in the coefficients c_k of P (c_0 = 1):
+    p_k = -(k c_k + sum_{j=1}^{k-1} c_j p_{k-j}), with c_k = 0 past deg P.
     """
     deg = len(l_poly) - 1
-    e = [Fraction((-1) ** k * l_poly[k]) for k in range(deg + 1)]
-    p: list[Fraction] = [Fraction(0)] * (count + 1)
+    p = [0] * (count + 1)
     for k in range(1, count + 1):
-        acc = Fraction(0)
+        acc = k * l_poly[k] if k <= deg else 0
         for j in range(1, min(k - 1, deg) + 1):
-            acc += (-1) ** (j - 1) * e[j] * p[k - j]
-        if k <= deg:
-            acc += (-1) ** (k - 1) * k * e[k]
-        p[k] = acc
+            acc += l_poly[j] * p[k - j]
+        p[k] = -acc
     return p
 
 
-def _l_poly_from_power_sums(p: list[Fraction], deg: int) -> tuple[int, ...]:
+def _l_poly_from_power_sums(p: list[int], deg: int) -> tuple[int, ...]:
     """Invert Newton's identities; every coefficient must be integral."""
-    e: list[Fraction] = [Fraction(1)] + [Fraction(0)] * deg
+    coeffs = [1]
     for k in range(1, deg + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc += (-1) ** (j - 1) * p[j] * e[k - j]
-        e[k] = acc / k
-    coeffs = []
-    for k in range(deg + 1):
-        c = (-1) ** k * e[k]
-        if c.denominator != 1:
+        acc = -p[k]
+        for j in range(1, k):
+            acc -= coeffs[j] * p[k - j]
+        if acc % k != 0:
             raise IntegralityViolationError(
-                f"non-integral l_poly coefficient {c} at degree {k}")
-        coeffs.append(int(c))
+                f"non-integral l_poly coefficient {Fraction(acc, k)} "
+                f"at degree {k}")
+        coeffs.append(acc // k)
     return tuple(coeffs)
 
 
@@ -182,7 +177,7 @@ def constant_extension(base: BaseField, s: int) -> BaseField:
     if deg == 0:
         return BaseField(base.kind, base.q ** s, (1,), base.infinity_degree)
     p = _power_sums_from_l_poly(base.l_poly, deg * s)
-    p_new = [Fraction(0)] + [p[k * s] for k in range(1, deg + 1)]
+    p_new = [0] + [p[k * s] for k in range(1, deg + 1)]
     l_poly = _l_poly_from_power_sums(p_new, deg)
     return BaseField(CUSTOM, base.q ** s, l_poly, base.infinity_degree)
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config/validation error, 3 integrality violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -264,7 +265,7 @@ def _cmd_omega(order: OrderSpec, args) -> dict:
     v = _place_arg(order, args.place)
     # One element past what the budget allows is enough to reject it.
     stream = islice(enumerate_omega(v, order.invariant_at(args.place), args.s),
-                    max(args.budget, 0) + 1)
+                    args.budget + 1)
     out: dict = {"place": args.place, "s": args.s}
     if args.list:
         out["elements"] = [[list(slice_vec) for slice_vec in elem.entries]
@@ -348,7 +349,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="csaclass",
         description="Exact class numbers of hereditary orders in definite "
@@ -380,8 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.budget < 0:
+        print(f"error: --budget: must be >= 0, got {args.budget}",
+              file=sys.stderr)
+        return 2
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config(fh.read())

@@ -5,11 +5,12 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
 from csaclass import BaseField, constant_extension, pic_order, zeta_at_negative
-from csaclass.basefield import _l_poly_from_power_sums
+from csaclass.basefield import _l_poly_from_power_sums, _power_sums_from_l_poly
 from csaclass.errors import (ExtensionNotSupportedError, IntegralityViolationError,
                              ValidationError)
 
@@ -114,6 +115,34 @@ def test_extension_composition():
     lhs = constant_extension(constant_extension(base, 2), 3)
     rhs = constant_extension(base, 6)
     assert lhs == rhs
+
+
+# L-polynomials of genus 1 and 2 that satisfy the functional equation
+# c_{2g-k} = q^{g-k} c_k, as functions of q.
+L_POLYS = {
+    "g1-trace1": lambda q: (1, -1, q),
+    "g1-trace-2": lambda q: (1, 2, q),
+    "g2-a": lambda q: (1, 1, 0, q, q * q),
+    "g2-b": lambda q: (1, -2, 3, -2 * q, q * q),
+}
+
+
+@pytest.mark.parametrize("infinity_degree", [1, 2])
+@pytest.mark.parametrize("shape", sorted(L_POLYS))
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_extension_tower_matches_direct_extension(q, shape, infinity_degree):
+    # Inverse roots of L_a are alpha^a, so extending by a then c must land
+    # on the same field as extending by a * c in one step.
+    base = BaseField.custom(q, L_POLYS[shape](q),
+                            infinity_degree=infinity_degree)
+    degrees = [s for s in range(1, 5) if gcd(s, infinity_degree) == 1]
+    for a in degrees:
+        for c in degrees:
+            direct = constant_extension(base, a * c)
+            assert constant_extension(constant_extension(base, a), c) == direct
+            assert all(type(x) is int for x in direct.l_poly)
+    power_sums = _power_sums_from_l_poly(base.l_poly, 40)
+    assert all(type(x) is int for x in power_sums)
 
 
 def test_extension_rejects_shared_factor_with_infinity():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -504,6 +505,36 @@ def test_output_matches_golden_file(config, command, extra, output, capsys):
     assert out == want
 
 
+def test_reused_parser_holds_no_state(capsys, monkeypatch):
+    # The first call may build the parser; no later call builds one.
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(CONFIG_PATH), "nosuchcommand"])
+    assert exc.value.code == 2
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for config, command, extra in GOLDEN_COMMANDS:
+        # text first, then json by default: no --output may linger
+        for output, flags in (("txt", ["--output", "text"]), ("json", [])):
+            for bad in (["nosuchcommand"], ["classnum", "--engine", "enum"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(["--config", str(CONFIG_PATH), *bad])
+                assert exc.value.code == 2
+            capsys.readouterr()
+            code = main(["--config", str(ROOT / "configs" / f"{config}.json"),
+                         *flags, command, *extra])
+            out, err = capsys.readouterr()
+            want = (GOLDEN_DIR / f"{config}.{command}.{output}").read_text(
+                encoding="utf-8")
+            assert (code, err, out) == (0, "", want)
+    assert built == []
+
+
 def test_omega_budget_exits_4(golden_config_path, capsys):
     code = main(["--config", golden_config_path, "--budget", "1",
                  "omega", "--place", "T", "--s", "4"])
@@ -511,6 +542,24 @@ def test_omega_budget_exits_4(golden_config_path, capsys):
     assert code == 4
     assert out == ""
     assert err == "error: omega: local index set exceeds budget of 1 elements\n"
+
+
+@pytest.mark.parametrize("argv,zero_budget_code", [
+    (("classnum",), 0),
+    (("omega", "--place", "T", "--s", "1"), 4),
+    (("genera",), 4),
+])
+def test_negative_budget_exits_2(golden_config_path, capsys, argv,
+                                 zero_budget_code):
+    code = main(["--config", golden_config_path, "--budget", "-5", *argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: --budget: must be >= 0, got -5\n"
+    # zero is a budget like any other
+    code = main(["--config", golden_config_path, "--budget", "0", *argv])
+    err = capsys.readouterr().err
+    assert code == zero_budget_code
+    assert "--budget" not in err
 
 
 _text = st.text(alphabet=st.characters(), max_size=6) | st.sampled_from(
