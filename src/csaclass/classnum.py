@@ -19,15 +19,14 @@ from math import factorial, prod
 from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
                       splitting_data)
 from .basefield import constant_extension, pic_order
-from .errors import (BudgetExceededError, IntegralityViolationError,
-                     InvalidDivisorError, NotPrimeDegreeError)
+from .errors import (DEFAULT_BUDGET, BudgetExceededError,
+                     IntegralityViolationError, InvalidDivisorError,
+                     NotPrimeDegreeError)
 from .massform import mass_hereditary, mass_maximal
 from .omega import enumerate_omega, flatten_strip
 from .orders import (OrderSpec, count_genera, genera_with_reductions,
                      normalize_invariant)
 from .theta import theta
-
-DEFAULT_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,12 @@ class Level:
     theta: dict[str, int]
 
 
-def _level_solver(spec: AlgebraSpec):
+def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET):
     """solve(order) -> the `Level`s of an order in `spec`, largest s first.
 
     rhs_s = M_s * prod_v theta_v(f_v, s).  M_s depends on s alone and theta_v
     on (deg v, d_v, f_v, s) alone, so each is computed once and shared by
-    every order solved.
+    every order solved.  `budget` bounds the row placements of each theta.
     """
     q = spec.base.q
     s0 = constant_field_degree(spec)
@@ -63,7 +62,7 @@ def _level_solver(spec: AlgebraSpec):
             for label, v, f_vec in local:
                 key = (v.degree, v.local_index, f_vec, s)
                 if key not in thetas:
-                    thetas[key] = theta(v, f_vec, s, q)
+                    thetas[key] = theta(v, f_vec, s, q, budget=budget)
                 factors[label] = thetas[key]
             if s not in masses:
                 masses[s] = mass_maximal(centralizer_spec(spec, s))
@@ -83,21 +82,24 @@ def _level_solver(spec: AlgebraSpec):
     return solve
 
 
-def weight_class_numbers(order: OrderSpec) -> dict[int, int]:
+def weight_class_numbers(order: OrderSpec, *,
+                         budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Map s -> h_s over the divisors of the constant field degree.
 
     The result is not cached: each call solves every level of `order`.
     """
-    return {level.s: level.h for level in _level_solver(order.algebra)(order)}
+    return {level.s: level.h
+            for level in _level_solver(order.algebra, budget)(order)}
 
 
 def class_number(order: OrderSpec) -> int:
     return sum(weight_class_numbers(order).values())
 
 
-def embedding_count(order: OrderSpec, s: int) -> int:
+def embedding_count(order: OrderSpec, s: int, *,
+                    budget: int = DEFAULT_BUDGET) -> int:
     """Total count of optimal embeddings of the degree-s constant ring."""
-    h = weight_class_numbers(order)
+    h = weight_class_numbers(order, budget=budget)
     s0 = constant_field_degree(order.algebra)
     if s < 1 or s0 % s != 0:
         raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
@@ -145,13 +147,14 @@ def transfer_check(order: OrderSpec, s: int, s2: int,
     reads an element only through its normalised strips, so each local set
     is grouped by them and the sum runs over distinct derived orders, each
     weighted by the product of its group sizes.  The budget still bounds
-    the full global index set, the product of the local set sizes.
+    the full global index set, the product of the local set sizes, and it
+    bounds each theta factor's row placements.
     """
     spec = order.algebra
     s0 = constant_field_degree(spec)
     if s < 1 or s2 % s != 0 or s0 % s2 != 0:
         raise InvalidDivisorError(f"need s | s2 | s0, got s={s}, s2={s2}, s0={s0}")
-    lhs = s * weight_class_numbers(order)[s2]
+    lhs = s * weight_class_numbers(order, budget=budget)[s2]
 
     streams = []
     size = 1
@@ -177,7 +180,7 @@ def transfer_check(order: OrderSpec, s: int, s2: int,
     for combo in product(*streams):
         sub = derived_order(order, s, [elem for elem, _ in combo])
         rhs += (prod(count for _, count in combo)
-                * weight_class_numbers(sub)[s2 // s])
+                * weight_class_numbers(sub, budget=budget)[s2 // s])
     return TransferReport(s, s2, lhs, rhs)
 
 
@@ -239,12 +242,13 @@ def total_class_number_genera(order: OrderSpec,
     Every genus reduces to the principal genus of another hereditary order
     in the same algebra, so the class number is solved once per distinct
     reduced order, and all solves share one level solver.  The budget still
-    bounds the full genus count.
+    bounds the full genus count, and it bounds each theta factor's row
+    placements.
     """
     if count_genera(order) > budget:
         raise BudgetExceededError(
             f"genus count exceeds budget of {budget}")
-    solve = _level_solver(order.algebra)
+    solve = _level_solver(order.algebra, budget)
     class_number_of = cache(lambda reduced: sum(
         level.h for level in solve(OrderSpec(order.algebra, reduced))))
     rows = tuple((genus, class_number_of(reduced))
@@ -260,9 +264,10 @@ class ClassNumberReport:
     h_total: int
 
 
-def class_number_report(order: OrderSpec) -> ClassNumberReport:
+def class_number_report(order: OrderSpec, *,
+                        budget: int = DEFAULT_BUDGET) -> ClassNumberReport:
     spec = order.algebra
-    levels = _level_solver(spec)(order)[::-1]
+    levels = _level_solver(spec, budget)(order)[::-1]
     mass = mass_hereditary(order)
     resum = sum(
         (Fraction(level.h, spec.base.q ** level.s - 1) for level in levels),

@@ -230,7 +230,7 @@ def _emit(report: dict, output: str) -> None:
 
 
 def _cmd_classnum(order: OrderSpec, args) -> dict:
-    report = class_number_report(order)
+    report = class_number_report(order, budget=args.budget)
     return {
         "s0": report.s0,
         "mass": report.mass,
@@ -257,7 +257,7 @@ def _place_arg(order: OrderSpec, label: str) -> Place:
 def _cmd_theta(order: OrderSpec, args) -> dict:
     v = _place_arg(order, args.place)
     value = theta(v, order.invariant_at(args.place), args.s,
-                  order.algebra.base.q)
+                  order.algebra.base.q, budget=args.budget)
     return {"place": args.place, "s": args.s, "theta": str(value)}
 
 
@@ -291,7 +291,8 @@ def _cmd_genera(order: OrderSpec, args) -> dict:
 
 
 def _cmd_embed(order: OrderSpec, args) -> dict:
-    return {"s": args.s, "embeddings": embedding_count(order, args.s)}
+    return {"s": args.s,
+            "embeddings": embedding_count(order, args.s, budget=args.budget)}
 
 
 def _cmd_transfer(order: OrderSpec, args) -> dict:
@@ -306,20 +307,21 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     s0 = constant_field_degree(spec)
     divisors = [s for s in range(1, s0 + 1) if s0 % s == 0]
 
-    h = weight_class_numbers(order)
+    h = weight_class_numbers(order, budget=args.budget)
     mass = mass_hereditary(order)
     total = sum(
         (Fraction(h[s], spec.base.q ** s - 1) for s in h), Fraction(0))
     checks["mass_consistency"] = total == mass
     checks["h_nonnegative_integers"] = all(v >= 0 for v in h.values())
 
+    # The enumeration is the oracle here and runs without a budget.
     theta_matches_enum = True
     for s in divisors:
         for label in order.relevant_labels():
             v = spec.place(label)
             f_vec = order.invariant_at(label)
             if theta_enum(v, f_vec, s, spec.base.q) != \
-                    theta(v, f_vec, s, spec.base.q):
+                    theta(v, f_vec, s, spec.base.q, budget=args.budget):
                 theta_matches_enum = False
     checks["theta_engines_agree"] = theta_matches_enum
 
@@ -330,7 +332,7 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
         for label, f_vec in order.invariants:
             v = spec.place(label)
             if theta_enum(v, f_vec[1:] + f_vec[:1], s, spec.base.q) != \
-                    theta(v, f_vec, s, spec.base.q):
+                    theta(v, f_vec, s, spec.base.q, budget=args.budget):
                 rotation_ok = False
     checks["rotation_invariance"] = rotation_ok
 

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the default work budget."""
+
+DEFAULT_BUDGET = 10 ** 6
 
 
 class CsaClassError(Exception):

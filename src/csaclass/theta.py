@@ -7,17 +7,27 @@ factorises as [m_s; N]_Q * prod_i g_t(N_i), where g_t(N) sums the Gaussian
 multinomials [N; e]_Q over the t-way splits e of N.  `theta` therefore sums
 over l x r matrices with row sums m_s and the scaled targets as column sums,
 one row at a time, memoised on the sorted remaining column budgets; the row
-weight is symmetric in the columns, so sorting loses nothing.  All of it is
-integer arithmetic.  `theta_enum` walks the index set itself and serves as
-the reference the tests compare against.
+weight is symmetric in the columns, so sorting loses nothing.
+
+The same symmetry lets a row treat the k columns of equal budget b as one
+group: it chooses how many of them take N entries, for N = b down to 0,
+and counts the ways with the multinomial k! / prod c_N!, instead of giving
+each column its N in turn.  When the budgets sum to m_s, one row is left
+and it must take every budget whole, so its weight is a single product.
+All of it is integer arithmetic.  Each row placement tried, one choice of
+a whole row, counts against a work budget; the forced last row does not.
+`theta_enum` walks the index set itself and serves as the reference the
+tests compare against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from itertools import accumulate, groupby
+from math import comb
 
 from .algebra import Place
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .omega import LocalContext, enumerate_omega
 from .orders import local_unit_index
 
@@ -41,8 +51,12 @@ def theta_enum(place: Place, f_vec, s: int, q: int) -> Fraction:
     return total
 
 
-def theta(place: Place, f_vec, s: int, q: int) -> int:
-    """Theta factor at v for level s, summed one row (place w above v) at a time."""
+def theta(place: Place, f_vec, s: int, q: int, *,
+          budget: int = DEFAULT_BUDGET) -> int:
+    """Theta factor at v for level s, summed one row (place w above v) at a time.
+
+    Raises BudgetExceededError once the row placements tried exceed `budget`.
+    """
     ctx = LocalContext.create(place, f_vec, s)
     targets = ctx.scaled_targets()
     m = ctx.m_s
@@ -50,12 +64,14 @@ def theta(place: Place, f_vec, s: int, q: int) -> int:
         return 0
     Q = residue_power(ctx, q)
 
-    # [k]_Q! = prod_{j<=k} (Q^j - 1); binom[a][b] = [a]_Q! / ([b]_Q! [a-b]_Q!).
-    fact = [1]
-    for k in range(1, m + 1):
-        fact.append(fact[-1] * (Q ** k - 1))
-    binom = [[fact[a] // (fact[b] * fact[a - b]) for b in range(a + 1)]
-             for a in range(m + 1)]
+    # binom[a][b] = [a]_Q! / ([b]_Q! [a-b]_Q!) with [k]_Q! = prod_{j<=k}
+    # (Q^j - 1), built by the Q-Pascal rule [a; b] = [a-1; b-1] + Q^b [a-1; b].
+    power = [Q ** b for b in range(m + 1)]
+    binom = [[1]]
+    for a in range(1, m + 1):
+        above = binom[-1]
+        binom.append([1, *(above[b - 1] + power[b] * above[b]
+                           for b in range(1, a)), 1])
     # g[N] sums [N; e]_Q over the t-way splits e of N, one part at a time.
     g = [1] * (m + 1)
     for _ in range(ctx.t - 1):
@@ -66,26 +82,69 @@ def theta(place: Place, f_vec, s: int, q: int) -> int:
     cell = [[binom[left][N] * g[N] for N in range(left + 1)]
             for left in range(m + 1)]
 
-    @cache
-    def rows_below(budget: tuple[int, ...]) -> int:
-        """Sum over the remaining rows, given sorted non-zero column budgets."""
-        if not budget:
-            return 1
-        total = 0
-        rest = [0] * len(budget)
-        tail = [sum(budget[i:]) for i in range(len(budget) + 1)]
+    memo: dict[tuple[int, ...], int] = {}
+    placements = 0
 
-        def place_row(i: int, left: int, weight: int) -> None:
-            nonlocal total
-            if i == len(budget):
-                key = tuple(sorted(b for b in rest if b))
+    def rows_below(cols: tuple[int, ...]) -> int:
+        """Sum over the remaining rows, given sorted non-zero column budgets."""
+        if sum(cols) == m:
+            # One row is left, and it must take every column's whole budget.
+            weight, left = 1, m
+            for b in cols:
+                weight *= cell[left][b]
+                left -= b
+            return weight
+        if cols in memo:
+            return memo[cols]
+        groups = [(b, len(list(run))) for b, run in groupby(cols)]
+        # Group j is cols[ends[j] - k_j:ends[j]]; room[j] is what groups j,
+        # j+1, ... can take in one row together.
+        ends = list(accumulate(k for _, k in groups))
+        room = [0] * (len(groups) + 1)
+        for j in range(len(groups) - 1, -1, -1):
+            room[j] = room[j + 1] + groups[j][0] * groups[j][1]
+        total = 0
+
+        def place_row(j: int, k: int, N: int, left: int, weight: int,
+                      rest: tuple[int, ...]) -> None:
+            """Place `left` entries: k columns of group j are open, and each
+            takes at most N; every later group is open in full.  `rest` holds
+            the non-zero budgets the decided columns leave to later rows."""
+            nonlocal total, placements
+            if left == 0:
+                placements += 1
+                if placements > budget:
+                    raise BudgetExceededError(
+                        f"theta: place {place.label!r}, s = {s}: row "
+                        f"placements exceed budget of {budget}")
+                # The open columns keep their budgets: the last k of group
+                # j and every column after it.
+                key = tuple(sorted(rest + cols[ends[j] - k:]))
                 total += weight * rows_below(key)
                 return
-            for N in range(max(0, left - tail[i + 1]), min(left, budget[i]) + 1):
-                rest[i] = budget[i] - N
-                place_row(i + 1, left - N, weight * cell[left][N])
+            b = groups[j][0]
+            if k == 0 or N == 0:
+                # The k open columns take nothing; move on to group j + 1.
+                nb, nk = groups[j + 1]
+                place_row(j + 1, nk, min(nb, left), left, weight,
+                          rest + (b,) * k)
+                return
+            # c of the k open columns take N each; the other k - c take at
+            # most N - 1, so they and the later groups must absorb the rest.
+            lo = max(0, left - room[j + 1] - k * (N - 1))
+            hi = min(k, left // N)
+            product = 1
+            for i in range(lo):
+                product *= cell[left - i * N][N]
+            for c in range(lo, hi + 1):
+                if c > lo:
+                    product *= cell[left - (c - 1) * N][N]
+                place_row(j, k - c, N - 1, left - c * N,
+                          weight * comb(k, c) * product,
+                          rest + (b - N,) * c if b > N else rest)
 
-        place_row(0, m, 1)
+        place_row(0, groups[0][1], min(groups[0][0], m), m, 1, ())
+        memo[cols] = total
         return total
 
-    return rows_below(tuple(sorted(targets)))
+    return rows_below(tuple(sorted(b for b in targets if b)))

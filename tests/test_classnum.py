@@ -19,8 +19,8 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
 from csaclass.classnum import derived_order
 from csaclass.omega import enumerate_omega
 from csaclass.orders import count_genera, enumerate_genera, genus_reduce
-from csaclass.errors import (BudgetExceededError, InvalidDivisorError,
-                             NotPrimeDegreeError)
+from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
+                             InvalidDivisorError, NotPrimeDegreeError)
 from conftest import random_definite_spec, random_order
 
 
@@ -260,6 +260,50 @@ def test_transfer_degree6_iwahori(s2):
 def test_prime_degree_13_iwahori():
     order = _one_split_place(2, 13, 13, (1,) * 13)
     assert class_number(order) == prime_degree_class_number(order)
+
+
+@pytest.mark.parametrize("n,deg", [(17, 17), (17, 34), (17, 1),
+                                   (23, 23), (23, 46), (23, 1)])
+def test_prime_degree_iwahori_large(n, deg):
+    # The closed form adds its correction term only when n divides the
+    # degree of every place the order is not maximal at.
+    order = _one_split_place(2, n, deg, (1,) * n)
+    assert class_number(order) == prime_degree_class_number(order)
+
+
+@pytest.mark.parametrize("n,deg,f_vec", [
+    (24, 4, (1,) * 24),
+    (24, 3, (1,) * 24),
+    (24, 2, (2,) * 12),
+    (24, 4, (2,) * 12),
+    (48, 12, (1,) * 48),
+], ids=["n24-deg4-iwahori", "n24-deg3-iwahori", "n24-deg2-2x12",
+        "n24-deg4-2x12", "n48-deg12-iwahori"])
+def test_reach_orders_resum_to_the_mass(n, deg, f_vec):
+    # class_number_report raises unless the weights of every level resum to
+    # the mass, so each of these orders checks every theta factor it uses.
+    report = class_number_report(_one_split_place(2, n, deg, f_vec))
+    assert report.h_total == sum(level.h for level in report.levels) > 0
+
+
+def test_budget_reaches_theta_through_every_solve():
+    # theta at U for s = 4 takes more than 13 row placements, and the order
+    # has 13 genera, so a budget of 13 lets `genera` reach theta too.
+    order = _one_split_place(2, 12, 4, (4, 8))
+    assert count_genera(order) == 13
+    solves = [
+        lambda budget: weight_class_numbers(order, budget=budget),
+        lambda budget: class_number_report(order, budget=budget),
+        lambda budget: embedding_count(order, 4, budget=budget),
+        lambda budget: transfer_check(order, 4, 4, budget=budget),
+        lambda budget: total_class_number_genera(order, budget=budget),
+    ]
+    for solve in solves:
+        solve(DEFAULT_BUDGET)
+        with pytest.raises(BudgetExceededError) as exc:
+            solve(13)
+        assert str(exc.value) == ("theta: place 'U', s = 4: "
+                                  "row placements exceed budget of 13")
 
 
 def _brute_force_transfer_rhs(order: OrderSpec, s: int, s2: int) -> int:

@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -175,9 +176,9 @@ def test_genera_computes_each_mass_and_theta_once(capsys, monkeypatch):
     theta_keys, mass_degrees = [], []
     real_theta, real_mass = classnum.theta, classnum.mass_maximal
 
-    def counted_theta(place, f_vec, s, q):
+    def counted_theta(place, f_vec, s, q, **budget):
         theta_keys.append((place, tuple(f_vec), s))
-        return real_theta(place, f_vec, s, q)
+        return real_theta(place, f_vec, s, q, **budget)
 
     def counted_mass(spec):
         mass_degrees.append(spec.degree)  # n / s
@@ -560,6 +561,40 @@ def test_negative_budget_exits_2(golden_config_path, capsys, argv,
     err = capsys.readouterr().err
     assert code == zero_budget_code
     assert "--budget" not in err
+
+
+# A 14-part composition of 36 at a degree-4 place: at s = 4 its theta
+# factor runs to millions of row placements.
+WIDE_ORDER_CONFIG = json.dumps({
+    "base": {"type": "rational_function_field", "q": 2},
+    "degree": 36,
+    "ramification": [
+        {"place": "T", "degree": 1, "invariant": "1/36"},
+        {"place": "U", "degree": 4},
+        {"place": "infinity", "invariant": "-1/36"},
+    ],
+    "order": {"invariants": {"U": [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 1, 2, 1, 2]}},
+})
+
+
+@pytest.mark.parametrize("argv", [
+    ("classnum",),
+    ("theta", "--place", "U", "--s", "4"),
+    ("embed", "--s", "2"),
+    ("selfcheck",),
+    ("transfer", "--s", "2", "--s2", "4"),
+], ids=lambda argv: argv[0])
+def test_theta_budget_exits_4(tmp_path, capsys, argv):
+    path = tmp_path / "wide.json"
+    path.write_text(WIDE_ORDER_CONFIG, encoding="utf-8")
+    started = time.monotonic()
+    code = main(["--config", str(path), "--budget", "1000", *argv])
+    elapsed = time.monotonic() - started
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == ("error: theta: place 'U', s = 4: "
+                   "row placements exceed budget of 1000\n")
+    assert elapsed < 1.0
 
 
 _text = st.text(alphabet=st.characters(), max_size=6) | st.sampled_from(

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and the
-package exports exactly what its `__init__.py` imports."""
+"""Every name a library module imports is used in that module, no library
+module uses `assert`, and the package exports exactly what its
+`__init__.py` imports."""
 
 from __future__ import annotations
 
@@ -39,6 +40,23 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_asserts_are_found():
+    source = "def f(x):\n    assert x\n    return x\n"
+    assert assert_lines(source) == [2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_assert_in_src(path):
+    # `python -O` strips assert statements, so invariants are typed errors.
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
 
 
 def test_exports_are_the_imported_names():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import islice, product
 from math import factorial, prod
 
 import pytest
 
-from csaclass import Place, local_unit_index, theta, theta_enum
+from csaclass import (Place, enumerate_omega, local_unit_index, theta,
+                      theta_enum)
+from csaclass.errors import BudgetExceededError
 from csaclass.omega import LocalContext
 from csaclass.theta import residue_power
 
@@ -143,6 +147,72 @@ def test_iwahori_product_form():
                                     * q_factorial ** s)
                     assert theta(Place("v", deg), (1,) * n, s, q) == \
                         expected, (q, deg, n, s)
+
+
+def _iwahori_theta(q: int, deg: int, n: int, s: int) -> int:
+    """n!/(m!)^s * ([m]_Q!)^s with Q = q^deg and m = n/s if s | deg, else 0."""
+    if deg % s:
+        return 0
+    Q = q ** deg
+    m = n // s
+    q_factorial = prod((Q ** j - 1) // (Q - 1) for j in range(1, m + 1))
+    return factorial(n) // factorial(m) ** s * q_factorial ** s
+
+
+def test_iwahori_product_form_large():
+    # The product form of test_iwahori_product_form at n = 13-48, where the
+    # s equal column budgets of one row are a single multinomial choice.
+    for q in (2, 3, 4):
+        for deg in (1, 2, 3, 4, 6, 8, 12):
+            for n in range(13, 49):
+                for s in range(1, n + 1):
+                    if n % s == 0:
+                        assert theta(Place("v", deg), (1,) * n, s, q) == \
+                            _iwahori_theta(q, deg, n, s), (q, deg, n, s)
+
+
+def test_grouped_rows_agree_with_enumeration():
+    # Random keys with three or more equal column budgets, l in {2, 3} rows
+    # and t in {1, 2}: each row is placed group by group and the last row is
+    # closed, and the enumeration walks every element instead.
+    rng = random.Random(8)
+    for l, t in product((2, 3), (1, 2)):
+        s = l * t
+        cases = 0
+        while cases < 10:
+            q = rng.choice((2, 3))
+            # gcd(s, deg) = l places above v, and gcd(s / l, d) = t at the
+            # local index d = t.
+            deg = l * (1 if t == 2 else rng.choice((1, 2)))
+            # t = 2 splits each entry two ways, so it gets fewer columns.
+            width = 6 if t == 1 else 4
+            f = [rng.choice((1, 2))] * rng.randint(3, width)
+            f += [rng.randint(1, 3) for _ in range(rng.randint(0, width - 4))]
+            rng.shuffle(f)
+            if sum(f) % l:
+                continue
+            place = Place("v", deg, t)
+            ctx = LocalContext.create(place, f, s)
+            assert (ctx.l, ctx.t) == (l, t)
+            if sum(1 for _ in islice(enumerate_omega(place, f, s), 401)) > 400:
+                continue
+            assert theta(place, f, s, q) == theta_enum(place, f, s, q), \
+                (q, deg, t, f)
+            cases += 1
+
+
+def test_budget_counts_grouped_row_placements():
+    # Two rows of two over four columns of budget 1: the first row is one
+    # choice (two of the four columns, weight C(4, 2)); the last is forced.
+    place = Place("U", 2)
+    assert theta(place, (1,) * 4, 2, 2, budget=1) == \
+        theta_enum(place, (1,) * 4, 2, 2) == _iwahori_theta(2, 2, 4, 2)
+    with pytest.raises(BudgetExceededError) as exc:
+        theta(place, (1,) * 4, 2, 2, budget=0)
+    assert str(exc.value) == \
+        "theta: place 'U', s = 2: row placements exceed budget of 0"
+    # One row is closed without a placement.
+    assert theta(place, (1,) * 4, 1, 2, budget=0) == _iwahori_theta(2, 2, 4, 1)
 
 
 def test_zero_iff_empty():
