@@ -12,7 +12,7 @@ from .massform import mass_hereditary, mass_maximal
 from .omega import OmegaLocalElement, enumerate_omega, flatten_strip
 from .orders import (OrderSpec, enumerate_genera, genus_reduce,
                      local_unit_index, maximal_order, normalize_invariant)
-from .theta import theta, theta_enum
+from .theta import omega_size, theta, theta_enum
 
 __all__ = [
     "AlgebraSpec", "BaseField", "OmegaLocalElement", "OrderSpec", "Place",
@@ -20,7 +20,8 @@ __all__ = [
     "constant_extension", "constant_field_degree", "embedding_count",
     "enumerate_genera", "enumerate_omega", "flatten_strip", "genus_reduce",
     "local_unit_index", "mass_hereditary", "mass_maximal", "maximal_order",
-    "normalize_invariant", "pic_order", "prime_degree_class_number", "theta",
-    "theta_enum", "total_class_number_genera", "transfer_check", "validate",
+    "normalize_invariant", "omega_size", "pic_order",
+    "prime_degree_class_number", "theta", "theta_enum",
+    "total_class_number_genera", "transfer_check", "validate",
     "weight_class_numbers", "zeta_at_negative",
 ]

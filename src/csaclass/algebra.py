@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
-from .basefield import BaseField, constant_extension
+from .basefield import BaseField, _prime_factors, constant_extension
 from .errors import (IntegralityViolationError, InvalidDivisorError,
                      ValidationError)
 
@@ -36,37 +36,14 @@ class Place:
 
 
 def _mobius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    exponents = _prime_factors(n).values()
+    return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
 
 
 def _irreducible_count(q: int, d: int) -> int:
     """Number of monic irreducible polynomials of degree d over F_q."""
     total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
     return total // d
-
-
-def _prime_factors(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
 
 
 def _ord_p(n: int, p: int) -> int:
@@ -146,9 +123,6 @@ def validate(spec: AlgebraSpec) -> list[str]:
         violations.append("place labels are not distinct")
 
     for v in spec.all_places():
-        if n % v.local_index != 0:
-            violations.append(
-                f"place {v.label!r}: d_v = {v.local_index} does not divide n = {n}")
         if v.invariant_num is not None:
             if gcd(v.invariant_num, v.local_index) != 1:
                 violations.append(

@@ -25,18 +25,22 @@ RATIONAL = "rational"
 CUSTOM = "custom"
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
+def _prime_factors(n: int) -> dict[int, int]:
+    """{p: k} with p^k exactly dividing n, by trial division; {} for n < 2."""
+    factors: dict[int, int] = {}
     p = 2
-    n = q
     while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
         p += 1
-    return True  # q itself is prime
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _is_prime_power(q: int) -> bool:
+    return len(_prime_factors(q)) == 1
 
 
 @dataclass(frozen=True)

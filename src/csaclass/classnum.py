@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice, product
+from itertools import product
 from math import factorial, prod
 
 from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
                       splitting_data)
-from .basefield import constant_extension, pic_order
+from .basefield import _prime_factors, constant_extension, pic_order
 from .errors import (DEFAULT_BUDGET, BudgetExceededError,
                      IntegralityViolationError, InvalidDivisorError,
                      NotPrimeDegreeError)
@@ -26,7 +26,7 @@ from .massform import mass_hereditary, mass_maximal
 from .omega import enumerate_omega, flatten_strip
 from .orders import (OrderSpec, count_genera, genera_with_reductions,
                      normalize_invariant)
-from .theta import theta
+from .theta import omega_size, theta
 
 
 @dataclass(frozen=True)
@@ -99,15 +99,18 @@ def class_number(order: OrderSpec) -> int:
 def embedding_count(order: OrderSpec, s: int, *,
                     budget: int = DEFAULT_BUDGET) -> int:
     """Total count of optimal embeddings of the degree-s constant ring."""
-    h = weight_class_numbers(order, budget=budget)
     s0 = constant_field_degree(order.algebra)
     if s < 1 or s0 % s != 0:
         raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
+    h = weight_class_numbers(order, budget=budget)
     return s * sum(h[s2] for s2 in h if s2 % s == 0)
 
 
 def derived_order(order: OrderSpec, s: int, combo) -> OrderSpec:
-    """Order in the centralizer algebra cut out by one local index tuple."""
+    """Order in the centralizer algebra cut out by one local index tuple.
+
+    Every place above `combo`'s places is listed, maximal or not, so all
+    tuples over the same places give orders in one algebra."""
     spec = order.algebra
     alg = centralizer_spec(spec, s)
     invariants: dict[str, tuple[int, ...]] = {}
@@ -116,13 +119,10 @@ def derived_order(order: OrderSpec, s: int, combo) -> OrderSpec:
         l, t = splitting_data(v, s)
         d_new = v.local_index // t
         for w in range(1, l + 1):
-            vec = flatten_strip(elem, w)
-            if len(vec) == 1:
-                continue  # maximal at the derived place
             label_w = f"{v.label}#{w}" if s > 1 else v.label
             if d_new == 1:
                 alg = alg.with_listed_place(label_w, v.degree // l)
-            invariants[label_w] = vec
+            invariants[label_w] = flatten_strip(elem, w)
     return OrderSpec(alg, tuple(sorted(invariants.items())))
 
 
@@ -143,12 +143,14 @@ def transfer_check(order: OrderSpec, s: int, s2: int,
     """Verify s * h_{s2} against the sum over the global index set.
 
     Each summand is the weight-(s2/s) class number of the derived order cut
-    out by one element of the product of local index sets.  A derived order
-    reads an element only through its normalised strips, so each local set
-    is grouped by them and the sum runs over distinct derived orders, each
-    weighted by the product of its group sizes.  The budget still bounds
-    the full global index set, the product of the local set sizes, and it
-    bounds each theta factor's row placements.
+    out by one element of the product of local index sets.  The budget
+    bounds the full global index set, the product of the local set sizes,
+    which `omega_size` counts before any set is enumerated; it also bounds
+    each theta factor's row placements.  A derived order reads an element
+    only through its normalised strips, so each local set is grouped by
+    them and the sum runs over distinct derived orders, each weighted by
+    the product of its group sizes.  All derived orders share one algebra
+    and so one level solver.
     """
     spec = order.algebra
     s0 = constant_field_degree(spec)
@@ -156,50 +158,45 @@ def transfer_check(order: OrderSpec, s: int, s2: int,
         raise InvalidDivisorError(f"need s | s2 | s0, got s={s}, s2={s2}, s0={s0}")
     lhs = s * weight_class_numbers(order, budget=budget)[s2]
 
-    streams = []
+    # The solve above ran theta at each (place, s) over the same rows, so
+    # the sizing cannot trip the row placement budget first.
+    labels = order.relevant_labels()
     size = 1
-    for label in order.relevant_labels():
-        v = spec.place(label)
-        # One element past what the budget allows is enough to reject it.
-        stream = enumerate_omega(v, order.invariant_at(label), s)
-        elems = list(islice(stream, max(budget // size, 0) + 1))
-        size *= len(elems)
+    for label in labels:
+        size *= omega_size(spec.place(label), order.invariant_at(label), s,
+                           budget=budget)
         if size > budget:
             raise BudgetExceededError(
                 f"global index set exceeds budget of {budget} summands")
+        if not size:
+            return TransferReport(s, s2, lhs, 0)
+
+    streams = []
+    for label in labels:
         groups: dict[tuple, list] = {}
-        for elem in elems:
+        for elem in enumerate_omega(spec.place(label),
+                                    order.invariant_at(label), s):
             key = tuple(normalize_invariant(flatten_strip(elem, w))
                         for w in range(1, len(elem.entries) + 1))
             groups.setdefault(key, [elem, 0])[1] += 1
         streams.append(groups.values())
-        if not elems:
-            break
 
     rhs = 0
+    solve = None
     for combo in product(*streams):
         sub = derived_order(order, s, [elem for elem, _ in combo])
-        rhs += (prod(count for _, count in combo)
-                * weight_class_numbers(sub, budget=budget)[s2 // s])
+        if solve is None:
+            solve = _level_solver(sub.algebra, budget)
+        h = {level.s: level.h for level in solve(sub)}
+        rhs += prod(count for _, count in combo) * h[s2 // s]
     return TransferReport(s, s2, lhs, rhs)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 def prime_degree_class_number(order: OrderSpec) -> int:
     """Closed-form class number for prime algebra degree."""
     spec = order.algebra
     n = spec.degree
-    if not _is_prime(n):
+    if _prime_factors(n) != {n: 1}:
         raise NotPrimeDegreeError(f"degree {n} is not prime")
     q = spec.base.q
     mass = mass_hereditary(order)

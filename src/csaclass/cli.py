@@ -16,11 +16,11 @@ from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
-from .algebra import INFINITY, AlgebraSpec, Place, constant_field_degree, validate
+from .algebra import INFINITY, AlgebraSpec, Place, validate
 from .basefield import BaseField
-from .classnum import (DEFAULT_BUDGET, class_number_report, embedding_count,
-                       total_class_number_genera, transfer_check,
-                       weight_class_numbers)
+from .classnum import (DEFAULT_BUDGET, _level_solver, class_number_report,
+                       embedding_count, total_class_number_genera,
+                       transfer_check)
 from .errors import (BudgetExceededError, CsaClassError,
                      IntegralityViolationError, ValidationError)
 from .massform import mass_hereditary
@@ -304,37 +304,27 @@ def _cmd_transfer(order: OrderSpec, args) -> dict:
 def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     checks: dict[str, bool] = {}
     spec = order.algebra
-    s0 = constant_field_degree(spec)
-    divisors = [s for s in range(1, s0 + 1) if s0 % s == 0]
+    q = spec.base.q
+    levels = _level_solver(spec, args.budget)(order)
 
-    h = weight_class_numbers(order, budget=args.budget)
     mass = mass_hereditary(order)
     total = sum(
-        (Fraction(h[s], spec.base.q ** s - 1) for s in h), Fraction(0))
+        (Fraction(level.h, q ** level.s - 1) for level in levels), Fraction(0))
     checks["mass_consistency"] = total == mass
-    checks["h_nonnegative_integers"] = all(v >= 0 for v in h.values())
+    checks["h_nonnegative_integers"] = all(level.h >= 0 for level in levels)
 
-    # The enumeration is the oracle here and runs without a budget.
-    theta_matches_enum = True
-    for s in divisors:
-        for label in order.relevant_labels():
-            v = spec.place(label)
-            f_vec = order.invariant_at(label)
-            if theta_enum(v, f_vec, s, spec.base.q) != \
-                    theta(v, f_vec, s, spec.base.q, budget=args.budget):
-                theta_matches_enum = False
-    checks["theta_engines_agree"] = theta_matches_enum
+    # The enumeration is the oracle here and runs without a budget; it is
+    # compared with the theta factors the solve used.
+    checks["theta_engines_agree"] = all(
+        theta_enum(spec.place(label), order.invariant_at(label), level.s, q)
+        == value for level in levels for label, value in level.theta.items())
 
     # OrderSpec keeps the least rotation, so the rotated vector goes to the
     # enumeration, which walks the columns in the order given.
-    rotation_ok = True
-    for s in divisors:
-        for label, f_vec in order.invariants:
-            v = spec.place(label)
-            if theta_enum(v, f_vec[1:] + f_vec[:1], s, spec.base.q) != \
-                    theta(v, f_vec, s, spec.base.q, budget=args.budget):
-                rotation_ok = False
-    checks["rotation_invariance"] = rotation_ok
+    checks["rotation_invariance"] = all(
+        theta_enum(spec.place(label), f_vec[1:] + f_vec[:1], level.s, q)
+        == level.theta[label]
+        for level in levels for label, f_vec in order.invariants)
 
     return {"checks": checks, "all_passed": all(checks.values())}
 

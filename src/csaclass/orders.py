@@ -92,9 +92,7 @@ class OrderSpec:
 
     def relevant_labels(self) -> tuple[str, ...]:
         """Finite places that can contribute a nontrivial local factor."""
-        labels = {v.label for v in self.algebra.finite_places}
-        labels.update(lab for lab, _ in self.invariants)
-        return tuple(sorted(labels))
+        return tuple(sorted({v.label for v in self.algebra.finite_places}))
 
 
 def maximal_order(algebra: AlgebraSpec) -> OrderSpec:

@@ -1,13 +1,18 @@
-"""Local theta factors: a row-by-row integer sum and its enumeration oracle.
+"""Local theta factors and index set sizes: one row-by-row integer sum.
 
 A theta factor sums, over the local index set, the product of the slice
 unit indices.  Each slice term is a Gaussian multinomial, so the weight of
 one slice depends only on its column counts N (one per entry of f_v) and
 factorises as [m_s; N]_Q * prod_i g_t(N_i), where g_t(N) sums the Gaussian
-multinomials [N; e]_Q over the t-way splits e of N.  `theta` therefore sums
-over l x r matrices with row sums m_s and the scaled targets as column sums,
-one row at a time, memoised on the sorted remaining column budgets; the row
-weight is symmetric in the columns, so sorting loses nothing.
+multinomials [N; e]_Q over the t-way splits e of N; likewise prod_i
+C(N_i + t - 1, t - 1) slices have column counts N.  `_row_sum` sums over
+l x r matrices with row sums m_s and the scaled targets as column sums, one
+row at a time, memoised on the sorted remaining column budgets; the row
+weight is symmetric in the columns, so sorting loses nothing.  A row's
+weight comes from a table: N of the `left` unplaced entries put in the next
+column contribute cell[left][N].  `theta` passes [left; N]_Q * g_t(N), whose
+product over a row telescopes to the slice weight, and `omega_size` passes
+C(N + t - 1, t - 1), which counts the index set without walking it.
 
 The same symmetry lets a row treat the k columns of equal budget b as one
 group: it chooses how many of them take N entries, for N = b down to 0,
@@ -51,37 +56,12 @@ def theta_enum(place: Place, f_vec, s: int, q: int) -> Fraction:
     return total
 
 
-def theta(place: Place, f_vec, s: int, q: int, *,
-          budget: int = DEFAULT_BUDGET) -> int:
-    """Theta factor at v for level s, summed one row (place w above v) at a time.
-
-    Raises BudgetExceededError once the row placements tried exceed `budget`.
-    """
-    ctx = LocalContext.create(place, f_vec, s)
-    targets = ctx.scaled_targets()
+def _row_sum(layer: str, ctx: LocalContext, targets: tuple[int, ...], cell,
+             budget: int) -> int:
+    """Sum of prod_i cell[left][N_i] over the rows (places w above v) of
+    each matrix; raises BudgetExceededError, naming `layer`, once the row
+    placements tried exceed `budget`."""
     m = ctx.m_s
-    if targets is None or sum(targets) != ctx.l * m:
-        return 0
-    Q = residue_power(ctx, q)
-
-    # binom[a][b] = [a]_Q! / ([b]_Q! [a-b]_Q!) with [k]_Q! = prod_{j<=k}
-    # (Q^j - 1), built by the Q-Pascal rule [a; b] = [a-1; b-1] + Q^b [a-1; b].
-    power = [Q ** b for b in range(m + 1)]
-    binom = [[1]]
-    for a in range(1, m + 1):
-        above = binom[-1]
-        binom.append([1, *(above[b - 1] + power[b] * above[b]
-                           for b in range(1, a)), 1])
-    # g[N] sums [N; e]_Q over the t-way splits e of N, one part at a time.
-    g = [1] * (m + 1)
-    for _ in range(ctx.t - 1):
-        g = [sum(binom[N][k] * g[N - k] for k in range(N + 1))
-             for N in range(m + 1)]
-    # Choosing N of the `left` unplaced row entries for the next column
-    # contributes binom[left][N] * g[N]; over a row these give the weight.
-    cell = [[binom[left][N] * g[N] for N in range(left + 1)]
-            for left in range(m + 1)]
-
     memo: dict[tuple[int, ...], int] = {}
     placements = 0
 
@@ -115,8 +95,8 @@ def theta(place: Place, f_vec, s: int, q: int, *,
                 placements += 1
                 if placements > budget:
                     raise BudgetExceededError(
-                        f"theta: place {place.label!r}, s = {s}: row "
-                        f"placements exceed budget of {budget}")
+                        f"{layer}: place {ctx.place.label!r}, s = {ctx.s}: "
+                        f"row placements exceed budget of {budget}")
                 # The open columns keep their budgets: the last k of group
                 # j and every column after it.
                 key = tuple(sorted(rest + cols[ends[j] - k:]))
@@ -148,3 +128,51 @@ def theta(place: Place, f_vec, s: int, q: int, *,
         return total
 
     return rows_below(tuple(sorted(b for b in targets if b)))
+
+
+def theta(place: Place, f_vec, s: int, q: int, *,
+          budget: int = DEFAULT_BUDGET) -> int:
+    """Theta factor at v for level s, summed one row (place w above v) at a time.
+
+    Raises BudgetExceededError once the row placements tried exceed `budget`.
+    """
+    ctx = LocalContext.create(place, f_vec, s)
+    targets = ctx.scaled_targets()
+    if targets is None:
+        return 0
+    m = ctx.m_s
+    Q = residue_power(ctx, q)
+    # binom[a][b] = [a]_Q! / ([b]_Q! [a-b]_Q!) with [k]_Q! = prod_{j<=k}
+    # (Q^j - 1), built by the Q-Pascal rule [a; b] = [a-1; b-1] + Q^b [a-1; b].
+    power = [Q ** b for b in range(m + 1)]
+    binom = [[1]]
+    for a in range(1, m + 1):
+        above = binom[-1]
+        binom.append([1, *(above[b - 1] + power[b] * above[b]
+                           for b in range(1, a)), 1])
+    # g[N] sums [N; e]_Q over the t-way splits e of N, one part at a time.
+    g = [1] * (m + 1)
+    for _ in range(ctx.t - 1):
+        g = [sum(binom[N][k] * g[N - k] for k in range(N + 1))
+             for N in range(m + 1)]
+    # Choosing N of the `left` unplaced row entries for the next column
+    # contributes binom[left][N] * g[N]; over a row these give the weight.
+    cell = [[binom[left][N] * g[N] for N in range(left + 1)]
+            for left in range(m + 1)]
+    return _row_sum("theta", ctx, targets, cell, budget)
+
+
+def omega_size(place: Place, f_vec, s: int, *,
+               budget: int = DEFAULT_BUDGET) -> int:
+    """Size of the local index set, summed one row at a time like `theta`.
+
+    Raises BudgetExceededError once the row placements tried exceed `budget`.
+    """
+    ctx = LocalContext.create(place, f_vec, s)
+    targets = ctx.scaled_targets()
+    if targets is None:
+        return 0
+    t = ctx.t
+    cell = [[comb(N + t - 1, t - 1) for N in range(left + 1)]
+            for left in range(ctx.m_s + 1)]
+    return _row_sum("omega", ctx, targets, cell, budget)

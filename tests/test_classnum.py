@@ -13,9 +13,9 @@ import pytest
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       class_number_report, constant_field_degree,
                       embedding_count, mass_hereditary, maximal_order,
-                      prime_degree_class_number, total_class_number_genera,
-                      theta, theta_enum, transfer_check,
-                      weight_class_numbers)
+                      omega_size, prime_degree_class_number,
+                      total_class_number_genera, theta, theta_enum,
+                      transfer_check, weight_class_numbers)
 from csaclass.classnum import derived_order
 from csaclass.omega import enumerate_omega
 from csaclass.orders import count_genera, enumerate_genera, genus_reduce
@@ -248,6 +248,24 @@ def test_transfer_budget_stops_enumeration_early():
     with pytest.raises(BudgetExceededError):
         transfer_check(order, 6, 6, budget=10)
     assert time.monotonic() - started < 1.0
+
+
+@pytest.mark.parametrize("f_vec,s,size", [
+    ((1,) * 24, 2, 2_704_156),       # C(24, 12)
+    ((2,) * 12, 4, None),
+], ids=["n24-deg4-iwahori", "n24-deg4-2x12"])
+def test_transfer_budget_trips_before_enumerating(f_vec, s, size):
+    # Both local index sets are past the default budget; the sizing counts
+    # them by the row recursion, so the budget trips without walking them.
+    order = _one_split_place(2, 24, 4, f_vec)
+    if size is not None:
+        assert omega_size(order.algebra.place("U"), f_vec, s) == size
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError) as exc:
+        transfer_check(order, s, s)
+    assert time.monotonic() - started < 1.0
+    assert str(exc.value) == ("global index set exceeds budget of 1000000 "
+                              "summands")
 
 
 @pytest.mark.parametrize("s2", [2, 4, 6, 12])

@@ -170,29 +170,68 @@ def test_genera_command(tmp_path, capsys):
     assert doc["count"] == 3
 
 
-def test_genera_computes_each_mass_and_theta_once(capsys, monkeypatch):
-    # 100 genera reduce to several distinct orders of one algebra; M_s and
-    # each theta factor are shared between them.
-    theta_keys, mass_degrees = [], []
+# q = 4, n = 8: the Iwahori order at U and (2, 2, 2, 2) at V, both of
+# degree 2.  transfer at (2, 8) sums over three distinct derived orders.
+TRANSFER_CONFIG = json.dumps({
+    "base": {"type": "rational_function_field", "q": 4},
+    "degree": 8,
+    "ramification": [
+        {"place": "T", "degree": 1, "invariant": "1/8"},
+        {"place": "infinity", "invariant": "-1/8"},
+        {"place": "U", "degree": 2},
+        {"place": "V", "degree": 2},
+    ],
+    "order": {"invariants": {"U": [1] * 8, "V": [2, 2, 2, 2]}},
+})
+
+
+def _count_solver_calls(monkeypatch):
+    """Record each theta key and each mass degree the level solver asks for."""
+    theta_keys, mass_keys = [], []
     real_theta, real_mass = classnum.theta, classnum.mass_maximal
 
     def counted_theta(place, f_vec, s, q, **budget):
-        theta_keys.append((place, tuple(f_vec), s))
+        theta_keys.append((place.degree, place.local_index, tuple(f_vec),
+                           s, q))
         return real_theta(place, f_vec, s, q, **budget)
 
     def counted_mass(spec):
-        mass_degrees.append(spec.degree)  # n / s
+        mass_keys.append((spec.degree, spec.base.q))
         return real_mass(spec)
 
     monkeypatch.setattr(classnum, "theta", counted_theta)
     monkeypatch.setattr(classnum, "mass_maximal", counted_mass)
+    return theta_keys, mass_keys
+
+
+def test_genera_computes_each_mass_and_theta_once(capsys, monkeypatch):
+    # 100 genera reduce to several distinct orders of one algebra; M_s and
+    # each theta factor are shared between them.
+    theta_keys, mass_keys = _count_solver_calls(monkeypatch)
     code, out = run_cli(capsys, "--config",
                         str(ROOT / "configs" / "iwahori-two-places.json"),
                         "genera")
     assert code == 0
     assert json.loads(out)["count"] == 100
     assert theta_keys and len(theta_keys) == len(set(theta_keys))
-    assert sorted(mass_degrees) == [1, 3]
+    assert sorted(degree for degree, _ in mass_keys) == [1, 3]
+
+
+def test_transfer_computes_each_mass_and_theta_once(tmp_path, capsys,
+                                                    monkeypatch):
+    # The lhs solve (s0 = 8) and one solver shared by every derived order
+    # (s0 = 4): masses of degree 8/s and 4/s, and 12 + 12 theta keys.  A
+    # solver per derived order would ask again for the derived masses and
+    # for the theta keys at T.
+    theta_keys, mass_keys = _count_solver_calls(monkeypatch)
+    path = tmp_path / "transfer.json"
+    path.write_text(TRANSFER_CONFIG, encoding="utf-8")
+    code, out = run_cli(capsys, "--config", str(path),
+                        "transfer", "--s", "2", "--s2", "8")
+    assert code == 0
+    assert json.loads(out)["equal"] is True
+    assert sorted(degree for degree, _ in mass_keys) == [1, 1, 2, 2, 4, 4, 8]
+    assert len(theta_keys) == len(set(theta_keys)) == 24
 
 
 def test_selfcheck_command(golden_config_path, capsys):
@@ -234,6 +273,31 @@ def test_selfcheck_rotation_reaches_the_enumeration(tmp_path, capsys,
     assert code == (1 if broken else 0)
 
 
+def test_selfcheck_computes_each_theta_once(tmp_path, capsys, monkeypatch):
+    theta_keys, _ = _count_solver_calls(monkeypatch)
+    cli_theta_calls = []
+    monkeypatch.setattr(cli, "theta",
+                        lambda *args, **kwargs: cli_theta_calls.append(args))
+    path = tmp_path / "rotation.json"
+    path.write_text(ROTATION_CONFIG, encoding="utf-8")
+    code, out = run_cli(capsys, "--config", str(path), "selfcheck")
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+    # s0 = 4: three levels, at the places T and U.
+    assert len(theta_keys) == len(set(theta_keys)) == 6
+    assert cli_theta_calls == []
+
+
+def test_selfcheck_reports_a_failed_resum(golden_config_path, capsys,
+                                          monkeypatch):
+    monkeypatch.setattr(cli, "mass_hereditary", lambda order: Fraction(1))
+    code, out = run_cli(capsys, "--config", golden_config_path, "selfcheck")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks["mass_consistency"] is False
+    assert checks["theta_engines_agree"] is True
+
+
 def test_text_output(golden_config_path, capsys):
     code, out = run_cli(capsys, "--config", golden_config_path,
                         "--output", "text", "mass")
@@ -261,6 +325,13 @@ def test_exit_code_missing_file(capsys):
     assert code == 2
 
 
+def _iwahori_at_u(doc):
+    # theta at U runs past a zero budget, so `embed` under `--budget 0`
+    # shows whether it checks `--s` before it solves.
+    doc["ramification"].append({"place": "U", "degree": 2})
+    doc["order"] = {"invariants": {"U": [1, 1, 1, 1]}}
+
+
 @pytest.mark.parametrize("mangle,argv,needle", [
     (None, ("theta", "--place", "X", "--s", "2"), "--place: unknown place 'X'"),
     (None, ("omega", "--place", "X", "--s", "2"), "--place: unknown place 'X'"),
@@ -276,6 +347,10 @@ def test_exit_code_missing_file(capsys):
      "order.invariants: expected an object"),
     (lambda d: d.update(ramification=[]), ("classnum",),
      "algebra: reciprocity fails: 4 divides a local index at one place only"),
+    (lambda d: d["ramification"][0].update(invariant="1/3"), ("classnum",),
+     "algebra: place 'T': local index 3 does not divide degree 4"),
+    (_iwahori_at_u, ("--budget", "0", "embed", "--s", "3"),
+     "s = 3 does not divide s0 = 4"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, mangle, argv, needle):
     doc = json.loads(GOLDEN_CONFIG)

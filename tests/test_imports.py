@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module, no library
+"""Every name a library module imports is used in that module, every
+private top-level function is used somewhere in the library, no library
 module uses `assert`, and the package exports exactly what its
 `__init__.py` imports."""
 
@@ -40,6 +41,37 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_functions(sources: list[str]) -> list[str]:
+    """Private top-level functions that no module names outside their own
+    `def`; a recursive call alone does not count as a use."""
+    private, used = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            own = None
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                private.add(node.name)
+                own = node.name
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name) else
+                        sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    return sorted(private - used)
+
+
+def test_unused_private_functions_are_found():
+    sources = ["def _helper(n):\n    return _helper(n - 1) if n else 0\n",
+               "def _used():\n    return 1\n",
+               "from m import _used\nVALUE = _used()\n"]
+    assert unused_private_functions(sources) == ["_helper"]
+
+
+def test_no_unused_private_functions():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unused_private_functions(sources) == []
 
 
 def assert_lines(source: str) -> list[int]:

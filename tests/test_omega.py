@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from math import factorial, gcd
 
 import pytest
 
-from csaclass import Place, enumerate_omega, flatten_strip, normalize_invariant
-from csaclass.errors import ValidationError
+from csaclass import (Place, enumerate_omega, flatten_strip,
+                      normalize_invariant, omega_size)
+from csaclass.errors import BudgetExceededError, ValidationError
 from csaclass.omega import LocalContext, OmegaLocalElement
 
 
 def count(place: Place, f_vec, s: int) -> int:
-    return sum(1 for _ in enumerate_omega(place, f_vec, s))
+    """|Omega| by enumeration, checked against the row recursion's count."""
+    size = sum(1 for _ in enumerate_omega(place, f_vec, s))
+    assert omega_size(place, f_vec, s) == size
+    return size
 
 
 def nonempty(place: Place, f_vec, s: int) -> bool:
@@ -88,6 +93,7 @@ def test_enumeration_matches_brute_force(deg, d, s, f):
     actual = [elem.entries for elem in enumerate_omega(place, f, s)]
     assert sorted(actual) == sorted(expected)
     assert len(actual) == len(set(actual))
+    assert omega_size(place, f, s) == len(expected)
     assert nonempty(place, f, s) == bool(expected)
 
 
@@ -129,6 +135,38 @@ def test_prime_degree_counts(n):
             factorial(n) // (factorial(f[0]) * factorial(f[1]))
     # ramified place of degree coprime to n: n elements
     assert count(Place("v", 1, n), (1,), n) == n
+
+
+def test_omega_size_matches_enumeration_random():
+    # Wider vectors and t up to 4, past what the brute force can reach.
+    rng = random.Random(400)
+    checked = nonzero = 0
+    while checked < 200:
+        deg, d = rng.choice((1, 2, 3, 4, 6)), rng.choice((1, 1, 2, 3, 4))
+        f = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 6)))
+        s = rng.choice([x for x in range(1, sum(f) * d + 1)
+                        if sum(f) * d % x == 0])
+        place = Place("v", deg, d)
+        try:
+            size = omega_size(place, f, s, budget=2000)
+        except (ValidationError, BudgetExceededError):
+            continue
+        if size > 2000:
+            continue
+        assert size == sum(1 for _ in enumerate_omega(place, f, s)), \
+            (deg, d, f, s)
+        checked += 1
+        nonzero += size > 0
+    assert nonzero > 100
+
+
+def test_omega_size_budget_names_the_layer():
+    # The 14-part vector that trips theta's budget in tests/test_cli.py.
+    f = (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 1, 2, 1, 2)
+    with pytest.raises(BudgetExceededError) as exc:
+        omega_size(Place("U", 4, 1), f, 4, budget=1000)
+    assert str(exc.value) == ("omega: place 'U', s = 4: "
+                              "row placements exceed budget of 1000")
 
 
 def test_rotation_bijection():
