@@ -194,11 +194,20 @@ def splitting_data(place: Place, s: int) -> tuple[int, int]:
     return l, t
 
 
+def places_above(v: Place, s: int) -> tuple[Place, ...]:
+    """The places of L_s above v: l = gcd(s, deg v) places v#1, ..., v#l of
+    degree deg(v)/l over F_{q^s}, with local index d_v / t; (v,) at s = 1."""
+    if s == 1:
+        return (v,)
+    l, t = splitting_data(v, s)
+    return tuple(Place(f"{v.label}#{w}", v.degree // l, v.local_index // t)
+                 for w in range(1, l + 1))
+
+
 def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
     """The centralizer algebra D'_s of an embedded L_s, as a spec over L_s.
 
-    Each listed finite place v splits into l = gcd(s, deg v) places of
-    degree deg(v)/l over F_{q^s}, with local index d_v / gcd(s/l, d_v).
+    Its finite places are the `places_above` the listed finite places.
     Derived places that become split are dropped; invariants are not carried
     over (no downstream formula needs them).
     """
@@ -210,16 +219,13 @@ def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
     n = spec.degree
     derived: list[Place] = []
     for v in spec.finite_places:
-        l, t = splitting_data(v, s)
+        t = splitting_data(v, s)[1]
         m_v = spec.capacity(v)
         if (m_v * t) % s != 0:
             raise IntegralityViolationError(
                 f"derived capacity {m_v * t}/{s} at {v.label!r} is not integral")
-        d_new = v.local_index // t
-        if d_new == 1:
-            continue
-        for w in range(1, l + 1):
-            derived.append(Place(f"{v.label}#{w}", v.degree // l, d_new))
+        if v.local_index > t:  # the places above v have local index d_v / t
+            derived += places_above(v, s)
     base_new = constant_extension(spec.base, s)
     infinity_new = Place(INFINITY, spec.infinity.degree, n // s)
     return AlgebraSpec(base_new, n // s, tuple(derived), infinity_new)

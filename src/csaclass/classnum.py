@@ -10,6 +10,7 @@ one level solver, which computes each M_s and each theta factor once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -17,7 +18,7 @@ from itertools import product
 from math import factorial, prod
 
 from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
-                      splitting_data)
+                      places_above)
 from .basefield import _prime_factors, constant_extension, pic_order
 from .errors import (DEFAULT_BUDGET, BudgetExceededError,
                      IntegralityViolationError, InvalidDivisorError,
@@ -106,24 +107,21 @@ def embedding_count(order: OrderSpec, s: int, *,
     return s * sum(h[s2] for s2 in h if s2 % s == 0)
 
 
-def derived_order(order: OrderSpec, s: int, combo) -> OrderSpec:
-    """Order in the centralizer algebra cut out by one local index tuple.
+def derived_order(order: OrderSpec, s: int, keys) -> OrderSpec:
+    """Order in the centralizer algebra cut out by one global index element.
 
-    Every place above `combo`'s places is listed, maximal or not, so all
-    tuples over the same places give orders in one algebra."""
+    `keys` gives the element per place v as (label, strips): one invariant
+    vector per place w above v, in the order of `places_above`.  Every place
+    above the given places is listed, maximal or not, so all elements over
+    the same places give orders in one algebra."""
     spec = order.algebra
     alg = centralizer_spec(spec, s)
-    invariants: dict[str, tuple[int, ...]] = {}
-    for elem in combo:
-        v = spec.place(elem.label)
-        l, t = splitting_data(v, s)
-        d_new = v.local_index // t
-        for w in range(1, l + 1):
-            label_w = f"{v.label}#{w}" if s > 1 else v.label
-            if d_new == 1:
-                alg = alg.with_listed_place(label_w, v.degree // l)
-            invariants[label_w] = flatten_strip(elem, w)
-    return OrderSpec(alg, tuple(sorted(invariants.items())))
+    invariants = []
+    for label, strips in keys:
+        for w, strip in zip(places_above(spec.place(label), s), strips):
+            alg = alg.with_listed_place(w.label, w.degree)
+            invariants.append((w.label, strip))
+    return OrderSpec(alg, tuple(invariants))
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ class TransferReport:
         return self.lhs == self.rhs
 
 
-def transfer_check(order: OrderSpec, s: int, s2: int,
+def transfer_check(order: OrderSpec, s: int, s2: int, *,
                    budget: int = DEFAULT_BUDGET) -> TransferReport:
     """Verify s * h_{s2} against the sum over the global index set.
 
@@ -147,10 +145,10 @@ def transfer_check(order: OrderSpec, s: int, s2: int,
     bounds the full global index set, the product of the local set sizes,
     which `omega_size` counts before any set is enumerated; it also bounds
     each theta factor's row placements.  A derived order reads an element
-    only through its normalised strips, so each local set is grouped by
-    them and the sum runs over distinct derived orders, each weighted by
-    the product of its group sizes.  All derived orders share one algebra
-    and so one level solver.
+    only through its normalised strips, so each local set is counted by
+    (label, strips) and the sum runs over distinct derived orders, each
+    weighted by the product of its counts.  All derived orders share one
+    algebra and so one level solver.
     """
     spec = order.algebra
     s0 = constant_field_degree(spec)
@@ -171,20 +169,17 @@ def transfer_check(order: OrderSpec, s: int, s2: int,
         if not size:
             return TransferReport(s, s2, lhs, 0)
 
-    streams = []
-    for label in labels:
-        groups: dict[tuple, list] = {}
+    streams = [Counter(
+        (label, tuple(normalize_invariant(flatten_strip(slice_vec))
+                      for slice_vec in elem))
         for elem in enumerate_omega(spec.place(label),
-                                    order.invariant_at(label), s):
-            key = tuple(normalize_invariant(flatten_strip(elem, w))
-                        for w in range(1, len(elem.entries) + 1))
-            groups.setdefault(key, [elem, 0])[1] += 1
-        streams.append(groups.values())
+                                    order.invariant_at(label), s)).items()
+        for label in labels]
 
     rhs = 0
     solve = None
     for combo in product(*streams):
-        sub = derived_order(order, s, [elem for elem, _ in combo])
+        sub = derived_order(order, s, [key for key, _ in combo])
         if solve is None:
             solve = _level_solver(sub.algebra, budget)
         h = {level.s: level.h for level in solve(sub)}
@@ -232,7 +227,7 @@ class GeneraReport:
     total: int
 
 
-def total_class_number_genera(order: OrderSpec,
+def total_class_number_genera(order: OrderSpec, *,
                               budget: int = DEFAULT_BUDGET) -> GeneraReport:
     """Class numbers of every genus of right ideals, and their sum.
 

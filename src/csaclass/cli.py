@@ -13,7 +13,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
@@ -26,7 +25,7 @@ from .errors import (BudgetExceededError, CsaClassError,
 from .massform import mass_hereditary
 from .omega import enumerate_omega
 from .orders import OrderSpec, normalize_invariant
-from .theta import theta, theta_enum
+from .theta import omega_size, theta, theta_enum
 
 
 class ConfigError(ValidationError):
@@ -263,24 +262,21 @@ def _cmd_theta(order: OrderSpec, args) -> dict:
 
 def _cmd_omega(order: OrderSpec, args) -> dict:
     v = _place_arg(order, args.place)
-    # One element past what the budget allows is enough to reject it.
-    stream = islice(enumerate_omega(v, order.invariant_at(args.place), args.s),
-                    args.budget + 1)
-    out: dict = {"place": args.place, "s": args.s}
-    if args.list:
-        out["elements"] = [[list(slice_vec) for slice_vec in elem.entries]
-                           for elem in stream]
-        out["count"] = len(out["elements"])
-    else:
-        out["count"] = sum(1 for _ in stream)
-    if out["count"] > args.budget:
+    f_vec = order.invariant_at(args.place)
+    count = omega_size(v, f_vec, args.s, budget=args.budget)
+    if count > args.budget:
         raise BudgetExceededError(
             f"omega: local index set exceeds budget of {args.budget} elements")
+    out: dict = {"place": args.place, "s": args.s}
+    if args.list:
+        out["elements"] = [[list(slice_vec) for slice_vec in elem]
+                           for elem in enumerate_omega(v, f_vec, args.s)]
+    out["count"] = count
     return out
 
 
 def _cmd_genera(order: OrderSpec, args) -> dict:
-    report = total_class_number_genera(order, args.budget)
+    report = total_class_number_genera(order, budget=args.budget)
     return {
         "count": len(report.per_genus),
         "per_genus": [
@@ -296,7 +292,7 @@ def _cmd_embed(order: OrderSpec, args) -> dict:
 
 
 def _cmd_transfer(order: OrderSpec, args) -> dict:
-    report = transfer_check(order, args.s, args.s2, args.budget)
+    report = transfer_check(order, args.s, args.s2, budget=args.budget)
     return {"s": report.s, "s2": report.s2, "lhs": report.lhs,
             "rhs": report.rhs, "equal": report.equal}
 

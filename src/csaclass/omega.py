@@ -50,21 +50,6 @@ class LocalContext:
         return tuple(f_i // self.scale for f_i in self.f_vec)
 
 
-@dataclass(frozen=True)
-class OmegaLocalElement:
-    """One tuple of the local index set, stored as long vectors per w.
-
-    Entry order within each w follows the column-major flattening
-    (f_{w,(1,1)},...,f_{w,(r,1)},f_{w,(1,2)},...,f_{w,(r,t)}).
-    """
-
-    label: str
-    s: int
-    r: int
-    t: int
-    entries: tuple[tuple[int, ...], ...]
-
-
 def _slices(m_s: int, r: int, t: int, column_budget):
     """Long vectors of length r*t summing to m_s, respecting column budgets.
 
@@ -101,7 +86,12 @@ def _slices(m_s: int, r: int, t: int, column_budget):
 
 
 def enumerate_omega(place: Place, f_vec, s: int):
-    """Stream the local index set in deterministic lexicographic order."""
+    """Stream the local index set in deterministic lexicographic order.
+
+    Each element is the tuple of its long vectors, one per place w above v.
+    Entry order within each vector follows the column-major flattening
+    (f_{w,(1,1)},...,f_{w,(r,1)},f_{w,(1,2)},...,f_{w,(r,t)}).
+    """
     ctx = LocalContext.create(place, f_vec, s)
     targets = ctx.scaled_targets()
     if targets is None:
@@ -112,7 +102,7 @@ def enumerate_omega(place: Place, f_vec, s: int):
     def rec(w: int, acc: list[tuple[int, ...]]):
         if w == ctx.l:
             if all(b == 0 for b in remaining):
-                yield OmegaLocalElement(place.label, s, r, ctx.t, tuple(acc))
+                yield tuple(acc)
             return
         for slice_vec in _slices(ctx.m_s, r, ctx.t, remaining):
             consumed = [0] * r
@@ -129,11 +119,9 @@ def enumerate_omega(place: Place, f_vec, s: int):
     yield from rec(0, [])
 
 
-def flatten_strip(elem: OmegaLocalElement, w: int) -> tuple[int, ...]:
-    """Long vector of the w-th slice with zero entries removed."""
-    if not 1 <= w <= len(elem.entries):
-        raise ValidationError(f"w = {w} out of range")
-    stripped = tuple(e for e in elem.entries[w - 1] if e != 0)
+def flatten_strip(slice_vec) -> tuple[int, ...]:
+    """Long vector of one slice with zero entries removed."""
+    stripped = tuple(e for e in slice_vec if e != 0)
     if not stripped:
-        raise ValidationError(f"slice w = {w} is all zero")
+        raise ValidationError("slice is all zero")
     return stripped

@@ -8,12 +8,12 @@ cyclic rotation.  Places without an entry are maximal, f_v = (m_v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb
 
 from .algebra import AlgebraSpec
-from .errors import EmptyGenusError, ValidationError
+from .errors import (EmptyGenusError, IntegralityViolationError,
+                     ValidationError)
 
 
 def normalize_invariant(f_vec) -> tuple[int, ...]:
@@ -24,12 +24,13 @@ def normalize_invariant(f_vec) -> tuple[int, ...]:
     return min(f[i:] + f[:i] for i in range(len(f)))
 
 
-def local_unit_index(N: int, d: int, f_vec) -> Fraction:
+def local_unit_index(N: int, d: int, f_vec) -> int:
     """Index of the hereditary unit group in the maximal one.
 
     prod_{i=1}^{m}(N^{d i}-1) / prod over entries e of prod_{j<=e}(N^{d j}-1),
     with m the entry sum.  Zero entries contribute empty factors, so the same
     routine serves flattened vectors coming from local embedding data.
+    The quotient is a Gaussian multinomial, so it is exact.
     """
     if N < 2:
         raise ValidationError("N must be at least 2")
@@ -42,7 +43,11 @@ def local_unit_index(N: int, d: int, f_vec) -> Fraction:
     for e in f:
         for j in range(1, e + 1):
             den *= N ** (d * j) - 1
-    return Fraction(num, den)
+    index, rest = divmod(num, den)
+    if rest != 0:
+        raise IntegralityViolationError(
+            f"unit index {num}/{den} is not an integer")
+    return index
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ class OrderSpec:
         return (self.algebra.capacity(self.algebra.place(label)),)
 
     def relevant_labels(self) -> tuple[str, ...]:
-        """Finite places that can contribute a nontrivial local factor."""
+        """Every listed finite place, sorted by label."""
         return tuple(sorted({v.label for v in self.algebra.finite_places}))
 
 

@@ -27,7 +27,6 @@ tests compare against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, groupby
 from math import comb
 
@@ -43,14 +42,14 @@ def residue_power(ctx: LocalContext, q: int) -> int:
     return N ** (ctx.d_new * ctx.s // ctx.l)
 
 
-def theta_enum(place: Place, f_vec, s: int, q: int) -> Fraction:
+def theta_enum(place: Place, f_vec, s: int, q: int) -> int:
     """Sum over the local index set of the product of slice unit indices."""
     ctx = LocalContext.create(place, f_vec, s)
     Q = residue_power(ctx, q)
-    total = Fraction(0)
+    total = 0
     for elem in enumerate_omega(place, f_vec, s):
-        term = Fraction(1)
-        for slice_vec in elem.entries:
+        term = 1
+        for slice_vec in elem:
             term *= local_unit_index(Q, 1, slice_vec)
         total += term
     return total

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
 from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
                       constant_field_degree, embedding_count, maximal_order,
                       validate)
-from csaclass.algebra import splitting_data
+from csaclass.algebra import places_above, splitting_data
 from csaclass.errors import InvalidDivisorError, ValidationError
 from conftest import random_definite_spec
 
@@ -145,6 +146,31 @@ def test_centralizer_composition_random():
                     == _shape(centralizer_spec(spec, s * s2))
                 checked += 1
     assert checked > 10
+
+
+def test_places_above_random():
+    rng = random.Random(10)
+    checked = 0
+    for _ in range(80):
+        spec = random_definite_spec(rng)
+        s0 = constant_field_degree(spec)
+        for s in range(1, s0 + 1):
+            if s0 % s:
+                continue
+            labels = []
+            for v in spec.all_places():
+                above = places_above(v, s)
+                l = gcd(s, v.degree)
+                t = gcd(s // l, v.local_index)
+                assert len(above) == l
+                assert all(w.degree == v.degree // l for w in above)
+                assert all(w.local_index == v.local_index // t for w in above)
+                if s == 1:
+                    assert above == (v,)
+                labels += [w.label for w in above]
+                checked += 1
+            assert len(labels) == len(set(labels))
+    assert checked > 100
 
 
 def test_splitting_divisibility_invariant():

@@ -17,7 +17,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       total_class_number_genera, theta, theta_enum,
                       transfer_check, weight_class_numbers)
 from csaclass.classnum import derived_order
-from csaclass.omega import enumerate_omega
+from csaclass.omega import enumerate_omega, flatten_strip
 from csaclass.orders import count_genera, enumerate_genera, genus_reduce
 from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
                              InvalidDivisorError, NotPrimeDegreeError)
@@ -328,8 +328,9 @@ def _brute_force_transfer_rhs(order: OrderSpec, s: int, s2: int) -> int:
     """One derived order per global index element; equal derived orders
     (OrderSpec equality) share one weight solve."""
     spec = order.algebra
-    streams = [list(enumerate_omega(spec.place(label),
-                                    order.invariant_at(label), s))
+    streams = [[(label, tuple(flatten_strip(sl) for sl in elem))
+                for elem in enumerate_omega(spec.place(label),
+                                            order.invariant_at(label), s)]
                for label in order.relevant_labels()]
     solve = cache(weight_class_numbers)
     return sum(solve(derived_order(order, s, combo))[s2 // s]

@@ -672,6 +672,59 @@ def test_theta_budget_exits_4(tmp_path, capsys, argv):
     assert elapsed < 1.0
 
 
+def _write_config(tmp_path, doc) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_omega_sizes_the_set_before_walking_it(tmp_path, capsys):
+    # The Iwahori order at a degree-4 place of a degree-24 algebra: its
+    # index set at s = 2 has 2,704,156 elements.
+    path = _write_config(tmp_path, {
+        "base": {"type": "rational_function_field", "q": 2},
+        "degree": 24,
+        "ramification": [
+            {"place": "T", "degree": 1, "invariant": "1/24"},
+            {"place": "U", "degree": 4},
+            {"place": "infinity", "invariant": "-1/24"},
+        ],
+        "order": {"invariants": {"U": [1] * 24}},
+    })
+    started = time.monotonic()
+    code = main(["--config", path, "omega", "--place", "U", "--s", "2"])
+    elapsed = time.monotonic() - started
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == ("error: omega: local index set exceeds budget of "
+                   "1000000 elements\n")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["omega", "theta"])
+def test_omega_row_placements_count_like_theta(tmp_path, capsys, command):
+    # At s = 3 the maximal order at the degree-3 place U (d = 2) has a
+    # one-element index set over three rows, two of them placed.
+    path = _write_config(tmp_path, {
+        "base": {"type": "rational_function_field", "q": 4},
+        "degree": 6,
+        "ramification": [
+            {"place": "T", "degree": 1, "invariant": "1/6"},
+            {"place": "V", "degree": 1, "invariant": "1/2"},
+            {"place": "U", "degree": 3, "invariant": "1/2"},
+            {"place": "infinity", "invariant": "-1/6"},
+        ],
+    })
+    argv = ["--config", path, command, "--place", "U", "--s", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["--budget", "1", *argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {command}: place 'U', s = 3: "
+                   "row placements exceed budget of 1\n")
+
+
 _text = st.text(alphabet=st.characters(), max_size=6) | st.sampled_from(
     ("", '"', "\\", "\x00\n\t\x1f", "é", " ", "\U0001f600"))
 _report_leaves = (st.none() | st.booleans() | _text

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private top-level function is used somewhere in the library, no library
-module uses `assert`, and the package exports exactly what its
-`__init__.py` imports."""
+module uses `assert`, only the modules that hold rational values import
+`fractions`, and the package exports exactly what its `__init__.py`
+imports."""
 
 from __future__ import annotations
 
@@ -89,6 +90,33 @@ def test_asserts_are_found():
 def test_no_assert_in_src(path):
     # `python -O` strips assert statements, so invariants are typed errors.
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+# Invariants, masses, zeta values and their output are rational; theta
+# factors, unit indices and index set sizes are integers.
+FRACTION_MODULES = {"basefield", "algebra", "massform", "classnum", "cli"}
+
+
+def imports_fractions(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "fractions" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            return True
+    return False
+
+
+def test_fractions_imports_are_found():
+    assert imports_fractions("from fractions import Fraction\n")
+    assert imports_fractions("def f():\n    import fractions\n")
+    assert not imports_fractions("from math import gcd\n")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_fractions_only_where_values_are_rational(path):
+    if path.stem not in FRACTION_MODULES:
+        assert not imports_fractions(path.read_text(encoding="utf-8"))
 
 
 def test_exports_are_the_imported_names():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       enumerate_genera, genus_reduce, local_unit_index,
                       normalize_invariant)
-from csaclass.errors import EmptyGenusError, ValidationError
+from csaclass.errors import (EmptyGenusError, IntegralityViolationError,
+                             ValidationError)
 from csaclass.orders import count_genera
 
 
@@ -52,6 +53,7 @@ def projective_line_size(q: int) -> int:
 def test_local_unit_index_examples():
     assert local_unit_index(9, 1, (2,)) == 1
     assert local_unit_index(9, 1, (1, 1)) == 10
+    assert type(local_unit_index(9, 1, (1, 1))) is int
     # Iwahori index in degree 2 equals the projective line count
     for q in (2, 3):
         assert local_unit_index(q, 1, (1, 1)) == projective_line_size(q)
@@ -78,6 +80,12 @@ def test_local_unit_index_integral_index():
     for N in (2, 3, 4, 9):
         for f in ((1, 1), (1, 2), (1, 1, 1), (2, 2)):
             assert local_unit_index(N, 1, f).denominator == 1
+
+
+def test_local_unit_index_rejects_a_non_integral_quotient():
+    # A negative entry is no invariant vector: its quotient is 1 / (N^3 - 1).
+    with pytest.raises(IntegralityViolationError):
+        local_unit_index(3, 1, (3, -1))
 
 
 @pytest.mark.parametrize("vec,expected", [

@@ -107,6 +107,7 @@ def test_engines_agree(q, deg, d, s, f):
     place = Place("v", deg, d)
     value = theta_enum(place, f, s, q)
     production = theta(place, f, s, q)
+    assert type(value) is int
     assert type(production) is int
     assert production == value
     assert (value == 0) == (LocalContext.create(place, f, s).scaled_targets()
