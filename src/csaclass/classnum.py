@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import factorial, prod
 
@@ -25,7 +24,7 @@ from .errors import (DEFAULT_BUDGET, BudgetExceededError,
                      NotPrimeDegreeError)
 from .massform import mass_hereditary, mass_maximal
 from .omega import enumerate_omega, flatten_strip
-from .orders import (OrderSpec, count_genera, genera_with_reductions,
+from .orders import (GenusAxis, OrderSpec, count_genera, genus_axes,
                      normalize_invariant)
 from .theta import omega_size, theta
 
@@ -152,7 +151,7 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     """
     spec = order.algebra
     s0 = constant_field_degree(spec)
-    if s < 1 or s2 % s != 0 or s0 % s2 != 0:
+    if s < 1 or s2 < 1 or s2 % s != 0 or s0 % s2 != 0:
         raise InvalidDivisorError(f"need s | s2 | s0, got s={s}, s2={s2}, s0={s0}")
     lhs = s * weight_class_numbers(order, budget=budget)[s2]
 
@@ -223,8 +222,16 @@ def prime_degree_class_number(order: OrderSpec) -> int:
 
 @dataclass(frozen=True)
 class GeneraReport:
-    per_genus: tuple[tuple[tuple[tuple[str, tuple[int, ...]], ...], int], ...]
+    axes: tuple[GenusAxis, ...]
+    class_numbers: tuple[int, ...]  # one per genus, in the axes' product order
     total: int
+
+    @property
+    def per_genus(self):
+        """((label, vector) pairs of each genus, its class number) rows."""
+        genera = product(*([(axis.label, g) for g in axis.vectors]
+                           for axis in self.axes))
+        return tuple(zip(genera, self.class_numbers))
 
 
 def total_class_number_genera(order: OrderSpec, *,
@@ -233,19 +240,31 @@ def total_class_number_genera(order: OrderSpec, *,
 
     Every genus reduces to the principal genus of another hereditary order
     in the same algebra, so the class number is solved once per distinct
-    reduced order, and all solves share one level solver.  The budget still
-    bounds the full genus count, and it bounds each theta factor's row
-    placements.
+    tuple of reduced vectors, and all solves share one level solver.  The
+    budget still bounds the full genus count, and it bounds each theta
+    factor's row placements.
     """
-    if count_genera(order) > budget:
+    count = count_genera(order)
+    if count > budget:
         raise BudgetExceededError(
-            f"genus count exceeds budget of {budget}")
+            f"genera: genus count {count} exceeds budget of {budget}")
+    axes = genus_axes(order)
     solve = _level_solver(order.algebra, budget)
-    class_number_of = cache(lambda reduced: sum(
-        level.h for level in solve(OrderSpec(order.algebra, reduced))))
-    rows = tuple((genus, class_number_of(reduced))
-                 for genus, reduced in genera_with_reductions(order))
-    return GeneraReport(rows, sum(h for _, h in rows))
+
+    def reduced_class_number(key) -> int:
+        reduced = tuple((axis.label, axis.reduced[i])
+                        for axis, i in zip(axes, key))
+        return sum(level.h
+                   for level in solve(OrderSpec(order.algebra, reduced)))
+
+    # Reduced vectors are numbered by first appearance, so the solves run in
+    # the order the genera first reach them.
+    class_number_of = {
+        key: reduced_class_number(key)
+        for key in product(*(range(len(axis.reduced)) for axis in axes))}
+    class_numbers = tuple(map(class_number_of.__getitem__,
+                              product(*(axis.picks for axis in axes))))
+    return GeneraReport(axes, class_numbers, sum(class_numbers))
 
 
 @dataclass(frozen=True)

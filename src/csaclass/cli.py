@@ -13,6 +13,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from json.encoder import encode_basestring_ascii
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
@@ -168,6 +169,11 @@ def _fraction(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+class _Encoded(str):
+    """JSON text already rendered for the indent at which it is placed;
+    `_dumps_indented` writes it as it is."""
+
+
 def _dumps_indented(report) -> str:
     """The text of json.dumps(report, sort_keys=True, indent=2,
     default=_fraction), with each container built by one str.join.
@@ -175,15 +181,13 @@ def _dumps_indented(report) -> str:
     CPython's C encoder does not indent, so json.dumps(indent=2) falls back
     to a pure-Python token generator.  Values may be dicts with str keys,
     lists, tuples, str, int, bool, None and Fraction; anything else raises
-    TypeError.  All-int tuples, such as the genus vectors that repeat across
-    the rows of `genera`, are formatted once per indent.
+    TypeError.  An `_Encoded` value is copied through unchanged.
     """
     quote = encode_basestring_ascii  # raises TypeError on a non-str key
-    int_tuples: dict[tuple, str] = {}
 
     def encode(value, pad: str) -> str:
         if isinstance(value, str):
-            return quote(value)
+            return value if type(value) is _Encoded else quote(value)
         if type(value) is int:
             return int.__repr__(value)
         if value is None:
@@ -203,15 +207,6 @@ def _dumps_indented(report) -> str:
         if isinstance(value, (list, tuple)):
             if not value:
                 return "[]"
-            # The type check keeps (1, True) from sharing (1, 1)'s entry.
-            if type(value) is tuple and {*map(type, value)} == {int}:
-                key = (value, pad)
-                text = int_tuples.get(key)
-                if text is None:
-                    text = int_tuples[key] = (
-                        f"[\n{inner}{sep.join(map(int.__repr__, value))}"
-                        f"\n{pad}]")
-                return text
             items = [encode(e, inner) for e in value]
             return f"[\n{inner}{sep.join(items)}\n{pad}]"
         return quote(_fraction(value))
@@ -275,15 +270,34 @@ def _cmd_omega(order: OrderSpec, args) -> dict:
     return out
 
 
+def _per_genus_json(report) -> _Encoded:
+    """`per_genus` as `_dumps_indented` writes its list of row dicts under a
+    top-level key.  Each (label, vector) entry is encoded once, and each row
+    is one join of its class number and one entry per axis.
+    """
+    values = ",\n          "
+    entries = [[f"{encode_basestring_ascii(axis.label)}: "
+                f"[\n          {values.join(map(str, g))}\n        ]"
+                for g in axis.vectors] for axis in report.axes]
+    if entries:
+        head, tail = ',\n      "genus": {\n        ', "\n      }\n    }"
+    else:
+        head, tail = ',\n      "genus": {}\n    }', ""
+    sep = ",\n        "
+    rows = [f'{{\n      "class_number": {h}{head}{sep.join(combo)}{tail}'
+            for combo, h in zip(product(*entries), report.class_numbers)]
+    return _Encoded("[\n    " + ",\n    ".join(rows) + "\n  ]")
+
+
 def _cmd_genera(order: OrderSpec, args) -> dict:
     report = total_class_number_genera(order, budget=args.budget)
-    return {
-        "count": len(report.per_genus),
-        "per_genus": [
-            {"genus": dict(genus), "class_number": h}
-            for genus, h in report.per_genus],
-        "total": report.total,
-    }
+    if args.output == "json":
+        per_genus = _per_genus_json(report)
+    else:
+        per_genus = [{"genus": dict(genus), "class_number": h}
+                     for genus, h in report.per_genus]
+    return {"count": len(report.class_numbers), "per_genus": per_genus,
+            "total": report.total}
 
 
 def _cmd_embed(order: OrderSpec, args) -> dict:

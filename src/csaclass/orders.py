@@ -8,8 +8,10 @@ cyclic rotation.  Places without an entry are maximal, f_v = (m_v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
+from itertools import combinations_with_replacement, product
 from math import comb
+from operator import sub
 
 from .algebra import AlgebraSpec
 from .errors import (EmptyGenusError, IntegralityViolationError,
@@ -106,22 +108,25 @@ def maximal_order(algebra: AlgebraSpec) -> OrderSpec:
 
 def genus_reduce(g_vec) -> tuple[int, ...]:
     """Strip zero entries from a genus vector; the result is an invariant."""
-    reduced = tuple(e for e in g_vec if e != 0)
-    if any(e < 0 for e in g_vec):
+    g = tuple(g_vec)
+    if g and min(g) < 0:
         raise ValidationError("genus entries must be non-negative")
+    reduced = tuple(filter(None, g))
     if not reduced:
         raise EmptyGenusError("genus vector has no non-zero entry")
     return reduced
 
 
 def _compositions(total: int, parts: int):
-    """All vectors of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All vectors of `parts` non-negative integers summing to `total`, in
+    ascending lexicographic order.
+
+    Stars and bars: each non-decreasing choice of `parts - 1` cut points in
+    0..total splits the total into consecutive differences.
+    """
+    ends = (total,)
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + ends, (0,) + cuts))
 
 
 def count_genera(order: OrderSpec) -> int:
@@ -132,20 +137,36 @@ def count_genera(order: OrderSpec) -> int:
     return total
 
 
-def genera_with_reductions(order: OrderSpec):
-    """Each genus and its reduction, as two tuples of (label, vector) pairs
-    over the non-maximal places, labels sorted.
+@dataclass(frozen=True)
+class GenusAxis:
+    """The genus vectors of one non-maximal place and their reductions.
 
-    A reduced vector is the normalised `genus_reduce` of a genus vector.
-    Each place's axis of such pairs is built once; a genus picks one pair
-    from every axis.
+    `reduced` holds the distinct normalised `genus_reduce` results in order
+    of first appearance, and `picks[i]` indexes the reduction of
+    `vectors[i]` in it.
     """
-    axes = [[((label, g), (label, normalize_invariant(genus_reduce(g))))
-             for g in _compositions(sum(f), len(f))]
-            for label, f in order.invariants]
-    for combo in product(*axes):
-        # A maximal order has one genus, with no picks to transpose.
-        yield tuple(zip(*combo)) if combo else ((), ())
+
+    label: str
+    vectors: tuple[tuple[int, ...], ...]
+    reduced: tuple[tuple[int, ...], ...]
+    picks: tuple[int, ...]
+
+
+def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
+    """One axis per non-maximal place, labels sorted; a genus picks one
+    vector from every axis, so the genera are the product of the axes.
+    """
+    axes = []
+    for label, f in order.invariants:
+        vectors = tuple(_compositions(sum(f), len(f)))
+        # Many vectors share their non-zero entries, so each distinct
+        # `genus_reduce` result is normalised once.
+        normal = cache(normalize_invariant)
+        index: dict[tuple[int, ...], int] = {}
+        picks = tuple(index.setdefault(normal(genus_reduce(g)), len(index))
+                      for g in vectors)
+        axes.append(GenusAxis(label, vectors, tuple(index), picks))
+    return tuple(axes)
 
 
 def enumerate_genera(order: OrderSpec):
@@ -154,5 +175,6 @@ def enumerate_genera(order: OrderSpec):
     Places with a single invariant block admit only the forced genus and are
     omitted from the dictionaries.
     """
-    for genus, _ in genera_with_reductions(order):
-        yield dict(genus)
+    axes = genus_axes(order)
+    for combo in product(*(axis.vectors for axis in axes)):
+        yield {axis.label: g for axis, g in zip(axes, combo)}

@@ -216,7 +216,8 @@ def test_genera_budget():
                        (Place("v0", 1, 2, 1),), Place("infinity", 1, 2, -1))
     spec = spec.with_listed_place("w", 1)
     order = OrderSpec(spec, (("w", (1, 1)),))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError,
+                       match="^genera: genus count 3 exceeds budget of 2$"):
         total_class_number_genera(order, budget=2)
 
 

@@ -13,17 +13,19 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from csaclass import class_number_report, classnum, cli
+from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
+                      class_number_report, classnum, cli)
+from csaclass.classnum import GeneraReport
 from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
                           parse_config)
 from csaclass.errors import IntegralityViolationError
-from csaclass.orders import normalize_invariant
+from csaclass.orders import genus_axes, normalize_invariant
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIG_PATH = ROOT / "configs" / "dvg-example.json"
@@ -351,6 +353,10 @@ def _iwahori_at_u(doc):
      "algebra: place 'T': local index 3 does not divide degree 4"),
     (_iwahori_at_u, ("--budget", "0", "embed", "--s", "3"),
      "s = 3 does not divide s0 = 4"),
+    (None, ("transfer", "--s", "1", "--s2", "0"),
+     "need s | s2 | s0, got s=1, s2=0, s0=4"),
+    (None, ("transfer", "--s", "1", "--s2", "-2"),
+     "need s | s2 | s0, got s=1, s2=-2, s0=4"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, mangle, argv, needle):
     doc = json.loads(GOLDEN_CONFIG)
@@ -448,9 +454,10 @@ _base = _json | st.fixed_dictionaries(
 
 
 @st.composite
-def _configs(draw):
+def _configs(draw, mangle=True):
     """A near-valid config (T and infinity ramified with +-k/n, order data at
-    a split place U) with random JSON swapped in at a few keys."""
+    a split place U); with `mangle`, in half the draws with random JSON
+    swapped in at a few keys."""
     n = draw(st.integers(1, 6))
     k = draw(st.sampled_from([k for k in range(-n, n + 1)
                               if gcd(k, n) == 1 or n == 1]))
@@ -469,6 +476,8 @@ def _configs(draw):
         "order": {"invariants": {
             "U": [b - a for a, b in zip([0, *cuts], [*cuts, n])]}},
     }
+    if not mangle or draw(st.booleans()):
+        return doc
 
     for place in ramification:
         for key in ("place", "degree", "invariant"):
@@ -488,26 +497,73 @@ def _configs(draw):
     return doc
 
 
-_argv = st.sampled_from((
-    ("classnum",), ("mass",), ("embed", "--s", "2"), ("genera",),
-    ("transfer", "--s", "1", "--s2", "2"), ("selfcheck",),
-    ("theta", "--place", "T", "--s", "1"), ("omega", "--place", "U", "--s", "2"),
-))
+def _divisors(n) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(doc=_configs(), argv=_argv, output=st.sampled_from(("json", "text")))
-def test_random_config_never_escapes(doc, argv, output):
+_SUBCOMMANDS = ("classnum", "mass", "embed", "genera", "transfer",
+                "selfcheck", "theta", "omega")
+
+
+@st.composite
+def _runs(draw, commands=_SUBCOMMANDS, mangle=True):
+    """A `_configs` document and a subcommand line for it.  Integer
+    arguments are negative, 0, 1, divisors or non-divisors of the degree
+    (which s0 divides) or large; place labels come from the config or not."""
+    doc = draw(_configs(mangle))
+    n = doc.get("degree")
+    n = n if type(n) is int and n > 0 else 4
+    whole = st.sampled_from((-1, 0, 1)) | st.sampled_from(
+        (-3, *_divisors(n), *(k for k in (2, 3, 4, 5, 7, 12) if n % k),
+         10 ** 6, 2 ** 64))
+    label = st.sampled_from((*_LABELS, "X", "t", "T#1", ""))
+    command = draw(st.sampled_from(commands))
+    argv = ["--budget", str(draw(whole | st.just(2000))), command]
+    if command in ("theta", "omega"):
+        argv += ["--place", draw(label)]
+    if command in ("embed", "transfer", "theta", "omega"):
+        argv += ["--s", str(draw(whole))]
+    if command == "transfer":
+        argv += ["--s2", str(draw(whole))]
+    if command == "omega" and draw(st.booleans()):
+        argv.append("--list")
+    return doc, argv
+
+
+def _main_never_escapes(doc, argv, output):
+    """Run `main`; exits 0 and 1 write nothing to stderr, and exits 2, 3
+    and 4 write nothing to stdout and only `error:` lines to stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = main(["--config", path, "--output", output,
-                         "--budget", "2000", *argv])
-    assert code in (0, 1, 2, 3, 4)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--config", path, "--output", output, *argv])
+    lines = err.getvalue().splitlines()
+    if code in (0, 1):
+        assert lines == []
+    else:
+        assert code in (2, 3, 4)
+        assert out.getvalue() == ""
+        assert lines and all(line.startswith("error: ") for line in lines)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=_runs(), output=st.sampled_from(("json", "text")))
+def test_random_config_never_escapes(run, output):
+    _main_never_escapes(*run, output)
+
+
+# Each subcommand on its own and on valid configs, so that every argument
+# check sees many draws.
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), output=st.sampled_from(("json", "text")))
+def test_random_arguments_never_escape(command, data, output):
+    _main_never_escapes(*data.draw(_runs((command,), mangle=False)), output)
 
 
 def _reference_fmt(value):
@@ -579,6 +635,37 @@ def test_output_matches_golden_file(config, command, extra, output, capsys):
         encoding="utf-8")
     assert (code, err) == (0, "")
     assert out == want
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+@pytest.mark.parametrize("config", ["dvg-example", "iwahori-two-places"])
+def test_genera_timings_add_one_key_to_the_golden_report(config, output,
+                                                         capsys):
+    code = main(["--config", str(ROOT / "configs" / f"{config}.json"),
+                 "--output", output, "--timings", "genera"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    suffix = "json" if output == "json" else "txt"
+    golden = (GOLDEN_DIR / f"{config}.genera.{suffix}").read_text(
+        encoding="utf-8")
+    if output == "json":
+        ms = json.loads(out)["timings_ms"]["genera"]
+        want = json.dumps({**json.loads(golden),
+                           "timings_ms": {"genera": ms}},
+                          sort_keys=True, indent=2) + "\n"
+    else:
+        (line,) = [line for line in out.splitlines(keepends=True)
+                   if line.startswith("timings_ms: ")]
+        want = "".join(sorted([*golden.splitlines(keepends=True), line]))
+    assert out == want
+
+
+def test_genera_budget_names_the_genus_count(capsys):
+    code = main(["--config", str(ROOT / "configs" / "iwahori-two-places.json"),
+                 "--budget", "99", "genera"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == "error: genera: genus count 100 exceeds budget of 99\n"
 
 
 def test_reused_parser_holds_no_state(capsys, monkeypatch):
@@ -742,7 +829,7 @@ _reports = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(value=_reports)
 def test_dumps_indented_matches_json_dumps(value):
-    # the same all-int tuples twice, at two depths, exercise the memo
+    # the same value twice, at two depths
     for v in (value, [value, (1, 2), {"x": value, "y": (1, 2)}]):
         assert _dumps_indented(v) == json.dumps(
             v, sort_keys=True, indent=2, default=_fraction)
@@ -760,3 +847,49 @@ def test_dumps_indented_keeps_bools_apart_from_ints():
     value = [(1, 0), (True, False), (1, 0)]
     assert _dumps_indented(value) == json.dumps(value, indent=2)
     assert "true" in _dumps_indented(value)
+
+
+def test_dumps_indented_copies_encoded_text():
+    value = {"a": cli._Encoded("[\n    1\n  ]"), "b": "[1]"}
+    assert _dumps_indented(value) == json.dumps({"a": [1], "b": "[1]"},
+                                                indent=2)
+
+
+_place_labels = st.text(
+    st.sampled_from('"\\/ab+#\x7f\u00e9\u20ac\U0001f600') | st.characters(),
+    min_size=1, max_size=4).filter(lambda label: label != "infinity")
+
+
+@st.composite
+def _genera_reports(draw):
+    """Genus axes of an order with 0-3 non-maximal places, and random class
+    numbers, one per genus."""
+    n = draw(st.integers(2, 4))
+    labels = draw(st.lists(_place_labels, max_size=3, unique=True))
+    spec = AlgebraSpec(BaseField.rational(2), n,
+                       tuple(Place(label, 1) for label in labels))
+    invariants = []
+    for label in labels:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1,
+                                   max_size=2)))
+        invariants.append(
+            (label, tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))))
+    axes = genus_axes(OrderSpec(spec, tuple(invariants)))
+    rng = draw(st.randoms(use_true_random=False))
+    class_numbers = tuple(rng.choice((0, 1, 82, 10 ** 30)) for _ in range(
+        prod(len(axis.vectors) for axis in axes)))
+    return GeneraReport(axes, class_numbers, sum(class_numbers))
+
+
+@settings(max_examples=100, deadline=None)
+@given(report=_genera_reports())
+def test_per_genus_json_matches_the_dict_form(report):
+    rows = [{"genus": dict(genus), "class_number": h}
+            for genus, h in report.per_genus]
+    assert len(rows) == len(report.class_numbers)
+    for head in ({}, {"count": len(rows), "total": report.total}):
+        # a bool, so that a failing draw is not diffed on every shrink step
+        same = (_dumps_indented({**head,
+                                 "per_genus": cli._per_genus_json(report)})
+                == _dumps_indented({**head, "per_genus": rows}))
+        assert same

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       enumerate_genera, genus_reduce, local_unit_index,
-                      normalize_invariant)
+                      maximal_order, normalize_invariant)
 from csaclass.errors import (EmptyGenusError, IntegralityViolationError,
                              ValidationError)
-from csaclass.orders import count_genera
+from csaclass.orders import _compositions, count_genera, genus_axes
 
 
 @pytest.mark.parametrize("vec,expected", [
@@ -132,6 +132,32 @@ def test_enumerate_genera_product_of_places():
     genera = list(enumerate_genera(order))
     assert len(genera) == 9
     assert count_genera(order) == comb(3, 1) ** 2
+
+
+def _compositions_by_recursion(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions_by_recursion(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_the_recursive_definition():
+    for total in range(9):
+        for parts in range(1, 6):
+            assert (list(_compositions(total, parts))
+                    == list(_compositions_by_recursion(total, parts)))
+
+
+def test_genus_axes_number_reductions_by_first_appearance():
+    (axis,) = genus_axes(_iwahori_order(3))
+    assert axis.label == "w"
+    assert axis.vectors == tuple(_compositions(3, 3))
+    assert axis.reduced == ((3,), (1, 2), (1, 1, 1))
+    assert [axis.reduced[i] for i in axis.picks] == [
+        normalize_invariant(genus_reduce(g)) for g in axis.vectors]
+    assert genus_axes(maximal_order(_iwahori_order(3).algebra)) == ()
 
 
 def test_order_spec_validation(golden_spec):
