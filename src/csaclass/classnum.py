@@ -10,7 +10,6 @@ one level solver, which computes each M_s and each theta factor once.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -23,10 +22,9 @@ from .errors import (DEFAULT_BUDGET, BudgetExceededError,
                      IntegralityViolationError, InvalidDivisorError,
                      NotPrimeDegreeError)
 from .massform import mass_hereditary, mass_maximal
-from .omega import enumerate_omega, flatten_strip
-from .orders import (GenusAxis, OrderSpec, count_genera, genus_axes,
-                     normalize_invariant)
-from .theta import omega_size, theta
+from .omega import strip_counts
+from .orders import GenusAxis, OrderSpec, count_genera, genus_axes
+from .theta import theta
 
 
 @dataclass(frozen=True)
@@ -140,14 +138,13 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     """Verify s * h_{s2} against the sum over the global index set.
 
     Each summand is the weight-(s2/s) class number of the derived order cut
-    out by one element of the product of local index sets.  The budget
-    bounds the full global index set, the product of the local set sizes,
-    which `omega_size` counts before any set is enumerated; it also bounds
-    each theta factor's row placements.  A derived order reads an element
-    only through its normalised strips, so each local set is counted by
-    (label, strips) and the sum runs over distinct derived orders, each
-    weighted by the product of its counts.  All derived orders share one
-    algebra and so one level solver.
+    out by one element of the product of local index sets.  A derived order
+    reads an element only through its normalised strips, so each local set
+    is counted by `strip_counts` without being walked, and the sum runs over
+    distinct derived orders, each weighted by the product of its counts.
+    All derived orders share one algebra and so one level solver.  The
+    budget bounds each place's strip state transitions, the number of
+    derived orders, and each theta factor's row placements.
     """
     spec = order.algebra
     s0 = constant_field_degree(spec)
@@ -155,29 +152,22 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
         raise InvalidDivisorError(f"need s | s2 | s0, got s={s}, s2={s2}, s0={s0}")
     lhs = s * weight_class_numbers(order, budget=budget)[s2]
 
-    # The solve above ran theta at each (place, s) over the same rows, so
-    # the sizing cannot trip the row placement budget first.
-    labels = order.relevant_labels()
-    size = 1
-    for label in labels:
-        size *= omega_size(spec.place(label), order.invariant_at(label), s,
-                           budget=budget)
-        if size > budget:
-            raise BudgetExceededError(
-                f"global index set exceeds budget of {budget} summands")
-        if not size:
+    groups = []
+    for label in order.relevant_labels():
+        counts = strip_counts(spec.place(label), order.invariant_at(label), s,
+                              budget=budget)
+        if not counts:
             return TransferReport(s, s2, lhs, 0)
-
-    streams = [Counter(
-        (label, tuple(normalize_invariant(flatten_strip(slice_vec))
-                      for slice_vec in elem))
-        for elem in enumerate_omega(spec.place(label),
-                                    order.invariant_at(label), s)).items()
-        for label in labels]
+        groups.append([((label, strips), count)
+                       for strips, count in counts.items()])
+    derived = prod(map(len, groups))
+    if derived > budget:
+        raise BudgetExceededError(
+            f"transfer: derived orders {derived} exceed budget of {budget}")
 
     rhs = 0
     solve = None
-    for combo in product(*streams):
+    for combo in product(*groups):
         sub = derived_order(order, s, [key for key, _ in combo])
         if solve is None:
             solve = _level_solver(sub.algebra, budget)

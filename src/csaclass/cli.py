@@ -261,7 +261,8 @@ def _cmd_omega(order: OrderSpec, args) -> dict:
     count = omega_size(v, f_vec, args.s, budget=args.budget)
     if count > args.budget:
         raise BudgetExceededError(
-            f"omega: local index set exceeds budget of {args.budget} elements")
+            f"omega: local index set of {count} elements exceeds budget of "
+            f"{args.budget}")
     out: dict = {"place": args.place, "s": args.s}
     if args.list:
         out["elements"] = [[list(slice_vec) for slice_vec in elem]

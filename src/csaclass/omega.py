@@ -3,16 +3,18 @@
 For a place v, an invariant vector f_v and a level s, the index set
 collects tuples (f_{w,(i,j)}) of non-negative integers, one r x t matrix per
 place w of L_s above v, whose scaled row sums recover the capacity above w
-and whose column sums recover f_v.  These tuples drive both the local theta
-factors and the transfer recursion.
+and whose column sums recover f_v.  The walk is the reference for the local
+theta factors; the transfer check counts the set by its strips instead.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import Place, splitting_data
-from .errors import ValidationError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
+from .orders import normalize_invariant
 
 
 @dataclass(frozen=True)
@@ -125,3 +127,65 @@ def flatten_strip(slice_vec) -> tuple[int, ...]:
     if not stripped:
         raise ValidationError("slice is all zero")
     return stripped
+
+
+def strip_counts(place: Place, f_vec, s: int, *,
+                 budget: int = DEFAULT_BUDGET) -> Counter:
+    """Count the local index set by the normalised strips of its elements.
+
+    The strip of a long vector is `flatten_strip` of it, normalised.  A key
+    is the sorted tuple of the strips of one element, one per place w above
+    v, and its count is the number of elements with those strips.  The
+    places w share their degree and local index, so the class number of the
+    derived order an element cuts out depends only on this key.
+
+    The set is not walked: the r*t slots are filled in the column-major
+    order of `enumerate_omega`, each for every place w at once.  A state is
+    the sorted (strip prefix, room left) pairs of the places w and the
+    budget left in each column; equal states merge and their counts add.
+    The rooms and the budgets left have the same sum, and a column's last
+    slot places its whole budget, so every state completes to elements.
+    Raises BudgetExceededError once the state transitions exceed `budget`.
+    """
+    ctx = LocalContext.create(place, f_vec, s)
+    targets = ctx.scaled_targets()
+    if targets is None:
+        return Counter()
+    r = len(ctx.f_vec)
+    states = {((((), ctx.m_s),) * ctx.l, targets): 1}
+    splits: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+    transitions = 0
+    for pos in range(r * ctx.t):
+        i = pos % r
+        last = pos // r == ctx.t - 1
+        merged: dict[tuple, int] = {}
+        for (pairs, budgets), count in states.items():
+            b = budgets[i]
+            key = (tuple(room for _, room in pairs), b, last)
+            if key not in splits:
+                # Entries for this slot of every place w: each within its
+                # room, together within the column's budget, or all of it.
+                ways = [()]
+                for room in key[0]:
+                    ways = [way + (e,) for way in ways
+                            for e in range(min(room, b - sum(way)) + 1)]
+                splits[key] = tuple(way for way in ways
+                                    if not last or sum(way) == b)
+            transitions += len(splits[key])
+            if transitions > budget:
+                # Strips are counted for the transfer check alone.
+                raise BudgetExceededError(
+                    f"transfer: place {place.label!r}, s = {s}: "
+                    f"strip states exceed budget of {budget}")
+            for way in splits[key]:
+                nxt = (tuple(sorted(
+                           (strip + (e,), room - e) if e else (strip, room)
+                           for (strip, room), e in zip(pairs, way))),
+                       budgets[:i] + (b - sum(way),) + budgets[i + 1:])
+                merged[nxt] = merged.get(nxt, 0) + count
+        states = merged
+    counts: Counter = Counter()
+    for (pairs, _), count in states.items():
+        counts[tuple(sorted(normalize_invariant(strip)
+                            for strip, _ in pairs))] += count
+    return counts

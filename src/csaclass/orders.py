@@ -8,7 +8,6 @@ cyclic rotation.  Places without an entry are maximal, f_v = (m_v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations_with_replacement, product
 from math import comb
 from operator import sub
@@ -159,13 +158,18 @@ def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
     axes = []
     for label, f in order.invariants:
         vectors = tuple(_compositions(sum(f), len(f)))
-        # Many vectors share their non-zero entries, so each distinct
-        # `genus_reduce` result is normalised once.
-        normal = cache(normalize_invariant)
+        # Many vectors share their non-zero entries, so each distinct tuple
+        # of them is reduced and normalised once.
         index: dict[tuple[int, ...], int] = {}
-        picks = tuple(index.setdefault(normal(genus_reduce(g)), len(index))
-                      for g in vectors)
-        axes.append(GenusAxis(label, vectors, tuple(index), picks))
+        pick_of: dict[tuple[int, ...], int] = {}
+        picks = []
+        for g in vectors:
+            strip = tuple(filter(None, g))
+            if strip not in pick_of:
+                pick_of[strip] = index.setdefault(
+                    normalize_invariant(genus_reduce(g)), len(index))
+            picks.append(pick_of[strip])
+        axes.append(GenusAxis(label, vectors, tuple(index), tuple(picks)))
     return tuple(axes)
 
 

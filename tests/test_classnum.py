@@ -13,7 +13,7 @@ import pytest
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       class_number_report, constant_field_degree,
                       embedding_count, mass_hereditary, maximal_order,
-                      omega_size, prime_degree_class_number,
+                      prime_degree_class_number,
                       total_class_number_genera, theta, theta_enum,
                       transfer_check, weight_class_numbers)
 from csaclass.classnum import derived_order
@@ -242,31 +242,36 @@ def _one_split_place(q: int, n: int, deg: int, f_vec) -> OrderSpec:
     return OrderSpec(spec, (("U", tuple(f_vec)),))
 
 
-def test_transfer_budget_stops_enumeration_early():
-    # |Omega| at U is 7,484,400 at s = 6; the budget must trip long before.
-    order = _one_split_place(2, 12, 6, (1,) * 12)
-    started = time.monotonic()
-    with pytest.raises(BudgetExceededError):
-        transfer_check(order, 6, 6, budget=10)
-    assert time.monotonic() - started < 1.0
-
-
-@pytest.mark.parametrize("f_vec,s,size", [
-    ((1,) * 24, 2, 2_704_156),       # C(24, 12)
-    ((2,) * 12, 4, None),
-], ids=["n24-deg4-iwahori", "n24-deg4-2x12"])
-def test_transfer_budget_trips_before_enumerating(f_vec, s, size):
-    # Both local index sets are past the default budget; the sizing counts
-    # them by the row recursion, so the budget trips without walking them.
-    order = _one_split_place(2, 24, 4, f_vec)
-    if size is not None:
-        assert omega_size(order.algebra.place("U"), f_vec, s) == size
+@pytest.mark.parametrize("n,deg,f_vec,s,budget", [
+    (24, 4, (2,) * 12, 4, 10 ** 4),
+    (24, 4, (1,) * 24, 2, 100),
+    (12, 6, (1,) * 12, 6, 100),
+], ids=["n24-deg4-2x12", "n24-deg4-iwahori", "n12-deg6-iwahori"])
+def test_transfer_strip_budget_trips_early(n, deg, f_vec, s, budget):
+    # Each set at U has millions of elements or more; its strips are counted
+    # slot by slot, and the state transitions trip the budget at once.
+    order = _one_split_place(2, n, deg, f_vec)
     started = time.monotonic()
     with pytest.raises(BudgetExceededError) as exc:
-        transfer_check(order, s, s)
+        transfer_check(order, s, s, budget=budget)
     assert time.monotonic() - started < 1.0
-    assert str(exc.value) == ("global index set exceeds budget of 1000000 "
-                              "summands")
+    assert str(exc.value) == (f"transfer: place 'U', s = {s}: "
+                              f"strip states exceed budget of {budget}")
+
+
+def test_transfer_derived_order_budget():
+    # Four places with four strip groups each at s = 2: 256 derived orders,
+    # while no place takes more than 100 strip state transitions.
+    spec = AlgebraSpec(BaseField.rational(3), 8, (Place("T", 1, 8, 1),),
+                       Place("infinity", 1, 8, -1))
+    labels = ("U", "V", "W", "X")
+    for label in labels:
+        spec = spec.with_listed_place(label, 2)
+    order = OrderSpec(spec, tuple((label, (1, 1, 2, 2, 2)) for label in labels))
+    with pytest.raises(BudgetExceededError) as exc:
+        transfer_check(order, 2, 2, budget=100)
+    assert str(exc.value) == ("transfer: derived orders 256 exceed budget "
+                              "of 100")
 
 
 @pytest.mark.parametrize("s2", [2, 4, 6, 12])
@@ -303,6 +308,21 @@ def test_reach_orders_resum_to_the_mass(n, deg, f_vec):
     # the mass, so each of these orders checks every theta factor it uses.
     report = class_number_report(_one_split_place(2, n, deg, f_vec))
     assert report.h_total == sum(level.h for level in report.levels) > 0
+
+
+@pytest.mark.parametrize("n,deg,f_vec,s,s2", [
+    *(pytest.param(24, 4, (1,) * 24, 2, s2, id=f"n24-deg4-iwahori-{s2}")
+      for s2 in (2, 4, 8, 24)),
+    *(pytest.param(24, 3, (1,) * 24, 3, s2, id=f"n24-deg3-iwahori-{s2}")
+      for s2 in (3, 6, 24)),
+    pytest.param(24, 4, (2,) * 12, 4, 4, id="n24-deg4-2x12-4"),
+])
+def test_transfer_on_reach_orders(n, deg, f_vec, s, s2):
+    # |Omega| at U is C(24, 12) = 2,704,156 for the degree-4 Iwahori order
+    # at s = 2 and 9,465,511,770 for the degree-3 one at s = 3; the 2x12
+    # order at s = 4 has 58 strip groups.  All run at the default budget.
+    report = transfer_check(_one_split_place(2, n, deg, f_vec), s, s2)
+    assert report.equal, (report.lhs, report.rhs)
 
 
 def test_budget_reaches_theta_through_every_solve():

@@ -704,7 +704,8 @@ def test_omega_budget_exits_4(golden_config_path, capsys):
     out, err = capsys.readouterr()
     assert code == 4
     assert out == ""
-    assert err == "error: omega: local index set exceeds budget of 1 elements\n"
+    assert err == ("error: omega: local index set of 4 elements exceeds "
+                   "budget of 1\n")
 
 
 @pytest.mark.parametrize("argv,zero_budget_code", [
@@ -783,8 +784,8 @@ def test_omega_sizes_the_set_before_walking_it(tmp_path, capsys):
     elapsed = time.monotonic() - started
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
-    assert err == ("error: omega: local index set exceeds budget of "
-                   "1000000 elements\n")
+    assert err == ("error: omega: local index set of 2704156 elements "
+                   "exceeds budget of 1000000\n")
     assert elapsed < 1.0
 
 

@@ -1,8 +1,8 @@
 """Every name a library module imports is used in that module, every
 private top-level function is used somewhere in the library, no library
 module uses `assert`, only the modules that hold rational values import
-`fractions`, and the package exports exactly what its `__init__.py`
-imports."""
+`fractions`, `classnum` does not walk local index sets, and the package
+exports exactly what its `__init__.py` imports."""
 
 from __future__ import annotations
 
@@ -117,6 +117,26 @@ def test_fractions_imports_are_found():
 def test_fractions_only_where_values_are_rational(path):
     if path.stem not in FRACTION_MODULES:
         assert not imports_fractions(path.read_text(encoding="utf-8"))
+
+
+def imported_names(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+# Transfer counts local index sets by their strips; the walk is an oracle.
+WALKS = {"enumerate_omega", "flatten_strip"}
+
+
+def test_walk_imports_are_found():
+    planted = "from .omega import enumerate_omega, strip_counts\n"
+    assert imported_names(planted) & WALKS == {"enumerate_omega"}
+    assert not imported_names("from .omega import strip_counts\n") & WALKS
+
+
+def test_classnum_does_not_walk_index_sets():
+    source = (SRC / "classnum.py").read_text(encoding="utf-8")
+    assert imported_names(source) & WALKS == set()
 
 
 def test_exports_are_the_imported_names():

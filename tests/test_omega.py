@@ -1,15 +1,18 @@
-"""Local index sets: emptiness, enumeration against brute force, stripping."""
+"""Local index sets: emptiness, enumeration against brute force, stripping,
+strip counts against the walk."""
 
 from __future__ import annotations
 
 import random
+import time
+from collections import Counter
 from itertools import product
 from math import factorial, gcd
 
 import pytest
 
 from csaclass import (Place, enumerate_omega, flatten_strip,
-                      normalize_invariant, omega_size)
+                      normalize_invariant, omega_size, strip_counts)
 from csaclass.errors import BudgetExceededError, ValidationError
 from csaclass.omega import LocalContext
 
@@ -209,3 +212,59 @@ def test_flatten_strip_rejects_all_zero_slice():
     elem = ((1, 1), (0, 0))
     with pytest.raises(ValidationError):
         flatten_strip(elem[1])
+
+
+def walked_strip_counts(place: Place, f_vec, s: int) -> Counter:
+    """Walk the set and count each element by its sorted normalised strips."""
+    return Counter(
+        tuple(sorted(normalize_invariant(flatten_strip(sl)) for sl in elem))
+        for elem in enumerate_omega(place, f_vec, s))
+
+
+def test_strip_counts_match_the_walk_random():
+    rng = random.Random(1356)
+    keys = Counter()
+    while keys["checked"] < 1000:
+        deg, d = rng.choice((1, 2, 3, 4, 6)), rng.choice((1, 2, 3))
+        m_v = rng.randint(1, 10 // d)
+        parts = rng.randint(1, m_v)
+        cuts = sorted(rng.sample(range(1, m_v), parts - 1))
+        f = tuple(b - a for a, b in zip((0, *cuts), (*cuts, m_v)))
+        s = rng.randint(1, 6)
+        place = Place("v", deg, d)
+        try:
+            ctx = LocalContext.create(place, f, s)
+        except ValidationError:
+            continue
+        size = omega_size(place, f, s)
+        if size > 5000:
+            continue
+        counts = strip_counts(place, f, s)
+        assert counts == walked_strip_counts(place, f, s), (deg, d, f, s)
+        assert sum(counts.values()) == size, (deg, d, f, s)
+        keys.update(checked=1, l=ctx.l > 1, t=ctx.t > 1, lt=ctx.l > 1 < ctx.t,
+                    multi=len(counts) > 1)
+    assert min(keys["l"], keys["t"], keys["multi"]) > 100
+    assert keys["lt"] > 20
+
+
+def test_strip_counts_reach_sets_past_any_walk():
+    # The n = 24 Iwahori order at a degree-3 place: 9,465,511,770 elements
+    # at s = 3, every strip (1,) * 8.
+    started = time.monotonic()
+    counts = strip_counts(Place("U", 3, 1), (1,) * 24, 3)
+    assert counts == {((1,) * 8,) * 3: 9_465_511_770}
+    assert time.monotonic() - started < 1.0
+
+
+def test_strip_counts_empty_set():
+    # At s = 4 the columns scale by 2, which does not divide 1 or 3.
+    assert not nonempty(Place("v", 2, 1), (1, 3), 4)
+    assert strip_counts(Place("v", 2, 1), (1, 3), 4) == Counter()
+
+
+def test_strip_counts_budget_names_the_layer():
+    with pytest.raises(BudgetExceededError) as exc:
+        strip_counts(Place("U", 4, 1), (2,) * 12, 4, budget=1000)
+    assert str(exc.value) == ("transfer: place 'U', s = 4: "
+                              "strip states exceed budget of 1000")
