@@ -155,7 +155,7 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     groups = []
     for label in order.relevant_labels():
         counts = strip_counts(spec.place(label), order.invariant_at(label), s,
-                              budget=budget)
+                              budget=budget, layer="transfer")
         if not counts:
             return TransferReport(s, s2, lhs, 0)
         groups.append([((label, strips), count)

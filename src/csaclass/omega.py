@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import eq
 
 from .algebra import Place, splitting_data
 from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
@@ -130,7 +131,7 @@ def flatten_strip(slice_vec) -> tuple[int, ...]:
 
 
 def strip_counts(place: Place, f_vec, s: int, *,
-                 budget: int = DEFAULT_BUDGET) -> Counter:
+                 budget: int = DEFAULT_BUDGET, layer: str = "omega") -> Counter:
     """Count the local index set by the normalised strips of its elements.
 
     The strip of a long vector is `flatten_strip` of it, normalised.  A key
@@ -143,49 +144,96 @@ def strip_counts(place: Place, f_vec, s: int, *,
     order of `enumerate_omega`, each for every place w at once.  A state is
     the sorted (strip prefix, room left) pairs of the places w and the
     budget left in each column; equal states merge and their counts add.
-    The rooms and the budgets left have the same sum, and a column's last
-    slot places its whole budget, so every state completes to elements.
-    Raises BudgetExceededError once the state transitions exceed `budget`.
+    Places with equal pairs are interchangeable, so a slot gives them
+    non-decreasing entries and counts each choice once per ordering.  The
+    rooms and the budgets left have the same sum, and a column's last slot
+    places its whole budget, so every state completes to elements.  Raises
+    BudgetExceededError, naming `layer`, once the entries placed, one place
+    w at a time, exceed `budget`.
     """
     ctx = LocalContext.create(place, f_vec, s)
     targets = ctx.scaled_targets()
     if targets is None:
         return Counter()
     r = len(ctx.f_vec)
+    placed = 0
+
+    def spend(n: int) -> None:
+        nonlocal placed
+        placed += n
+        if placed > budget:
+            raise BudgetExceededError(
+                f"{layer}: place {place.label!r}, s = {s}: "
+                f"strip states exceed budget of {budget}")
+
     states = {((((), ctx.m_s),) * ctx.l, targets): 1}
-    splits: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-    transitions = 0
+    splits: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}
     for pos in range(r * ctx.t):
         i = pos % r
         last = pos // r == ctx.t - 1
         merged: dict[tuple, int] = {}
         for (pairs, budgets), count in states.items():
             b = budgets[i]
-            key = (tuple(room for _, room in pairs), b, last)
+            # Places with equal pairs are adjacent, since pairs are sorted.
+            runs = (False, *map(eq, pairs[1:], pairs))
+            key = (tuple(room for _, room in pairs), runs, b, last)
             if key not in splits:
-                # Entries for this slot of every place w: each within its
-                # room, together within the column's budget, or all of it.
-                ways = [()]
-                for room in key[0]:
-                    ways = [way + (e,) for way in ways
-                            for e in range(min(room, b - sum(way)) + 1)]
-                splits[key] = tuple(way for way in ways
-                                    if not last or sum(way) == b)
-            transitions += len(splits[key])
-            if transitions > budget:
-                # Strips are counted for the transfer check alone.
-                raise BudgetExceededError(
-                    f"transfer: place {place.label!r}, s = {s}: "
-                    f"strip states exceed budget of {budget}")
-            for way in splits[key]:
+                splits[key] = _slot_entries(key, spend)
+            spend(len(splits[key]))
+            for entries, orderings in splits[key]:
                 nxt = (tuple(sorted(
                            (strip + (e,), room - e) if e else (strip, room)
-                           for (strip, room), e in zip(pairs, way))),
-                       budgets[:i] + (b - sum(way),) + budgets[i + 1:])
-                merged[nxt] = merged.get(nxt, 0) + count
+                           for (strip, room), e in zip(pairs, entries))),
+                       budgets[:i] + (b - sum(entries),) + budgets[i + 1:])
+                merged[nxt] = merged.get(nxt, 0) + count * orderings
         states = merged
     counts: Counter = Counter()
     for (pairs, _), count in states.items():
         counts[tuple(sorted(normalize_invariant(strip)
                             for strip, _ in pairs))] += count
     return counts
+
+
+def _slot_entries(key, spend) -> list[tuple[tuple[int, ...], int]]:
+    """Entries of one slot for every place w, with their number of orderings.
+
+    `key` is (rooms, runs, b, last): each place's room, whether its pair
+    equals the previous place's, the column's budget left, and whether the
+    slot must place all of it.  Within a run of equal places the entries
+    are non-decreasing; each choice comes with the number of its distinct
+    orderings.  The entries tried at each place are passed to `spend`
+    before they are placed, and each bound below is exact, so every entry
+    tried completes to a choice.
+    """
+    rooms, runs, b, last = key
+    l = len(rooms)
+    # Position of each place in its run, the places after it in the run,
+    # and the rooms of the places after that run.
+    j = [1] * l
+    rest = [0] * l
+    later = [0] * l
+    for k in range(1, l):
+        if runs[k]:
+            j[k] = j[k - 1] + 1
+    for k in range(l - 2, -1, -1):
+        if runs[k + 1]:
+            rest[k], later[k] = rest[k + 1] + 1, later[k + 1]
+        else:
+            later[k] = later[k + 1] + rooms[k + 1] * (rest[k + 1] + 1)
+    # Partial choices: entries so far, their orderings, and the number of
+    # equal entries that end them.
+    ways = [((), 1, 0)]
+    for k in range(l):
+        grown = []
+        for entries, orderings, streak in ways:
+            left = b - sum(entries)
+            low = entries[-1] if runs[k] else 0
+            hi = min(rooms[k], left // (rest[k] + 1))
+            if last:
+                low = max(low, left - later[k] - rest[k] * rooms[k])
+            spend(hi + 1 - low)
+            for e in range(low, hi + 1):
+                m = streak + 1 if runs[k] and e == entries[-1] else 1
+                grown.append((entries + (e,), orderings * j[k] // m, m))
+        ways = grown
+    return [(entries, orderings) for entries, orderings, _ in ways]

@@ -107,10 +107,10 @@ def maximal_order(algebra: AlgebraSpec) -> OrderSpec:
 
 def genus_reduce(g_vec) -> tuple[int, ...]:
     """Strip zero entries from a genus vector; the result is an invariant."""
-    g = tuple(g_vec)
-    if g and min(g) < 0:
+    reduced = tuple(filter(None, g_vec))
+    # A negative entry is non-zero, so it survives the stripping.
+    if reduced and min(reduced) < 0:
         raise ValidationError("genus entries must be non-negative")
-    reduced = tuple(filter(None, g))
     if not reduced:
         raise EmptyGenusError("genus vector has no non-zero entry")
     return reduced
@@ -164,11 +164,11 @@ def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
         pick_of: dict[tuple[int, ...], int] = {}
         picks = []
         for g in vectors:
-            strip = tuple(filter(None, g))
-            if strip not in pick_of:
-                pick_of[strip] = index.setdefault(
-                    normalize_invariant(genus_reduce(g)), len(index))
-            picks.append(pick_of[strip])
+            reduced = genus_reduce(g)
+            if reduced not in pick_of:
+                pick_of[reduced] = index.setdefault(
+                    normalize_invariant(reduced), len(index))
+            picks.append(pick_of[reduced])
         axes.append(GenusAxis(label, vectors, tuple(index), tuple(picks)))
     return tuple(axes)
 

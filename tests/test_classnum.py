@@ -325,6 +325,16 @@ def test_transfer_on_reach_orders(n, deg, f_vec, s, s2):
     assert report.equal, (report.lhs, report.rhs)
 
 
+@pytest.mark.parametrize("n", [24, 30])
+def test_transfer_with_a_place_above_v_per_degree(n):
+    # A split place of degree n at s = n has n places of degree 1 above it,
+    # and f = (n/2, n/2) gives C(n, n/2) elements, every strip (1,).
+    started = time.monotonic()
+    report = transfer_check(_one_split_place(2, n, n, (n // 2,) * 2), n, n)
+    assert report.equal, (report.lhs, report.rhs)
+    assert time.monotonic() - started < 1.0
+
+
 def test_budget_reaches_theta_through_every_solve():
     # theta at U for s = 4 takes more than 13 row placements, and the order
     # has 13 genera, so a budget of 13 lets `genera` reach theta too.

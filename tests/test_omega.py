@@ -257,14 +257,30 @@ def test_strip_counts_reach_sets_past_any_walk():
     assert time.monotonic() - started < 1.0
 
 
+def test_strip_counts_places_equal_places_once_per_multiset():
+    # 24 places of degree 1 above a degree-24 place, each taking one entry
+    # from a column of 12: C(24, 12) elements, one choice per slot.
+    place = Place("U", 24, 1)
+    started = time.monotonic()
+    assert strip_counts(place, (12, 12), 24) == {((1,),) * 24: 2_704_156}
+    assert time.monotonic() - started < 1.0
+    # Each slot places 24 entries and takes its one choice: 50 in all.
+    assert strip_counts(place, (12, 12), 24, budget=50)
+    for budget in (23, 49):
+        with pytest.raises(BudgetExceededError):
+            strip_counts(place, (12, 12), 24, budget=budget)
+
+
 def test_strip_counts_empty_set():
     # At s = 4 the columns scale by 2, which does not divide 1 or 3.
     assert not nonempty(Place("v", 2, 1), (1, 3), 4)
     assert strip_counts(Place("v", 2, 1), (1, 3), 4) == Counter()
 
 
-def test_strip_counts_budget_names_the_layer():
+@pytest.mark.parametrize("layer", [None, "transfer"])
+def test_strip_counts_budget_names_the_layer(layer):
+    named = {} if layer is None else {"layer": layer}
     with pytest.raises(BudgetExceededError) as exc:
-        strip_counts(Place("U", 4, 1), (2,) * 12, 4, budget=1000)
-    assert str(exc.value) == ("transfer: place 'U', s = 4: "
+        strip_counts(Place("U", 4, 1), (2,) * 12, 4, budget=1000, **named)
+    assert str(exc.value) == (f"{layer or 'omega'}: place 'U', s = 4: "
                               "strip states exceed budget of 1000")
