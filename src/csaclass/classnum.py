@@ -229,23 +229,30 @@ def total_class_number_genera(order: OrderSpec, *,
     """Class numbers of every genus of right ideals, and their sum.
 
     Every genus reduces to the principal genus of another hereditary order
-    in the same algebra, so the class number is solved once per distinct
-    tuple of reduced vectors, and all solves share one level solver.  The
-    budget still bounds the full genus count, and it bounds each theta
-    factor's row placements.
+    in the same algebra.  That order's class number depends only on the
+    multiset of (deg v, d_v, reduced vector) over the places of the axes,
+    so it is solved once per such multiset, and all solves share one level
+    solver.  The budget still bounds the full genus count, and it bounds
+    each theta factor's row placements.
     """
     count = count_genera(order)
     if count > budget:
         raise BudgetExceededError(
             f"genera: genus count {count} exceeds budget of {budget}")
     axes = genus_axes(order)
+    places = [order.algebra.place(axis.label) for axis in axes]
     solve = _level_solver(order.algebra, budget)
+    solved: dict[tuple, int] = {}
 
     def reduced_class_number(key) -> int:
-        reduced = tuple((axis.label, axis.reduced[i])
-                        for axis, i in zip(axes, key))
-        return sum(level.h
-                   for level in solve(OrderSpec(order.algebra, reduced)))
+        problem = tuple(sorted((v.degree, v.local_index, axis.reduced[i])
+                               for v, axis, i in zip(places, axes, key)))
+        if problem not in solved:
+            reduced = tuple((axis.label, axis.reduced[i])
+                            for axis, i in zip(axes, key))
+            solved[problem] = sum(
+                level.h for level in solve(OrderSpec(order.algebra, reduced)))
+        return solved[problem]
 
     # Reduced vectors are numbered by first appearance, so the solves run in
     # the order the genera first reach them.

@@ -11,10 +11,12 @@ import functools
 import json
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
+from operator import add
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
 from .basefield import BaseField
@@ -169,25 +171,21 @@ def _fraction(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-class _Encoded(str):
-    """JSON text already rendered for the indent at which it is placed;
-    `_dumps_indented` writes it as it is."""
-
-
-def _dumps_indented(report) -> str:
-    """The text of json.dumps(report, sort_keys=True, indent=2,
-    default=_fraction), with each container built by one str.join.
+def _dumps_indented(value, pad: str = "") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2,
+    default=_fraction), placed at indent `pad`, with each container built by
+    one str.join.
 
     CPython's C encoder does not indent, so json.dumps(indent=2) falls back
     to a pure-Python token generator.  Values may be dicts with str keys,
     lists, tuples, str, int, bool, None and Fraction; anything else raises
-    TypeError.  An `_Encoded` value is copied through unchanged.
+    TypeError.
     """
     quote = encode_basestring_ascii  # raises TypeError on a non-str key
 
     def encode(value, pad: str) -> str:
         if isinstance(value, str):
-            return value if type(value) is _Encoded else quote(value)
+            return quote(value)
         if type(value) is int:
             return int.__repr__(value)
         if value is None:
@@ -211,16 +209,41 @@ def _dumps_indented(report) -> str:
             return f"[\n{inner}{sep.join(items)}\n{pad}]"
         return quote(_fraction(value))
 
-    return encode(report, "")
+    return encode(value, pad)
 
 
 def _emit(report: dict, output: str) -> None:
+    """Write the report to the sys.stdout of the moment.
+
+    `--output json` writes json.dumps(report, sort_keys=True, indent=2)
+    and a newline; `--output text` writes one `key: <compact JSON>` line per
+    key.  A value that is an iterator yields its text in chunks, already
+    encoded for its key in that mode, and each chunk is written as it comes;
+    the text between such values goes out in one write, so a report without
+    one is a single write.
+    """
+    write = sys.stdout.write
     if output == "json":
-        print(_dumps_indented(report))
+        first, sep, end = "{\n  ", ",\n  ", "\n}\n"
     else:
-        for key in sorted(report):
-            print(f"{key}: "
-                  f"{json.dumps(report[key], sort_keys=True, default=_fraction)}")
+        first, sep, end = "", "\n", "\n"
+    text = ""
+    for i, (key, value) in enumerate(sorted(report.items())):
+        text += sep if i else first
+        if output == "json":
+            text += f"{encode_basestring_ascii(key)}: "
+        else:
+            text += f"{key}: "
+        if isinstance(value, Iterator):
+            write(text)
+            for chunk in value:
+                write(chunk)
+            text = ""
+        elif output == "json":
+            text += _dumps_indented(value, "  ")
+        else:
+            text += json.dumps(value, sort_keys=True, default=_fraction)
+    write(text + end)
 
 
 def _cmd_classnum(order: OrderSpec, args) -> dict:
@@ -271,33 +294,61 @@ def _cmd_omega(order: OrderSpec, args) -> dict:
     return out
 
 
-def _per_genus_json(report) -> _Encoded:
-    """`per_genus` as `_dumps_indented` writes its list of row dicts under a
-    top-level key.  Each (label, vector) entry is encoded once, and each row
-    is one join of its class number and one entry per axis.
+# Rows of `per_genus` joined into one chunk: a few hundred kB of text.
+_CHUNK_ROWS = 2048
+
+
+def _per_genus_chunks(report, output: str):
+    """`per_genus` as text chunks: together, the list of row dicts
+    ({"class_number": h, "genus": {label: vector}}) as `_emit` writes it
+    under a top-level key in `output` mode.
+
+    Each (label, vector) entry is rendered once, by one `%` format of its
+    axis's template, with the text that follows it in a row baked in; each
+    class number's row head is rendered once, with the row separator before
+    it.  A chunk is one join of the heads and entries of `_CHUNK_ROWS` rows.
     """
-    values = ",\n          "
-    entries = [[f"{encode_basestring_ascii(axis.label)}: "
-                f"[\n          {values.join(map(str, g))}\n        ]"
-                for g in axis.vectors] for axis in report.axes]
-    if entries:
-        head, tail = ',\n      "genus": {\n        ', "\n      }\n    }"
-    else:
-        head, tail = ',\n      "genus": {}\n    }', ""
-    sep = ",\n        "
-    rows = [f'{{\n      "class_number": {h}{head}{sep.join(combo)}{tail}'
-            for combo, h in zip(product(*entries), report.class_numbers)]
-    return _Encoded("[\n    " + ",\n    ".join(rows) + "\n  ]")
+    def padding(depth: int) -> tuple[str, str, str]:
+        """(after the opening bracket, between items, before the closing
+        bracket) of a container at `depth`."""
+        if output != "json":
+            return "", ", ", ""
+        inner = "\n" + "  " * (depth + 1)
+        return inner, "," + inner, "\n" + "  " * depth
+
+    ((list_open, row_sep, list_close), (row_open, field_sep, row_close),
+     (genus_open, genus_sep, genus_close),
+     (vec_open, vec_sep, vec_close)) = map(padding, (1, 2, 3, 4))
+    axes = report.axes
+    genus = f"{{{genus_open}" if axes else f"{{}}{row_close}}}"
+    body_of = {h: f'{{{row_open}"class_number": {h}{field_sep}"genus": {genus}'
+               for h in set(report.class_numbers)}
+    head_of = {h: row_sep + body for h, body in body_of.items()}
+    entries = []
+    for j, axis in enumerate(axes):
+        after = (genus_sep if j + 1 < len(axes)
+                 else f"{genus_close}}}{row_close}}}")
+        # `%` in a label is literal text, not a conversion.
+        label = encode_basestring_ascii(axis.label).replace("%", "%%")
+        template = (f"{label}: [{vec_open}"
+                    f"{vec_sep.join(['%d'] * len(axis.vectors[0]))}"
+                    f"{vec_close}]{after}")
+        entries.append(list(map(template.__mod__, axis.vectors)))
+
+    class_numbers = iter(report.class_numbers)
+    # Every order has at least one genus; the first row opens the list.
+    heads = chain((f"[{list_open}{body_of[next(class_numbers)]}",),
+                  map(head_of.__getitem__, class_numbers))
+    pieces = chain.from_iterable(map(add, zip(heads), product(*entries)))
+    while chunk := "".join(islice(pieces, _CHUNK_ROWS * (1 + len(axes)))):
+        yield chunk
+    yield f"{list_close}]"
 
 
 def _cmd_genera(order: OrderSpec, args) -> dict:
     report = total_class_number_genera(order, budget=args.budget)
-    if args.output == "json":
-        per_genus = _per_genus_json(report)
-    else:
-        per_genus = [{"genus": dict(genus), "class_number": h}
-                     for genus, h in report.per_genus]
-    return {"count": len(report.class_numbers), "per_genus": per_genus,
+    return {"count": len(report.class_numbers),
+            "per_genus": _per_genus_chunks(report, args.output),
             "total": report.total}
 
 
@@ -324,16 +375,26 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     checks["mass_consistency"] = total == mass
     checks["h_nonnegative_integers"] = all(level.h >= 0 for level in levels)
 
-    # The enumeration is the oracle here and runs without a budget; it is
-    # compared with the theta factors the solve used.
+    def enumerated(label: str, f_vec, s: int) -> int:
+        """theta_enum, the oracle here, once `omega_size` has put the set
+        it walks within the budget."""
+        v = spec.place(label)
+        count = omega_size(v, f_vec, s, budget=args.budget)
+        if count > args.budget:
+            raise BudgetExceededError(
+                f"selfcheck: place {label!r}, s = {s}: local index set of "
+                f"{count} elements exceeds budget of {args.budget}")
+        return theta_enum(v, f_vec, s, q)
+
+    # The enumeration is compared with the theta factors the solve used.
     checks["theta_engines_agree"] = all(
-        theta_enum(spec.place(label), order.invariant_at(label), level.s, q)
-        == value for level in levels for label, value in level.theta.items())
+        enumerated(label, order.invariant_at(label), level.s) == value
+        for level in levels for label, value in level.theta.items())
 
     # OrderSpec keeps the least rotation, so the rotated vector goes to the
     # enumeration, which walks the columns in the order given.
     checks["rotation_invariance"] = all(
-        theta_enum(spec.place(label), f_vec[1:] + f_vec[:1], level.s, q)
+        enumerated(label, f_vec[1:] + f_vec[:1], level.s)
         == level.theta[label]
         for level in levels for label, f_vec in order.invariants)
 

@@ -8,9 +8,8 @@ cyclic rotation.  Places without an entry are maximal, f_v = (m_v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import comb
-from operator import sub
 
 from .algebra import AlgebraSpec
 from .errors import (EmptyGenusError, IntegralityViolationError,
@@ -116,16 +115,28 @@ def genus_reduce(g_vec) -> tuple[int, ...]:
     return reduced
 
 
-def _compositions(total: int, parts: int):
-    """All vectors of `parts` non-negative integers summing to `total`, in
-    ascending lexicographic order.
+def _genus_vectors(total: int, parts: int):
+    """(vector, its non-zero entries) for every vector of `parts`
+    non-negative integers summing to `total`, in ascending lexicographic
+    order.
 
-    Stars and bars: each non-decreasing choice of `parts - 1` cut points in
-    0..total splits the total into consecutive differences.
+    The vectors that start with a are a followed by those of `total - a`
+    in one part fewer; each (left, parts) is built once.
     """
-    ends = (total,)
-    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(sub, cuts + ends, (0,) + cuts))
+    memo: dict[tuple[int, int], list] = {}
+
+    def tails(left: int, parts: int) -> list:
+        key = (left, parts)
+        if key not in memo:
+            if parts == 1:
+                memo[key] = [((left,), (left,) if left else ())]
+            else:
+                memo[key] = [((a,) + g, (a,) + nz if a else nz)
+                             for a in range(left + 1)
+                             for g, nz in tails(left - a, parts - 1)]
+        return memo[key]
+
+    return tails(total, parts)
 
 
 def count_genera(order: OrderSpec) -> int:
@@ -157,19 +168,16 @@ def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
     """
     axes = []
     for label, f in order.invariants:
-        vectors = tuple(_compositions(sum(f), len(f)))
+        vectors, nonzero = zip(*_genus_vectors(sum(f), len(f)))
         # Many vectors share their non-zero entries, so each distinct tuple
         # of them is reduced and normalised once.
         index: dict[tuple[int, ...], int] = {}
         pick_of: dict[tuple[int, ...], int] = {}
-        picks = []
-        for g in vectors:
-            reduced = genus_reduce(g)
-            if reduced not in pick_of:
-                pick_of[reduced] = index.setdefault(
-                    normalize_invariant(reduced), len(index))
-            picks.append(pick_of[reduced])
-        axes.append(GenusAxis(label, vectors, tuple(index), tuple(picks)))
+        for nz in dict.fromkeys(nonzero):
+            pick_of[nz] = index.setdefault(
+                normalize_invariant(genus_reduce(nz)), len(index))
+        axes.append(GenusAxis(label, vectors, tuple(index),
+                              tuple(map(pick_of.__getitem__, nonzero))))
     return tuple(axes)
 
 

@@ -16,6 +16,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       prime_degree_class_number,
                       total_class_number_genera, theta, theta_enum,
                       transfer_check, weight_class_numbers)
+from csaclass import classnum
 from csaclass.classnum import derived_order
 from csaclass.omega import enumerate_omega, flatten_strip
 from csaclass.orders import count_genera, enumerate_genera, genus_reduce
@@ -427,3 +428,52 @@ def test_genera_match_directly_built_orders_random():
             direct = OrderSpec(order.algebra, tuple(
                 (label, genus_reduce(vec)) for label, vec in genus))
             assert h == class_number(direct), (order, genus)
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record each order the level solvers of `classnum` solve."""
+    solved = []
+    real_solver = classnum._level_solver
+
+    def counted_solver(spec, budget=DEFAULT_BUDGET):
+        solve = real_solver(spec, budget)
+
+        def counted(order):
+            solved.append(order)
+            return solve(order)
+        return counted
+
+    monkeypatch.setattr(classnum, "_level_solver", counted_solver)
+    return solved
+
+
+def test_genera_solve_once_per_label_free_problem(monkeypatch):
+    # Two degree-1 Iwahori places of a degree-5 algebra: 7 reduced vectors
+    # each, 49 index tuples, but only 28 multisets of two of them.
+    solved = _count_solves(monkeypatch)
+    report = total_class_number_genera(_two_iwahori_places(3, 5, 1))
+    assert len(report.class_numbers) == 126 ** 2
+    assert len(solved) == len(set(solved)) == 28
+
+
+def test_genera_match_one_solve_per_index_tuple_random():
+    # Orders with two or more non-maximal places, some of equal degree and
+    # local index, against a solve of every tuple of reduced vectors.
+    rng = random.Random(13)
+    checked = 0
+    while checked < 12:
+        order = random_order(rng, random_definite_spec(rng, max_degree=4),
+                             extra_split_places=3)
+        if len(order.invariants) < 2 or count_genera(order) > 500:
+            continue
+        checked += 1
+        report = total_class_number_genera(order)
+        by_tuple = {
+            key: class_number(OrderSpec(order.algebra, tuple(
+                (axis.label, axis.reduced[i])
+                for axis, i in zip(report.axes, key))))
+            for key in product(*(range(len(axis.reduced))
+                                 for axis in report.axes))}
+        assert report.class_numbers == tuple(
+            by_tuple[key]
+            for key in product(*(axis.picks for axis in report.axes))), order

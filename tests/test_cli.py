@@ -290,6 +290,30 @@ def test_selfcheck_computes_each_theta_once(tmp_path, capsys, monkeypatch):
     assert cli_theta_calls == []
 
 
+def test_selfcheck_sizes_each_set_before_walking_it(tmp_path, capsys):
+    # The Iwahori order at a degree-3 place of a degree-24 algebra: the
+    # solve takes milliseconds, the set at U and s = 3 has 9.47e9 elements.
+    path = tmp_path / "reach.json"
+    path.write_text(json.dumps({
+        "base": {"type": "rational_function_field", "q": 2},
+        "degree": 24,
+        "ramification": [
+            {"place": "T", "degree": 1, "invariant": "1/24"},
+            {"place": "infinity", "invariant": "-1/24"},
+            {"place": "U", "degree": 3},
+        ],
+        "order": {"invariants": {"U": [1] * 24}},
+    }), encoding="utf-8")
+    started = time.monotonic()
+    code = main(["--config", str(path), "--budget", "1000", "selfcheck"])
+    elapsed = time.monotonic() - started
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == ("error: selfcheck: place 'U', s = 3: local index set of "
+                   "9465511770 elements exceeds budget of 1000\n")
+    assert elapsed < 1
+
+
 def test_selfcheck_reports_a_failed_resum(golden_config_path, capsys,
                                           monkeypatch):
     monkeypatch.setattr(cli, "mass_hereditary", lambda order: Fraction(1))
@@ -620,6 +644,7 @@ GOLDEN_COMMANDS = [
     ("dvg-example", "transfer", ("--s", "2", "--s2", "4")),
     ("dvg-example", "selfcheck", ()),
     ("iwahori-two-places", "genera", ()),
+    ("iwahori-two-places", "selfcheck", ()),
 ]
 
 
@@ -850,14 +875,14 @@ def test_dumps_indented_keeps_bools_apart_from_ints():
     assert "true" in _dumps_indented(value)
 
 
-def test_dumps_indented_copies_encoded_text():
-    value = {"a": cli._Encoded("[\n    1\n  ]"), "b": "[1]"}
-    assert _dumps_indented(value) == json.dumps({"a": [1], "b": "[1]"},
-                                                indent=2)
+def test_dumps_indented_places_a_value_at_a_pad():
+    value = {"a": [1, {"b": None}], "c": "x"}
+    want = json.dumps({"key": value}, sort_keys=True, indent=2)
+    assert _dumps_indented(value, "  ") == want[len('{\n  "key": '):-2]
 
 
 _place_labels = st.text(
-    st.sampled_from('"\\/ab+#\x7f\u00e9\u20ac\U0001f600') | st.characters(),
+    st.sampled_from('"\\/ab+#%{}\x7f\u00e9\u20ac\U0001f600') | st.characters(),
     min_size=1, max_size=4).filter(lambda label: label != "infinity")
 
 
@@ -882,15 +907,73 @@ def _genera_reports(draw):
     return GeneraReport(axes, class_numbers, sum(class_numbers))
 
 
+def _emitted(report: dict, output: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(report, output)
+    return out.getvalue()
+
+
 @settings(max_examples=100, deadline=None)
 @given(report=_genera_reports())
 def test_per_genus_json_matches_the_dict_form(report):
     rows = [{"genus": dict(genus), "class_number": h}
             for genus, h in report.per_genus]
     assert len(rows) == len(report.class_numbers)
+    # a bool, so that a failing draw is not diffed on every shrink step
+    same = ("".join(cli._per_genus_chunks(report, "json"))
+            == _dumps_indented(rows, "  "))
+    assert same
     for head in ({}, {"count": len(rows), "total": report.total}):
-        # a bool, so that a failing draw is not diffed on every shrink step
-        same = (_dumps_indented({**head,
-                                 "per_genus": cli._per_genus_json(report)})
-                == _dumps_indented({**head, "per_genus": rows}))
-        assert same
+        for output in ("json", "text"):
+            same = (_emitted({**head, "per_genus": cli._per_genus_chunks(
+                        report, output)}, output)
+                    == _emitted({**head, "per_genus": rows}, output))
+            assert same
+    assert _emitted({"per_genus": rows}, "json") == json.dumps(
+        {"per_genus": rows}, sort_keys=True, indent=2) + "\n"
+
+
+def _fanout_config(n: int, places: int) -> str:
+    """q = 3, degree n, ramified at T and infinity, with the Iwahori order
+    at `places` split places of degree 1."""
+    labels = ["U", "V"][:places]
+    return json.dumps({
+        "base": {"type": "rational_function_field", "q": 3},
+        "degree": n,
+        "ramification": [
+            {"place": "T", "degree": 1, "invariant": f"1/{n}"},
+            {"place": "infinity", "invariant": f"-1/{n}"},
+            *({"place": label, "degree": 1} for label in labels)],
+        "order": {"invariants": {label: [1] * n for label in labels}},
+    })
+
+
+class _Writes:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("n,places,count", [(8, 1, 6435), (5, 2, 126 ** 2)])
+def test_genera_streams_the_dict_form(tmp_path, n, places, count):
+    path = tmp_path / "fanout.json"
+    path.write_text(_fanout_config(n, places), encoding="utf-8")
+    stdout = _Writes()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["--config", str(path), "genera"]) == 0
+    report = classnum.total_class_number_genera(
+        parse_config(path.read_text(encoding="utf-8")).order)
+    want = _dumps_indented({
+        "count": count, "total": report.total,
+        "per_genus": [{"genus": dict(genus), "class_number": h}
+                      for genus, h in report.per_genus]}) + "\n"
+    assert "".join(stdout.writes) == want
+    # per_genus arrives in chunks of a bounded size, never in one piece
+    assert len(stdout.writes) > 2
+    assert max(map(len, stdout.writes)) <= 1_000_000

@@ -15,7 +15,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       maximal_order, normalize_invariant)
 from csaclass.errors import (EmptyGenusError, IntegralityViolationError,
                              ValidationError)
-from csaclass.orders import _compositions, count_genera, genus_axes
+from csaclass.orders import count_genera, genus_axes
 
 
 @pytest.mark.parametrize("vec,expected", [
@@ -143,17 +143,33 @@ def _compositions_by_recursion(total, parts):
             yield (first,) + rest
 
 
+def _order_with_axis(f_vec) -> OrderSpec:
+    m = sum(f_vec)
+    base = BaseField.rational(3)
+    spec = AlgebraSpec(base, m, (Place("v0", 1, m, 1),),
+                       Place("infinity", 1, m, -1))
+    return OrderSpec(spec.with_listed_place("w", 1), (("w", f_vec),))
+
+
 def test_compositions_match_the_recursive_definition():
-    for total in range(9):
-        for parts in range(1, 6):
-            assert (list(_compositions(total, parts))
-                    == list(_compositions_by_recursion(total, parts)))
+    # An invariant with `parts` entries summing to `total` has as genus
+    # vectors every composition of `total` into `parts` non-negative parts,
+    # in ascending lexicographic order.
+    for total in range(2, 9):
+        for parts in range(2, total + 1):
+            f_vec = (1,) * (parts - 1) + (total - parts + 1,)
+            (axis,) = genus_axes(_order_with_axis(f_vec))
+            assert axis.vectors == tuple(
+                _compositions_by_recursion(total, parts))
+            assert [axis.reduced[i] for i in axis.picks] == [
+                normalize_invariant(genus_reduce(g)) for g in axis.vectors]
+            assert len(set(axis.reduced)) == len(axis.reduced)
 
 
 def test_genus_axes_number_reductions_by_first_appearance():
     (axis,) = genus_axes(_iwahori_order(3))
     assert axis.label == "w"
-    assert axis.vectors == tuple(_compositions(3, 3))
+    assert axis.vectors == tuple(_compositions_by_recursion(3, 3))
     assert axis.reduced == ((3,), (1, 2), (1, 1, 1))
     assert [axis.reduced[i] for i in axis.picks] == [
         normalize_invariant(genus_reduce(g)) for g in axis.vectors]
