@@ -5,7 +5,9 @@ at each level the mass M_s of a maximal order in the centralizer algebra
 times the product of the local theta factors pins down a weighted partial
 sum of the remaining unknowns.  Integrality of every solved value is
 enforced, not assumed.  A command solves the orders of one algebra through
-one level solver, which computes each M_s and each theta factor once.
+one level solver, which computes each M_s and each theta factor once.  The
+solver takes each place's factor as a count-weighted sum of theta products,
+so the transfer check solves the sum of all its derived orders as one.
 """
 
 from __future__ import annotations
@@ -38,11 +40,15 @@ class Level:
 
 
 def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET):
-    """solve(order) -> the `Level`s of an order in `spec`, largest s first.
+    """solve(terms) -> the `Level`s of `terms` in `spec`, largest s first.
 
-    rhs_s = M_s * prod_v theta_v(f_v, s).  M_s depends on s alone and theta_v
-    on (deg v, d_v, f_v, s) alone, so each is computed once and shared by
-    every order solved.  `budget` bounds the row placements of each theta.
+    `terms` pairs each label with its (count, ((place, f), ...)) terms; its
+    factor at level s is the sum of count * prod theta(place, f, s), and
+    rhs_s = M_s * prod of the factors.  An order is the one-term case
+    (`_one_term`).  h_s is linear in the rhs of the levels, so several terms
+    solve to the count-weighted sum of their orders' h.  M_s depends on s
+    alone and theta on (deg, d, f, s) alone, so each is computed once and
+    shared by every solve.  `budget` bounds the row placements of each theta.
     """
     q = spec.base.q
     s0 = constant_field_degree(spec)
@@ -50,18 +56,20 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET):
     masses: dict[int, Fraction] = {}
     thetas: dict[tuple, int] = {}
 
-    def solve(order: OrderSpec) -> list[Level]:
-        local = [(label, spec.place(label), order.invariant_at(label))
-                 for label in order.relevant_labels()]
+    def theta_at(v, f_vec, s: int) -> int:
+        key = (v.degree, v.local_index, f_vec, s)
+        if key not in thetas:
+            thetas[key] = theta(v, f_vec, s, q, budget=budget)
+        return thetas[key]
+
+    def solve(terms) -> list[Level]:
         h: dict[int, int] = {}
         levels = []
         for s in divisors:
-            factors = {}
-            for label, v, f_vec in local:
-                key = (v.degree, v.local_index, f_vec, s)
-                if key not in thetas:
-                    thetas[key] = theta(v, f_vec, s, q, budget=budget)
-                factors[label] = thetas[key]
+            factors = {label: sum(count * prod(theta_at(v, f_vec, s)
+                                               for v, f_vec in places)
+                                  for count, places in group)
+                       for label, group in terms}
             if s not in masses:
                 masses[s] = mass_maximal(centralizer_spec(spec, s))
             rhs = masses[s] * prod(factors.values())
@@ -80,14 +88,22 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET):
     return solve
 
 
+def _one_term(order: OrderSpec) -> tuple:
+    """The terms of one order: each label's place and vector, count 1."""
+    spec = order.algebra
+    return tuple(
+        (label, ((1, ((spec.place(label), order.invariant_at(label)),)),))
+        for label in order.relevant_labels())
+
+
 def weight_class_numbers(order: OrderSpec, *,
                          budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Map s -> h_s over the divisors of the constant field degree.
 
     The result is not cached: each call solves every level of `order`.
     """
-    return {level.s: level.h
-            for level in _level_solver(order.algebra, budget)(order)}
+    solve = _level_solver(order.algebra, budget)
+    return {level.s: level.h for level in solve(_one_term(order))}
 
 
 def class_number(order: OrderSpec) -> int:
@@ -102,23 +118,6 @@ def embedding_count(order: OrderSpec, s: int, *,
         raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
     h = weight_class_numbers(order, budget=budget)
     return s * sum(h[s2] for s2 in h if s2 % s == 0)
-
-
-def derived_order(order: OrderSpec, s: int, keys) -> OrderSpec:
-    """Order in the centralizer algebra cut out by one global index element.
-
-    `keys` gives the element per place v as (label, strips): one invariant
-    vector per place w above v, in the order of `places_above`.  Every place
-    above the given places is listed, maximal or not, so all elements over
-    the same places give orders in one algebra."""
-    spec = order.algebra
-    alg = centralizer_spec(spec, s)
-    invariants = []
-    for label, strips in keys:
-        for w, strip in zip(places_above(spec.place(label), s), strips):
-            alg = alg.with_listed_place(w.label, w.degree)
-            invariants.append((w.label, strip))
-    return OrderSpec(alg, tuple(invariants))
 
 
 @dataclass(frozen=True)
@@ -138,13 +137,16 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     """Verify s * h_{s2} against the sum over the global index set.
 
     Each summand is the weight-(s2/s) class number of the derived order cut
-    out by one element of the product of local index sets.  A derived order
-    reads an element only through its normalised strips, so each local set
-    is counted by `strip_counts` without being walked, and the sum runs over
-    distinct derived orders, each weighted by the product of its counts.
-    All derived orders share one algebra and so one level solver.  The
-    budget bounds each place's strip state transitions, the number of
-    derived orders, and each theta factor's row placements.
+    out by one element of the product of local index sets, in the
+    centralizer algebra of L_s with every place w above the listed places
+    listed.  Listing split places changes neither its masses nor its s0.  A
+    derived order reads an element only through its normalised strips, so
+    each local set is counted by `strip_counts` without being walked.  A
+    derived order's h is linear in the rhs of its levels, and each rhs is a
+    product over the places v, so the sum is one solve whose factor at v
+    sums count * prod_w theta_w over v's strip groups.  The budget bounds
+    each place's strip state transitions and each theta factor's row
+    placements.
     """
     spec = order.algebra
     s0 = constant_field_degree(spec)
@@ -152,28 +154,18 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
         raise InvalidDivisorError(f"need s | s2 | s0, got s={s}, s2={s2}, s0={s0}")
     lhs = s * weight_class_numbers(order, budget=budget)[s2]
 
-    groups = []
+    terms = []
     for label in order.relevant_labels():
-        counts = strip_counts(spec.place(label), order.invariant_at(label), s,
-                              budget=budget, layer="transfer")
+        v = spec.place(label)
+        counts = strip_counts(v, order.invariant_at(label), s, budget=budget)
         if not counts:
             return TransferReport(s, s2, lhs, 0)
-        groups.append([((label, strips), count)
-                       for strips, count in counts.items()])
-    derived = prod(map(len, groups))
-    if derived > budget:
-        raise BudgetExceededError(
-            f"transfer: derived orders {derived} exceed budget of {budget}")
-
-    rhs = 0
-    solve = None
-    for combo in product(*groups):
-        sub = derived_order(order, s, [key for key, _ in combo])
-        if solve is None:
-            solve = _level_solver(sub.algebra, budget)
-        h = {level.s: level.h for level in solve(sub)}
-        rhs += prod(count for _, count in combo) * h[s2 // s]
-    return TransferReport(s, s2, lhs, rhs)
+        above = places_above(v, s)
+        terms.append((label, tuple((count, tuple(zip(above, strips)))
+                                   for strips, count in counts.items())))
+    levels = _level_solver(centralizer_spec(spec, s), budget)(tuple(terms))
+    h = {level.s: level.h for level in levels}
+    return TransferReport(s, s2, lhs, h[s2 // s])
 
 
 def prime_degree_class_number(order: OrderSpec) -> int:
@@ -251,7 +243,8 @@ def total_class_number_genera(order: OrderSpec, *,
             reduced = tuple((axis.label, axis.reduced[i])
                             for axis, i in zip(axes, key))
             solved[problem] = sum(
-                level.h for level in solve(OrderSpec(order.algebra, reduced)))
+                level.h
+                for level in solve(_one_term(OrderSpec(order.algebra, reduced))))
         return solved[problem]
 
     # Reduced vectors are numbered by first appearance, so the solves run in
@@ -275,7 +268,7 @@ class ClassNumberReport:
 def class_number_report(order: OrderSpec, *,
                         budget: int = DEFAULT_BUDGET) -> ClassNumberReport:
     spec = order.algebra
-    levels = _level_solver(spec, budget)(order)[::-1]
+    levels = _level_solver(spec, budget)(_one_term(order))[::-1]
     mass = mass_hereditary(order)
     resum = sum(
         (Fraction(level.h, spec.base.q ** level.s - 1) for level in levels),

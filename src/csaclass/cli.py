@@ -20,9 +20,9 @@ from operator import add
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
 from .basefield import BaseField
-from .classnum import (DEFAULT_BUDGET, _level_solver, class_number_report,
-                       embedding_count, total_class_number_genera,
-                       transfer_check)
+from .classnum import (DEFAULT_BUDGET, _level_solver, _one_term,
+                       class_number_report, embedding_count,
+                       total_class_number_genera, transfer_check)
 from .errors import (BudgetExceededError, CsaClassError,
                      IntegralityViolationError, ValidationError)
 from .massform import mass_hereditary
@@ -367,7 +367,7 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     checks: dict[str, bool] = {}
     spec = order.algebra
     q = spec.base.q
-    levels = _level_solver(spec, args.budget)(order)
+    levels = _level_solver(spec, args.budget)(_one_term(order))
 
     mass = mass_hereditary(order)
     total = sum(

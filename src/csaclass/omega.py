@@ -131,7 +131,7 @@ def flatten_strip(slice_vec) -> tuple[int, ...]:
 
 
 def strip_counts(place: Place, f_vec, s: int, *,
-                 budget: int = DEFAULT_BUDGET, layer: str = "omega") -> Counter:
+                 budget: int = DEFAULT_BUDGET) -> Counter:
     """Count the local index set by the normalised strips of its elements.
 
     The strip of a long vector is `flatten_strip` of it, normalised.  A key
@@ -148,8 +148,8 @@ def strip_counts(place: Place, f_vec, s: int, *,
     non-decreasing entries and counts each choice once per ordering.  The
     rooms and the budgets left have the same sum, and a column's last slot
     places its whole budget, so every state completes to elements.  Raises
-    BudgetExceededError, naming `layer`, once the entries placed, one place
-    w at a time, exceed `budget`.
+    BudgetExceededError, naming the `transfer` layer it serves, once the
+    entries placed, one place w at a time, exceed `budget`.
     """
     ctx = LocalContext.create(place, f_vec, s)
     targets = ctx.scaled_targets()
@@ -163,7 +163,7 @@ def strip_counts(place: Place, f_vec, s: int, *,
         placed += n
         if placed > budget:
             raise BudgetExceededError(
-                f"{layer}: place {place.label!r}, s = {s}: "
+                f"transfer: place {place.label!r}, s = {s}: "
                 f"strip states exceed budget of {budget}")
 
     states = {((((), ctx.m_s),) * ctx.l, targets): 1}

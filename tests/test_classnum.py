@@ -17,8 +17,8 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       total_class_number_genera, theta, theta_enum,
                       transfer_check, weight_class_numbers)
 from csaclass import classnum
-from csaclass.classnum import derived_order
-from csaclass.omega import enumerate_omega, flatten_strip
+from csaclass.algebra import centralizer_spec, places_above, validate
+from csaclass.omega import enumerate_omega, flatten_strip, strip_counts
 from csaclass.orders import count_genera, enumerate_genera, genus_reduce
 from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
                              InvalidDivisorError, NotPrimeDegreeError)
@@ -260,19 +260,32 @@ def test_transfer_strip_budget_trips_early(n, deg, f_vec, s, budget):
                               f"strip states exceed budget of {budget}")
 
 
-def test_transfer_derived_order_budget():
-    # Four places with four strip groups each at s = 2: 256 derived orders,
-    # while no place takes more than 100 strip state transitions.
-    spec = AlgebraSpec(BaseField.rational(3), 8, (Place("T", 1, 8, 1),),
-                       Place("infinity", 1, 8, -1))
-    labels = ("U", "V", "W", "X")
+def _degree2_places(q: int, f_vecs) -> OrderSpec:
+    """T ramified with 1/n, order data f_vecs[i] at the i-th of the split
+    places U, V, W, ... of degree 2, n the sum of each vector."""
+    n = sum(f_vecs[0])
+    spec = AlgebraSpec(BaseField.rational(q), n, (Place("T", 1, n, 1),),
+                       Place("infinity", 1, n, -1))
+    labels = "UVWXYZ"[:len(f_vecs)]
     for label in labels:
         spec = spec.with_listed_place(label, 2)
-    order = OrderSpec(spec, tuple((label, (1, 1, 2, 2, 2)) for label in labels))
-    with pytest.raises(BudgetExceededError) as exc:
-        transfer_check(order, 2, 2, budget=100)
-    assert str(exc.value) == ("transfer: derived orders 256 exceed budget "
-                              "of 100")
+    return OrderSpec(spec, tuple(zip(labels, map(tuple, f_vecs))))
+
+
+def test_transfer_sums_many_places_without_a_derived_order_bound():
+    # Four places with four strip groups each at s = 2: 256 derived orders,
+    # while no place takes more than 100 strip state transitions.  The sum
+    # over them is one solve, so no bound counts the derived orders.
+    order = _degree2_places(3, [(1, 1, 2, 2, 2)] * 4)
+    assert transfer_check(order, 2, 2, budget=100).equal
+    # Six places over F_4, all its monic irreducibles of degree 2: 4096
+    # derived orders.
+    order = _degree2_places(4, [(1, 1, 2, 2, 2)] * 6)
+    assert validate(order.algebra) == []
+    started = time.monotonic()
+    report = transfer_check(order, 2, 2)
+    assert report.equal, (report.lhs, report.rhs)
+    assert time.monotonic() - started < 1.0
 
 
 @pytest.mark.parametrize("s2", [2, 4, 6, 12])
@@ -356,9 +369,26 @@ def test_budget_reaches_theta_through_every_solve():
                                   "row placements exceed budget of 13")
 
 
+def derived_order(order: OrderSpec, s: int, keys) -> OrderSpec:
+    """Order in the centralizer algebra cut out by one global index element.
+
+    `keys` gives the element per place v as (label, strips): one invariant
+    vector per place w above v, in the order of `places_above`.  Every place
+    above the given places is listed, maximal or not, so all elements over
+    the same places give orders in one algebra."""
+    spec = order.algebra
+    alg = centralizer_spec(spec, s)
+    invariants = []
+    for label, strips in keys:
+        for w, strip in zip(places_above(spec.place(label), s), strips):
+            alg = alg.with_listed_place(w.label, w.degree)
+            invariants.append((w.label, strip))
+    return OrderSpec(alg, tuple(invariants))
+
+
 def _brute_force_transfer_rhs(order: OrderSpec, s: int, s2: int) -> int:
-    """One derived order per global index element; equal derived orders
-    (OrderSpec equality) share one weight solve."""
+    """One derived order per global index element, each solved on its own;
+    equal derived orders (OrderSpec equality) share one weight solve."""
     spec = order.algebra
     streams = [[(label, tuple(flatten_strip(sl) for sl in elem))
                 for elem in enumerate_omega(spec.place(label),
@@ -395,6 +425,22 @@ def test_transfer_matches_brute_force_two_iwahori_places(s2):
     order = _two_iwahori_places(3, 8, 2)
     report = transfer_check(order, 2, s2)
     assert report.equal
+    assert report.rhs == _brute_force_transfer_rhs(order, 2, s2)
+
+
+@pytest.mark.parametrize("s2", [2, 4, 8])
+@pytest.mark.parametrize("f_vecs,groups", [
+    (((1, 1, 2, 2, 2), (1, 1, 2, 2, 2)), (4, 4)),
+    (((1, 1, 2, 4), (1, 1, 3, 3)), (5, 4)),
+], ids=["11222-11222", "1124-1133"])
+def test_transfer_matches_brute_force_across_strip_groups(f_vecs, groups, s2):
+    # Several strip groups at each place, so the solve's factors are sums
+    # and the rhs multiplies them out into cross terms of both places.
+    order = _degree2_places(4, f_vecs)
+    assert tuple(len(strip_counts(order.algebra.place(label), f_vec, 2))
+                 for label, f_vec in order.invariants) == groups
+    report = transfer_check(order, 2, s2)
+    assert report.equal, (report.lhs, report.rhs)
     assert report.rhs == _brute_force_transfer_rhs(order, 2, s2)
 
 
