@@ -11,8 +11,9 @@ from math import factorial, gcd
 
 import pytest
 
-from csaclass import (Place, enumerate_omega, flatten_strip,
-                      normalize_invariant, omega_size, strip_counts)
+from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
+                      enumerate_omega, flatten_strip, normalize_invariant,
+                      omega_size, strip_counts, transfer_check)
 from csaclass.errors import BudgetExceededError, ValidationError
 from csaclass.omega import LocalContext
 
@@ -277,8 +278,19 @@ def test_strip_counts_empty_set():
     assert strip_counts(Place("v", 2, 1), (1, 3), 4) == Counter()
 
 
-def test_strip_counts_budget_names_the_layer():
+@pytest.mark.parametrize("caller", [None, "transfer"])
+def test_strip_counts_budget_names_the_layer(caller):
+    # The message names transfer, whether strip_counts is called on its own
+    # or from transfer_check on an n = 24 order with the same set at U.
     with pytest.raises(BudgetExceededError) as exc:
-        strip_counts(Place("U", 4, 1), (2,) * 12, 4, budget=1000)
+        if caller is None:
+            strip_counts(Place("U", 4, 1), (2,) * 12, 4, budget=1000)
+        else:
+            spec = AlgebraSpec(BaseField.rational(2), 24,
+                               (Place("T", 1, 24, 1),),
+                               Place("infinity", 1, 24, -1))
+            spec = spec.with_listed_place("U", 4)
+            order = OrderSpec(spec, (("U", (2,) * 12),))
+            transfer_check(order, 4, 4, budget=1000)
     assert str(exc.value) == ("transfer: place 'U', s = 4: "
                               "strip states exceed budget of 1000")
