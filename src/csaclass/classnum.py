@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
                       places_above)
@@ -31,12 +31,16 @@ from .theta import theta
 
 @dataclass(frozen=True)
 class Level:
-    """One solved level: h_s, its right-hand side and its theta factors."""
+    """One solved level: h_s, the mass M_s and its theta factors."""
 
     s: int
     h: int
-    rhs: Fraction
+    mass: Fraction
     theta: dict[str, int]
+
+    @property
+    def rhs(self) -> Fraction:  # M_s times the product of the theta factors
+        return self.mass * prod(self.theta.values())
 
 
 def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET):
@@ -49,11 +53,14 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET):
     solve to the count-weighted sum of their orders' h.  M_s depends on s
     alone and theta on (deg, d, f, s) alone, so each is computed once and
     shared by every solve.  `budget` bounds the row placements of each theta.
+    With M_s = a/b and E the lcm of b and q^{s2} - 1 over the levels s2 > s
+    that s divides, h_s = (A * prod(factors) - sum B_s2 * h_s2) / (s E) for
+    the integers A = (q^s - 1) a E/b and B_s2 = (q^s - 1) s E/(q^{s2} - 1).
     """
     q = spec.base.q
     s0 = constant_field_degree(spec)
     divisors = [s for s in range(s0, 0, -1) if s0 % s == 0]
-    masses: dict[int, Fraction] = {}
+    steps: dict[int, tuple] = {}  # s -> (M_s, A, [(s2, B_s2), ...], s E)
     thetas: dict[tuple, int] = {}
 
     def theta_at(v, f_vec, s: int) -> int:
@@ -70,19 +77,22 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET):
                                                for v, f_vec in places)
                                   for count, places in group)
                        for label, group in terms}
-            if s not in masses:
-                masses[s] = mass_maximal(centralizer_spec(spec, s))
-            rhs = masses[s] * prod(factors.values())
-            tail = sum(
-                (Fraction(h[s2], q ** s2 - 1)
-                 for s2 in h if s2 > s and s2 % s == 0),
-                Fraction(0))
-            value = Fraction(q ** s - 1, s) * (rhs - s * tail)
-            if value.denominator != 1 or value < 0:
+            if s not in steps:
+                mass = mass_maximal(centralizer_spec(spec, s))
+                tail = [s2 for s2 in divisors if s2 > s and s2 % s == 0]
+                e = lcm(mass.denominator, *(q ** s2 - 1 for s2 in tail))
+                scale = (q ** s - 1) * e
+                steps[s] = (mass, scale * mass.numerator // mass.denominator,
+                            [(s2, scale * s // (q ** s2 - 1)) for s2 in tail],
+                            s * e)
+            mass, lead, tail, den = steps[s]
+            num = lead * prod(factors.values()) - sum(b * h[s2] for s2, b in tail)
+            value, rest = divmod(num, den)
+            if rest or value < 0:
                 raise IntegralityViolationError(
-                    f"h_{s} = {value} is not a non-negative integer")
-            h[s] = int(value)
-            levels.append(Level(s, h[s], rhs, factors))
+                    f"h_{s} = {Fraction(num, den)} is not a non-negative integer")
+            h[s] = value
+            levels.append(Level(s, value, mass, factors))
         return levels
 
     return solve
@@ -235,16 +245,16 @@ def total_class_number_genera(order: OrderSpec, *,
     places = [order.algebra.place(axis.label) for axis in axes]
     solve = _level_solver(order.algebra, budget)
     solved: dict[tuple, int] = {}
+    terms = dict(_one_term(order))  # each problem resets the axes' terms
 
     def reduced_class_number(key) -> int:
         problem = tuple(sorted((v.degree, v.local_index, axis.reduced[i])
                                for v, axis, i in zip(places, axes, key)))
         if problem not in solved:
-            reduced = tuple((axis.label, axis.reduced[i])
-                            for axis, i in zip(axes, key))
-            solved[problem] = sum(
-                level.h
-                for level in solve(_one_term(OrderSpec(order.algebra, reduced))))
+            for v, axis, i in zip(places, axes, key):
+                terms[axis.label] = ((1, ((v, axis.reduced[i]),)),)
+            solved[problem] = sum(level.h
+                                  for level in solve(tuple(terms.items())))
         return solved[problem]
 
     # Reduced vectors are numbered by first appearance, so the solves run in

@@ -42,29 +42,36 @@ class RunConfig:
     order: OrderSpec
 
 
+def _integer(value, name: str) -> int:
+    """`value` if the JSON held an integer; a float, a boolean or a string
+    is refused, not truncated or converted."""
+    if type(value) is not int:
+        raise TypeError(f"{name} is not an integer")
+    return value
+
+
 def _parse_base(node, errors: list[str]) -> BaseField | None:
     if not isinstance(node, dict):
         errors.append("base: expected an object")
         return None
     kind = node.get("type")
-    try:
-        if kind == "rational_function_field":
-            return BaseField.rational(
-                q=int(node["q"]),
-                infinity_degree=int(node.get("infinity_degree", 1)),
-                pic_override=(int(node["pic_order"])
-                              if "pic_order" in node else None))
-        if kind == "custom":
-            base = BaseField.custom(
-                q=int(node["q"]),
-                l_poly=[int(c) for c in node["l_polynomial"]],
-                infinity_degree=int(node.get("infinity_degree", 1)),
-                pic_override=(int(node["pic_order"])
-                              if "pic_order" in node else None))
-            # AlgebraSpec checks this too, but the fault lies in `base`.
-            base.check_class_number()
-            return base
+    if kind not in ("rational_function_field", "custom"):
         errors.append(f"base.type: unknown kind {kind!r}")
+        return None
+    try:
+        q = _integer(node["q"], "q")
+        infinity_degree = _integer(node.get("infinity_degree", 1), "infinity_degree")
+        pic_override = (_integer(node["pic_order"], "pic_order")
+                        if "pic_order" in node else None)
+        if kind == "rational_function_field":
+            return BaseField.rational(q, infinity_degree, pic_override)
+        base = BaseField.custom(
+            q, [_integer(c, f"l_polynomial[{i}]")
+                for i, c in enumerate(node["l_polynomial"])],
+            infinity_degree, pic_override)
+        # AlgebraSpec checks this too, but the fault lies in `base`.
+        base.check_class_number()
+        return base
     except KeyError as exc:
         errors.append(f"base.{exc.args[0]}: missing field")
     except (TypeError, ValueError, ValidationError) as exc:
@@ -84,8 +91,8 @@ def parse_config(text: str) -> RunConfig:
 
     base = _parse_base(doc.get("base"), errors)
     try:
-        degree = int(doc["degree"])
-    except (KeyError, TypeError, ValueError):
+        degree = _integer(doc["degree"], "degree")
+    except (KeyError, TypeError):
         errors.append("degree: missing or not an integer")
         degree = 0
     if errors:
@@ -115,8 +122,8 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"{path}.degree: required for finite places")
             continue
         try:
-            deg = int(entry.get("degree", base.infinity_degree))
-        except (TypeError, ValueError):
+            deg = _integer(entry.get("degree", base.infinity_degree), "degree")
+        except TypeError:
             errors.append(f"{path}.degree: not an integer")
             continue
         if label == INFINITY:
@@ -152,7 +159,8 @@ def parse_config(text: str) -> RunConfig:
     for label, vec in invariant_node.items():
         path = f"order.invariants[{label!r}]"
         try:
-            invariants[label] = normalize_invariant(int(e) for e in vec)
+            invariants[label] = normalize_invariant(
+                _integer(e, f"entry {i}") for i, e in enumerate(vec))
         except (TypeError, ValueError, ValidationError) as exc:
             errors.append(f"{path}: {exc}")
     if errors:

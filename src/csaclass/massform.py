@@ -10,9 +10,10 @@ so this reading is self-consistent.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .algebra import AlgebraSpec
-from .basefield import pic_order, zeta_at_negative
+from .basefield import _zeta_terms, pic_order
 from .errors import IntegralityViolationError, NotDefiniteError
 from .orders import OrderSpec, local_unit_index, maximal_order
 
@@ -34,19 +35,20 @@ def mass_hereditary(order: OrderSpec) -> Fraction:
         raise NotDefiniteError(
             f"d_infinity = {spec.infinity.local_index} != n = {n}")
     base = spec.base
-    mass = Fraction(pic_order(base), base.q - 1)
-    for i in range(1, n):
-        mass *= zeta_at_negative(base, i)
+    zetas = [_zeta_terms(base, i) for i in range(1, n)]
+    num = pic_order(base) * prod(z for z, _ in zetas)
+    den = (base.q - 1) * prod(d for _, d in zetas)
     for v in spec.all_places():
         if v.local_index > 1:
-            mass *= ramification_factor(spec.norm(v), v.local_index, n)
+            num *= ramification_factor(spec.norm(v), v.local_index, n)
     for label, f_vec in order.invariants:
         v = spec.place(label)
         factor = local_unit_index(spec.norm(v), v.local_index, f_vec)
         if factor < 1:
             raise IntegralityViolationError(
                 f"place {label!r}: unit index {factor} is below 1")
-        mass *= factor
+        num *= factor
+    mass = Fraction(num, den)
     if mass <= 0:
         raise IntegralityViolationError(f"mass {mass} is not positive")
     return mass

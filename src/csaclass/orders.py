@@ -116,27 +116,38 @@ def genus_reduce(g_vec) -> tuple[int, ...]:
 
 
 def _genus_vectors(total: int, parts: int):
-    """(vector, its non-zero entries) for every vector of `parts`
-    non-negative integers summing to `total`, in ascending lexicographic
-    order.
+    """(vectors, ids, entries): every vector of `parts` non-negative integers
+    summing to `total`, in ascending lexicographic order; `ids[i]` numbers
+    the non-zero entries of `vectors[i]`, which are `entries[ids[i]]`.
 
     The vectors that start with a are a followed by those of `total - a`
-    in one part fewer; each (left, parts) is built once.
+    in one part fewer; each (left, parts) is built once.  Id 0 numbers no
+    entries, and a non-zero a before the entries of id i takes the next id
+    when the pair (a, i) is first met.
     """
-    memo: dict[tuple[int, int], list] = {}
+    prepended: dict[tuple[int, int], int] = {}  # (a, id) -> id
+    memo: dict[tuple[int, int], tuple[list, list]] = {(0, 0): ([()], [0])}
 
-    def tails(left: int, parts: int) -> list:
+    def tails(left: int, parts: int) -> tuple[list, list]:
         key = (left, parts)
         if key not in memo:
-            if parts == 1:
-                memo[key] = [((left,), (left,) if left else ())]
-            else:
-                memo[key] = [((a,) + g, (a,) + nz if a else nz)
-                             for a in range(left + 1)
-                             for g, nz in tails(left - a, parts - 1)]
+            vectors, ids = [], []
+            for a in range(left + 1) if parts > 1 else (left,):
+                sub_vectors, sub_ids = tails(left - a, parts - 1)
+                vectors += map((a,).__add__, sub_vectors)
+                if a:
+                    id_of = {i: prepended.setdefault((a, i), len(prepended) + 1)
+                             for i in set(sub_ids)}
+                    sub_ids = map(id_of.__getitem__, sub_ids)
+                ids += sub_ids
+            memo[key] = vectors, ids
         return memo[key]
 
-    return tails(total, parts)
+    vectors, ids = tails(total, parts)
+    entries = [()]  # an id is numbered after the id it extends
+    for a, i in prepended:
+        entries.append((a,) + entries[i])
+    return vectors, ids, entries
 
 
 def count_genera(order: OrderSpec) -> int:
@@ -168,16 +179,16 @@ def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
     """
     axes = []
     for label, f in order.invariants:
-        vectors, nonzero = zip(*_genus_vectors(sum(f), len(f)))
+        vectors, ids, entries = _genus_vectors(sum(f), len(f))
         # Many vectors share their non-zero entries, so each distinct tuple
         # of them is reduced and normalised once.
         index: dict[tuple[int, ...], int] = {}
-        pick_of: dict[tuple[int, ...], int] = {}
-        for nz in dict.fromkeys(nonzero):
-            pick_of[nz] = index.setdefault(
-                normalize_invariant(genus_reduce(nz)), len(index))
-        axes.append(GenusAxis(label, vectors, tuple(index),
-                              tuple(map(pick_of.__getitem__, nonzero))))
+        pick_of: dict[int, int] = {}
+        for i in dict.fromkeys(ids):
+            pick_of[i] = index.setdefault(
+                normalize_invariant(genus_reduce(entries[i])), len(index))
+        axes.append(GenusAxis(label, tuple(vectors), tuple(index),
+                              tuple(map(pick_of.__getitem__, ids))))
     return tuple(axes)
 
 

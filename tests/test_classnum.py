@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -18,10 +19,12 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       transfer_check, weight_class_numbers)
 from csaclass import classnum
 from csaclass.algebra import centralizer_spec, places_above, validate
+from csaclass.cli import main
 from csaclass.omega import enumerate_omega, flatten_strip, strip_counts
 from csaclass.orders import count_genera, enumerate_genera, genus_reduce
 from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
-                             InvalidDivisorError, NotPrimeDegreeError)
+                             IntegralityViolationError, InvalidDivisorError,
+                             NotPrimeDegreeError)
 from conftest import random_definite_spec, random_order
 
 
@@ -43,6 +46,35 @@ def test_golden_report(golden_order):
     rhs = {level.s: level.rhs for level in report.levels}
     assert rhs[4] == Fraction(16, 80)
     assert rhs[2] == Fraction(1, 80) * (2 * 12 * 12)
+
+
+GOLDEN_CONFIG_PATH = (pathlib.Path(__file__).resolve().parents[1]
+                      / "configs" / "dvg-example.json")
+
+
+# The golden solve: h_4 = 20 * rhs_4 = 4 with rhs_4 = 1/5, then h_2 =
+# 4 * rhs_2 - 2/5 = 14 with rhs_2 = 18/5.  Scaling M_4 (the mass of the
+# degree-1 centralizer) or M_2 (degree 2) makes that level non-integral or
+# negative.
+@pytest.mark.parametrize("degree,scale,message", [
+    (1, Fraction(1, 3), "h_4 = 4/3 is not a non-negative integer"),
+    (1, -1, "h_4 = -4 is not a non-negative integer"),
+    (2, Fraction(1, 2), "h_2 = 34/5 is not a non-negative integer"),
+    (2, Fraction(-1, 9), "h_2 = -2 is not a non-negative integer"),
+])
+def test_level_solver_integrality_error(golden_order, capsys, monkeypatch,
+                                        degree, scale, message):
+    real_mass = classnum.mass_maximal
+
+    def scaled_mass(spec):
+        return real_mass(spec) * (scale if spec.degree == degree else 1)
+
+    monkeypatch.setattr(classnum, "mass_maximal", scaled_mass)
+    with pytest.raises(IntegralityViolationError) as exc:
+        weight_class_numbers(golden_order)
+    assert str(exc.value) == message
+    assert main(["--config", str(GOLDEN_CONFIG_PATH), "classnum"]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_golden_embedding_counts(golden_order):

@@ -381,6 +381,33 @@ def _iwahori_at_u(doc):
      "need s | s2 | s0, got s=1, s2=0, s0=4"),
     (None, ("transfer", "--s", "1", "--s2", "-2"),
      "need s | s2 | s0, got s=1, s2=-2, s0=4"),
+    # JSON floats, booleans and strings are refused, not truncated: each of
+    # these used to run as the class number of another order.
+    (lambda d: d.update(degree=4.7), ("classnum",),
+     "degree: missing or not an integer"),
+    (lambda d: d.update(degree="4"), ("classnum",),
+     "degree: missing or not an integer"),
+    (lambda d: d["ramification"][0].update(degree=1.9), ("classnum",),
+     "ramification[0].degree: not an integer"),
+    (lambda d: d["ramification"][0].update(degree=True), ("classnum",),
+     "ramification[0].degree: not an integer"),
+    (lambda d: d["ramification"][3].update(degree=True), ("classnum",),
+     "ramification[3].degree: not an integer"),
+    (lambda d: (_iwahori_at_u(d), d["order"]["invariants"].update(
+        U=[1.5, 1, 1, 1])), ("classnum",),
+     "order.invariants['U']: entry 0 is not an integer"),
+    (lambda d: (_iwahori_at_u(d), d["order"]["invariants"].update(
+        U=[1, 1, True, 1])), ("classnum",),
+     "order.invariants['U']: entry 2 is not an integer"),
+    (lambda d: d["base"].update(q=3.0), ("classnum",),
+     "base: q is not an integer"),
+    (lambda d: d["base"].update(infinity_degree=True), ("classnum",),
+     "base: infinity_degree is not an integer"),
+    (lambda d: d["base"].update(pic_order=1.0), ("classnum",),
+     "base: pic_order is not an integer"),
+    (lambda d: d.update(base={"type": "custom", "q": 3,
+                              "l_polynomial": [1, 0.5, 3]}), ("classnum",),
+     "base: l_polynomial[1] is not an integer"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, mangle, argv, needle):
     doc = json.loads(GOLDEN_CONFIG)

@@ -166,6 +166,35 @@ def test_compositions_match_the_recursive_definition():
             assert len(set(axis.reduced)) == len(axis.reduced)
 
 
+def _axis_sizes(limit: int, max_total: int):
+    """Every (m, r), 2 <= r <= m <= `max_total`, with at most `limit` genus
+    vectors."""
+    for r in range(2, max_total + 1):
+        for m in range(r, max_total + 1):
+            if comb(m + r - 1, r - 1) <= limit:
+                yield m, r
+
+
+def test_genus_axes_match_brute_force():
+    # Every axis of at most 2000 vectors with m <= 64.  Past m = 64 only
+    # r = 2 fits, whose vectors are all (a, m - a), and those 1935 axes
+    # would hold 2M vectors.  The last entry of a vector summing to m is m
+    # minus the others, so product over r - 1 entries gives the vectors of
+    # product over r that sum to m, at a (m + 1)-th of the cost.
+    sizes = list(_axis_sizes(2000, 64))
+    assert {(61, 3), (20, 4), (12, 5), (8, 6), (7, 7)} <= set(sizes)
+    assert not {(62, 3), (21, 4), (13, 5), (9, 6), (8, 7)} & set(sizes)
+    for m, r in sizes:
+        (axis,) = genus_axes(_order_with_axis((1,) * (r - 1) + (m - r + 1,)))
+        vectors = sorted(g + (m - sum(g),)
+                         for g in product(range(m + 1), repeat=r - 1)
+                         if sum(g) <= m)
+        assert axis.vectors == tuple(vectors), (m, r)
+        reductions = [normalize_invariant(genus_reduce(g)) for g in vectors]
+        assert [axis.reduced[i] for i in axis.picks] == reductions, (m, r)
+        assert axis.reduced == tuple(dict.fromkeys(reductions)), (m, r)
+
+
 def test_genus_axes_number_reductions_by_first_appearance():
     (axis,) = genus_axes(_iwahori_order(3))
     assert axis.label == "w"
