@@ -8,7 +8,7 @@ d_v = 1 and capacity m_v = n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -96,18 +96,6 @@ class AlgebraSpec:
     def norm(self, place: Place) -> int:
         """N(v) = q^deg(v)."""
         return self.base.q ** place.degree
-
-    def with_listed_place(self, label: str, degree: int) -> "AlgebraSpec":
-        """List an implicit split place so that order data can refer to it."""
-        try:
-            existing = self.place(label)
-        except KeyError:
-            return replace(
-                self, finite_places=self.finite_places + (Place(label, degree, 1),))
-        if existing.degree != degree:
-            raise ValidationError(
-                f"place {label!r} already listed with degree {existing.degree}")
-        return self
 
 
 def validate(spec: AlgebraSpec) -> list[str]:

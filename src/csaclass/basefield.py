@@ -39,10 +39,6 @@ def _prime_factors(n: int) -> dict[int, int]:
     return factors
 
 
-def _is_prime_power(q: int) -> bool:
-    return len(_prime_factors(q)) == 1
-
-
 @dataclass(frozen=True)
 class BaseField:
     """The pair (K, infinity) as data.
@@ -62,7 +58,7 @@ class BaseField:
     def __post_init__(self) -> None:
         if self.kind not in (RATIONAL, CUSTOM):
             raise ValidationError(f"unknown base field kind {self.kind!r}")
-        if not _is_prime_power(self.q):
+        if len(_prime_factors(self.q)) != 1:
             raise ValidationError(f"q = {self.q} is not a prime power")
         if self.infinity_degree < 1:
             raise ValidationError("infinity_degree must be positive")
@@ -77,22 +73,18 @@ class BaseField:
         if self.kind == CUSTOM:
             if len(poly) % 2 == 0 and len(poly) > 1:
                 raise ValidationError("l_poly must have even degree 2g")
-            self._warn_functional_equation()
-
-    def _warn_functional_equation(self) -> None:
-        # q^g P(1/(qT)) = P(T) symmetry, i.e. c_{2g-k} = q^{g-k} c_k.
-        # Users may probe hypothetical data, so this is a warning only.
-        poly = self.l_poly
-        two_g = len(poly) - 1
-        g = two_g // 2
-        for k in range(g + 1):
-            if poly[two_g - k] != self.q ** (g - k) * poly[k]:
-                warnings.warn(
-                    "l_poly does not satisfy the functional equation "
-                    f"c_{two_g - k} = q^{g - k} * c_{k}",
-                    stacklevel=3,
-                )
-                return
+            # q^g P(1/(qT)) = P(T) symmetry, i.e. c_{2g-k} = q^{g-k} c_k.
+            # Users may probe hypothetical data, so this is a warning only.
+            two_g = len(poly) - 1
+            g = two_g // 2
+            for k in range(g + 1):
+                if poly[two_g - k] != self.q ** (g - k) * poly[k]:
+                    warnings.warn(
+                        "l_poly does not satisfy the functional equation "
+                        f"c_{two_g - k} = q^{g - k} * c_{k}",
+                        stacklevel=2,
+                    )
+                    break
 
     @classmethod
     def rational(cls, q: int, infinity_degree: int = 1,

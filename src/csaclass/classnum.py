@@ -275,14 +275,18 @@ class ClassNumberReport:
     h_total: int
 
 
+def _resum(levels, q: int) -> Fraction:
+    """Sum of h_s / (q^s - 1) over the levels: the mass, if they solve."""
+    return sum((Fraction(level.h, q ** level.s - 1) for level in levels),
+               Fraction(0))
+
+
 def class_number_report(order: OrderSpec, *,
                         budget: int = DEFAULT_BUDGET) -> ClassNumberReport:
     spec = order.algebra
     levels = _level_solver(spec, budget)(_one_term(order))[::-1]
     mass = mass_hereditary(order)
-    resum = sum(
-        (Fraction(level.h, spec.base.q ** level.s - 1) for level in levels),
-        Fraction(0))
+    resum = _resum(levels, spec.base.q)
     if resum != mass:
         raise IntegralityViolationError(
             f"weight class numbers resum to {resum}, not to the mass {mass}")

@@ -20,7 +20,7 @@ from operator import add
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
 from .basefield import BaseField
-from .classnum import (DEFAULT_BUDGET, _level_solver, _one_term,
+from .classnum import (DEFAULT_BUDGET, _level_solver, _one_term, _resum,
                        class_number_report, embedding_count,
                        total_class_number_genera, transfer_check)
 from .errors import (BudgetExceededError, CsaClassError,
@@ -108,8 +108,14 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(entry, dict) or "place" not in entry:
             errors.append(f"{path}: expected an object with a 'place' field")
             continue
-        label = str(entry["place"])
+        label = entry["place"]
+        if type(label) is not str:
+            errors.append(f"{path}.place: not a string")
+            continue
         if "invariant" in entry:
+            if type(entry["invariant"]) not in (str, int):
+                errors.append(f"{path}.invariant: not a string or an integer")
+                continue
             try:
                 inv = Fraction(str(entry["invariant"]))
             except (ValueError, ZeroDivisionError):
@@ -286,19 +292,25 @@ def _cmd_theta(order: OrderSpec, args) -> dict:
     return {"place": args.place, "s": args.s, "theta": str(value)}
 
 
+def _walkable(layer: str, v: Place, f_vec, s: int, budget: int) -> int:
+    """Size of the local index set, from `omega_size`, checked against
+    `budget` before the set is walked; the error names `layer`."""
+    count = omega_size(v, f_vec, s, budget=budget)
+    if count > budget:
+        raise BudgetExceededError(
+            f"{layer}: local index set of {count} elements exceeds budget of "
+            f"{budget}")
+    return count
+
+
 def _cmd_omega(order: OrderSpec, args) -> dict:
     v = _place_arg(order, args.place)
     f_vec = order.invariant_at(args.place)
-    count = omega_size(v, f_vec, args.s, budget=args.budget)
-    if count > args.budget:
-        raise BudgetExceededError(
-            f"omega: local index set of {count} elements exceeds budget of "
-            f"{args.budget}")
-    out: dict = {"place": args.place, "s": args.s}
+    out: dict = {"place": args.place, "s": args.s,
+                 "count": _walkable("omega", v, f_vec, args.s, args.budget)}
     if args.list:
         out["elements"] = [[list(slice_vec) for slice_vec in elem]
                            for elem in enumerate_omega(v, f_vec, args.s)]
-    out["count"] = count
     return out
 
 
@@ -377,21 +389,14 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     q = spec.base.q
     levels = _level_solver(spec, args.budget)(_one_term(order))
 
-    mass = mass_hereditary(order)
-    total = sum(
-        (Fraction(level.h, q ** level.s - 1) for level in levels), Fraction(0))
-    checks["mass_consistency"] = total == mass
+    checks["mass_consistency"] = _resum(levels, q) == mass_hereditary(order)
     checks["h_nonnegative_integers"] = all(level.h >= 0 for level in levels)
 
     def enumerated(label: str, f_vec, s: int) -> int:
-        """theta_enum, the oracle here, once `omega_size` has put the set
-        it walks within the budget."""
+        """theta_enum, the oracle here, on a set `_walkable` has sized."""
         v = spec.place(label)
-        count = omega_size(v, f_vec, s, budget=args.budget)
-        if count > args.budget:
-            raise BudgetExceededError(
-                f"selfcheck: place {label!r}, s = {s}: local index set of "
-                f"{count} elements exceeds budget of {args.budget}")
+        _walkable(f"selfcheck: place {label!r}, s = {s}", v, f_vec, s,
+                  args.budget)
         return theta_enum(v, f_vec, s, q)
 
     # The enumeration is compared with the theta factors the solve used.

@@ -122,19 +122,11 @@ def enumerate_omega(place: Place, f_vec, s: int):
     yield from rec(0, [])
 
 
-def flatten_strip(slice_vec) -> tuple[int, ...]:
-    """Long vector of one slice with zero entries removed."""
-    stripped = tuple(e for e in slice_vec if e != 0)
-    if not stripped:
-        raise ValidationError("slice is all zero")
-    return stripped
-
-
 def strip_counts(place: Place, f_vec, s: int, *,
                  budget: int = DEFAULT_BUDGET) -> Counter:
     """Count the local index set by the normalised strips of its elements.
 
-    The strip of a long vector is `flatten_strip` of it, normalised.  A key
+    The strip of a long vector is its non-zero entries, normalised.  A key
     is the sorted tuple of the strips of one element, one per place w above
     v, and its count is the number of elements with those strips.  The
     places w share their degree and local index, so the class number of the

@@ -8,7 +8,6 @@ cyclic rotation.  Places without an entry are maximal, f_v = (m_v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
 from .algebra import AlgebraSpec
@@ -190,14 +189,3 @@ def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
         axes.append(GenusAxis(label, tuple(vectors), tuple(index),
                               tuple(map(pick_of.__getitem__, ids))))
     return tuple(axes)
-
-
-def enumerate_genera(order: OrderSpec):
-    """All genus vectors, as {label: vector} over the non-maximal places.
-
-    Places with a single invariant block admit only the forced genus and are
-    omitted from the dictionaries.
-    """
-    axes = genus_axes(order)
-    for combo in product(*(axis.vectors for axis in axes)):
-        yield {axis.label: g for axis, g in zip(axes, combo)}

@@ -10,8 +10,8 @@ l x r matrices with row sums m_s and the scaled targets as column sums, one
 row at a time, memoised on the sorted remaining column budgets; the row
 weight is symmetric in the columns, so sorting loses nothing.  A row's
 weight comes from a table: N of the `left` unplaced entries put in the next
-column contribute cell[left][N].  `theta` passes [left; N]_Q * g_t(N), whose
-product over a row telescopes to the slice weight, and `omega_size` passes
+column contribute cell[left][N].  `theta` builds [left; N]_Q * g_t(N), whose
+product over a row telescopes to the slice weight, and `omega_size` builds
 C(N + t - 1, t - 1), which counts the index set without walking it.
 
 The same symmetry lets a row treat the k columns of equal budget b as one
@@ -55,11 +55,14 @@ def theta_enum(place: Place, f_vec, s: int, q: int) -> int:
     return total
 
 
-def _row_sum(layer: str, ctx: LocalContext, targets: tuple[int, ...], cell,
-             budget: int) -> int:
-    """Sum of prod_i cell[left][N_i] over the rows (places w above v) of
-    each matrix; raises BudgetExceededError, naming `layer`, once the row
-    placements tried exceed `budget`."""
+def _row_sum(layer: str, ctx: LocalContext, table, budget: int) -> int:
+    """Sum of prod_i cell[left][N_i], cell = table(ctx), over the rows
+    (places w above v) of each matrix, 0 for an empty set; raises
+    BudgetExceededError, naming `layer`, past `budget` row placements."""
+    targets = ctx.scaled_targets()
+    if targets is None:
+        return 0
+    cell = table(ctx)
     m = ctx.m_s
     memo: dict[tuple[int, ...], int] = {}
     placements = 0
@@ -135,30 +138,29 @@ def theta(place: Place, f_vec, s: int, q: int, *,
 
     Raises BudgetExceededError once the row placements tried exceed `budget`.
     """
-    ctx = LocalContext.create(place, f_vec, s)
-    targets = ctx.scaled_targets()
-    if targets is None:
-        return 0
-    m = ctx.m_s
-    Q = residue_power(ctx, q)
-    # binom[a][b] = [a]_Q! / ([b]_Q! [a-b]_Q!) with [k]_Q! = prod_{j<=k}
-    # (Q^j - 1), built by the Q-Pascal rule [a; b] = [a-1; b-1] + Q^b [a-1; b].
-    power = [Q ** b for b in range(m + 1)]
-    binom = [[1]]
-    for a in range(1, m + 1):
-        above = binom[-1]
-        binom.append([1, *(above[b - 1] + power[b] * above[b]
-                           for b in range(1, a)), 1])
-    # g[N] sums [N; e]_Q over the t-way splits e of N, one part at a time.
-    g = [1] * (m + 1)
-    for _ in range(ctx.t - 1):
-        g = [sum(binom[N][k] * g[N - k] for k in range(N + 1))
-             for N in range(m + 1)]
-    # Choosing N of the `left` unplaced row entries for the next column
-    # contributes binom[left][N] * g[N]; over a row these give the weight.
-    cell = [[binom[left][N] * g[N] for N in range(left + 1)]
-            for left in range(m + 1)]
-    return _row_sum("theta", ctx, targets, cell, budget)
+    def table(ctx: LocalContext) -> list[list[int]]:
+        m = ctx.m_s
+        Q = residue_power(ctx, q)
+        # binom[a][b] = [a]_Q! / ([b]_Q! [a-b]_Q!) with [k]_Q! = prod_{j<=k}
+        # (Q^j - 1), by the Q-Pascal rule [a; b] = [a-1; b-1] + Q^b [a-1; b].
+        power = [Q ** b for b in range(m + 1)]
+        binom = [[1]]
+        for a in range(1, m + 1):
+            above = binom[-1]
+            binom.append([1, *(above[b - 1] + power[b] * above[b]
+                               for b in range(1, a)), 1])
+        # g[N] sums [N; e]_Q over the t-way splits e of N, one part at a time.
+        g = [1] * (m + 1)
+        for _ in range(ctx.t - 1):
+            g = [sum(binom[N][k] * g[N - k] for k in range(N + 1))
+                 for N in range(m + 1)]
+        # Choosing N of the `left` unplaced row entries for the next column
+        # contributes binom[left][N] * g[N]; over a row these give the weight.
+        return [[binom[left][N] * g[N] for N in range(left + 1)]
+                for left in range(m + 1)]
+
+    return _row_sum("theta", LocalContext.create(place, f_vec, s), table,
+                    budget)
 
 
 def omega_size(place: Place, f_vec, s: int, *,
@@ -167,11 +169,10 @@ def omega_size(place: Place, f_vec, s: int, *,
 
     Raises BudgetExceededError once the row placements tried exceed `budget`.
     """
-    ctx = LocalContext.create(place, f_vec, s)
-    targets = ctx.scaled_targets()
-    if targets is None:
-        return 0
-    t = ctx.t
-    cell = [[comb(N + t - 1, t - 1) for N in range(left + 1)]
-            for left in range(ctx.m_s + 1)]
-    return _row_sum("omega", ctx, targets, cell, budget)
+    def table(ctx: LocalContext) -> list[list[int]]:
+        t = ctx.t
+        return [[comb(N + t - 1, t - 1) for N in range(left + 1)]
+                for left in range(ctx.m_s + 1)]
+
+    return _row_sum("omega", LocalContext.create(place, f_vec, s), table,
+                    budget)

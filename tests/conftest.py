@@ -1,15 +1,55 @@
-"""Shared fixtures: the worked golden example and a random spec generator."""
+"""Shared fixtures and the helpers only the tests use: the worked golden
+example, a random spec generator, a split place listed by label, a long
+vector's strip, and the genera of an order one dict at a time."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
 from csaclass import AlgebraSpec, BaseField, OrderSpec, Place
 from csaclass.algebra import _irreducible_count, validate
+from csaclass.errors import ValidationError
+from csaclass.orders import genus_axes
+
+
+def with_listed_place(spec: AlgebraSpec, label: str,
+                      degree: int) -> AlgebraSpec:
+    """`spec` with the implicit split place `label` listed, so that order
+    data can refer to it; `spec` itself if it is listed with that degree."""
+    try:
+        existing = spec.place(label)
+    except KeyError:
+        return dataclasses.replace(
+            spec, finite_places=spec.finite_places + (Place(label, degree, 1),))
+    if existing.degree != degree:
+        raise ValidationError(
+            f"place {label!r} already listed with degree {existing.degree}")
+    return spec
+
+
+def flatten_strip(slice_vec) -> tuple[int, ...]:
+    """Long vector of one slice with zero entries removed."""
+    stripped = tuple(e for e in slice_vec if e != 0)
+    if not stripped:
+        raise ValidationError("slice is all zero")
+    return stripped
+
+
+def enumerate_genera(order: OrderSpec):
+    """All genus vectors, as {label: vector} over the non-maximal places.
+
+    Places with a single invariant block admit only the forced genus and are
+    omitted from the dictionaries.
+    """
+    axes = genus_axes(order)
+    for combo in product(*(axis.vectors for axis in axes)):
+        yield {axis.label: g for axis, g in zip(axes, combo)}
 
 
 @pytest.fixture
@@ -35,8 +75,10 @@ def random_composition(rng: random.Random, total: int, parts: int) -> tuple[int,
 
 
 def random_definite_spec(rng: random.Random, max_degree: int = 6,
-                         max_places: int = 4) -> AlgebraSpec:
-    """A random valid definite algebra spec over a rational base field.
+                         max_places: int = 4,
+                         infinity_degree: int = 1) -> AlgebraSpec:
+    """A random valid definite algebra spec over a rational base field whose
+    place at infinity has degree `infinity_degree`.
 
     Finite ramified invariants are drawn freely; a final balancer place
     absorbs the fractional part so reciprocity holds, retrying until the
@@ -77,13 +119,15 @@ def random_definite_spec(rng: random.Random, max_degree: int = 6,
         if n == 1:
             if residual != 0:
                 continue
-            infinity = Place("infinity", 1, 1, None)
+            infinity = Place("infinity", infinity_degree, 1, None)
         else:
             # infinity must carry denominator exactly n for definiteness
             if residual == 0 or residual.denominator != n:
                 continue
-            infinity = Place("infinity", 1, n, residual.numerator)
-        spec = AlgebraSpec(BaseField.rational(q), n, tuple(places), infinity)
+            infinity = Place("infinity", infinity_degree, n,
+                             residual.numerator)
+        spec = AlgebraSpec(BaseField.rational(q, infinity_degree), n,
+                           tuple(places), infinity)
         if validate(spec):
             continue
         return spec
@@ -103,7 +147,7 @@ def random_order(rng: random.Random, spec: AlgebraSpec,
             existing = sum(1 for v in algebra.finite_places if v.degree == deg)
             if existing >= limit:
                 continue
-            algebra = algebra.with_listed_place(label, deg)
+            algebra = with_listed_place(algebra, label, deg)
             candidates.append(algebra.place(label))
     invariants = {}
     for v in candidates:

@@ -19,7 +19,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       total_class_number_genera, transfer_check,
                       weight_class_numbers)
 from csaclass.omega import LocalContext
-from conftest import random_definite_spec, random_order
+from conftest import random_definite_spec, random_order, with_listed_place
 
 from test_basefield import (divisor_counts_rational, root_power_l_poly,
                             series_coefficients)
@@ -260,7 +260,7 @@ def test_criterion_09_rotation_invariance():
 def test_criterion_10_genera():
     spec = AlgebraSpec(BaseField.rational(3), 2,
                        (Place("v0", 1, 2, 1),), Place("infinity", 1, 2, -1))
-    spec = spec.with_listed_place("w", 1)
+    spec = with_listed_place(spec, "w", 1)
     order = OrderSpec(spec, (("w", (1, 1)),))
     report = total_class_number_genera(order)
     by_genus = dict(report.per_genus)

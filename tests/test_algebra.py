@@ -148,6 +148,27 @@ def test_centralizer_composition_random():
     assert checked > 10
 
 
+def test_definite_s0_is_prime_to_the_degree_of_infinity():
+    # constant_extension raises ExtensionNotSupportedError when gcd(s,
+    # deg infinity) != 1.  On a definite spec m_infinity = 1 caps every prime
+    # of gcd(deg infinity, n) at exponent 0 in s0, so the guard serves direct
+    # library calls only, and every centralizer of a definite spec exists.
+    rng = random.Random(20261018)
+    shared = checked = 0
+    for _ in range(300):
+        deg = rng.randint(1, 4)
+        spec = random_definite_spec(rng, infinity_degree=deg)
+        assert spec.infinity.degree == spec.base.infinity_degree == deg
+        s0 = constant_field_degree(spec)
+        assert gcd(s0, deg) == 1
+        for s in range(1, s0 + 1):
+            if s0 % s == 0:
+                assert centralizer_spec(spec, s).degree == spec.degree // s
+                checked += s > 1 and deg > 1
+        shared += gcd(spec.degree, deg) > 1
+    assert shared > 30 and checked > 30
+
+
 def test_places_above_random():
     rng = random.Random(10)
     checked = 0

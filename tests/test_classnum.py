@@ -20,12 +20,13 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
 from csaclass import classnum
 from csaclass.algebra import centralizer_spec, places_above, validate
 from csaclass.cli import main
-from csaclass.omega import enumerate_omega, flatten_strip, strip_counts
-from csaclass.orders import count_genera, enumerate_genera, genus_reduce
+from csaclass.omega import enumerate_omega, strip_counts
+from csaclass.orders import count_genera, genus_reduce
 from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
                              IntegralityViolationError, InvalidDivisorError,
                              NotPrimeDegreeError)
-from conftest import random_definite_spec, random_order
+from conftest import (enumerate_genera, flatten_strip, random_definite_spec,
+                      random_order, with_listed_place)
 
 
 def test_golden_weight_class_numbers(golden_order):
@@ -226,7 +227,7 @@ def test_genera_iwahori_quaternion():
     # maximal order and must share its class number
     spec = AlgebraSpec(BaseField.rational(3), 2,
                        (Place("v0", 1, 2, 1),), Place("infinity", 1, 2, -1))
-    spec = spec.with_listed_place("w", 1)
+    spec = with_listed_place(spec, "w", 1)
     order = OrderSpec(spec, (("w", (1, 1)),))
     report = total_class_number_genera(order)
     assert len(report.per_genus) == 3
@@ -247,7 +248,7 @@ def test_genera_maximal_trivial(golden_order):
 def test_genera_budget():
     spec = AlgebraSpec(BaseField.rational(3), 2,
                        (Place("v0", 1, 2, 1),), Place("infinity", 1, 2, -1))
-    spec = spec.with_listed_place("w", 1)
+    spec = with_listed_place(spec, "w", 1)
     order = OrderSpec(spec, (("w", (1, 1)),))
     with pytest.raises(BudgetExceededError,
                        match="^genera: genus count 3 exceeds budget of 2$"):
@@ -271,7 +272,7 @@ def _one_split_place(q: int, n: int, deg: int, f_vec) -> OrderSpec:
     """T ramified with 1/n, order data f_vec at one split place U of degree deg."""
     spec = AlgebraSpec(BaseField.rational(q), n, (Place("T", 1, n, 1),),
                        Place("infinity", 1, n, -1))
-    spec = spec.with_listed_place("U", deg)
+    spec = with_listed_place(spec, "U", deg)
     return OrderSpec(spec, (("U", tuple(f_vec)),))
 
 
@@ -300,7 +301,7 @@ def _degree2_places(q: int, f_vecs) -> OrderSpec:
                        Place("infinity", 1, n, -1))
     labels = "UVWXYZ"[:len(f_vecs)]
     for label in labels:
-        spec = spec.with_listed_place(label, 2)
+        spec = with_listed_place(spec, label, 2)
     return OrderSpec(spec, tuple(zip(labels, map(tuple, f_vecs))))
 
 
@@ -413,7 +414,7 @@ def derived_order(order: OrderSpec, s: int, keys) -> OrderSpec:
     invariants = []
     for label, strips in keys:
         for w, strip in zip(places_above(spec.place(label), s), strips):
-            alg = alg.with_listed_place(w.label, w.degree)
+            alg = with_listed_place(alg, w.label, w.degree)
             invariants.append((w.label, strip))
     return OrderSpec(alg, tuple(invariants))
 
@@ -434,7 +435,7 @@ def _brute_force_transfer_rhs(order: OrderSpec, s: int, s2: int) -> int:
 def _two_iwahori_places(q: int, n: int, deg: int) -> OrderSpec:
     spec = AlgebraSpec(BaseField.rational(q), n, (Place("T", 1, n, 1),),
                        Place("infinity", 1, n, -1))
-    spec = spec.with_listed_place("U", deg).with_listed_place("V", deg)
+    spec = with_listed_place(with_listed_place(spec, "U", deg), "V", deg)
     return OrderSpec(spec, (("U", (1,) * n), ("V", (1,) * n)))
 
 

@@ -78,6 +78,13 @@ def test_parse_errors_name_the_field(mangle, needle):
     assert any(needle in line for line in exc.value.errors)
 
 
+def test_parse_accepts_an_integer_invariant():
+    doc = json.loads(IWAHORI_CONFIG)
+    doc["ramification"][2]["invariant"] = 0
+    w = parse_config(json.dumps(doc)).order.algebra.place("w")
+    assert (w.local_index, w.invariant_num) == (1, 0)
+
+
 def test_parse_rejects_invalid_json():
     with pytest.raises(ConfigError) as exc:
         parse_config("{not json")
@@ -408,6 +415,25 @@ def _iwahori_at_u(doc):
     (lambda d: d.update(base={"type": "custom", "q": 3,
                               "l_polynomial": [1, 0.5, 3]}), ("classnum",),
      "base: l_polynomial[1] is not an integer"),
+    # A place label is a JSON string and an invariant a string or a JSON
+    # integer: 0.5, true and null used to run as the labels "0.5", "True"
+    # and "None", and an invariant of 0.5 as 1/2.
+    (lambda d: d["ramification"][0].update(place=0.5), ("classnum",),
+     "ramification[0].place: not a string"),
+    (lambda d: d["ramification"][1].update(place=True), ("classnum",),
+     "ramification[1].place: not a string"),
+    (lambda d: d["ramification"][2].update(place=None), ("classnum",),
+     "ramification[2].place: not a string"),
+    (lambda d: d["ramification"][3].update(place=["infinity"]), ("classnum",),
+     "ramification[3].place: not a string"),
+    (lambda d: d["ramification"][1].update(invariant=0.5), ("classnum",),
+     "ramification[1].invariant: not a string or an integer"),
+    (lambda d: d["ramification"][0].update(invariant=True), ("classnum",),
+     "ramification[0].invariant: not a string or an integer"),
+    (lambda d: d["ramification"][3].update(invariant=None), ("classnum",),
+     "ramification[3].invariant: not a string or an integer"),
+    (lambda d: d["ramification"][0].update(invariant=[1, 4]), ("classnum",),
+     "ramification[0].invariant: not a string or an integer"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, mangle, argv, needle):
     doc = json.loads(GOLDEN_CONFIG)
@@ -818,9 +844,15 @@ def _write_config(tmp_path, doc) -> str:
     return str(path)
 
 
-def test_omega_sizes_the_set_before_walking_it(tmp_path, capsys):
+@pytest.mark.parametrize("listed", [False, True], ids=["count", "list"])
+def test_omega_sizes_the_set_before_walking_it(tmp_path, capsys, monkeypatch,
+                                               listed):
     # The Iwahori order at a degree-4 place of a degree-24 algebra: its
-    # index set at s = 2 has 2,704,156 elements.
+    # index set at s = 2 has 2,704,156 elements, and neither form walks it.
+    def walk(*args):
+        raise AssertionError("omega walked a set over the budget")
+
+    monkeypatch.setattr(cli, "enumerate_omega", walk)
     path = _write_config(tmp_path, {
         "base": {"type": "rational_function_field", "q": 2},
         "degree": 24,
@@ -832,7 +864,8 @@ def test_omega_sizes_the_set_before_walking_it(tmp_path, capsys):
         "order": {"invariants": {"U": [1] * 24}},
     })
     started = time.monotonic()
-    code = main(["--config", path, "omega", "--place", "U", "--s", "2"])
+    code = main(["--config", path, "omega", "--place", "U", "--s", "2",
+                 *(["--list"] if listed else [])])
     elapsed = time.monotonic() - started
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")

@@ -12,10 +12,11 @@ from math import factorial, gcd
 import pytest
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
-                      enumerate_omega, flatten_strip, normalize_invariant,
-                      omega_size, strip_counts, transfer_check)
+                      enumerate_omega, normalize_invariant, omega_size,
+                      strip_counts, transfer_check)
 from csaclass.errors import BudgetExceededError, ValidationError
 from csaclass.omega import LocalContext
+from conftest import flatten_strip, with_listed_place
 
 
 def count(place: Place, f_vec, s: int) -> int:
@@ -289,7 +290,7 @@ def test_strip_counts_budget_names_the_layer(caller):
             spec = AlgebraSpec(BaseField.rational(2), 24,
                                (Place("T", 1, 24, 1),),
                                Place("infinity", 1, 24, -1))
-            spec = spec.with_listed_place("U", 4)
+            spec = with_listed_place(spec, "U", 4)
             order = OrderSpec(spec, (("U", (2,) * 12),))
             transfer_check(order, 4, 4, budget=1000)
     assert str(exc.value) == ("transfer: place 'U', s = 4: "

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
-                      enumerate_genera, genus_reduce, local_unit_index,
-                      maximal_order, normalize_invariant)
+from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, genus_reduce,
+                      local_unit_index, maximal_order, normalize_invariant)
 from csaclass.errors import (EmptyGenusError, IntegralityViolationError,
                              ValidationError)
 from csaclass.orders import count_genera, genus_axes
+from conftest import enumerate_genera, with_listed_place
 
 
 @pytest.mark.parametrize("vec,expected", [
@@ -106,7 +106,7 @@ def _iwahori_order(m: int = 2) -> OrderSpec:
     base = BaseField.rational(3)
     spec = AlgebraSpec(base, m, (Place("v0", 1, m, 1),),
                        Place("infinity", 1, m, -1))
-    spec = spec.with_listed_place("w", 1)
+    spec = with_listed_place(spec, "w", 1)
     return OrderSpec(spec, (("w", (1,) * m),))
 
 
@@ -127,7 +127,7 @@ def test_enumerate_genera_product_of_places():
     base = BaseField.rational(3)
     spec = AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),),
                        Place("infinity", 1, 2, -1))
-    spec = spec.with_listed_place("a", 1).with_listed_place("b", 1)
+    spec = with_listed_place(with_listed_place(spec, "a", 1), "b", 1)
     order = OrderSpec(spec, (("a", (1, 1)), ("b", (1, 1))))
     genera = list(enumerate_genera(order))
     assert len(genera) == 9
@@ -148,7 +148,7 @@ def _order_with_axis(f_vec) -> OrderSpec:
     base = BaseField.rational(3)
     spec = AlgebraSpec(base, m, (Place("v0", 1, m, 1),),
                        Place("infinity", 1, m, -1))
-    return OrderSpec(spec.with_listed_place("w", 1), (("w", f_vec),))
+    return OrderSpec(with_listed_place(spec, "w", 1), (("w", f_vec),))
 
 
 def test_compositions_match_the_recursive_definition():
@@ -222,7 +222,7 @@ def test_order_spec_normalizes_and_drops_maximal(golden_spec):
 
 
 def test_order_spec_rotation_equality(golden_spec):
-    spec = golden_spec.with_listed_place("u", 2)
+    spec = with_listed_place(golden_spec, "u", 2)
     a = OrderSpec(spec, (("u", (1, 3)),))
     b = OrderSpec(spec, (("u", (3, 1)),))
     assert a == b
