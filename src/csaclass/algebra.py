@@ -8,6 +8,7 @@ d_v = 1 and capacity m_v = n.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -44,6 +45,13 @@ def _irreducible_count(q: int, d: int) -> int:
     """Number of monic irreducible polynomials of degree d over F_q."""
     total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
     return total // d
+
+
+def _finite_place_count(q: int, d: int, infinity_degree: int) -> int:
+    """Number of places of degree d of F_q(T) other than infinity, when
+    infinity has degree `infinity_degree`: the monic irreducibles of degree
+    d and the place of 1/T, less infinity itself."""
+    return _irreducible_count(q, d) + (d == 1) - (d == infinity_degree)
 
 
 def _ord_p(n: int, p: int) -> int:
@@ -141,16 +149,16 @@ def validate(spec: AlgebraSpec) -> list[str]:
                     f"reciprocity fails: {max(parts)} divides a local index "
                     "at one place only")
 
-    if spec.base.kind == "rational":
-        by_degree: dict[int, int] = {}
-        for v in spec.finite_places:
-            by_degree[v.degree] = by_degree.get(v.degree, 0) + 1
+    if spec.base.l_poly == (1,):
+        q, delta = spec.base.q, spec.base.infinity_degree
+        by_degree = Counter(v.degree for v in spec.finite_places)
         for d, count in sorted(by_degree.items()):
-            available = _irreducible_count(spec.base.q, d)
+            available = _finite_place_count(q, d, delta)
             if count > available:
-                violations.append(
-                    f"{count} listed finite places of degree {d}, but only "
-                    f"{available} monic irreducibles exist over F_{spec.base.q}")
+                where = (f"monic irreducibles exist over F_{q}" if delta == 1
+                         else f"exist on F_{q}(T) with infinity of degree {delta}")
+                violations.append(f"{count} listed finite places of degree {d}, "
+                                  f"but only {available} {where}")
     return violations
 
 

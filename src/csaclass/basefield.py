@@ -21,9 +21,6 @@ from math import gcd
 from .errors import (ExtensionNotSupportedError, IntegralityViolationError,
                      ValidationError)
 
-RATIONAL = "rational"
-CUSTOM = "custom"
-
 
 def _prime_factors(n: int) -> dict[int, int]:
     """{p: k} with p^k exactly dividing n, by trial division; {} for n < 2."""
@@ -45,56 +42,35 @@ class BaseField:
 
     ``l_poly`` holds the coefficients of P(T), constant term first.  The
     rational function field has P(T) = 1; for a field of genus g the degree
-    of P is 2g.  ``pic_override`` replaces the default #Pic(A) = P(1) * delta
-    when the user knows better.
+    of P is 2g.
     """
 
-    kind: str
     q: int
     l_poly: tuple[int, ...] = (1,)
     infinity_degree: int = 1
-    pic_override: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (RATIONAL, CUSTOM):
-            raise ValidationError(f"unknown base field kind {self.kind!r}")
         if len(_prime_factors(self.q)) != 1:
             raise ValidationError(f"q = {self.q} is not a prime power")
         if self.infinity_degree < 1:
             raise ValidationError("infinity_degree must be positive")
-        if self.pic_override is not None and self.pic_override < 1:
-            raise ValidationError("pic_override must be positive")
         poly = tuple(self.l_poly)
         object.__setattr__(self, "l_poly", poly)
         if not poly or poly[0] != 1:
             raise ValidationError("l_poly must have constant term 1")
-        if self.kind == RATIONAL and poly != (1,):
-            raise ValidationError("rational function field forces l_poly = [1]")
-        if self.kind == CUSTOM:
-            if len(poly) % 2 == 0 and len(poly) > 1:
-                raise ValidationError("l_poly must have even degree 2g")
-            # q^g P(1/(qT)) = P(T) symmetry, i.e. c_{2g-k} = q^{g-k} c_k.
-            # Users may probe hypothetical data, so this is a warning only.
-            two_g = len(poly) - 1
-            g = two_g // 2
-            for k in range(g + 1):
-                if poly[two_g - k] != self.q ** (g - k) * poly[k]:
-                    warnings.warn(
-                        "l_poly does not satisfy the functional equation "
-                        f"c_{two_g - k} = q^{g - k} * c_{k}",
-                        stacklevel=2,
-                    )
-                    break
-
-    @classmethod
-    def rational(cls, q: int, infinity_degree: int = 1,
-                 pic_override: int | None = None) -> "BaseField":
-        return cls(RATIONAL, q, (1,), infinity_degree, pic_override)
-
-    @classmethod
-    def custom(cls, q: int, l_poly, infinity_degree: int = 1,
-               pic_override: int | None = None) -> "BaseField":
-        return cls(CUSTOM, q, tuple(l_poly), infinity_degree, pic_override)
+        if len(poly) % 2 == 0:
+            raise ValidationError("l_poly must have even degree 2g")
+        # q^g P(1/(qT)) = P(T) symmetry, i.e. c_{2g-k} = q^{g-k} c_k.
+        # Users may probe hypothetical data, so this is a warning only.
+        g = len(poly) // 2
+        for k in range(g + 1):
+            if poly[2 * g - k] != self.q ** (g - k) * poly[k]:
+                warnings.warn(
+                    "l_poly does not satisfy the functional equation "
+                    f"c_{2 * g - k} = q^{g - k} * c_{k}",
+                    stacklevel=3,
+                )
+                break
 
     def l_poly_at(self, x: int) -> int:
         """Evaluate P at an integer point."""
@@ -175,20 +151,14 @@ def constant_extension(base: BaseField, s: int) -> BaseField:
     if s == 1:
         return base
     deg = len(base.l_poly) - 1
-    if deg == 0:
-        return BaseField(base.kind, base.q ** s, (1,), base.infinity_degree)
     p = _power_sums_from_l_poly(base.l_poly, deg * s)
     p_new = [0] + [p[k * s] for k in range(1, deg + 1)]
     l_poly = _l_poly_from_power_sums(p_new, deg)
-    return BaseField(CUSTOM, base.q ** s, l_poly, base.infinity_degree)
+    return BaseField(base.q ** s, l_poly, base.infinity_degree)
 
 
 def pic_order(base: BaseField) -> int:
-    """#Pic(A) for the ring A of functions regular outside infinity.
-
-    Defaults to h_K * deg(infinity) = P(1) * delta, from the degree exact
-    sequence on the divisor class group; an explicit override wins.
-    """
-    if base.pic_override is not None:
-        return base.pic_override
+    """#Pic(A) = h_K * deg(infinity) = P(1) * delta for the ring A of
+    functions regular outside infinity, from the degree exact sequence on
+    the divisor class group."""
     return base.l_poly_at(1) * base.infinity_degree

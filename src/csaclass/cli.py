@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from operator import add
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
-from .basefield import BaseField
+from .basefield import BaseField, pic_order
 from .classnum import (DEFAULT_BUDGET, _level_solver, _one_term, _resum,
                        class_number_report, embedding_count,
                        total_class_number_genera, transfer_check)
@@ -54,23 +54,25 @@ def _parse_base(node, errors: list[str]) -> BaseField | None:
     if not isinstance(node, dict):
         errors.append("base: expected an object")
         return None
-    kind = node.get("type")
-    if kind not in ("rational_function_field", "custom"):
-        errors.append(f"base.type: unknown kind {kind!r}")
+    base_type = node.get("type")
+    if base_type not in ("rational_function_field", "custom"):
+        errors.append(f"base.type: unknown kind {base_type!r}")
         return None
     try:
         q = _integer(node["q"], "q")
         infinity_degree = _integer(node.get("infinity_degree", 1), "infinity_degree")
-        pic_override = (_integer(node["pic_order"], "pic_order")
-                        if "pic_order" in node else None)
-        if kind == "rational_function_field":
-            return BaseField.rational(q, infinity_degree, pic_override)
-        base = BaseField.custom(
-            q, [_integer(c, f"l_polynomial[{i}]")
-                for i, c in enumerate(node["l_polynomial"])],
-            infinity_degree, pic_override)
+        declared = (_integer(node["pic_order"], "pic_order")
+                    if "pic_order" in node else None)
+        l_poly = (1,) if base_type == "rational_function_field" else [
+            _integer(c, f"l_polynomial[{i}]")
+            for i, c in enumerate(node["l_polynomial"])]
+        base = BaseField(q, l_poly, infinity_degree)
         # AlgebraSpec checks this too, but the fault lies in `base`.
         base.check_class_number()
+        if declared is not None and declared != pic_order(base):
+            raise ValidationError(
+                f"pic_order {declared} differs from #Pic(A) = "
+                f"P(1) * infinity_degree = {pic_order(base)}")
         return base
     except KeyError as exc:
         errors.append(f"base.{exc.args[0]}: missing field")

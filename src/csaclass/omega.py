@@ -53,73 +53,48 @@ class LocalContext:
         return tuple(f_i // self.scale for f_i in self.f_vec)
 
 
-def _slices(m_s: int, r: int, t: int, column_budget):
-    """Long vectors of length r*t summing to m_s, respecting column budgets.
-
-    Slot pos holds entry (i = pos % r, j = pos // r), matching the
-    column-major flattening.  Yields vectors in ascending lexicographic
-    order; budgets are tracked on a private copy.
-    """
-    slots = r * t
-    vec = [0] * slots
-    budget = list(column_budget)
-    # Columns of the slots after pos; r consecutive slots cover every column.
-    later = [tuple({p % r for p in range(pos + 1, min(slots, pos + 1 + r))})
-             for pos in range(slots)]
-
-    def rec(pos: int, left: int):
-        if pos == slots:
-            if left == 0:
-                yield tuple(vec)
-            return
-        i = pos % r
-        # Lower bound from what later slots can still absorb: each column
-        # contributes at most its remaining budget.
-        tail_cap = sum(budget[c] for c in later[pos])
-        lo = max(0, left - tail_cap)
-        hi = min(left, budget[i])
-        for e in range(lo, hi + 1):
-            vec[pos] = e
-            budget[i] -= e
-            yield from rec(pos + 1, left - e)
-            budget[i] += e
-        vec[pos] = 0
-
-    yield from rec(0, m_s)
-
-
 def enumerate_omega(place: Place, f_vec, s: int):
     """Stream the local index set in deterministic lexicographic order.
 
     Each element is the tuple of its long vectors, one per place w above v.
     Entry order within each vector follows the column-major flattening
-    (f_{w,(1,1)},...,f_{w,(r,1)},f_{w,(1,2)},...,f_{w,(r,t)}).
+    (f_{w,(1,1)},...,f_{w,(r,1)},f_{w,(1,2)},...,f_{w,(r,t)}).  One
+    recursion fills the l*r*t slots in that order: each long vector sums to
+    m_s, and each column i to its scaled target over all of them.
     """
     ctx = LocalContext.create(place, f_vec, s)
     targets = ctx.scaled_targets()
     if targets is None:
         return
     r = len(ctx.f_vec)
-    remaining = list(targets)
+    width = r * ctx.t
+    slots = ctx.l * width
+    vec = [0] * slots
+    budget = list(targets)
+    # Columns of the later slots of a vector: r slots cover every column.
+    later = [tuple({p % r for p in range(k + 1, min(width, k + 1 + r))})
+             for k in range(width)]
 
-    def rec(w: int, acc: list[tuple[int, ...]]):
-        if w == ctx.l:
-            if all(b == 0 for b in remaining):
-                yield tuple(acc)
-            return
-        for slice_vec in _slices(ctx.m_s, r, ctx.t, remaining):
-            consumed = [0] * r
-            for pos, e in enumerate(slice_vec):
-                consumed[pos % r] += e
-            for i in range(r):
-                remaining[i] -= consumed[i]
-            acc.append(slice_vec)
-            yield from rec(w + 1, acc)
-            acc.pop()
-            for i in range(r):
-                remaining[i] += consumed[i]
+    def rec(pos: int, left: int):
+        k = pos % width
+        if k == 0:  # a long vector ends here, or the first one starts
+            if left or pos == slots:
+                if not (left or any(budget)):
+                    yield tuple(tuple(vec[w:w + width])
+                                for w in range(0, slots, width))
+                return
+            left = ctx.m_s
+        i = k % r
+        # No less than the later slots of the vector can still absorb.
+        lo = max(0, left - sum(budget[c] for c in later[k]))
+        for e in range(lo, min(left, budget[i]) + 1):
+            vec[pos] = e
+            budget[i] -= e
+            yield from rec(pos + 1, left - e)
+            budget[i] += e
+        vec[pos] = 0
 
-    yield from rec(0, [])
+    yield from rec(0, 0)
 
 
 def strip_counts(place: Place, f_vec, s: int, *,

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 from csaclass import AlgebraSpec, BaseField, OrderSpec, Place
-from csaclass.algebra import _irreducible_count, validate
+from csaclass.algebra import _finite_place_count, validate
 from csaclass.errors import ValidationError
 from csaclass.orders import genus_axes
 
@@ -55,7 +55,7 @@ def enumerate_genera(order: OrderSpec):
 @pytest.fixture
 def golden_spec() -> AlgebraSpec:
     """Degree-4 division algebra over F_3(T), ramified at infinity, T, T+1, T+2."""
-    base = BaseField.rational(3)
+    base = BaseField(3)
     return AlgebraSpec(
         base, 4,
         (Place("T", 1, 4, 1), Place("T+1", 1, 2, 1), Place("T+2", 1, 2, 1)),
@@ -94,7 +94,8 @@ def random_definite_spec(rng: random.Random, max_degree: int = 6,
         def pick_degree() -> int | None:
             for _ in range(20):
                 deg = rng.randint(1, 3)
-                if used_degrees.get(deg, 0) < _irreducible_count(q, deg):
+                if used_degrees.get(deg, 0) < _finite_place_count(
+                        q, deg, infinity_degree):
                     used_degrees[deg] = used_degrees.get(deg, 0) + 1
                     return deg
             return None
@@ -126,7 +127,7 @@ def random_definite_spec(rng: random.Random, max_degree: int = 6,
                 continue
             infinity = Place("infinity", infinity_degree, n,
                              residual.numerator)
-        spec = AlgebraSpec(BaseField.rational(q, infinity_degree), n,
+        spec = AlgebraSpec(BaseField(q, infinity_degree=infinity_degree), n,
                            tuple(places), infinity)
         if validate(spec):
             continue
@@ -143,7 +144,8 @@ def random_order(rng: random.Random, spec: AlgebraSpec,
         if rng.random() < 0.5:
             label = f"u{k}"
             deg = rng.randint(1, 2)
-            limit = _irreducible_count(spec.base.q, deg)
+            limit = _finite_place_count(spec.base.q, deg,
+                                        spec.base.infinity_degree)
             existing = sum(1 for v in algebra.finite_places if v.degree == deg)
             if existing >= limit:
                 continue

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -46,20 +48,20 @@ def test_divisor_counting_zeta_oracle(q):
 def test_zeta_special_values_q3(i, expected):
     # Frozen from the divisor-counting oracle: the rational form
     # 1/((1-t)(1-qt)) gives zeta_K(-i) = 1/((1-q^i)(1-q^(i+1))).
-    base = BaseField.rational(3)
+    base = BaseField(3)
     assert zeta_at_negative(base, i) == expected
 
 
 def test_zeta_custom_trivial_l_poly_matches_rational():
-    rational = BaseField.rational(3)
-    custom = BaseField.custom(3, [1])
+    rational = BaseField(3)
+    custom = BaseField(3, [1])
     for i in range(1, 6):
         assert zeta_at_negative(custom, i) == zeta_at_negative(rational, i)
 
 
 def test_zeta_rejects_nonpositive_index():
     with pytest.raises(ValidationError):
-        zeta_at_negative(BaseField.rational(2), 0)
+        zeta_at_negative(BaseField(2), 0)
 
 
 def root_power_l_poly(l_poly, s):
@@ -84,7 +86,7 @@ def root_power_l_poly(l_poly, s):
 def test_extension_degree2_matches_root_oracle(a, q):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        base = BaseField.custom(q, [1, a, q])
+        base = BaseField(q, [1, a, q])
     ext = constant_extension(base, 2)
     assert ext.q == q ** 2
     assert ext.l_poly == root_power_l_poly((1, a, q), 2)
@@ -93,12 +95,12 @@ def test_extension_degree2_matches_root_oracle(a, q):
 def test_extension_degree2_closed_form():
     # prod(1 - alpha^2 T) has linear coefficient -(a^2 - 2q) when
     # P = 1 + aT + qT^2; frozen from the root oracle.
-    base = BaseField.custom(3, [1, -1, 3])
+    base = BaseField(3, [1, -1, 3])
     assert constant_extension(base, 2).l_poly == (1, -(1 - 6), 9)
 
 
 def test_extension_rational_stays_trivial():
-    base = BaseField.rational(3)
+    base = BaseField(3)
     ext = constant_extension(base, 2)
     assert ext.q == 9
     assert ext.l_poly == (1,)
@@ -106,12 +108,12 @@ def test_extension_rational_stays_trivial():
 
 
 def test_extension_identity():
-    base = BaseField.custom(2, [1, -2, 2])
+    base = BaseField(2, [1, -2, 2])
     assert constant_extension(base, 1) == base
 
 
 def test_extension_composition():
-    base = BaseField.custom(2, [1, -2, 2], infinity_degree=1)
+    base = BaseField(2, [1, -2, 2], infinity_degree=1)
     lhs = constant_extension(constant_extension(base, 2), 3)
     rhs = constant_extension(base, 6)
     assert lhs == rhs
@@ -133,7 +135,7 @@ L_POLYS = {
 def test_extension_tower_matches_direct_extension(q, shape, infinity_degree):
     # Inverse roots of L_a are alpha^a, so extending by a then c must land
     # on the same field as extending by a * c in one step.
-    base = BaseField.custom(q, L_POLYS[shape](q),
+    base = BaseField(q, L_POLYS[shape](q),
                             infinity_degree=infinity_degree)
     degrees = [s for s in range(1, 5) if gcd(s, infinity_degree) == 1]
     for a in degrees:
@@ -146,39 +148,49 @@ def test_extension_tower_matches_direct_extension(q, shape, infinity_degree):
 
 
 def test_extension_rejects_shared_factor_with_infinity():
-    base = BaseField.rational(3, infinity_degree=2)
+    base = BaseField(3, infinity_degree=2)
     with pytest.raises(ExtensionNotSupportedError):
         constant_extension(base, 2)
 
 
 def test_pic_order_cases():
-    assert pic_order(BaseField.rational(3)) == 1
-    assert pic_order(BaseField.rational(5, infinity_degree=2)) == 2
-    assert pic_order(BaseField.custom(2, [1, -2, 2], pic_override=7)) == 7
+    assert pic_order(BaseField(3)) == 1
+    assert pic_order(BaseField(5, infinity_degree=2)) == 2
     # h_K = P(1) for a genus-1 field with inert infinity of degree 1
-    assert pic_order(BaseField.custom(2, [1, -2, 2])) == 1
+    assert pic_order(BaseField(2, [1, -2, 2])) == 1
+    # h_K * deg(infinity) = P(1) * delta = 4 * 3
+    assert pic_order(BaseField(2, [1, 1, 2], infinity_degree=3)) == 12
+
+
+def test_base_field_is_its_data():
+    assert [f.name for f in dataclasses.fields(BaseField)] == [
+        "q", "l_poly", "infinity_degree"]
+    # F_3(T) is one field however P = 1 is written, and so are its
+    # constant field extensions.
+    assert BaseField(3, [1]) == BaseField(3)
+    for s in (2, 3, 4):
+        assert constant_extension(BaseField(3, [1]), s) == BaseField(3 ** s)
 
 
 def test_functional_equation_warning():
-    with pytest.warns(UserWarning):
-        BaseField.custom(3, [1, 0, 5])
-
-
-def test_rational_kind_forces_trivial_l_poly():
-    with pytest.raises(ValidationError):
-        BaseField("rational", 3, (1, 1, 3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        BaseField(3, [1, 0, 5])
+    assert [(w.category, w.filename, w.lineno) for w in caught] == [
+        (UserWarning, __file__, line)]
 
 
 def test_l_poly_must_have_even_degree():
     with pytest.raises(ValidationError):
-        BaseField.custom(3, [1, 1])
+        BaseField(3, [1, 1])
 
 
 def test_q_must_be_prime_power():
     with pytest.raises(ValidationError):
-        BaseField.rational(6)
+        BaseField(6)
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27):
-        BaseField.rational(q)
+        BaseField(q)
 
 
 def test_non_integral_l_poly_is_a_typed_error():

@@ -26,6 +26,7 @@ from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
                           parse_config)
 from csaclass.errors import IntegralityViolationError
 from csaclass.orders import genus_axes, normalize_invariant
+from csaclass.theta import omega_size, theta_enum
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIG_PATH = ROOT / "configs" / "dvg-example.json"
@@ -297,9 +298,17 @@ def test_selfcheck_computes_each_theta_once(tmp_path, capsys, monkeypatch):
     assert cli_theta_calls == []
 
 
-def test_selfcheck_sizes_each_set_before_walking_it(tmp_path, capsys):
+def test_selfcheck_sizes_each_set_before_walking_it(tmp_path, capsys,
+                                                    monkeypatch):
     # The Iwahori order at a degree-3 place of a degree-24 algebra: the
     # solve takes milliseconds, the set at U and s = 3 has 9.47e9 elements.
+    # A walk of a set over the budget fails at once instead of running on.
+    def walk(v, f_vec, s, q):
+        if omega_size(v, f_vec, s) > 1000:
+            raise AssertionError("selfcheck walked a set over the budget")
+        return theta_enum(v, f_vec, s, q)
+
+    monkeypatch.setattr(cli, "theta_enum", walk)
     path = tmp_path / "reach.json"
     path.write_text(json.dumps({
         "base": {"type": "rational_function_field", "q": 2},
@@ -512,6 +521,100 @@ def test_negative_class_number_base_exits_2_under_optimize(tmp_path):
     assert proc.stderr.splitlines() == [NEGATIVE_P1_ERROR]
 
 
+# #Pic(A) = P(1) * infinity_degree is derived from the base; a declared
+# pic_order must agree with it.  On the golden example, pic_order 2 used to
+# replace it and print mass 338/5.
+@pytest.mark.parametrize("base,derived", [
+    ({"type": "rational_function_field", "q": 3, "pic_order": 2}, 1),
+    ({"type": "rational_function_field", "q": 3, "pic_order": 0}, 1),
+    ({"type": "rational_function_field", "q": 3, "infinity_degree": 2,
+      "pic_order": 1}, 2),
+    ({"type": "custom", "q": 3, "l_polynomial": [1, 1, 3], "pic_order": 1},
+     5),
+], ids=["rational", "zero", "infinity-degree-2", "genus-1"])
+@pytest.mark.parametrize("command", ["mass", "classnum", "selfcheck"])
+def test_malformed_pic_order_exits_2(tmp_path, capsys, base, derived,
+                                     command):
+    doc = json.loads(GOLDEN_CONFIG)
+    doc["base"] = base
+    code = main(["--config", _write_config(tmp_path, doc), command])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: base: pic_order {base['pic_order']} differs from "
+        f"#Pic(A) = P(1) * infinity_degree = {derived}"]
+
+
+def test_pic_order_equal_to_the_derived_one_is_accepted(tmp_path, capsys):
+    doc = json.loads(GOLDEN_CONFIG)
+    doc["base"]["pic_order"] = 1
+    code = main(["--config", _write_config(tmp_path, doc), "classnum"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "dvg-example.classnum.json").read_text(
+        encoding="utf-8")
+
+
+def _halves(degrees, base) -> dict:
+    """A degree-2 config with invariant 1/2 at infinity and at one finite
+    place of each degree in `degrees`."""
+    return {
+        "base": base,
+        "degree": 2,
+        "ramification": [
+            *({"place": f"p{k}", "degree": deg, "invariant": "1/2"}
+              for k, deg in enumerate(degrees)),
+            {"place": "infinity", "invariant": "1/2"},
+        ],
+    }
+
+
+@pytest.mark.parametrize("base", [
+    {"type": "rational_function_field", "q": 2},
+    {"type": "custom", "q": 2, "l_polynomial": [1]},
+], ids=["rational", "custom"])
+def test_every_base_with_trivial_l_poly_gets_the_place_count(tmp_path, capsys,
+                                                             base):
+    # F_2[T] has two monic irreducibles of degree 1.  Written as "custom",
+    # F_2(T) used to skip this count and exit 3 with h_1 = -1.
+    code = main(["--config", _write_config(tmp_path, _halves([1, 1, 1], base)),
+                 "classnum"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: algebra: 3 listed finite places of degree 1, but only 2 "
+        "monic irreducibles exist over F_2"]
+
+
+CUBIC_INFINITY = {"type": "rational_function_field", "q": 2,
+                  "infinity_degree": 3}
+
+
+def test_place_count_keeps_the_place_one_over_t(tmp_path, capsys):
+    # With infinity of degree 3, F_2(T) has three finite places of degree 1:
+    # T, T + 1 and 1/T.
+    code, out = run_cli(capsys, "--config",
+                        _write_config(tmp_path, _halves([1, 1, 1],
+                                                        CUBIC_INFINITY)),
+                        "--output", "text", "classnum")
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        'h: {"1": 3, "2": 12}', 'h_total: 15', 'mass: "7"']
+
+
+def test_malformed_place_count_leaves_out_infinity(tmp_path, capsys):
+    # F_2(T) has two places of degree 3, and one of them is infinity.  This
+    # config used to exit 0 with h = {1: 339, 2: 12}.
+    code = main(["--config",
+                 _write_config(tmp_path, _halves([3, 3, 1], CUBIC_INFINITY)),
+                 "classnum"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: algebra: 2 listed finite places of degree 3, but only 1 "
+        "exist on F_2(T) with infinity of degree 3"]
+
+
 _LABELS = ("T", "T+1", "U", "infinity")
 _leaves = (st.none() | st.booleans() | st.integers(-3, 9)
            | st.sampled_from(_LABELS) | st.text(max_size=3)
@@ -683,8 +786,9 @@ def test_emit_matches_reference_walk(output, capsys):
     assert '"169/5"' in got and '"-3"' in got and '"7"' in got
 
 
-# Every subcommand on the golden example, and genera on two Iwahori places,
-# in both output modes.  The files were written with json.dumps(indent=2),
+# Every subcommand on the golden example, genera and selfcheck on two
+# Iwahori places, and four subcommands over a genus-1 base field, in both
+# output modes.  The files were written with json.dumps(indent=2),
 # so they check the join-based encoder against an independent one.
 GOLDEN_DIR = ROOT / "tests" / "golden"
 GOLDEN_COMMANDS = [
@@ -698,6 +802,10 @@ GOLDEN_COMMANDS = [
     ("dvg-example", "selfcheck", ()),
     ("iwahori-two-places", "genera", ()),
     ("iwahori-two-places", "selfcheck", ()),
+    ("genus1-example", "classnum", ()),
+    ("genus1-example", "transfer", ("--s", "2", "--s2", "2")),
+    ("genus1-example", "genera", ()),
+    ("genus1-example", "selfcheck", ()),
 ]
 
 
@@ -716,7 +824,8 @@ def test_output_matches_golden_file(config, command, extra, output, capsys):
 
 
 @pytest.mark.parametrize("output", ["json", "text"])
-@pytest.mark.parametrize("config", ["dvg-example", "iwahori-two-places"])
+@pytest.mark.parametrize("config", ["dvg-example", "iwahori-two-places",
+                                    "genus1-example"])
 def test_genera_timings_add_one_key_to_the_golden_report(config, output,
                                                          capsys):
     code = main(["--config", str(ROOT / "configs" / f"{config}.json"),
@@ -952,7 +1061,7 @@ def _genera_reports(draw):
     numbers, one per genus."""
     n = draw(st.integers(2, 4))
     labels = draw(st.lists(_place_labels, max_size=3, unique=True))
-    spec = AlgebraSpec(BaseField.rational(2), n,
+    spec = AlgebraSpec(BaseField(2), n,
                        tuple(Place(label, 1) for label in labels))
     invariants = []
     for label in labels:

@@ -287,7 +287,7 @@ def test_strip_counts_budget_names_the_layer(caller):
         if caller is None:
             strip_counts(Place("U", 4, 1), (2,) * 12, 4, budget=1000)
         else:
-            spec = AlgebraSpec(BaseField.rational(2), 24,
+            spec = AlgebraSpec(BaseField(2), 24,
                                (Place("T", 1, 24, 1),),
                                Place("infinity", 1, 24, -1))
             spec = with_listed_place(spec, "U", 4)
