@@ -443,6 +443,15 @@ def _iwahori_at_u(doc):
      "ramification[3].invariant: not a string or an integer"),
     (lambda d: d["ramification"][0].update(invariant=[1, 4]), ("classnum",),
      "ramification[0].invariant: not a string or an integer"),
+    (lambda d: d.update(ramification=[
+        {"place": "T", "degree": 1, "invariant": "1/2"},
+        {"place": "infinity", "invariant": "1/2"}]), ("classnum",),
+     "algebra: not definite: d_infinity = 2 != n = 4"),
+    (lambda d: d.update(ramification=[
+        {"place": "T", "degree": 1, "invariant": "1/4"},
+        {"place": "T", "degree": 1, "invariant": "1/2"},
+        {"place": "infinity", "invariant": "1/4"}]), ("classnum",),
+     "algebra: place labels are not distinct"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, mangle, argv, needle):
     doc = json.loads(GOLDEN_CONFIG)
