@@ -34,6 +34,11 @@ class Place:
             raise ValidationError(f"place {self.label!r}: degree must be positive")
         if self.local_index < 1:
             raise ValidationError(f"place {self.label!r}: local index must be positive")
+        if self.invariant_num is not None:
+            g = gcd(self.invariant_num, self.local_index)
+            if g != 1:
+                raise ValidationError(
+                    f"place {self.label!r}: gcd(kappa, d) = {g} != 1")
 
 
 def _mobius(n: int) -> int:
@@ -64,27 +69,32 @@ def _ord_p(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """A central simple algebra D/K of degree n, definite at infinity."""
+    """A central simple algebra D/K of degree n, definite at infinity: D is
+    division there, so infinity has degree deg infinity and local index n,
+    and only its invariant kappa/n is given (None if unknown)."""
 
     base: BaseField
     degree: int
     finite_places: tuple[Place, ...] = ()
-    infinity: Place = field(default=None)  # type: ignore[assignment]
+    infinity_invariant: int | None = None
+    infinity: Place = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValidationError("algebra degree must be positive")
         self.base.check_class_number()
         object.__setattr__(self, "finite_places", tuple(self.finite_places))
-        if self.infinity is None:
-            object.__setattr__(
-                self, "infinity",
-                Place(INFINITY, self.base.infinity_degree, self.degree, None))
-        for v in self.all_places():
+        object.__setattr__(self, "infinity", Place(
+            INFINITY, self.base.infinity_degree, self.degree,
+            self.infinity_invariant))
+        for v in self.finite_places:
             if self.degree % v.local_index != 0:
                 raise ValidationError(
                     f"place {v.label!r}: local index {v.local_index} "
                     f"does not divide degree {self.degree}")
+        labels = [v.label for v in self.all_places()]
+        if len(set(labels)) != len(labels):
+            raise ValidationError("place labels are not distinct")
 
     def all_places(self) -> tuple[Place, ...]:
         return self.finite_places + (self.infinity,)
@@ -107,29 +117,9 @@ class AlgebraSpec:
 
 
 def validate(spec: AlgebraSpec) -> list[str]:
-    """Structural checks on a user-declared algebra; empty list means valid."""
+    """The checks that need the whole algebra: reciprocity and the number
+    of listed places of each degree.  An empty list means valid."""
     violations: list[str] = []
-    n = spec.degree
-    if spec.infinity.local_index != n:
-        violations.append(
-            f"not definite: d_infinity = {spec.infinity.local_index} != n = {n}")
-
-    labels = [v.label for v in spec.all_places()]
-    if len(labels) != len(set(labels)):
-        violations.append("place labels are not distinct")
-
-    for v in spec.all_places():
-        if v.invariant_num is not None:
-            if gcd(v.invariant_num, v.local_index) != 1:
-                violations.append(
-                    f"place {v.label!r}: gcd(kappa, d) = "
-                    f"{gcd(v.invariant_num, v.local_index)} != 1")
-            ramified = v.invariant_num % v.local_index != 0
-            if ramified != (v.local_index > 1):
-                violations.append(
-                    f"place {v.label!r}: invariant {v.invariant_num}/{v.local_index} "
-                    "inconsistent with local index")
-
     # Reciprocity needs every listed invariant; checkable only when present
     # at all places with d_v > 1.
     ramified_places = [v for v in spec.all_places() if v.local_index > 1]
@@ -142,7 +132,7 @@ def validate(spec: AlgebraSpec) -> list[str]:
     else:
         # Whatever the missing invariants are, a p-adic valuation reached at
         # one place only cannot cancel in the sum.
-        for p in _prime_factors(n):
+        for p in _prime_factors(spec.degree):
             parts = [p ** _ord_p(v.local_index, p) for v in ramified_places]
             if parts and max(parts) > 1 and parts.count(max(parts)) == 1:
                 violations.append(
@@ -212,7 +202,6 @@ def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
         raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
     if s == 1:
         return spec
-    n = spec.degree
     derived: list[Place] = []
     for v in spec.finite_places:
         t = splitting_data(v, s)[1]
@@ -222,6 +211,5 @@ def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
                 f"derived capacity {m_v * t}/{s} at {v.label!r} is not integral")
         if v.local_index > t:  # the places above v have local index d_v / t
             derived += places_above(v, s)
-    base_new = constant_extension(spec.base, s)
-    infinity_new = Place(INFINITY, spec.infinity.degree, n // s)
-    return AlgebraSpec(base_new, n // s, tuple(derived), infinity_new)
+    return AlgebraSpec(constant_extension(spec.base, s), spec.degree // s,
+                       tuple(derived))

@@ -1,14 +1,16 @@
 """Command line interface: JSON config in, canonical JSON or text report out.
 
-Exit codes: 0 success, 2 config/validation error, 3 integrality violation,
-4 work budget exceeded.
+Exit codes: 0 success, 1 a failed selfcheck or a closed stdout, 2
+config/validation error, 3 integrality violation, 4 work budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 import time
 from collections.abc import Iterator
@@ -101,7 +103,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(errors)
 
     finite_places: list[Place] = []
-    infinity_place: Place | None = None
+    infinity_listed = False
+    infinity_invariant: int | None = None
     ramification = doc.get("ramification", [])
     if not isinstance(ramification, list):
         raise ConfigError(["ramification: expected a list"])
@@ -114,6 +117,11 @@ def parse_config(text: str) -> RunConfig:
         if type(label) is not str:
             errors.append(f"{path}.place: not a string")
             continue
+        if label == INFINITY:
+            if infinity_listed:
+                errors.append(f"{path}.place: infinity listed twice")
+                continue
+            infinity_listed = True
         if "invariant" in entry:
             if type(entry["invariant"]) not in (str, int):
                 errors.append(f"{path}.invariant: not a string or an integer")
@@ -139,8 +147,10 @@ def parse_config(text: str) -> RunConfig:
                 errors.append(
                     f"{path}.degree: infinity has degree "
                     f"{base.infinity_degree} on this base field")
-                continue
-            infinity_place = Place(INFINITY, deg, d, kappa)
+            elif d != degree and degree >= 1:  # else AlgebraSpec says why
+                errors.append(f"algebra: not definite: d_infinity = {d} "
+                              f"!= n = {degree}")
+            infinity_invariant = kappa
         else:
             try:
                 finite_places.append(Place(label, deg, d, kappa))
@@ -150,7 +160,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(errors)
 
     try:
-        spec = AlgebraSpec(base, degree, tuple(finite_places), infinity_place)
+        spec = AlgebraSpec(base, degree, tuple(finite_places),
+                           infinity_invariant)
     except ValidationError as exc:
         raise ConfigError([f"algebra: {exc}"]) from None
     violations = validate(spec)
@@ -493,7 +504,19 @@ def main(argv=None) -> int:
     if args.timings:
         report["timings_ms"] = {
             args.command: int((time.monotonic() - started) * 1000)}
-    _emit(report, args.output)
+    try:
+        _emit(report, args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone, as in `csaclass ... | head`.  As the Python
+        # docs' note on SIGPIPE advises, stdout then points at devnull, so
+        # that the flush at exit prints no "Exception ignored".
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 1
     if args.command == "selfcheck" and not report["all_passed"]:
         return 1
     return 0

@@ -19,10 +19,6 @@ class InvalidDivisorError(CsaClassError):
     """A level parameter s does not divide the required quantity."""
 
 
-class NotDefiniteError(CsaClassError):
-    """The algebra is not division at the infinite place."""
-
-
 class IntegralityViolationError(CsaClassError):
     """A quantity that must be a non-negative integer is not."""
 

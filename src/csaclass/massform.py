@@ -14,7 +14,7 @@ from math import prod
 
 from .algebra import AlgebraSpec
 from .basefield import _zeta_terms, pic_order
-from .errors import IntegralityViolationError, NotDefiniteError
+from .errors import IntegralityViolationError
 from .orders import OrderSpec, local_unit_index, maximal_order
 
 
@@ -31,9 +31,6 @@ def mass_hereditary(order: OrderSpec) -> Fraction:
     """Exact mass sum of the given hereditary order."""
     spec = order.algebra
     n = spec.degree
-    if spec.infinity.local_index != n:
-        raise NotDefiniteError(
-            f"d_infinity = {spec.infinity.local_index} != n = {n}")
     base = spec.base
     zetas = [_zeta_terms(base, i) for i in range(1, n)]
     num = pic_order(base) * prod(z for z, _ in zetas)
@@ -43,11 +40,7 @@ def mass_hereditary(order: OrderSpec) -> Fraction:
             num *= ramification_factor(spec.norm(v), v.local_index, n)
     for label, f_vec in order.invariants:
         v = spec.place(label)
-        factor = local_unit_index(spec.norm(v), v.local_index, f_vec)
-        if factor < 1:
-            raise IntegralityViolationError(
-                f"place {label!r}: unit index {factor} is below 1")
-        num *= factor
+        num *= local_unit_index(spec.norm(v), v.local_index, f_vec)
     mass = Fraction(num, den)
     if mass <= 0:
         raise IntegralityViolationError(f"mass {mass} is not positive")

@@ -37,7 +37,7 @@ class LocalContext:
         if s < 1:
             raise ValidationError("s must be positive")
         m_v = sum(f)
-        if place.local_index > 0 and m_v < 1:
+        if m_v < 1:
             raise ValidationError("invariant vector must have positive sum")
         l, t = splitting_data(place, s)
         scale = s // (l * t)

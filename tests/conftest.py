@@ -59,7 +59,7 @@ def golden_spec() -> AlgebraSpec:
     return AlgebraSpec(
         base, 4,
         (Place("T", 1, 4, 1), Place("T+1", 1, 2, 1), Place("T+2", 1, 2, 1)),
-        Place("infinity", 1, 4, -1))
+        -1)
 
 
 @pytest.fixture
@@ -117,18 +117,11 @@ def random_definite_spec(rng: random.Random, max_degree: int = 6,
         if not ok:
             continue
         residual = -total % 1
-        if n == 1:
-            if residual != 0:
-                continue
-            infinity = Place("infinity", infinity_degree, 1, None)
-        else:
-            # infinity must carry denominator exactly n for definiteness
-            if residual == 0 or residual.denominator != n:
-                continue
-            infinity = Place("infinity", infinity_degree, n,
-                             residual.numerator)
+        # infinity must carry denominator exactly n for definiteness
+        if residual.denominator != n:
+            continue
         spec = AlgebraSpec(BaseField(q, infinity_degree=infinity_degree), n,
-                           tuple(places), infinity)
+                           tuple(places), residual.numerator if n > 1 else None)
         if validate(spec):
             continue
         return spec

@@ -38,7 +38,7 @@ def _golden_order() -> OrderSpec:
     spec = AlgebraSpec(
         base, 4,
         (Place("T", 1, 4, 1), Place("T+1", 1, 2, 1), Place("T+2", 1, 2, 1)),
-        Place("infinity", 1, 4, -1))
+        -1)
     return maximal_order(spec)
 
 
@@ -195,8 +195,7 @@ def test_criterion_07_drinfeld_specialization():
             for deg_v0 in (1, n + 1):
                 spec = AlgebraSpec(
                     BaseField(q), n,
-                    (Place("v0", deg_v0, n, 1),),
-                    Place("infinity", 1, n, -1))
+                    (Place("v0", deg_v0, n, 1),), -1)
                 order = maximal_order(spec)
                 s0 = constant_field_degree(spec)
                 ok &= s0 == n
@@ -259,7 +258,7 @@ def test_criterion_09_rotation_invariance():
 
 def test_criterion_10_genera():
     spec = AlgebraSpec(BaseField(3), 2,
-                       (Place("v0", 1, 2, 1),), Place("infinity", 1, 2, -1))
+                       (Place("v0", 1, 2, 1),), -1)
     spec = with_listed_place(spec, "w", 1)
     order = OrderSpec(spec, (("w", (1, 1)),))
     report = total_class_number_genera(order)

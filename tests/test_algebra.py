@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
-                      constant_field_degree, embedding_count, maximal_order,
-                      validate)
+                      constant_field_degree, embedding_count, mass_maximal,
+                      maximal_order, validate, weight_class_numbers)
 from csaclass.algebra import places_above, splitting_data
 from csaclass.errors import InvalidDivisorError, ValidationError
 from conftest import random_definite_spec
@@ -23,21 +25,48 @@ def test_broken_reciprocity_detected(golden_spec):
     spec = AlgebraSpec(
         golden_spec.base, 4,
         tuple(v for v in golden_spec.finite_places if v.label != "T+2"),
-        golden_spec.infinity)
+        golden_spec.infinity_invariant)
     assert any("reciprocity" in v for v in validate(spec))
 
 
-def test_not_definite_detected(golden_spec):
-    spec = AlgebraSpec(
-        golden_spec.base, 4, golden_spec.finite_places,
-        Place("infinity", 1, 2, 1))
-    assert any("definite" in v for v in validate(spec))
+def test_infinity_is_derived_from_the_base_and_degree():
+    # D is definite: infinity has degree deg infinity and local index n, and
+    # only its invariant is given.
+    assert [f.name for f in fields(AlgebraSpec) if f.init] == [
+        "base", "degree", "finite_places", "infinity_invariant"]
+    spec = AlgebraSpec(BaseField(3, infinity_degree=2), 2,
+                       (Place("T", 1, 2, 1),), 1)
+    assert spec.infinity == Place("infinity", 2, 2, 1)
+    assert mass_maximal(spec) == Fraction(1)
+    assert weight_class_numbers(maximal_order(spec)) == {1: 2}
+    assert AlgebraSpec(BaseField(3), 1).infinity == Place("infinity", 1, 1)
+
+
+@pytest.mark.parametrize("d,kappa", [(4, 2), (2, 0)])
+def test_invariant_prime_to_local_index(d, kappa):
+    with pytest.raises(ValidationError,
+                       match=r"place 'v': gcd\(kappa, d\) = 2 != 1"):
+        Place("v", 1, d, kappa)
+
+
+def test_infinity_invariant_prime_to_degree():
+    with pytest.raises(ValidationError,
+                       match=r"place 'infinity': gcd\(kappa, d\) = 2 != 1"):
+        AlgebraSpec(BaseField(3), 4, (Place("T", 1, 2, 1),), 2)
+
+
+@pytest.mark.parametrize("places", [
+    (Place("T", 1, 4, 1), Place("T", 1, 2, 1)),
+    (Place("T", 1, 2, 1), Place("infinity", 1, 2, 1)),
+])
+def test_place_labels_must_be_distinct(places):
+    with pytest.raises(ValidationError, match="place labels are not distinct"):
+        AlgebraSpec(BaseField(3), 4, places, 1)
 
 
 def test_local_index_must_divide_degree():
     with pytest.raises(ValidationError):
-        AlgebraSpec(BaseField(3), 4, (Place("T", 1, 3, 1),),
-                    Place("infinity", 1, 4, -1))
+        AlgebraSpec(BaseField(3), 4, (Place("T", 1, 3, 1),), -1)
 
 
 def test_algebra_needs_positive_class_number():
@@ -45,8 +74,7 @@ def test_algebra_needs_positive_class_number():
     # zeta and extension oracles probe such data; an algebra over it is not.
     base = BaseField(3, (1, -5, 3))
     with pytest.raises(ValidationError, match=r"P\(1\) = -1"):
-        AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),),
-                    Place("infinity", 1, 2, -1))
+        AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),), -1)
 
 
 def test_too_many_places_of_one_degree():
@@ -54,8 +82,7 @@ def test_too_many_places_of_one_degree():
     base = BaseField(2)
     spec = AlgebraSpec(
         base, 2,
-        (Place("a", 1, 2, 1), Place("b", 1, 2, 1), Place("c", 1, 2, 1)),
-        Place("infinity", 1, 2, 1))
+        (Place("a", 1, 2, 1), Place("b", 1, 2, 1), Place("c", 1, 2, 1)), 1)
     assert any("degree 1" in v for v in validate(spec))
 
 
@@ -66,19 +93,19 @@ def test_constant_field_degree_golden(golden_spec):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_constant_field_degree_drinfeld_type(n):
     spec = AlgebraSpec(BaseField(3), n,
-                       (Place("v0", 1, n, 1),), Place("infinity", 1, n, -1))
+                       (Place("v0", 1, n, 1),), -1)
     assert constant_field_degree(spec) == n
 
 
 def test_constant_field_degree_unramified_split():
-    spec = AlgebraSpec(BaseField(3), 4, (), Place("infinity", 1, 4, -1))
+    spec = AlgebraSpec(BaseField(3), 4, (), -1)
     assert constant_field_degree(spec) == 4
 
 
 def test_constant_field_degree_blocked_by_degree():
     # a ramified place of even degree blocks the 2-part entirely (m_v = 1)
     spec = AlgebraSpec(BaseField(3), 4,
-                       (Place("v0", 2, 4, 1),), Place("infinity", 1, 4, -1))
+                       (Place("v0", 2, 4, 1),), -1)
     assert constant_field_degree(spec) == 1
 
 
@@ -87,7 +114,7 @@ def test_embedding_possible(golden_spec):
     assert constant_field_degree(golden_spec) % 4 == 0
     assert constant_field_degree(golden_spec) % 1 == 0
     drinfeld = AlgebraSpec(BaseField(3), 4,
-                           (Place("v0", 2, 4, 1),), Place("infinity", 1, 4, -1))
+                           (Place("v0", 2, 4, 1),), -1)
     assert constant_field_degree(drinfeld) % 2 != 0
 
 

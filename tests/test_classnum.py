@@ -110,8 +110,7 @@ def test_transfer_rejects_bad_divisors(golden_order):
 
 def _drinfeld_order(q: int, n: int, deg_v0: int) -> OrderSpec:
     spec = AlgebraSpec(BaseField(q), n,
-                       (Place("v0", deg_v0, n, 1),),
-                       Place("infinity", 1, n, -1))
+                       (Place("v0", deg_v0, n, 1),), -1)
     return maximal_order(spec)
 
 
@@ -165,7 +164,7 @@ def test_prime_degree_cross_check_random():
 def test_s0_one_single_level():
     # a ramified place of degree n blocks all constant subfields
     spec = AlgebraSpec(BaseField(2), 2,
-                       (Place("v0", 2, 2, 1),), Place("infinity", 1, 2, 1))
+                       (Place("v0", 2, 2, 1),), 1)
     order = maximal_order(spec)
     assert constant_field_degree(spec) == 1
     h = weight_class_numbers(order)
@@ -226,7 +225,7 @@ def test_genera_iwahori_quaternion():
     # one place with invariant (1, 1): three genera, two reduce to the
     # maximal order and must share its class number
     spec = AlgebraSpec(BaseField(3), 2,
-                       (Place("v0", 1, 2, 1),), Place("infinity", 1, 2, -1))
+                       (Place("v0", 1, 2, 1),), -1)
     spec = with_listed_place(spec, "w", 1)
     order = OrderSpec(spec, (("w", (1, 1)),))
     report = total_class_number_genera(order)
@@ -247,7 +246,7 @@ def test_genera_maximal_trivial(golden_order):
 
 def test_genera_budget():
     spec = AlgebraSpec(BaseField(3), 2,
-                       (Place("v0", 1, 2, 1),), Place("infinity", 1, 2, -1))
+                       (Place("v0", 1, 2, 1),), -1)
     spec = with_listed_place(spec, "w", 1)
     order = OrderSpec(spec, (("w", (1, 1)),))
     with pytest.raises(BudgetExceededError,
@@ -270,8 +269,7 @@ def test_engines_agree_on_random_orders():
 
 def _one_split_place(q: int, n: int, deg: int, f_vec) -> OrderSpec:
     """T ramified with 1/n, order data f_vec at one split place U of degree deg."""
-    spec = AlgebraSpec(BaseField(q), n, (Place("T", 1, n, 1),),
-                       Place("infinity", 1, n, -1))
+    spec = AlgebraSpec(BaseField(q), n, (Place("T", 1, n, 1),), -1)
     spec = with_listed_place(spec, "U", deg)
     return OrderSpec(spec, (("U", tuple(f_vec)),))
 
@@ -297,8 +295,7 @@ def _degree2_places(q: int, f_vecs) -> OrderSpec:
     """T ramified with 1/n, order data f_vecs[i] at the i-th of the split
     places U, V, W, ... of degree 2, n the sum of each vector."""
     n = sum(f_vecs[0])
-    spec = AlgebraSpec(BaseField(q), n, (Place("T", 1, n, 1),),
-                       Place("infinity", 1, n, -1))
+    spec = AlgebraSpec(BaseField(q), n, (Place("T", 1, n, 1),), -1)
     labels = "UVWXYZ"[:len(f_vecs)]
     for label in labels:
         spec = with_listed_place(spec, label, 2)
@@ -433,8 +430,7 @@ def _brute_force_transfer_rhs(order: OrderSpec, s: int, s2: int) -> int:
 
 
 def _two_iwahori_places(q: int, n: int, deg: int) -> OrderSpec:
-    spec = AlgebraSpec(BaseField(q), n, (Place("T", 1, n, 1),),
-                       Place("infinity", 1, n, -1))
+    spec = AlgebraSpec(BaseField(q), n, (Place("T", 1, n, 1),), -1)
     spec = with_listed_place(with_listed_place(spec, "U", deg), "V", deg)
     return OrderSpec(spec, (("U", (1,) * n), ("V", (1,) * n)))
 

@@ -465,6 +465,27 @@ def test_malformed_input_exits_2(tmp_path, capsys, mangle, argv, needle):
     assert f"error: {needle}" in err.splitlines()
 
 
+def test_repeated_infinity_exits_2(tmp_path, capsys):
+    # The second infinity entry used to replace the first without a word, so
+    # this config ran as the quaternion algebra of mass 1/8.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "base": {"type": "rational_function_field", "q": 3},
+        "degree": 2,
+        "ramification": [
+            {"place": "T", "degree": 1, "invariant": "1/2"},
+            {"place": "infinity", "invariant": "1/4"},
+            {"place": "infinity", "invariant": "1/2"}],
+    }), encoding="utf-8")
+    code = main(["--config", str(path), "mass"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: algebra: not definite: d_infinity = 4 != n = 2",
+        "error: ramification[2].place: infinity listed twice"]
+
+
 def test_engine_flag_is_gone(golden_config_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--config", golden_config_path, "classnum", "--engine", "enum"])
@@ -1137,6 +1158,9 @@ class _Writes:
         self.writes.append(text)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 @pytest.mark.parametrize("n,places,count", [(8, 1, 6435), (5, 2, 126 ** 2)])
 def test_genera_streams_the_dict_form(tmp_path, n, places, count):
@@ -1155,3 +1179,37 @@ def test_genera_streams_the_dict_form(tmp_path, n, places, count):
     # per_genus arrives in chunks of a bounded size, never in one piece
     assert len(stdout.writes) > 2
     assert max(map(len, stdout.writes)) <= 1_000_000
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["classnum", "genera"])
+def test_closed_stdout_exits_1_quietly(tmp_path, capsys, command):
+    path = tmp_path / "fanout.json"
+    path.write_text(_fanout_config(4, 1), encoding="utf-8")
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        code = main(["--config", str(path), command])
+    assert code == 1
+    assert capsys.readouterr() == ("", "")
+
+
+def test_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    # `csaclass ... genera | head -c 300`: the 1.3 MB report outruns the
+    # pipe, so writes go on after its reader has closed it.
+    path = tmp_path / "fanout.json"
+    path.write_text(_fanout_config(8, 1), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "csaclass.cli", "--config", str(path), "genera"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(300)) == 300
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

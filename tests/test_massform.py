@@ -11,7 +11,7 @@ from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
                       local_unit_index, mass_hereditary, mass_maximal,
                       maximal_order)
 from csaclass.basefield import zeta_at_negative
-from csaclass.errors import IntegralityViolationError, NotDefiniteError
+from csaclass.errors import IntegralityViolationError
 from csaclass.massform import ramification_factor
 from conftest import random_definite_spec, random_order
 
@@ -43,7 +43,7 @@ def test_golden_centralizer_mass(golden_spec):
 
 def test_degree_one_algebra_mass():
     # n = 1: the mass is #Pic(A)/(q-1) with no zeta or local factors.
-    spec = AlgebraSpec(BaseField(4), 1, (), Place("infinity", 1, 1))
+    spec = AlgebraSpec(BaseField(4), 1, ())
     assert mass_maximal(spec) == Fraction(1, 3)
 
 
@@ -51,15 +51,8 @@ def test_quaternion_rational_mass():
     # q = 3, n = 2, ramified at a degree-1 place and infinity:
     # (1/2) * zeta(-1) * (3-1)^2 = (1/2)(1/16)(4) = 1/8.
     spec = AlgebraSpec(BaseField(3), 2,
-                       (Place("v0", 1, 2, 1),), Place("infinity", 1, 2, -1))
+                       (Place("v0", 1, 2, 1),), -1)
     assert mass_maximal(spec) == Fraction(1, 8)
-
-
-def test_not_definite_rejected(golden_spec):
-    spec = AlgebraSpec(golden_spec.base, 4, golden_spec.finite_places,
-                       Place("infinity", 1, 2, 1))
-    with pytest.raises(NotDefiniteError):
-        mass_maximal(spec)
 
 
 def test_refinement_factorization():
@@ -115,7 +108,6 @@ def test_non_positive_mass_is_a_typed_error():
     with pytest.warns(UserWarning):  # no functional equation either
         base = BaseField(3, (1, 1, -1))
     assert zeta_at_negative(base, 1) == Fraction(-5, 16)
-    spec = AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),),
-                       Place("infinity", 1, 2, -1))
+    spec = AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),), -1)
     with pytest.raises(IntegralityViolationError):
         mass_hereditary(maximal_order(spec))

@@ -288,8 +288,7 @@ def test_strip_counts_budget_names_the_layer(caller):
             strip_counts(Place("U", 4, 1), (2,) * 12, 4, budget=1000)
         else:
             spec = AlgebraSpec(BaseField(2), 24,
-                               (Place("T", 1, 24, 1),),
-                               Place("infinity", 1, 24, -1))
+                               (Place("T", 1, 24, 1),), -1)
             spec = with_listed_place(spec, "U", 4)
             order = OrderSpec(spec, (("U", (2,) * 12),))
             transfer_check(order, 4, 4, budget=1000)

@@ -104,8 +104,7 @@ def test_genus_reduce_empty_rejected():
 
 def _iwahori_order(m: int = 2) -> OrderSpec:
     base = BaseField(3)
-    spec = AlgebraSpec(base, m, (Place("v0", 1, m, 1),),
-                       Place("infinity", 1, m, -1))
+    spec = AlgebraSpec(base, m, (Place("v0", 1, m, 1),), -1)
     spec = with_listed_place(spec, "w", 1)
     return OrderSpec(spec, (("w", (1,) * m),))
 
@@ -125,8 +124,7 @@ def test_enumerate_genera_trivial_for_maximal(golden_order):
 
 def test_enumerate_genera_product_of_places():
     base = BaseField(3)
-    spec = AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),),
-                       Place("infinity", 1, 2, -1))
+    spec = AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),), -1)
     spec = with_listed_place(with_listed_place(spec, "a", 1), "b", 1)
     order = OrderSpec(spec, (("a", (1, 1)), ("b", (1, 1))))
     genera = list(enumerate_genera(order))
@@ -146,8 +144,7 @@ def _compositions_by_recursion(total, parts):
 def _order_with_axis(f_vec) -> OrderSpec:
     m = sum(f_vec)
     base = BaseField(3)
-    spec = AlgebraSpec(base, m, (Place("v0", 1, m, 1),),
-                       Place("infinity", 1, m, -1))
+    spec = AlgebraSpec(base, m, (Place("v0", 1, m, 1),), -1)
     return OrderSpec(with_listed_place(spec, "w", 1), (("w", f_vec),))
 
 
