@@ -14,8 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .basefield import BaseField, _prime_factors, constant_extension
-from .errors import (IntegralityViolationError, InvalidDivisorError,
-                     ValidationError)
+from .errors import InvalidDivisorError, ValidationError
 
 INFINITY = "infinity"
 
@@ -205,10 +204,6 @@ def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
     derived: list[Place] = []
     for v in spec.finite_places:
         t = splitting_data(v, s)[1]
-        m_v = spec.capacity(v)
-        if (m_v * t) % s != 0:
-            raise IntegralityViolationError(
-                f"derived capacity {m_v * t}/{s} at {v.label!r} is not integral")
         if v.local_index > t:  # the places above v have local index d_v / t
             derived += places_above(v, s)
     return AlgebraSpec(constant_extension(spec.base, s), spec.degree // s,

@@ -218,13 +218,6 @@ class GeneraReport:
     class_numbers: tuple[int, ...]  # one per genus, in the axes' product order
     total: int
 
-    @property
-    def per_genus(self):
-        """((label, vector) pairs of each genus, its class number) rows."""
-        genera = product(*([(axis.label, g) for g in axis.vectors]
-                           for axis in self.axes))
-        return tuple(zip(genera, self.class_numbers))
-
 
 def total_class_number_genera(order: OrderSpec, *,
                               budget: int = DEFAULT_BUDGET) -> GeneraReport:

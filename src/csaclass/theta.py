@@ -4,15 +4,15 @@ A theta factor sums, over the local index set, the product of the slice
 unit indices.  Each slice term is a Gaussian multinomial, so the weight of
 one slice depends only on its column counts N (one per entry of f_v) and
 factorises as [m_s; N]_Q * prod_i g_t(N_i), where g_t(N) sums the Gaussian
-multinomials [N; e]_Q over the t-way splits e of N; likewise prod_i
-C(N_i + t - 1, t - 1) slices have column counts N.  `_row_sum` sums over
+multinomials [N; e]_Q over the t-way splits e of N.  `_row_sum` sums over
 l x r matrices with row sums m_s and the scaled targets as column sums, one
 row at a time, memoised on the sorted remaining column budgets; the row
 weight is symmetric in the columns, so sorting loses nothing.  A row's
-weight comes from a table: N of the `left` unplaced entries put in the next
-column contribute cell[left][N].  `theta` builds [left; N]_Q * g_t(N), whose
-product over a row telescopes to the slice weight, and `omega_size` builds
-C(N + t - 1, t - 1), which counts the index set without walking it.
+weight comes from one table, `_weights(Q, m_s, t)`: N of the `left` unplaced
+entries put in the next column contribute [left; N]_Q * g_t(N), whose product
+over a row telescopes to the slice weight.  `theta` takes the table at the
+residue field size Q; `omega_size` takes it at Q = 0, where every Gaussian
+binomial is 1 and the weights count the index set without walking it.
 
 The same symmetry lets a row treat the k columns of equal budget b as one
 group: it chooses how many of them take N entries, for N = b down to 0,
@@ -55,15 +55,38 @@ def theta_enum(place: Place, f_vec, s: int, q: int) -> int:
     return total
 
 
-def _row_sum(layer: str, ctx: LocalContext, table, budget: int) -> int:
-    """Sum of prod_i cell[left][N_i], cell = table(ctx), over the rows
-    (places w above v) of each matrix, 0 for an empty set; raises
+def _weights(Q: int, m: int, t: int) -> list[list[int]]:
+    """The row weights cell[left][N] = [left; N]_Q * g_t(N), N <= left <= m.
+    At Q = 0 every Gaussian binomial [a; b]_0 is 1, so cell[left][N] is
+    C(N + t - 1, t - 1), the number of t-way splits of N."""
+    # binom[a][b] = [a]_Q! / ([b]_Q! [a-b]_Q!) with [k]_Q! = prod_{j<=k}
+    # (Q^j - 1), by the Q-Pascal rule [a; b] = [a-1; b-1] + Q^b [a-1; b].
+    power = [Q ** b for b in range(m + 1)]
+    binom = [[1]]
+    for a in range(1, m + 1):
+        above = binom[-1]
+        binom.append([1, *(above[b - 1] + power[b] * above[b]
+                           for b in range(1, a)), 1])
+    # g[N] sums [N; e]_Q over the t-way splits e of N, one part at a time.
+    g = [1] * (m + 1)
+    for _ in range(t - 1):
+        g = [sum(binom[N][k] * g[N - k] for k in range(N + 1))
+             for N in range(m + 1)]
+    # Choosing N of the `left` unplaced row entries for the next column
+    # contributes binom[left][N] * g[N]; over a row these give the weight.
+    return [[binom[left][N] * g[N] for N in range(left + 1)]
+            for left in range(m + 1)]
+
+
+def _row_sum(layer: str, ctx: LocalContext, Q: int, budget: int) -> int:
+    """Sum of prod_i cell[left][N_i], cell = _weights(Q, m_s, t), over the
+    rows (places w above v) of each matrix, 0 for an empty set; raises
     BudgetExceededError, naming `layer`, past `budget` row placements."""
     targets = ctx.scaled_targets()
     if targets is None:
         return 0
-    cell = table(ctx)
     m = ctx.m_s
+    cell = _weights(Q, m, ctx.t)
     memo: dict[tuple[int, ...], int] = {}
     placements = 0
 
@@ -138,41 +161,14 @@ def theta(place: Place, f_vec, s: int, q: int, *,
 
     Raises BudgetExceededError once the row placements tried exceed `budget`.
     """
-    def table(ctx: LocalContext) -> list[list[int]]:
-        m = ctx.m_s
-        Q = residue_power(ctx, q)
-        # binom[a][b] = [a]_Q! / ([b]_Q! [a-b]_Q!) with [k]_Q! = prod_{j<=k}
-        # (Q^j - 1), by the Q-Pascal rule [a; b] = [a-1; b-1] + Q^b [a-1; b].
-        power = [Q ** b for b in range(m + 1)]
-        binom = [[1]]
-        for a in range(1, m + 1):
-            above = binom[-1]
-            binom.append([1, *(above[b - 1] + power[b] * above[b]
-                               for b in range(1, a)), 1])
-        # g[N] sums [N; e]_Q over the t-way splits e of N, one part at a time.
-        g = [1] * (m + 1)
-        for _ in range(ctx.t - 1):
-            g = [sum(binom[N][k] * g[N - k] for k in range(N + 1))
-                 for N in range(m + 1)]
-        # Choosing N of the `left` unplaced row entries for the next column
-        # contributes binom[left][N] * g[N]; over a row these give the weight.
-        return [[binom[left][N] * g[N] for N in range(left + 1)]
-                for left in range(m + 1)]
-
-    return _row_sum("theta", LocalContext.create(place, f_vec, s), table,
-                    budget)
+    ctx = LocalContext.create(place, f_vec, s)
+    return _row_sum("theta", ctx, residue_power(ctx, q), budget)
 
 
 def omega_size(place: Place, f_vec, s: int, *,
                budget: int = DEFAULT_BUDGET) -> int:
-    """Size of the local index set, summed one row at a time like `theta`.
+    """Size of the local index set: the row sum of `theta` at Q = 0.
 
     Raises BudgetExceededError once the row placements tried exceed `budget`.
     """
-    def table(ctx: LocalContext) -> list[list[int]]:
-        t = ctx.t
-        return [[comb(N + t - 1, t - 1) for N in range(left + 1)]
-                for left in range(ctx.m_s + 1)]
-
-    return _row_sum("omega", LocalContext.create(place, f_vec, s), table,
-                    budget)
+    return _row_sum("omega", LocalContext.create(place, f_vec, s), 0, budget)

@@ -1,6 +1,7 @@
 """Shared fixtures and the helpers only the tests use: the worked golden
 example, a random spec generator, a split place listed by label, a long
-vector's strip, and the genera of an order one dict at a time."""
+vector's strip, the genera of an order one dict at a time, and a genera
+report's rows."""
 
 from __future__ import annotations
 
@@ -50,6 +51,14 @@ def enumerate_genera(order: OrderSpec):
     axes = genus_axes(order)
     for combo in product(*(axis.vectors for axis in axes)):
         yield {axis.label: g for axis, g in zip(axes, combo)}
+
+
+def per_genus(report):
+    """((label, vector) pairs of each genus, its class number) rows of a
+    `GeneraReport`, in the axes' product order."""
+    genera = product(*([(axis.label, g) for g in axis.vectors]
+                       for axis in report.axes))
+    return tuple(zip(genera, report.class_numbers))
 
 
 @pytest.fixture

@@ -27,6 +27,7 @@ from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
 from csaclass.errors import IntegralityViolationError
 from csaclass.orders import genus_axes, normalize_invariant
 from csaclass.theta import omega_size, theta_enum
+from conftest import per_genus
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIG_PATH = ROOT / "configs" / "dvg-example.json"
@@ -452,6 +453,14 @@ def _iwahori_at_u(doc):
         {"place": "T", "degree": 1, "invariant": "1/2"},
         {"place": "infinity", "invariant": "1/4"}]), ("classnum",),
      "algebra: place labels are not distinct"),
+    (lambda d: d.update(ramification=["T", *d["ramification"][1:]]),
+     ("classnum",), "ramification[0]: expected an object with a 'place' field"),
+    (lambda d: d["ramification"][0].pop("place"), ("classnum",),
+     "ramification[0]: expected an object with a 'place' field"),
+    (lambda d: d["ramification"][3].update(degree=2), ("classnum",),
+     "ramification[3].degree: infinity has degree 1 on this base field"),
+    (lambda d: d["ramification"][0].update(degree=0), ("classnum",),
+     "ramification[0]: place 'T': degree must be positive"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, mangle, argv, needle):
     doc = json.loads(GOLDEN_CONFIG)
@@ -463,6 +472,16 @@ def test_malformed_input_exits_2(tmp_path, capsys, mangle, argv, needle):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {needle}" in err.splitlines()
+
+
+def test_top_level_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[]", encoding="utf-8")
+    code = main(["--config", str(path), "classnum"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: schema: top level must be an object"]
 
 
 def test_repeated_infinity_exits_2(tmp_path, capsys):
@@ -1117,7 +1136,7 @@ def _emitted(report: dict, output: str) -> str:
 @given(report=_genera_reports())
 def test_per_genus_json_matches_the_dict_form(report):
     rows = [{"genus": dict(genus), "class_number": h}
-            for genus, h in report.per_genus]
+            for genus, h in per_genus(report)]
     assert len(rows) == len(report.class_numbers)
     # a bool, so that a failing draw is not diffed on every shrink step
     same = ("".join(cli._per_genus_chunks(report, "json"))
@@ -1174,7 +1193,7 @@ def test_genera_streams_the_dict_form(tmp_path, n, places, count):
     want = _dumps_indented({
         "count": count, "total": report.total,
         "per_genus": [{"genus": dict(genus), "class_number": h}
-                      for genus, h in report.per_genus]}) + "\n"
+                      for genus, h in per_genus(report)]}) + "\n"
     assert "".join(stdout.writes) == want
     # per_genus arrives in chunks of a bounded size, never in one piece
     assert len(stdout.writes) > 2

@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 private top-level function is used somewhere in the library, no library
 module uses `assert`, only the modules that hold rational values import
-`fractions`, `classnum` does not walk local index sets, and the package
-exports exactly what its `__init__.py` imports."""
+`fractions`, `classnum` does not walk local index sets, no module keeps
+state between calls, and the package exports exactly what its
+`__init__.py` imports."""
 
 from __future__ import annotations
 
@@ -141,10 +142,68 @@ def test_classnum_does_not_walk_index_sets():
 
 def test_test_oracles_stay_out_of_the_package():
     # The tests build these from the library in conftest.py.
-    from csaclass import algebra, omega, orders
+    from csaclass import algebra, classnum, omega, orders
     assert not hasattr(omega, "flatten_strip")
     assert not hasattr(orders, "enumerate_genera")
+    assert not hasattr(classnum.GeneraReport, "per_genus")
     assert not hasattr(algebra.AlgebraSpec, "with_listed_place")
+
+
+# Nothing is kept between calls: the one cached function builds the argument
+# parser, and the only module-level containers are the export list and the
+# command table.
+STATE_ALLOWED = {"__init__.py": {"container __all__"},
+                 "cli.py": {"cached build_parser", "container _COMMANDS"}}
+CACHES = {"cache", "lru_cache"}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+              ast.SetComp)
+
+
+def kept_state(source: str) -> list[str]:
+    """Functions decorated with a functools cache, `global` statements and
+    module-level names bound to a dict, list or set display."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):
+                    decorator = decorator.func
+                name = (decorator.attr if isinstance(decorator, ast.Attribute)
+                        else getattr(decorator, "id", None))
+                if name in CACHES:
+                    found.append(f"cached {node.name}")
+        elif isinstance(node, ast.Global):
+            found += [f"global {name}" for name in node.names]
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if isinstance(node.value, CONTAINERS):
+            found += [f"container {ast.unparse(t)}" for t in targets]
+    return found
+
+
+def test_kept_state_is_found():
+    source = ("import functools\nfrom functools import lru_cache\n"
+              "SEEN = {}\nNAMES: list[str] = [n for n in 'ab']\n"
+              "LIMIT = 3\nPAIR = (1, 2)\n"
+              "@functools.cache\ndef f():\n    return 1\n"
+              "@lru_cache(maxsize=None)\ndef g():\n    global LIMIT\n"
+              "    local = []\n    return local\n")
+    assert sorted(kept_state(source)) == [
+        "cached f", "cached g", "container NAMES", "container SEEN",
+        "global LIMIT"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_state_between_calls(path):
+    found = kept_state(path.read_text(encoding="utf-8"))
+    assert set(found) - STATE_ALLOWED.get(path.name, set()) == set()
 
 
 def test_exports_are_the_imported_names():

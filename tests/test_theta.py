@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import islice, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -13,7 +14,7 @@ from csaclass import (Place, enumerate_omega, local_unit_index, theta,
                       theta_enum)
 from csaclass.errors import BudgetExceededError
 from csaclass.omega import LocalContext
-from csaclass.theta import residue_power
+from csaclass.theta import _weights, omega_size, residue_power
 
 
 GOLDEN_Q = 3
@@ -221,6 +222,27 @@ def test_zero_iff_empty():
     assert LocalContext.create(place, (1, 1), 2).scaled_targets() is None
     assert theta_enum(place, (1, 1), 2, 3) == 0
     assert theta(place, (1, 1), 2, 3) == 0
+
+
+def test_empty_set_builds_no_table(monkeypatch):
+    # An empty set returns before the weight table is built.
+    def no_table(Q, m, t):
+        raise AssertionError(f"table built for Q = {Q}, m = {m}, t = {t}")
+    # `csaclass.theta` names the function, so patch the module itself.
+    monkeypatch.setattr(sys.modules[theta.__module__], "_weights", no_table)
+    place = Place("v", 1, 1)
+    assert theta(place, (1, 1), 2, 3) == 0
+    assert omega_size(place, (1, 1), 2) == 0
+
+
+def test_weights_at_zero_count_splits():
+    # At Q = 0 every Gaussian binomial is 1, so the theta table is the
+    # binomial table C(N + t - 1, t - 1) that counts t-way splits of N.
+    for m in range(13):
+        for t in range(1, 7):
+            cell = _weights(0, m, t)
+            assert cell == [[comb(N + t - 1, t - 1) for N in range(left + 1)]
+                            for left in range(m + 1)], (m, t)
 
 
 def test_rotation_invariance():
