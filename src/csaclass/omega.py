@@ -36,6 +36,9 @@ class LocalContext:
         f = tuple(f_vec)
         if s < 1:
             raise ValidationError("s must be positive")
+        if any(e < 0 for e in f):
+            raise ValidationError(
+                "invariant vector entries must be non-negative")
         m_v = sum(f)
         if m_v < 1:
             raise ValidationError("invariant vector must have positive sum")

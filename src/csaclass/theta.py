@@ -19,8 +19,13 @@ group: it chooses how many of them take N entries, for N = b down to 0,
 and counts the ways with the multinomial k! / prod c_N!, instead of giving
 each column its N in turn.  When the budgets sum to m_s, one row is left
 and it must take every budget whole, so its weight is a single product.
-All of it is integer arithmetic.  Each row placement tried, one choice of
-a whole row, counts against a work budget; the forced last row does not.
+With one place w above v (l = 1, as at s = 1 and at every place of degree
+1) that row is the whole sum: `_row_sum` returns [m_s; N]_Q * prod_i
+g_t(N_i) at once, the Gaussian multinomial from `local_unit_index` (1 at
+Q = 0) times, for t > 1, the diagonal g_t of a table up to max N, and
+builds no table at t = 1.  All of it is integer arithmetic.  Each row
+placement tried, one choice of a whole row, counts against a work budget;
+the forced last row does not.
 `theta_enum` walks the index set itself and serves as the reference the
 tests compare against.
 """
@@ -81,10 +86,22 @@ def _weights(Q: int, m: int, t: int) -> list[list[int]]:
 def _row_sum(layer: str, ctx: LocalContext, Q: int, budget: int) -> int:
     """Sum of prod_i cell[left][N_i], cell = _weights(Q, m_s, t), over the
     rows (places w above v) of each matrix, 0 for an empty set; raises
-    BudgetExceededError, naming `layer`, past `budget` row placements."""
+    BudgetExceededError, naming `layer`, past `budget` row placements.
+
+    At l = 1 the one row is forced and counts no placement: its weight is
+    the slice weight [m_s; N]_Q * prod_i g_t(N_i) of the targets N, read
+    without the (m_s + 1)^2 table."""
     targets = ctx.scaled_targets()
     if targets is None:
         return 0
+    if ctx.l == 1:
+        # At Q = 0 every Gaussian binomial is 1; cell[b][b] is g_t(b).
+        weight = local_unit_index(Q, 1, targets) if Q else 1
+        if ctx.t > 1:
+            cell = _weights(Q, max(targets), ctx.t)
+            for b in targets:
+                weight *= cell[b][b]
+        return weight
     m = ctx.m_s
     cell = _weights(Q, m, ctx.t)
     memo: dict[tuple[int, ...], int] = {}

@@ -6,13 +6,13 @@ import random
 import sys
 from fractions import Fraction
 from itertools import islice, product
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 
-from csaclass import (Place, enumerate_omega, local_unit_index, theta,
-                      theta_enum)
-from csaclass.errors import BudgetExceededError
+from csaclass import (Place, enumerate_omega, local_unit_index,
+                      strip_counts, theta, theta_enum)
+from csaclass.errors import BudgetExceededError, ValidationError
 from csaclass.omega import LocalContext
 from csaclass.theta import _weights, omega_size, residue_power
 
@@ -213,8 +213,11 @@ def test_budget_counts_grouped_row_placements():
         theta(place, (1,) * 4, 2, 2, budget=0)
     assert str(exc.value) == \
         "theta: place 'U', s = 2: row placements exceed budget of 0"
-    # One row is closed without a placement.
+    # One row is closed without a placement, also at t > 1: dvg's index-2
+    # place T+1 at s = 2, where l = 1 and t = 2.
     assert theta(place, (1,) * 4, 1, 2, budget=0) == _iwahori_theta(2, 2, 4, 1)
+    assert theta(IW_PLACE, (2,), 2, GOLDEN_Q, budget=0) == 12
+    assert omega_size(IW_PLACE, (2,), 2, budget=0) == 3
 
 
 def test_zero_iff_empty():
@@ -233,6 +236,94 @@ def test_empty_set_builds_no_table(monkeypatch):
     place = Place("v", 1, 1)
     assert theta(place, (1, 1), 2, 3) == 0
     assert omega_size(place, (1, 1), 2) == 0
+
+
+def _single_row_keys():
+    """Seeded keys with gcd(s, deg) = 1, so l = 1, and t = gcd(s, d) in
+    {1, 2, 3}: q <= 4, up to five targets, m_s up to 48, zeros allowed."""
+    rng = random.Random(20)
+    keys = []
+    for t in (1, 2, 3):
+        for _ in range(25):
+            s = t * rng.choice((1, 2, 3, 5))
+            deg = rng.choice([g for g in range(1, 8) if gcd(g, s) == 1])
+            m_s = rng.randint(1, 48)
+            cuts = sorted(rng.randint(0, m_s)
+                          for _ in range(rng.randint(0, 4)))
+            targets = [b - a for a, b in zip([0, *cuts], [*cuts, m_s])]
+            scale = s // t
+            keys.append((rng.randint(2, 4), Place("v", deg, t),
+                         tuple(b * scale for b in targets), s))
+    return keys
+
+
+def test_single_row_closed_form_matches_full_table():
+    # At l = 1 the one row is forced, so theta is its weight read off the
+    # full (m_s + 1)^2 table, the computation the closed form replaces.
+    for q, place, f, s in _single_row_keys():
+        ctx = LocalContext.create(place, f, s)
+        assert ctx.l == 1 and ctx.t == place.local_index, (place, f, s)
+        targets = ctx.scaled_targets()
+        Q = residue_power(ctx, q)
+        cell = _weights(Q, ctx.m_s, ctx.t)
+        expected, left = 1, ctx.m_s
+        for b in targets:
+            expected *= cell[left][b]
+            left -= b
+        assert theta(place, f, s, q) == expected, (q, place, f, s)
+
+
+def test_single_row_size_is_a_product_of_binomials():
+    # At Q = 0 the slice weight is the number of t-way splits of each target.
+    for _, place, f, s in _single_row_keys():
+        ctx = LocalContext.create(place, f, s)
+        size = prod(comb(b + ctx.t - 1, ctx.t - 1)
+                    for b in ctx.scaled_targets())
+        assert omega_size(place, f, s) == size, (place, f, s)
+        if size <= 5000:
+            assert sum(strip_counts(place, f, s).values()) == size, \
+                (place, f, s)
+
+
+def test_single_row_work(monkeypatch):
+    # At l = 1 and t = 1 neither theta nor omega_size builds a table; at
+    # t > 1 the one table built runs up to the largest target, not to m_s.
+    built = []
+
+    def recording(Q, m, t):
+        if t == 1:
+            raise AssertionError(f"table built for Q = {Q}, m = {m}, t = 1")
+        built.append((Q, m, t))
+        return _weights(Q, m, t)
+    # `csaclass.theta` names the function, so patch the module itself.
+    monkeypatch.setattr(sys.modules[theta.__module__], "_weights", recording)
+    one = Place("v", 1)
+    assert theta(one, (1,) * 48, 1, 2) == _iwahori_theta(2, 1, 48, 1)
+    assert omega_size(one, (1,) * 48, 1) == 1
+    assert theta(Place("v", 2), (3, 1, 2), 1, 3) == \
+        local_unit_index(9, 1, (3, 1, 2))
+    assert built == []
+    place = Place("v", 1, 2)
+    assert theta(place, (4, 2, 6), 2, 3) == \
+        theta_enum(place, (4, 2, 6), 2, 3)
+    assert built == [(3 ** 2, 6, 2)]
+    built.clear()
+    assert omega_size(place, (4, 2, 6), 2) == 5 * 3 * 7
+    assert built == [(0, 6, 2)]
+
+
+@pytest.mark.parametrize("place,f,s", [
+    (Place("v", 1), (-1, 3), 1),
+    (Place("v", 2), (-1, 3, 2), 2),
+])
+def test_negative_entries_are_validation_errors(place, f, s):
+    calls = (lambda: theta(place, f, s, 2), lambda: omega_size(place, f, s),
+             lambda: theta_enum(place, f, s, 2),
+             lambda: list(enumerate_omega(place, f, s)),
+             lambda: strip_counts(place, f, s))
+    for call in calls:
+        with pytest.raises(ValidationError, match="non-negative"):
+            call()
 
 
 def test_weights_at_zero_count_splits():
