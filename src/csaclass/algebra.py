@@ -40,15 +40,15 @@ class Place:
                     f"place {self.label!r}: gcd(kappa, d) = {g} != 1")
 
 
-def _mobius(n: int) -> int:
-    exponents = _prime_factors(n).values()
-    return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
-
-
 def _irreducible_count(q: int, d: int) -> int:
-    """Number of monic irreducible polynomials of degree d over F_q."""
-    total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    return total // d
+    """Number of monic irreducible polynomials of degree d over F_q: the
+    sum of mu(e) q^(d/e) over e | d, divided by d.  mu vanishes off the
+    squarefree divisors, the products of distinct primes of d, and is -1
+    to the number of primes on them."""
+    mobius = {1: 1}
+    for p in _prime_factors(d):
+        mobius.update([(e * p, -mu) for e, mu in mobius.items()])
+    return sum(mu * q ** (d // e) for e, mu in mobius.items()) // d
 
 
 def _finite_place_count(q: int, d: int, infinity_degree: int) -> int:

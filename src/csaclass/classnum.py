@@ -214,9 +214,23 @@ def prime_degree_class_number(order: OrderSpec) -> int:
 
 @dataclass(frozen=True)
 class GeneraReport:
+    """The genus axes and `table`, the class number of each tuple of reduced
+    vectors, one per axis, in the order of
+    product(*(range(len(axis.reduced)) for axis in axes)).
+    """
+
     axes: tuple[GenusAxis, ...]
-    class_numbers: tuple[int, ...]  # one per genus, in the axes' product order
-    total: int
+    table: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return prod(sum(axis.mults) for axis in self.axes)
+
+    @property
+    def total(self) -> int:
+        """Each class number times the genera that reduce to its tuple."""
+        return sum(h * prod(mults) for h, mults in zip(
+            self.table, product(*(axis.mults for axis in self.axes))))
 
 
 def total_class_number_genera(order: OrderSpec, *,
@@ -252,12 +266,8 @@ def total_class_number_genera(order: OrderSpec, *,
 
     # Reduced vectors are numbered by first appearance, so the solves run in
     # the order the genera first reach them.
-    class_number_of = {
-        key: reduced_class_number(key)
-        for key in product(*(range(len(axis.reduced)) for axis in axes))}
-    class_numbers = tuple(map(class_number_of.__getitem__,
-                              product(*(axis.picks for axis in axes))))
-    return GeneraReport(axes, class_numbers, sum(class_numbers))
+    return GeneraReport(axes, tuple(map(reduced_class_number, product(
+        *(range(len(axis.reduced)) for axis in axes)))))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
 from .basefield import BaseField, pic_order
@@ -90,6 +89,9 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"schema: not valid JSON ({exc})"]) from None
+    except ValueError:  # an integer past the interpreter's digit cap
+        raise ConfigError([f"schema: an integer has more than "
+                           f"{sys.get_int_max_str_digits()} digits"]) from None
     if not isinstance(doc, dict):
         raise ConfigError(["schema: top level must be an object"])
 
@@ -336,10 +338,12 @@ def _per_genus_chunks(report, output: str):
     ({"class_number": h, "genus": {label: vector}}) as `_emit` writes it
     under a top-level key in `output` mode.
 
-    Each (label, vector) entry is rendered once, by one `%` format of its
-    axis's template, with the text that follows it in a row baked in; each
-    class number's row head is rendered once, with the row separator before
-    it.  A chunk is one join of the heads and entries of `_CHUNK_ROWS` rows.
+    Each axis's walk renders its (label, vector) entries, with the text
+    that follows each in a row baked in, in blocks that share the text of
+    all but two entries.  A row's head, its separator, class number and the
+    text up to its first entry, is rendered once per class number and
+    picked by the reduced vectors of the row's genus.  A chunk is one join
+    of the heads and entries of `_CHUNK_ROWS` rows.
     """
     def padding(depth: int) -> tuple[str, str, str]:
         """(after the opening bracket, between items, before the closing
@@ -354,33 +358,52 @@ def _per_genus_chunks(report, output: str):
      (vec_open, vec_sep, vec_close)) = map(padding, (1, 2, 3, 4))
     axes = report.axes
     genus = f"{{{genus_open}" if axes else f"{{}}{row_close}}}"
-    body_of = {h: f'{{{row_open}"class_number": {h}{field_sep}"genus": {genus}'
-               for h in set(report.class_numbers)}
-    head_of = {h: row_sep + body for h, body in body_of.items()}
-    entries = []
-    for j, axis in enumerate(axes):
-        after = (genus_sep if j + 1 < len(axes)
-                 else f"{genus_close}}}{row_close}}}")
-        # `%` in a label is literal text, not a conversion.
-        label = encode_basestring_ascii(axis.label).replace("%", "%%")
-        template = (f"{label}: [{vec_open}"
-                    f"{vec_sep.join(['%d'] * len(axis.vectors[0]))}"
-                    f"{vec_close}]{after}")
-        entries.append(list(map(template.__mod__, axis.vectors)))
+    head_of = {h: f'{row_sep}{{{row_open}"class_number": {h}{field_sep}'
+                  f'"genus": {genus}' for h in set(report.table)}
+    heads = list(map(head_of.__getitem__, report.table))
+    walks = [axis.walk(f"{encode_basestring_ascii(axis.label)}: [{vec_open}",
+                       vec_sep, f"{vec_close}]" + (
+                           genus_sep if j + 1 < len(axes)
+                           else f"{genus_close}}}{row_close}}}"))
+             for j, axis in enumerate(axes)]
+    # An axis inside another is walked once per vector of the outer one, so
+    # all but the largest axis are joined into one block up front.
+    largest = max(range(len(axes)), key=lambda j: sum(axes[j].mults),
+                  default=0)
+    for j, blocks in enumerate(walks):
+        if j != largest:
+            walks[j] = [("", [prefix + tail for prefix, tails, _ in blocks
+                              for tail in tails],
+                         [pick for *_, picks in blocks for pick in picks])]
 
-    class_numbers = iter(report.class_numbers)
-    # Every order has at least one genus; the first row opens the list.
-    heads = chain((f"[{list_open}{body_of[next(class_numbers)]}",),
-                  map(head_of.__getitem__, class_numbers))
-    pieces = chain.from_iterable(map(add, zip(heads), product(*entries)))
-    while chunk := "".join(islice(pieces, _CHUNK_ROWS * (1 + len(axes)))):
-        yield chunk
+    def rows(depth: int, key: int, outer: str):
+        """(head, text, text) of each row whose first `depth` entries read
+        `outer` and reduce to the tuple numbered `key` in `report.table`."""
+        size = len(axes[depth].reduced)
+        key *= size
+        if depth + 1 < len(axes):
+            return chain.from_iterable(
+                rows(depth + 1, key + pick, outer + prefix + tail)
+                for prefix, tails, picks in walks[depth]
+                for tail, pick in zip(tails, picks))
+        row_heads = heads[key:key + size]
+        return chain.from_iterable(
+            zip(map(row_heads.__getitem__, picks), repeat(outer + prefix),
+                tails)
+            for prefix, tails, picks in walks[depth])
+
+    pieces = chain.from_iterable(rows(0, 0, "") if axes else ((heads[0],),))
+    chunks = iter(lambda: "".join(islice(pieces, _CHUNK_ROWS * 3)), "")
+    # Every order has at least one genus; the first row opens the list in
+    # place of a row separator.
+    yield f"[{list_open}" + next(chunks)[len(row_sep):]
+    yield from chunks
     yield f"{list_close}]"
 
 
 def _cmd_genera(order: OrderSpec, args) -> dict:
     report = total_class_number_genera(order, budget=args.budget)
-    return {"count": len(report.class_numbers),
+    return {"count": report.count,
             "per_genus": _per_genus_chunks(report, args.output),
             "total": report.total}
 
@@ -489,9 +512,39 @@ def main(argv=None) -> int:
             print(f"error: {line}", file=sys.stderr)
         return 2
 
+    # Python caps the digits of an int read from or written as text, at
+    # 4300 by default.  The config is read under that cap; the command and
+    # its output may write integers of max(cap, --budget) digits.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
+    if cap:
+        sys.set_int_max_str_digits(max(cap, args.budget))
+    try:
+        return _run(config.order, args)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
+@contextlib.contextmanager
+def _digit_budget(layer: str, budget: int):
+    """Python's cap on the digits of an int as text, raised in the block,
+    as a BudgetExceededError that names `layer`."""
+    try:
+        yield
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise BudgetExceededError(
+            f"{layer}: integer of more than {sys.get_int_max_str_digits()} "
+            f"digits exceeds budget of {budget}") from None
+
+
+def _run(order: OrderSpec, args) -> int:
+    """Run the command on `order` and write its report; the exit code."""
     started = time.monotonic()
     try:
-        report = _COMMANDS[args.command](config.order, args)
+        with _digit_budget(args.command, args.budget):
+            report = _COMMANDS[args.command](order, args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -505,8 +558,12 @@ def main(argv=None) -> int:
         report["timings_ms"] = {
             args.command: int((time.monotonic() - started) * 1000)}
     try:
-        _emit(report, args.output)
+        with _digit_budget("output", args.budget):
+            _emit(report, args.output)
         sys.stdout.flush()
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except BrokenPipeError:
         # The reader has gone, as in `csaclass ... | head`.  As the Python
         # docs' note on SIGPIPE advises, stdout then points at devnull, so

@@ -114,39 +114,25 @@ def genus_reduce(g_vec) -> tuple[int, ...]:
     return reduced
 
 
-def _genus_vectors(total: int, parts: int):
-    """(vectors, ids, entries): every vector of `parts` non-negative integers
-    summing to `total`, in ascending lexicographic order; `ids[i]` numbers
-    the non-zero entries of `vectors[i]`, which are `entries[ids[i]]`.
-
-    The vectors that start with a are a followed by those of `total - a`
-    in one part fewer; each (left, parts) is built once.  Id 0 numbers no
-    entries, and a non-zero a before the entries of id i takes the next id
-    when the pair (a, i) is first met.
+def _compositions(total: int, parts: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(cuts, entries) for every sequence of at most `parts` positive
+    integers summing to `total` >= 1, fewest entries first, then in ascending
+    lexicographic order.  `cuts` has bit c - 1 set for each partial sum c of
+    the entries, `total` included, so it names the entries.
     """
-    prepended: dict[tuple[int, int], int] = {}  # (a, id) -> id
-    memo: dict[tuple[int, int], tuple[list, list]] = {(0, 0): ([()], [0])}
+    memo: dict[tuple[int, int], list] = {}
 
-    def tails(left: int, parts: int) -> tuple[list, list]:
-        key = (left, parts)
-        if key not in memo:
-            vectors, ids = [], []
-            for a in range(left + 1) if parts > 1 else (left,):
-                sub_vectors, sub_ids = tails(left - a, parts - 1)
-                vectors += map((a,).__add__, sub_vectors)
-                if a:
-                    id_of = {i: prepended.setdefault((a, i), len(prepended) + 1)
-                             for i in set(sub_ids)}
-                    sub_ids = map(id_of.__getitem__, sub_ids)
-                ids += sub_ids
-            memo[key] = vectors, ids
-        return memo[key]
+    def exactly(left: int, k: int) -> list:
+        if k == 1:
+            return [(1 << left - 1, (left,))]
+        if (left, k) not in memo:
+            memo[left, k] = [(cuts << a | 1 << a - 1, (a,) + entries)
+                             for a in range(1, left - k + 2)
+                             for cuts, entries in exactly(left - a, k - 1)]
+        return memo[left, k]
 
-    vectors, ids = tails(total, parts)
-    entries = [()]  # an id is numbered after the id it extends
-    for a, i in prepended:
-        entries.append((a,) + entries[i])
-    return vectors, ids, entries
+    return [c for k in range(1, min(parts, total) + 1)
+            for c in exactly(total, k)]
 
 
 def count_genera(order: OrderSpec) -> int:
@@ -159,33 +145,83 @@ def count_genera(order: OrderSpec) -> int:
 
 @dataclass(frozen=True)
 class GenusAxis:
-    """The genus vectors of one non-maximal place and their reductions.
+    """The genus vectors of one non-maximal place: every vector of `parts`
+    non-negative entries summing to `total`, and their reductions.
 
     `reduced` holds the distinct normalised `genus_reduce` results in order
-    of first appearance, and `picks[i]` indexes the reduction of
-    `vectors[i]` in it.
+    of first appearance in the vectors, fewest entries first and then
+    ascending, and `mults[i]` counts the vectors that reduce to
+    `reduced[i]`.  `pick_of` indexes in `reduced` the reduction of each
+    vector, keyed by the cuts of its non-zero entries (see `_compositions`).
     """
 
     label: str
-    vectors: tuple[tuple[int, ...], ...]
+    total: int
+    parts: int
     reduced: tuple[tuple[int, ...], ...]
-    picks: tuple[int, ...]
+    mults: tuple[int, ...]
+    pick_of: dict[int, int]
+
+    def walk(self, start: str, sep: str, end: str) -> list[tuple]:
+        """The vectors in ascending lexicographic order, as text: blocks
+        (prefix, tails, picks) whose vectors read prefix + tails[i], each
+        `start`, its entries joined by `sep`, and `end`, and reduce to
+        `reduced[picks[i]]`.
+
+        A block fixes the first two entries.  The text of the other entries
+        is built once for each sum they leave, one entry at a time and
+        memoised, and only strings and ints are built.  A vector's reduction
+        is looked up by its cuts, once for each distinct cuts in a block.
+        """
+        levels: dict[tuple[int, int], tuple[list, list]] = {(0, 0): ([end], [0])}
+
+        def level(left: int, k: int) -> tuple[list, list]:
+            """(texts, cuts) of the vectors of k entries summing to left."""
+            if (left, k) not in levels:
+                if k == 1:
+                    levels[left, k] = [f"{left}{end}"], [left and 1 << left - 1]
+                else:
+                    texts, cuts = [], []
+                    for a in range(left + 1):
+                        tails, tail_cuts = level(left - a, k - 1)
+                        texts += map(f"{a}{sep}".__add__, tails)
+                        # The cuts of a nonzero a followed by the tail's.
+                        cuts += ([c << a | 1 << a - 1 for c in tail_cuts]
+                                 if a else tail_cuts)
+                    levels[left, k] = texts, cuts
+            return levels[left, k]
+
+        total, rest = self.total, self.parts - 2
+        blocks = []
+        for a in range(total + 1):
+            for b in range(total - a + 1) if rest else (total - a,):
+                tails, cuts = level(total - a - b, rest)
+                lead = (b and 1 << b - 1) << a | (a and 1 << a - 1)
+                pick = {c: self.pick_of[c << a + b | lead] for c in set(cuts)}
+                blocks.append((f"{start}{a}{sep}{b}{sep if rest else ''}",
+                               tails, list(map(pick.__getitem__, cuts))))
+        return blocks
 
 
 def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
     """One axis per non-maximal place, labels sorted; a genus picks one
     vector from every axis, so the genera are the product of the axes.
+
+    A sequence of k positive entries is the non-zero part of comb(parts, k)
+    vectors, so the axis is counted and reduced without a vector built.
     """
     axes = []
     for label, f in order.invariants:
-        vectors, ids, entries = _genus_vectors(sum(f), len(f))
-        # Many vectors share their non-zero entries, so each distinct tuple
-        # of them is reduced and normalised once.
+        total, parts = sum(f), len(f)
         index: dict[tuple[int, ...], int] = {}
+        mults: list[int] = []
         pick_of: dict[int, int] = {}
-        for i in dict.fromkeys(ids):
-            pick_of[i] = index.setdefault(
-                normalize_invariant(genus_reduce(entries[i])), len(index))
-        axes.append(GenusAxis(label, tuple(vectors), tuple(index),
-                              tuple(map(pick_of.__getitem__, ids))))
+        for cuts, entries in _compositions(total, parts):
+            i = pick_of[cuts] = index.setdefault(normalize_invariant(entries),
+                                                 len(index))
+            if i == len(mults):
+                mults.append(0)
+            mults[i] += comb(parts, len(entries))
+        axes.append(GenusAxis(label, total, parts, tuple(index), tuple(mults),
+                              pick_of))
     return tuple(axes)

@@ -16,7 +16,7 @@ import pytest
 from csaclass import AlgebraSpec, BaseField, OrderSpec, Place
 from csaclass.algebra import _finite_place_count, validate
 from csaclass.errors import ValidationError
-from csaclass.orders import genus_axes
+from csaclass.orders import genus_reduce, normalize_invariant
 
 
 def with_listed_place(spec: AlgebraSpec, label: str,
@@ -42,23 +42,41 @@ def flatten_strip(slice_vec) -> tuple[int, ...]:
     return stripped
 
 
+def genus_vectors(total: int, parts: int):
+    """Every vector of `parts` non-negative integers summing to `total`, in
+    ascending lexicographic order, by the recursive definition."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in genus_vectors(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def enumerate_genera(order: OrderSpec):
     """All genus vectors, as {label: vector} over the non-maximal places.
 
     Places with a single invariant block admit only the forced genus and are
     omitted from the dictionaries.
     """
-    axes = genus_axes(order)
-    for combo in product(*(axis.vectors for axis in axes)):
-        yield {axis.label: g for axis, g in zip(axes, combo)}
+    labels = [label for label, _ in order.invariants]
+    for combo in product(*(genus_vectors(sum(f), len(f))
+                           for _, f in order.invariants)):
+        yield dict(zip(labels, combo))
 
 
 def per_genus(report):
     """((label, vector) pairs of each genus, its class number) rows of a
-    `GeneraReport`, in the axes' product order."""
-    genera = product(*([(axis.label, g) for g in axis.vectors]
-                       for axis in report.axes))
-    return tuple(zip(genera, report.class_numbers))
+    `GeneraReport`, in the axes' product order: each genus's class number is
+    read from `report.table` by the reductions of its vectors."""
+    axes = report.axes
+    table = dict(zip(product(*(axis.reduced for axis in axes)),
+                     report.table))
+    return tuple(
+        (genus, table[tuple(normalize_invariant(genus_reduce(g))
+                            for _, g in genus)])
+        for genus in product(*([(axis.label, g) for g in genus_vectors(
+            axis.total, axis.parts)] for axis in axes)))
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import pytest
 from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
                       constant_field_degree, embedding_count, mass_maximal,
                       maximal_order, validate, weight_class_numbers)
-from csaclass.algebra import places_above, splitting_data
+from csaclass.algebra import _irreducible_count, places_above, splitting_data
 from csaclass.errors import InvalidDivisorError, ValidationError
 from conftest import random_definite_spec
 
@@ -234,3 +234,26 @@ def test_splitting_divisibility_invariant():
                 m_v = spec.capacity(v)
                 assert m_v % l == 0
                 assert (m_v // l) % (s // (l * t)) == 0
+
+
+def _mobius(n: int) -> int:
+    """mu(n) by trial division."""
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
+
+
+def test_irreducible_count_matches_the_sum_over_all_divisors():
+    # The count sums over the squarefree divisors only; the oracle walks
+    # every e in 1..d.
+    for q in range(2, 6):
+        for d in range(1, 201):
+            want = sum(_mobius(e) * q ** (d // e)
+                       for e in range(1, d + 1) if d % e == 0) // d
+            assert _irreducible_count(q, d) == want, (q, d)

@@ -21,7 +21,7 @@ from csaclass import classnum
 from csaclass.algebra import centralizer_spec, places_above, validate
 from csaclass.cli import main
 from csaclass.omega import enumerate_omega, strip_counts
-from csaclass.orders import count_genera, genus_reduce
+from csaclass.orders import count_genera, genus_reduce, normalize_invariant
 from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
                              IntegralityViolationError, InvalidDivisorError,
                              NotPrimeDegreeError)
@@ -527,8 +527,28 @@ def test_genera_solve_once_per_label_free_problem(monkeypatch):
     # each, 49 index tuples, but only 28 multisets of two of them.
     solved = _count_solves(monkeypatch)
     report = total_class_number_genera(_two_iwahori_places(3, 5, 1))
-    assert len(report.class_numbers) == 126 ** 2
+    assert report.count == 126 ** 2
+    assert len(report.table) == 7 ** 2
     assert len(solved) == len(set(solved)) == 28
+
+
+def test_genera_total_by_multiplicity_matches_the_per_genus_sum():
+    # The report sums each solved class number times the genera that reduce
+    # to its tuple; the brute force sums one class number per genus.
+    rng = random.Random(21)
+    counts = []
+    while len(counts) < 12:
+        order = random_order(rng, random_definite_spec(rng, max_degree=8),
+                             extra_split_places=3)
+        count = count_genera(order)
+        if not 1 < count <= 10 ** 5:
+            continue
+        report = total_class_number_genera(order)
+        rows = per_genus(report)
+        assert report.count == count == len(rows), order
+        assert report.total == sum(h for _, h in rows), order
+        counts.append(count)
+    assert max(counts) > 10 ** 4, counts
 
 
 def test_genera_match_one_solve_per_index_tuple_random():
@@ -549,6 +569,10 @@ def test_genera_match_one_solve_per_index_tuple_random():
                 for axis, i in zip(report.axes, key))))
             for key in product(*(range(len(axis.reduced))
                                  for axis in report.axes))}
-        assert report.class_numbers == tuple(
-            by_tuple[key]
-            for key in product(*(axis.picks for axis in report.axes))), order
+        assert report.table == tuple(by_tuple.values()), order
+        reduced = [{key: i for i, key in enumerate(axis.reduced)}
+                   for axis in report.axes]
+        for genus, h in per_genus(report):
+            assert h == by_tuple[tuple(
+                index[normalize_invariant(genus_reduce(g))]
+                for index, (_, g) in zip(reduced, genus))], (order, genus)

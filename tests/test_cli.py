@@ -13,18 +13,21 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
-                      class_number_report, classnum, cli)
+from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
+                      class_number_report, classnum, cli, genus_reduce)
 from csaclass.classnum import GeneraReport
 from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
                           parse_config)
 from csaclass.errors import IntegralityViolationError
+from csaclass.massform import mass_hereditary
 from csaclass.orders import genus_axes, normalize_invariant
 from csaclass.theta import omega_size, theta_enum
 from conftest import per_genus
@@ -482,6 +485,64 @@ def test_top_level_not_an_object_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: schema: top level must be an object"]
+
+
+def _digit_cap() -> int:
+    """Python's cap on the digits of an int as text; 0 if there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_integer_past_the_digit_cap_in_the_config_exits_2(tmp_path, capsys):
+    # json.loads raises a bare ValueError, not a JSONDecodeError, on it.
+    cap = _digit_cap()
+    if not cap:
+        pytest.skip("this interpreter has no cap on digits")
+    path = tmp_path / "config.json"
+    path.write_text(GOLDEN_CONFIG.replace('"q": 3', '"q": ' + "3" * (cap + 1)),
+                    encoding="utf-8")
+    code = main(["--config", str(path), "mass"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: schema: an integer has more than {cap} digits"]
+    assert _digit_cap() == cap
+
+
+def test_integers_past_the_digit_cap_print_within_the_budget(tmp_path,
+                                                              capsys):
+    # q = 2, n = 2 and a place of degree 15000: the mass has 4500 digits.
+    cap = _digit_cap()
+    if not cap:
+        pytest.skip("this interpreter has no cap on digits")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "base": {"type": "rational_function_field", "q": 2}, "degree": 2,
+        "ramification": [{"place": "P", "degree": 15000, "invariant": "1/2"},
+                         {"place": "infinity", "invariant": "1/2"}]}),
+        encoding="utf-8")
+    order = parse_config(path.read_text(encoding="utf-8")).order
+
+    def uncapped(fn, *args):
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args)
+        finally:
+            sys.set_int_max_str_digits(cap)
+
+    mass = uncapped(str, mass_hereditary(order))
+    assert len(mass) > cap
+    for command in ("mass", "classnum"):
+        assert main(["--config", str(path), command]) == 0
+        assert _digit_cap() == cap
+        assert uncapped(json.loads, capsys.readouterr().out)["mass"] == mass
+    # Past max(cap, --budget) digits, the output layer exits 4.
+    assert main(["--config", str(path), "--budget", "3", "mass"]) == 4
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == ("", [
+        f"error: output: integer of more than {cap} digits exceeds budget "
+        "of 3"])
+    assert _digit_cap() == cap
 
 
 def test_repeated_infinity_exits_2(tmp_path, capsys):
@@ -1107,7 +1168,7 @@ _place_labels = st.text(
 @st.composite
 def _genera_reports(draw):
     """Genus axes of an order with 0-3 non-maximal places, and random class
-    numbers, one per genus."""
+    numbers, one per tuple of reduced vectors."""
     n = draw(st.integers(2, 4))
     labels = draw(st.lists(_place_labels, max_size=3, unique=True))
     spec = AlgebraSpec(BaseField(2), n,
@@ -1120,9 +1181,9 @@ def _genera_reports(draw):
             (label, tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))))
     axes = genus_axes(OrderSpec(spec, tuple(invariants)))
     rng = draw(st.randoms(use_true_random=False))
-    class_numbers = tuple(rng.choice((0, 1, 82, 10 ** 30)) for _ in range(
-        prod(len(axis.vectors) for axis in axes)))
-    return GeneraReport(axes, class_numbers, sum(class_numbers))
+    return GeneraReport(axes, tuple(
+        rng.choice((0, 1, 82, 10 ** 30))
+        for _ in range(prod(len(axis.reduced) for axis in axes))))
 
 
 def _emitted(report: dict, output: str) -> str:
@@ -1137,7 +1198,8 @@ def _emitted(report: dict, output: str) -> str:
 def test_per_genus_json_matches_the_dict_form(report):
     rows = [{"genus": dict(genus), "class_number": h}
             for genus, h in per_genus(report)]
-    assert len(rows) == len(report.class_numbers)
+    assert len(rows) == report.count
+    assert sum(row["class_number"] for row in rows) == report.total
     # a bool, so that a failing draw is not diffed on every shrink step
     same = ("".join(cli._per_genus_chunks(report, "json"))
             == _dumps_indented(rows, "  "))
@@ -1232,3 +1294,35 @@ def test_closed_pipe_exits_1_without_a_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+@pytest.mark.parametrize("n,places", [(7, 1), (5, 2)])
+def test_genera_output_at_fanout_size_is_the_dict_form(tmp_path, n, places,
+                                                       output):
+    # The Iwahori order of fanout's tail (1716 genera) and the two-place one
+    # (126^2 genera), against a report built without the library's genus
+    # axes: vectors from itertools.product, one solve per reduced order.
+    path = tmp_path / "fanout.json"
+    path.write_text(_fanout_config(n, places), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--config", str(path), "--output", output, "genera"]) == 0
+    order = parse_config(path.read_text(encoding="utf-8")).order
+    solve = cache(lambda genus: class_number(OrderSpec(order.algebra, genus)))
+    vectors = [g + (n - sum(g),) for g in product(range(n + 1), repeat=n - 1)
+               if sum(g) <= n]
+    labels = [label for label, _ in order.invariants]
+    rows = [{"class_number": solve(tuple(
+                 (label, genus_reduce(g)) for label, g in zip(labels, combo))),
+             "genus": dict(zip(labels, combo))}
+            for combo in product(vectors, repeat=places)]
+    report = {"count": len(rows), "per_genus": rows,
+              "total": sum(row["class_number"] for row in rows)}
+    if output == "json":
+        want = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    else:
+        want = "".join(f"{key}: {json.dumps(value, sort_keys=True)}\n"
+                       for key, value in sorted(report.items()))
+    same = out.getvalue() == want  # a bool: the texts run to megabytes
+    assert same

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -15,7 +16,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, genus_reduce,
 from csaclass.errors import (EmptyGenusError, IntegralityViolationError,
                              ValidationError)
 from csaclass.orders import count_genera, genus_axes
-from conftest import enumerate_genera, with_listed_place
+from conftest import enumerate_genera, genus_vectors, with_listed_place
 
 
 @pytest.mark.parametrize("vec,expected", [
@@ -132,20 +133,30 @@ def test_enumerate_genera_product_of_places():
     assert count_genera(order) == comb(3, 1) ** 2
 
 
-def _compositions_by_recursion(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_by_recursion(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _order_with_axis(f_vec) -> OrderSpec:
     m = sum(f_vec)
     base = BaseField(3)
     spec = AlgebraSpec(base, m, (Place("v0", 1, m, 1),), -1)
     return OrderSpec(with_listed_place(spec, "w", 1), (("w", f_vec),))
+
+
+def _walked(axis, sep: str = ",") -> list:
+    """(text, reduction) of each vector of the axis's walk, in its order."""
+    return [(prefix + tail, axis.reduced[pick])
+            for prefix, tails, picks in axis.walk("<", sep, ">")
+            for tail, pick in zip(tails, picks)]
+
+
+def _check_axis(axis, vectors, sep: str = ",") -> None:
+    """The walk of `axis` renders `vectors`, in order, and reduces each;
+    `reduced` numbers the reductions by first appearance and `mults`
+    counts them."""
+    reductions = [normalize_invariant(genus_reduce(g)) for g in vectors]
+    assert _walked(axis, sep) == [
+        (f"<{sep.join(map(str, g))}>", r) for g, r in zip(vectors, reductions)]
+    counts = Counter(reductions)
+    assert axis.reduced == tuple(counts)
+    assert axis.mults == tuple(counts.values())
 
 
 def test_compositions_match_the_recursive_definition():
@@ -156,11 +167,8 @@ def test_compositions_match_the_recursive_definition():
         for parts in range(2, total + 1):
             f_vec = (1,) * (parts - 1) + (total - parts + 1,)
             (axis,) = genus_axes(_order_with_axis(f_vec))
-            assert axis.vectors == tuple(
-                _compositions_by_recursion(total, parts))
-            assert [axis.reduced[i] for i in axis.picks] == [
-                normalize_invariant(genus_reduce(g)) for g in axis.vectors]
-            assert len(set(axis.reduced)) == len(axis.reduced)
+            assert (axis.total, axis.parts) == (total, parts)
+            _check_axis(axis, list(genus_vectors(total, parts)), ", ")
 
 
 def _axis_sizes(limit: int, max_total: int):
@@ -183,22 +191,27 @@ def test_genus_axes_match_brute_force():
     assert not {(62, 3), (21, 4), (13, 5), (9, 6), (8, 7)} & set(sizes)
     for m, r in sizes:
         (axis,) = genus_axes(_order_with_axis((1,) * (r - 1) + (m - r + 1,)))
-        vectors = sorted(g + (m - sum(g),)
-                         for g in product(range(m + 1), repeat=r - 1)
-                         if sum(g) <= m)
-        assert axis.vectors == tuple(vectors), (m, r)
-        reductions = [normalize_invariant(genus_reduce(g)) for g in vectors]
-        assert [axis.reduced[i] for i in axis.picks] == reductions, (m, r)
-        assert axis.reduced == tuple(dict.fromkeys(reductions)), (m, r)
+        _check_axis(axis, sorted(g + (m - sum(g),)
+                                 for g in product(range(m + 1), repeat=r - 1)
+                                 if sum(g) <= m))
+
+
+def test_genus_axes_with_few_parts_and_a_large_total():
+    # Two or three parts, so that a block of the walk holds one vector.
+    for f_vec in ((1, 1998), (1, 1, 58)):
+        m = sum(f_vec)
+        (axis,) = genus_axes(_order_with_axis(f_vec))
+        _check_axis(axis, sorted(g + (m - sum(g),) for g in product(
+            range(m + 1), repeat=len(f_vec) - 1) if sum(g) <= m))
+        assert sum(axis.mults) == count_genera(_order_with_axis(f_vec))
 
 
 def test_genus_axes_number_reductions_by_first_appearance():
     (axis,) = genus_axes(_iwahori_order(3))
     assert axis.label == "w"
-    assert axis.vectors == tuple(_compositions_by_recursion(3, 3))
     assert axis.reduced == ((3,), (1, 2), (1, 1, 1))
-    assert [axis.reduced[i] for i in axis.picks] == [
-        normalize_invariant(genus_reduce(g)) for g in axis.vectors]
+    assert axis.mults == (3, 6, 1)
+    _check_axis(axis, list(genus_vectors(3, 3)))
     assert genus_axes(maximal_order(_iwahori_order(3).algebra)) == ()
 
 
