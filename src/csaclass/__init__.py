@@ -10,7 +10,7 @@ from .classnum import (class_number, class_number_report, embedding_count,
                        transfer_check, weight_class_numbers)
 from .massform import mass_hereditary, mass_maximal
 from .omega import enumerate_omega, strip_counts
-from .orders import (OrderSpec, genus_reduce, local_unit_index, maximal_order,
+from .orders import (OrderSpec, local_unit_index, maximal_order,
                      normalize_invariant)
 from .theta import omega_size, theta, theta_enum
 
@@ -18,8 +18,8 @@ __all__ = [
     "AlgebraSpec", "BaseField", "OrderSpec", "Place",
     "centralizer_spec", "class_number", "class_number_report",
     "constant_extension", "constant_field_degree", "embedding_count",
-    "enumerate_omega", "genus_reduce",
-    "local_unit_index", "mass_hereditary", "mass_maximal", "maximal_order",
+    "enumerate_omega", "local_unit_index", "mass_hereditary",
+    "mass_maximal", "maximal_order",
     "normalize_invariant", "omega_size", "pic_order",
     "prime_degree_class_number", "strip_counts", "theta", "theta_enum",
     "total_class_number_genera", "transfer_check", "validate",

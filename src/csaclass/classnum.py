@@ -214,23 +214,10 @@ def prime_degree_class_number(order: OrderSpec) -> int:
 
 @dataclass(frozen=True)
 class GeneraReport:
-    """The genus axes and `table`, the class number of each tuple of reduced
-    vectors, one per axis, in the order of
-    product(*(range(len(axis.reduced)) for axis in axes)).
-    """
-
     axes: tuple[GenusAxis, ...]
-    table: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return prod(sum(axis.mults) for axis in self.axes)
-
-    @property
-    def total(self) -> int:
-        """Each class number times the genera that reduce to its tuple."""
-        return sum(h * prod(mults) for h, mults in zip(
-            self.table, product(*(axis.mults for axis in self.axes))))
+    table: tuple[int, ...]  # h per tuple of reduced vectors, product order
+    count: int
+    total: int
 
 
 def total_class_number_genera(order: OrderSpec, *,
@@ -254,20 +241,24 @@ def total_class_number_genera(order: OrderSpec, *,
     solved: dict[tuple, int] = {}
     terms = dict(_one_term(order))  # each problem resets the axes' terms
 
-    def reduced_class_number(key) -> int:
-        problem = tuple(sorted((v.degree, v.local_index, axis.reduced[i])
-                               for v, axis, i in zip(places, axes, key)))
+    def reduced_class_number(key) -> int:  # one reduced vector per axis
+        problem = tuple(sorted((v.degree, v.local_index, g)
+                               for v, g in zip(places, key)))
         if problem not in solved:
-            for v, axis, i in zip(places, axes, key):
-                terms[axis.label] = ((1, ((v, axis.reduced[i]),)),)
+            for v, axis, g in zip(places, axes, key):
+                terms[axis.label] = ((1, ((v, g),)),)
             solved[problem] = sum(level.h
                                   for level in solve(tuple(terms.items())))
         return solved[problem]
 
     # Reduced vectors are numbered by first appearance, so the solves run in
     # the order the genera first reach them.
-    return GeneraReport(axes, tuple(map(reduced_class_number, product(
-        *(range(len(axis.reduced)) for axis in axes)))))
+    table = tuple(map(reduced_class_number,
+                      product(*(axis.reduced for axis in axes))))
+    # Each h counts once per genus that reduces to its tuple.
+    total = sum(h * prod(mults) for h, mults in zip(
+        table, product(*(axis.mults for axis in axes))))
+    return GeneraReport(axes, table, count, total)
 
 
 @dataclass(frozen=True)

@@ -338,12 +338,9 @@ def _per_genus_chunks(report, output: str):
     ({"class_number": h, "genus": {label: vector}}) as `_emit` writes it
     under a top-level key in `output` mode.
 
-    Each axis's walk renders its (label, vector) entries, with the text
-    that follows each in a row baked in, in blocks that share the text of
-    all but two entries.  A row's head, its separator, class number and the
-    text up to its first entry, is rendered once per class number and
-    picked by the reduced vectors of the row's genus.  A chunk is one join
-    of the heads and entries of `_CHUNK_ROWS` rows.
+    A row is the head of its class number, picked by its genus's reduced
+    vectors, then one entry per axis from the axis's walk, each with the
+    text that follows it baked in.  A chunk joins `_CHUNK_ROWS` rows.
     """
     def padding(depth: int) -> tuple[str, str, str]:
         """(after the opening bracket, between items, before the closing
@@ -358,23 +355,20 @@ def _per_genus_chunks(report, output: str):
      (vec_open, vec_sep, vec_close)) = map(padding, (1, 2, 3, 4))
     axes = report.axes
     genus = f"{{{genus_open}" if axes else f"{{}}{row_close}}}"
-    head_of = {h: f'{row_sep}{{{row_open}"class_number": {h}{field_sep}'
-                  f'"genus": {genus}' for h in set(report.table)}
-    heads = list(map(head_of.__getitem__, report.table))
-    walks = [axis.walk(f"{encode_basestring_ascii(axis.label)}: [{vec_open}",
-                       vec_sep, f"{vec_close}]" + (
-                           genus_sep if j + 1 < len(axes)
-                           else f"{genus_close}}}{row_close}}}"))
-             for j, axis in enumerate(axes)]
-    # An axis inside another is walked once per vector of the outer one, so
-    # all but the largest axis are joined into one block up front.
-    largest = max(range(len(axes)), key=lambda j: sum(axes[j].mults),
-                  default=0)
-    for j, blocks in enumerate(walks):
-        if j != largest:
-            walks[j] = [("", [prefix + tail for prefix, tails, _ in blocks
-                              for tail in tails],
-                         [pick for *_, picks in blocks for pick in picks])]
+    heads = [f'{row_sep}{{{row_open}"class_number": {h}{field_sep}"genus": '
+             f'{genus}' for h in report.table]
+    # An axis is walked once per genus of the axes before it, so all but
+    # the largest are joined into one block first.
+    largest = max(axes, key=lambda axis: sum(axis.mults), default=None)
+    walks = []
+    for j, axis in enumerate(axes):
+        blocks = axis.walk(
+            f"{encode_basestring_ascii(axis.label)}: [{vec_open}", vec_sep,
+            f"{vec_close}]" + (genus_sep if j + 1 < len(axes)
+                               else f"{genus_close}}}{row_close}}}"))
+        walks.append(blocks if axis is largest else [(
+            "", [prefix + tail for prefix, tails, _ in blocks for tail in tails],
+            [pick for *_, picks in blocks for pick in picks])])
 
     def rows(depth: int, key: int, outer: str):
         """(head, text, text) of each row whose first `depth` entries read
@@ -389,13 +383,11 @@ def _per_genus_chunks(report, output: str):
         row_heads = heads[key:key + size]
         return chain.from_iterable(
             zip(map(row_heads.__getitem__, picks), repeat(outer + prefix),
-                tails)
-            for prefix, tails, picks in walks[depth])
+                tails) for prefix, tails, picks in walks[depth])
 
     pieces = chain.from_iterable(rows(0, 0, "") if axes else ((heads[0],),))
     chunks = iter(lambda: "".join(islice(pieces, _CHUNK_ROWS * 3)), "")
-    # Every order has at least one genus; the first row opens the list in
-    # place of a row separator.
+    # Every order has at least one genus; its first row opens the list.
     yield f"[{list_open}" + next(chunks)[len(row_sep):]
     yield from chunks
     yield f"{list_close}]"
@@ -517,7 +509,7 @@ def main(argv=None) -> int:
     # its output may write integers of max(cap, --budget) digits.
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
     if cap:
-        sys.set_int_max_str_digits(max(cap, args.budget))
+        sys.set_int_max_str_digits(max(cap, min(args.budget, 2 ** 31 - 1)))
     try:
         return _run(config.order, args)
     finally:

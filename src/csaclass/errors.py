@@ -27,9 +27,5 @@ class NotPrimeDegreeError(CsaClassError):
     """The closed prime-degree formula was requested for composite degree."""
 
 
-class EmptyGenusError(CsaClassError):
-    """A genus vector with all-zero entries was passed to reduction."""
-
-
 class BudgetExceededError(CsaClassError):
     """An enumeration exceeded the configured work budget."""

@@ -7,12 +7,14 @@ cyclic rotation.  Places without an entry are maximal, f_v = (m_v).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations
+from math import comb, prod
+from operator import sub
 
 from .algebra import AlgebraSpec
-from .errors import (EmptyGenusError, IntegralityViolationError,
-                     ValidationError)
+from .errors import IntegralityViolationError, ValidationError
 
 
 def normalize_invariant(f_vec) -> tuple[int, ...]:
@@ -103,57 +105,18 @@ def maximal_order(algebra: AlgebraSpec) -> OrderSpec:
     return OrderSpec(algebra, ())
 
 
-def genus_reduce(g_vec) -> tuple[int, ...]:
-    """Strip zero entries from a genus vector; the result is an invariant."""
-    reduced = tuple(filter(None, g_vec))
-    # A negative entry is non-zero, so it survives the stripping.
-    if reduced and min(reduced) < 0:
-        raise ValidationError("genus entries must be non-negative")
-    if not reduced:
-        raise EmptyGenusError("genus vector has no non-zero entry")
-    return reduced
-
-
-def _compositions(total: int, parts: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(cuts, entries) for every sequence of at most `parts` positive
-    integers summing to `total` >= 1, fewest entries first, then in ascending
-    lexicographic order.  `cuts` has bit c - 1 set for each partial sum c of
-    the entries, `total` included, so it names the entries.
-    """
-    memo: dict[tuple[int, int], list] = {}
-
-    def exactly(left: int, k: int) -> list:
-        if k == 1:
-            return [(1 << left - 1, (left,))]
-        if (left, k) not in memo:
-            memo[left, k] = [(cuts << a | 1 << a - 1, (a,) + entries)
-                             for a in range(1, left - k + 2)
-                             for cuts, entries in exactly(left - a, k - 1)]
-        return memo[left, k]
-
-    return [c for k in range(1, min(parts, total) + 1)
-            for c in exactly(total, k)]
-
-
 def count_genera(order: OrderSpec) -> int:
-    total = 1
-    for label, f in order.invariants:
-        m_v = sum(f)
-        total *= comb(m_v + len(f) - 1, len(f) - 1)
-    return total
+    return prod(comb(sum(f) + len(f) - 1, len(f) - 1)
+                for _, f in order.invariants)
 
 
 @dataclass(frozen=True)
 class GenusAxis:
-    """The genus vectors of one non-maximal place: every vector of `parts`
-    non-negative entries summing to `total`, and their reductions.
-
-    `reduced` holds the distinct normalised `genus_reduce` results in order
-    of first appearance in the vectors, fewest entries first and then
-    ascending, and `mults[i]` counts the vectors that reduce to
-    `reduced[i]`.  `pick_of` indexes in `reduced` the reduction of each
-    vector, keyed by the cuts of its non-zero entries (see `_compositions`).
-    """
+    """The genus vectors of one non-maximal place, those of `parts` entries
+    >= 0 summing to `total`.  `reduced` holds their distinct normalised
+    non-zero parts by first appearance, `mults` how many vectors reduce to
+    each, and `pick_of` the index of a vector's reduction by the cuts of its
+    non-zero entries: a bit c - 1 for each partial sum c."""
 
     label: str
     total: int
@@ -163,32 +126,24 @@ class GenusAxis:
     pick_of: dict[int, int]
 
     def walk(self, start: str, sep: str, end: str) -> list[tuple]:
-        """The vectors in ascending lexicographic order, as text: blocks
-        (prefix, tails, picks) whose vectors read prefix + tails[i], each
-        `start`, its entries joined by `sep`, and `end`, and reduce to
-        `reduced[picks[i]]`.
-
-        A block fixes the first two entries.  The text of the other entries
-        is built once for each sum they leave, one entry at a time and
-        memoised, and only strings and ints are built.  A vector's reduction
-        is looked up by its cuts, once for each distinct cuts in a block.
+        """The vectors in lexicographic order as text, each `start`, its
+        entries joined by `sep`, and `end`: blocks (prefix, tails, picks)
+        whose vectors read prefix + tails[i] and reduce to
+        `reduced[picks[i]]`.  A block fixes the first two entries; the text
+        of the others is built once per sum they leave, one entry at a time.
         """
-        levels: dict[tuple[int, int], tuple[list, list]] = {(0, 0): ([end], [0])}
+        levels: dict[tuple, tuple[list, list]] = {(0, 0): ([end], [0])}
 
         def level(left: int, k: int) -> tuple[list, list]:
-            """(texts, cuts) of the vectors of k entries summing to left."""
+            """(texts, cuts) of the vectors of k entries summing to left;
+            a text has `sep` before each entry."""
             if (left, k) not in levels:
-                if k == 1:
-                    levels[left, k] = [f"{left}{end}"], [left and 1 << left - 1]
-                else:
-                    texts, cuts = [], []
-                    for a in range(left + 1):
-                        tails, tail_cuts = level(left - a, k - 1)
-                        texts += map(f"{a}{sep}".__add__, tails)
-                        # The cuts of a nonzero a followed by the tail's.
-                        cuts += ([c << a | 1 << a - 1 for c in tail_cuts]
-                                 if a else tail_cuts)
-                    levels[left, k] = texts, cuts
+                texts, cuts = levels[left, k] = [], []
+                for a in range(left + 1) if k else ():
+                    tails, tail_cuts = level(left - a, k - 1)
+                    texts += map(f"{sep}{a}".__add__, tails)
+                    cuts += ([c << a | 1 << a - 1 for c in tail_cuts]
+                             if a else tail_cuts)
             return levels[left, k]
 
         total, rest = self.total, self.parts - 2
@@ -198,30 +153,29 @@ class GenusAxis:
                 tails, cuts = level(total - a - b, rest)
                 lead = (b and 1 << b - 1) << a | (a and 1 << a - 1)
                 pick = {c: self.pick_of[c << a + b | lead] for c in set(cuts)}
-                blocks.append((f"{start}{a}{sep}{b}{sep if rest else ''}",
-                               tails, list(map(pick.__getitem__, cuts))))
+                blocks.append((f"{start}{a}{sep}{b}", tails,
+                               list(map(pick.__getitem__, cuts))))
         return blocks
 
 
 def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
     """One axis per non-maximal place, labels sorted; a genus picks one
-    vector from every axis, so the genera are the product of the axes.
-
-    A sequence of k positive entries is the non-zero part of comb(parts, k)
-    vectors, so the axis is counted and reduced without a vector built.
-    """
+    vector from every axis.  No vector is built: a composition of m_v into
+    k positive entries is the non-zero part of comb(parts, k) vectors."""
     axes = []
     for label, f in order.invariants:
         total, parts = sum(f), len(f)
         index: dict[tuple[int, ...], int] = {}
-        mults: list[int] = []
-        pick_of: dict[int, int] = {}
-        for cuts, entries in _compositions(total, parts):
-            i = pick_of[cuts] = index.setdefault(normalize_invariant(entries),
-                                                 len(index))
-            if i == len(mults):
-                mults.append(0)
-            mults[i] += comb(parts, len(entries))
-        axes.append(GenusAxis(label, total, parts, tuple(index), tuple(mults),
-                              pick_of))
+        mults: Counter[int] = Counter()
+        pick_of = {}
+        # Fewest entries first, then ascending: the order of first appearance.
+        for k in range(min(parts, total)):
+            for cuts in combinations(range(1, total), k):
+                ends = (*cuts, total)
+                i = index.setdefault(normalize_invariant(
+                    map(sub, ends, (0, *cuts))), len(index))
+                pick_of[sum(1 << c - 1 for c in ends)] = i
+                mults[i] += comb(parts, k + 1)
+        axes.append(GenusAxis(label, total, parts, tuple(index),
+                              tuple(mults.values()), pick_of))
     return tuple(axes)

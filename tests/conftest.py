@@ -1,7 +1,7 @@
 """Shared fixtures and the helpers only the tests use: the worked golden
 example, a random spec generator, a split place listed by label, a long
-vector's strip, the genera of an order one dict at a time, and a genera
-report's rows."""
+vector's strip, a genus vector's reduction, the genus vectors of a place,
+the genera of an order one dict at a time, and a genera report's rows."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import pytest
 from csaclass import AlgebraSpec, BaseField, OrderSpec, Place
 from csaclass.algebra import _finite_place_count, validate
 from csaclass.errors import ValidationError
-from csaclass.orders import genus_reduce, normalize_invariant
+from csaclass.orders import normalize_invariant
 
 
 def with_listed_place(spec: AlgebraSpec, label: str,
@@ -40,6 +40,15 @@ def flatten_strip(slice_vec) -> tuple[int, ...]:
     if not stripped:
         raise ValidationError("slice is all zero")
     return stripped
+
+
+def genus_reduce(g_vec) -> tuple[int, ...]:
+    """The non-zero entries of a genus vector: the invariant vector of the
+    order its genus reduces to."""
+    reduced = tuple(filter(None, g_vec))
+    if not reduced or min(reduced) < 0:
+        raise ValueError(f"not a genus vector: {g_vec}")
+    return reduced
 
 
 def genus_vectors(total: int, parts: int):

@@ -21,11 +21,11 @@ from csaclass import classnum
 from csaclass.algebra import centralizer_spec, places_above, validate
 from csaclass.cli import main
 from csaclass.omega import enumerate_omega, strip_counts
-from csaclass.orders import count_genera, genus_reduce, normalize_invariant
+from csaclass.orders import count_genera, normalize_invariant
 from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
                              IntegralityViolationError, InvalidDivisorError,
                              NotPrimeDegreeError)
-from conftest import (enumerate_genera, flatten_strip, per_genus,
+from conftest import (enumerate_genera, flatten_strip, genus_reduce, per_genus,
                       random_definite_spec, random_order, with_listed_place)
 
 

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
-                      class_number_report, classnum, cli, genus_reduce)
+                      class_number_report, classnum, cli)
 from csaclass.classnum import GeneraReport
 from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
                           parse_config)
@@ -30,7 +30,7 @@ from csaclass.errors import IntegralityViolationError
 from csaclass.massform import mass_hereditary
 from csaclass.orders import genus_axes, normalize_invariant
 from csaclass.theta import omega_size, theta_enum
-from conftest import per_genus
+from conftest import genus_reduce, per_genus
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIG_PATH = ROOT / "configs" / "dvg-example.json"
@@ -1181,9 +1181,12 @@ def _genera_reports(draw):
             (label, tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))))
     axes = genus_axes(OrderSpec(spec, tuple(invariants)))
     rng = draw(st.randoms(use_true_random=False))
-    return GeneraReport(axes, tuple(
-        rng.choice((0, 1, 82, 10 ** 30))
-        for _ in range(prod(len(axis.reduced) for axis in axes))))
+    table = tuple(rng.choice((0, 1, 82, 10 ** 30))
+                  for _ in range(prod(len(axis.reduced) for axis in axes)))
+    total = sum(h * prod(mults) for h, mults in zip(
+        table, product(*(axis.mults for axis in axes))))
+    return GeneraReport(axes, table, prod(sum(axis.mults) for axis in axes),
+                        total)
 
 
 def _emitted(report: dict, output: str) -> str:

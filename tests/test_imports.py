@@ -145,6 +145,7 @@ def test_test_oracles_stay_out_of_the_package():
     from csaclass import algebra, classnum, omega, orders
     assert not hasattr(omega, "flatten_strip")
     assert not hasattr(orders, "enumerate_genera")
+    assert not hasattr(orders, "genus_reduce")
     assert not hasattr(classnum.GeneraReport, "per_genus")
     assert not hasattr(algebra.AlgebraSpec, "with_listed_place")
 

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, genus_reduce,
+from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       local_unit_index, maximal_order, normalize_invariant)
-from csaclass.errors import (EmptyGenusError, IntegralityViolationError,
-                             ValidationError)
+from csaclass.errors import IntegralityViolationError, ValidationError
 from csaclass.orders import count_genera, genus_axes
-from conftest import enumerate_genera, genus_vectors, with_listed_place
+from conftest import (enumerate_genera, genus_reduce, genus_vectors,
+                      with_listed_place)
 
 
 @pytest.mark.parametrize("vec,expected", [
@@ -99,8 +99,10 @@ def test_genus_reduce(vec, expected):
 
 
 def test_genus_reduce_empty_rejected():
-    with pytest.raises(EmptyGenusError):
+    with pytest.raises(ValueError):
         genus_reduce((0, 0, 0))
+    with pytest.raises(ValueError):
+        genus_reduce((0, -1, 2))
 
 
 def _iwahori_order(m: int = 2) -> OrderSpec:
