@@ -367,7 +367,8 @@ def _per_genus_chunks(report, output: str):
             f"{vec_close}]" + (genus_sep if j + 1 < len(axes)
                                else f"{genus_close}}}{row_close}}}"))
         walks.append(blocks if axis is largest else [(
-            "", [prefix + tail for prefix, tails, _ in blocks for tail in tails],
+            "", [prefix + tail for prefix, tails, _ in blocks
+                 for tail in tails],
             [pick for *_, picks in blocks for pick in picks])])
 
     def rows(depth: int, key: int, outer: str):

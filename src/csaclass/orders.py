@@ -170,10 +170,10 @@ def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
         pick_of = {}
         # Fewest entries first, then ascending: the order of first appearance.
         for k in range(min(parts, total)):
-            for cuts in combinations(range(1, total), k):
-                ends = (*cuts, total)
+            for sums in combinations(range(1, total), k):
+                ends = (*sums, total)  # the partial sums of the entries
                 i = index.setdefault(normalize_invariant(
-                    map(sub, ends, (0, *cuts))), len(index))
+                    map(sub, ends, (0, *sums))), len(index))
                 pick_of[sum(1 << c - 1 for c in ends)] = i
                 mults[i] += comb(parts, k + 1)
         axes.append(GenusAxis(label, total, parts, tuple(index),
