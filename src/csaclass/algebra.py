@@ -51,11 +51,19 @@ def _irreducible_count(q: int, d: int) -> int:
     return sum(mu * q ** (d // e) for e, mu in mobius.items()) // d
 
 
-def _finite_place_count(q: int, d: int, infinity_degree: int) -> int:
-    """Number of places of degree d of F_q(T) other than infinity, when
-    infinity has degree `infinity_degree`: the monic irreducibles of degree
-    d and the place of 1/T, less infinity itself."""
-    return _irreducible_count(q, d) + (d == 1) - (d == infinity_degree)
+def _finite_place_count(q: int, d: int, infinity_degree: int,
+                        cap: int) -> int:
+    """min(cap, number of places of degree d of F_q(T) other than infinity),
+    when infinity has degree `infinity_degree`: the monic irreducibles of
+    degree d and the place of 1/T, less infinity itself.
+
+    For d >= 3, d I(q, d) >= q^d - q^(d//2 + 1) >= q^d / 2, and q^d is at
+    least 2 to the d times (bit length of q - 1); when that bound passes
+    2 d (cap + 1), more than cap places exist, and q^d is not built."""
+    if d >= 3 and d * (q.bit_length() - 1) > (2 * d * (cap + 1)).bit_length():
+        return cap
+    return min(cap, _irreducible_count(q, d) + (d == 1)
+               - (d == infinity_degree))
 
 
 def _ord_p(n: int, p: int) -> int:
@@ -142,7 +150,7 @@ def validate(spec: AlgebraSpec) -> list[str]:
         q, delta = spec.base.q, spec.base.infinity_degree
         by_degree = Counter(v.degree for v in spec.finite_places)
         for d, count in sorted(by_degree.items()):
-            available = _finite_place_count(q, d, delta)
+            available = _finite_place_count(q, d, delta, count)
             if count > available:
                 where = (f"monic irreducibles exist over F_{q}" if delta == 1
                          else f"exist on F_{q}(T) with infinity of degree {delta}")

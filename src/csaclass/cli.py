@@ -1,6 +1,6 @@
 """Command line interface: JSON config in, canonical JSON or text report out.
 
-Exit codes: 0 success, 1 a failed selfcheck or a closed stdout, 2
+Exit codes: 0 success, 1 a failed selfcheck or an unwritable stdout, 2
 config/validation error, 3 integrality violation, 4 work budget exceeded.
 """
 
@@ -92,6 +92,8 @@ def parse_config(text: str) -> RunConfig:
     except ValueError:  # an integer past the interpreter's digit cap
         raise ConfigError([f"schema: an integer has more than "
                            f"{sys.get_int_max_str_digits()} digits"]) from None
+    except RecursionError:
+        raise ConfigError(["schema: JSON nested too deep"]) from None
     if not isinstance(doc, dict):
         raise ConfigError(["schema: top level must be an object"])
 
@@ -419,7 +421,6 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     levels = _level_solver(spec, args.budget)(_one_term(order))
 
     checks["mass_consistency"] = _resum(levels, q) == mass_hereditary(order)
-    checks["h_nonnegative_integers"] = all(level.h >= 0 for level in levels)
 
     def enumerated(label: str, f_vec, s: int) -> int:
         """theta_enum, the oracle here, on a set `_walkable` has sized."""
@@ -497,7 +498,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
@@ -507,69 +508,49 @@ def main(argv=None) -> int:
 
     # Python caps the digits of an int read from or written as text, at
     # 4300 by default.  The config is read under that cap; the command and
-    # its output may write integers of max(cap, --budget) digits.
+    # its output may write integers of max(cap, --budget) digits, and past
+    # that the run exits 4 naming the layer it was in.
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
     if cap:
         sys.set_int_max_str_digits(max(cap, min(args.budget, 2 ** 31 - 1)))
+    layer = args.command
+    started = time.monotonic()
     try:
-        return _run(config.order, args)
-    finally:
-        if cap:
-            sys.set_int_max_str_digits(cap)
-
-
-@contextlib.contextmanager
-def _digit_budget(layer: str, budget: int):
-    """Python's cap on the digits of an int as text, raised in the block,
-    as a BudgetExceededError that names `layer`."""
-    try:
-        yield
+        report = _COMMANDS[layer](config.order, args)
+        if args.timings:
+            report["timings_ms"] = {
+                layer: int((time.monotonic() - started) * 1000)}
+        layer = "output"
+        if sys.stdout is None:  # started with fd 1 closed
+            return 1
+        _emit(report, args.output)
+        sys.stdout.flush()
     except ValueError as exc:
         if "integer string conversion" not in str(exc):
             raise
-        raise BudgetExceededError(
-            f"{layer}: integer of more than {sys.get_int_max_str_digits()} "
-            f"digits exceeds budget of {budget}") from None
-
-
-def _run(order: OrderSpec, args) -> int:
-    """Run the command on `order` and write its report; the exit code."""
-    started = time.monotonic()
-    try:
-        with _digit_budget(args.command, args.budget):
-            report = _COMMANDS[args.command](order, args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {layer}: integer of more than "
+              f"{sys.get_int_max_str_digits()} digits exceeds budget of "
+              f"{args.budget}", file=sys.stderr)
         return 4
-    except IntegralityViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CsaClassError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.timings:
-        report["timings_ms"] = {
-            args.command: int((time.monotonic() - started) * 1000)}
-    try:
-        with _digit_budget("output", args.budget):
-            _emit(report, args.output)
-        sys.stdout.flush()
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except BrokenPipeError:
-        # The reader has gone, as in `csaclass ... | head`.  As the Python
-        # docs' note on SIGPIPE advises, stdout then points at devnull, so
-        # that the flush at exit prints no "Exception ignored".
+        return (4 if isinstance(exc, BudgetExceededError) else
+                3 if isinstance(exc, IntegralityViolationError) else 2)
+    except OSError:
+        # Only the output layer does I/O: the reader has gone, as in
+        # `csaclass ... | head`, or fd 1 was closed.  As the Python docs'
+        # note on SIGPIPE advises, stdout then points at devnull, so that
+        # the flush at exit prints no "Exception ignored".
         with contextlib.suppress(OSError, ValueError):
             fd = sys.stdout.fileno()
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
         return 1
-    if args.command == "selfcheck" and not report["all_passed"]:
-        return 1
-    return 0
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+    return int(args.command == "selfcheck" and not report["all_passed"])
 
 
 if __name__ == "__main__":

@@ -130,9 +130,10 @@ def random_definite_spec(rng: random.Random, max_degree: int = 6,
         def pick_degree() -> int | None:
             for _ in range(20):
                 deg = rng.randint(1, 3)
-                if used_degrees.get(deg, 0) < _finite_place_count(
-                        q, deg, infinity_degree):
-                    used_degrees[deg] = used_degrees.get(deg, 0) + 1
+                used = used_degrees.get(deg, 0)
+                if used < _finite_place_count(q, deg, infinity_degree,
+                                              used + 1):
+                    used_degrees[deg] = used + 1
                     return deg
             return None
 
@@ -173,10 +174,9 @@ def random_order(rng: random.Random, spec: AlgebraSpec,
         if rng.random() < 0.5:
             label = f"u{k}"
             deg = rng.randint(1, 2)
-            limit = _finite_place_count(spec.base.q, deg,
-                                        spec.base.infinity_degree)
             existing = sum(1 for v in algebra.finite_places if v.degree == deg)
-            if existing >= limit:
+            if existing >= _finite_place_count(
+                    spec.base.q, deg, spec.base.infinity_degree, existing + 1):
                 continue
             algebra = with_listed_place(algebra, label, deg)
             candidates.append(algebra.place(label))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import fields
 from fractions import Fraction
 from math import gcd
@@ -12,7 +13,8 @@ import pytest
 from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
                       constant_field_degree, embedding_count, mass_maximal,
                       maximal_order, validate, weight_class_numbers)
-from csaclass.algebra import _irreducible_count, places_above, splitting_data
+from csaclass.algebra import (_finite_place_count, _irreducible_count,
+                              places_above, splitting_data)
 from csaclass.errors import InvalidDivisorError, ValidationError
 from conftest import random_definite_spec
 
@@ -257,3 +259,26 @@ def test_irreducible_count_matches_the_sum_over_all_divisors():
             want = sum(_mobius(e) * q ** (d // e)
                        for e in range(1, d + 1) if d % e == 0) // d
             assert _irreducible_count(q, d) == want, (q, d)
+
+
+def test_place_count_bound_keeps_every_verdict():
+    # Past the bound q^d is not built; the count, capped at the listed
+    # number, is the same, so `validate` refuses the same configs.
+    for q in range(2, 6):
+        for d in range(1, 201):
+            for delta in (1, 2, 3):
+                exact = _irreducible_count(q, d) + (d == 1) - (d == delta)
+                caps = set(range(min(exact, 50) + 2))
+                caps |= {exact - 1, exact, exact + 1} - {-1}
+                for cap in caps:
+                    assert (_finite_place_count(q, d, delta, cap)
+                            == min(cap, exact)), (q, d, delta, cap)
+
+
+def test_a_place_of_huge_degree_validates_at_once():
+    # 3^(10^8) has 47,712,126 digits; the bound settles the count without it.
+    spec = AlgebraSpec(BaseField(3, (1,)), 2,
+                       (Place("T", 1, 2, 1), Place("P", 10 ** 8)), 1)
+    started = time.perf_counter()
+    assert validate(spec) == []
+    assert time.perf_counter() - started < 0.1

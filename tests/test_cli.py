@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -1329,3 +1330,147 @@ def test_genera_output_at_fanout_size_is_the_dict_form(tmp_path, n, places,
                        for key, value in sorted(report.items()))
     same = out.getvalue() == want  # a bool: the texts run to megabytes
     assert same
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'\xff\xfe{"a": 1}')
+    code = main(["--config", str(path), "mass"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: cannot read config: 'utf-8' codec can't decode byte "
+               "0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("opening", ["[", '{"a": '])
+def test_config_nested_too_deep_exits_2(tmp_path, capsys, opening):
+    # 10^5 levels pass the recursion limit of every supported Python.
+    path = tmp_path / "config.json"
+    path.write_text(opening * 10 ** 5, encoding="utf-8")
+    code = main(["--config", str(path), "mass"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: schema: JSON nested too deep\n")
+
+
+class _BadDescriptor(io.StringIO):
+    """A stdout whose file descriptor was closed after start-up."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stdout", [None, _BadDescriptor()],
+                         ids=["none", "ebadf"])
+def test_unwritable_stdout_exits_1_while_streaming(tmp_path, capsys,
+                                                   monkeypatch, stdout):
+    # The outcome table below covers the one-write report of `classnum`.
+    path = tmp_path / "fanout.json"
+    path.write_text(_fanout_config(4, 1), encoding="utf-8")
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["--config", str(path), "genera"])
+    monkeypatch.undo()
+    assert (code, *capsys.readouterr()) == (1, "", "")
+
+
+def test_closed_fd_1_exits_1_without_a_traceback():
+    # As in `csaclass ... >&-`: the interpreter starts with sys.stdout None.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, runpy; os.close(1); "
+         "runpy.run_module('csaclass.cli', run_name='__main__')",
+         "--config", str(CONFIG_PATH), "classnum"],
+        stderr=subprocess.PIPE, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m csaclass.cli --config "$1" classnum >&-',
+         sys.executable, str(CONFIG_PATH)],
+        stderr=subprocess.PIPE, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# q = 2, n = 2, ramified at T and infinity, with the Iwahori order at a
+# split place of degree 15000: its theta factor at s = 1 and the mass have
+# more than 4300 digits.
+BIG_PLACE_CONFIG = json.dumps({
+    "base": {"type": "rational_function_field", "q": 2}, "degree": 2,
+    "ramification": [{"place": "T", "degree": 1, "invariant": "1/2"},
+                     {"place": "infinity", "invariant": "1/2"},
+                     {"place": "P", "degree": 15000}],
+    "order": {"invariants": {"P": [1, 1]}}})
+
+FAILED_SELFCHECK = ('{\n  "all_passed": false,\n  "checks": {\n'
+                    '    "mass_consistency": false,\n'
+                    '    "rotation_invariance": true,\n'
+                    '    "theta_engines_agree": true\n  }\n}\n')
+
+# id: (config, argv, what to patch, stdout, exit code, stdout text, stderr
+# text); "{cap}" in stderr is the interpreter's digit cap.
+_OUTCOMES = {
+    "negative budget": (
+        "dvg", ["--budget", "-1", "mass"], None, "capture", 2, "",
+        "error: --budget: must be >= 0, got -1\n"),
+    "missing file": (
+        None, ["mass"], None, "capture", 2, "",
+        "error: cannot read config: [Errno 2] No such file or directory: "
+        "'/nonexistent/config.json'\n"),
+    "config error": (
+        "[]", ["mass"], None, "capture", 2, "",
+        "error: schema: top level must be an object\n"),
+    "command error": (
+        "dvg", ["theta", "--place", "X", "--s", "1"], None, "capture", 2, "",
+        "error: --place: unknown place 'X'\n"),
+    "integrality": (
+        "dvg", ["classnum"], "csaclass.classnum.mass_hereditary", "capture",
+        3, "", "error: weight class numbers resum to 169/5, not to the "
+               "mass 1\n"),
+    "command budget": (
+        "dvg", ["--budget", "1", "transfer", "--s", "2", "--s2", "2"], None,
+        "capture", 4, "",
+        "error: transfer: place 'T', s = 2: strip states exceed budget of "
+        "1\n"),
+    "command digits": (
+        "big", ["--budget", "3", "theta", "--place", "P", "--s", "1"], None,
+        "capture", 4, "",
+        "error: theta: integer of more than {cap} digits exceeds budget of "
+        "3\n"),
+    "output digits": (
+        "big", ["--budget", "3", "mass"], None, "capture", 4, "",
+        "error: output: integer of more than {cap} digits exceeds budget of "
+        "3\n"),
+    "failed selfcheck": (
+        "dvg", ["selfcheck"], "csaclass.cli.mass_hereditary", "capture", 1,
+        FAILED_SELFCHECK, ""),
+    "gone reader": (
+        "dvg", ["classnum"], None, "closed pipe", 1, "", ""),
+    "stdout none": (
+        "dvg", ["classnum"], None, "none", 1, "", ""),
+    "stdout ebadf": (
+        "dvg", ["classnum"], None, "bad descriptor", 1, "", ""),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUTCOMES))
+def test_main_maps_each_outcome_to_its_exit_code(tmp_path, monkeypatch,
+                                                 case):
+    config, argv, patched, stdout, code, want_out, want_err = _OUTCOMES[case]
+    cap = _digit_cap()
+    if "{cap}" in want_err and not cap:
+        pytest.skip("this interpreter has no cap on digits")
+    if config is None:
+        path = "/nonexistent/config.json"
+    elif config == "dvg":
+        path = str(CONFIG_PATH)
+    else:
+        path = str(tmp_path / "config.json")
+        pathlib.Path(path).write_text(
+            BIG_PLACE_CONFIG if config == "big" else config, encoding="utf-8")
+    if patched:
+        monkeypatch.setattr(patched, lambda order: Fraction(1))
+    out = {"capture": io.StringIO, "closed pipe": _ClosedPipe,
+           "none": lambda: None, "bad descriptor": _BadDescriptor}[stdout]()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main(["--config", path, *argv])
+    assert (got, out.getvalue() if out else "", err.getvalue()) == (
+        code, want_out, want_err.format(cap=cap))
+    assert _digit_cap() == cap
