@@ -3,14 +3,14 @@
 For a place v, an invariant vector f_v and a level s, the index set
 collects tuples (f_{w,(i,j)}) of non-negative integers, one r x t matrix per
 place w of L_s above v, whose scaled row sums recover the capacity above w
-and whose column sums recover f_v.  The walk is the reference for the local
-theta factors; the transfer check counts the set by its strips instead.
+and whose column sums recover f_v.  It depends only on `local_shape`, how v
+splits in L_s = K F_{q^s}.  The walk is the reference for the local theta
+factors; the transfer check counts the set by its strips instead.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import eq
 
 from .algebra import Place, splitting_data
@@ -18,42 +18,27 @@ from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .orders import normalize_invariant
 
 
-@dataclass(frozen=True)
-class LocalContext:
-    """Derived constants for one (place, f_vec, s) triple."""
-
-    place: Place
-    f_vec: tuple[int, ...]
-    s: int
-    l: int            # places of L_s above v
-    t: int            # capacity gain of the local division algebra
-    scale: int        # s / (l * t); must divide every f_{v,i} for non-emptiness
-    m_s: int          # capacity above each w: m_v * t / s
-    d_new: int        # local index above w: d_v / t
-
-    @classmethod
-    def create(cls, place: Place, f_vec, s: int) -> "LocalContext":
-        f = tuple(f_vec)
-        if s < 1:
-            raise ValidationError("s must be positive")
-        if any(e < 0 for e in f):
-            raise ValidationError(
-                "invariant vector entries must be non-negative")
-        m_v = sum(f)
-        if m_v < 1:
-            raise ValidationError("invariant vector must have positive sum")
-        l, t = splitting_data(place, s)
-        scale = s // (l * t)
-        if (m_v * t) % s != 0:
-            raise ValidationError(
-                f"s = {s} incompatible with capacity {m_v} at {place.label!r}")
-        return cls(place, f, s, l, t, scale, m_v * t // s, place.local_index // t)
-
-    def scaled_targets(self) -> tuple[int, ...] | None:
-        """Column targets f_{v,i}^{(s)}, or None when the set is empty."""
-        if any(f_i % self.scale != 0 for f_i in self.f_vec):
-            return None
-        return tuple(f_i // self.scale for f_i in self.f_vec)
+def local_shape(place: Place, f_vec, s: int):
+    """(l, t, m_s, targets) at v in L_s: l places w above v, the capacity
+    gain t, the capacity m_s above each w, and the column targets f_{v,i} /
+    (s / (l t)), None when one is not whole, that is, the set is empty."""
+    f = tuple(f_vec)
+    if s < 1:
+        raise ValidationError("s must be positive")
+    if any(e < 0 for e in f):
+        raise ValidationError(
+            "invariant vector entries must be non-negative")
+    m_v = sum(f)
+    if m_v < 1:
+        raise ValidationError("invariant vector must have positive sum")
+    l, t = splitting_data(place, s)
+    if (m_v * t) % s != 0:
+        raise ValidationError(
+            f"s = {s} incompatible with capacity {m_v} at {place.label!r}")
+    scale = s // (l * t)
+    if any(e % scale for e in f):
+        return l, t, m_v * t // s, None
+    return l, t, m_v * t // s, tuple(e // scale for e in f)
 
 
 def enumerate_omega(place: Place, f_vec, s: int):
@@ -65,13 +50,12 @@ def enumerate_omega(place: Place, f_vec, s: int):
     recursion fills the l*r*t slots in that order: each long vector sums to
     m_s, and each column i to its scaled target over all of them.
     """
-    ctx = LocalContext.create(place, f_vec, s)
-    targets = ctx.scaled_targets()
+    l, t, m_s, targets = local_shape(place, f_vec, s)
     if targets is None:
         return
-    r = len(ctx.f_vec)
-    width = r * ctx.t
-    slots = ctx.l * width
+    r = len(targets)
+    width = r * t
+    slots = l * width
     vec = [0] * slots
     budget = list(targets)
     # Columns of the later slots of a vector: r slots cover every column.
@@ -86,7 +70,7 @@ def enumerate_omega(place: Place, f_vec, s: int):
                     yield tuple(tuple(vec[w:w + width])
                                 for w in range(0, slots, width))
                 return
-            left = ctx.m_s
+            left = m_s
         i = k % r
         # No less than the later slots of the vector can still absorb.
         lo = max(0, left - sum(budget[c] for c in later[k]))
@@ -121,11 +105,10 @@ def strip_counts(place: Place, f_vec, s: int, *,
     BudgetExceededError, naming the `transfer` layer it serves, once the
     entries placed, one place w at a time, exceed `budget`.
     """
-    ctx = LocalContext.create(place, f_vec, s)
-    targets = ctx.scaled_targets()
+    l, t, m_s, targets = local_shape(place, f_vec, s)
     if targets is None:
         return Counter()
-    r = len(ctx.f_vec)
+    r = len(targets)
     placed = 0
 
     def spend(n: int) -> None:
@@ -136,11 +119,11 @@ def strip_counts(place: Place, f_vec, s: int, *,
                 f"transfer: place {place.label!r}, s = {s}: "
                 f"strip states exceed budget of {budget}")
 
-    states = {((((), ctx.m_s),) * ctx.l, targets): 1}
+    states = {((((), m_s),) * l, targets): 1}
     splits: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}
-    for pos in range(r * ctx.t):
+    for pos in range(r * t):
         i = pos % r
-        last = pos // r == ctx.t - 1
+        last = pos // r == t - 1
         merged: dict[tuple, int] = {}
         for (pairs, budgets), count in states.items():
             b = budgets[i]

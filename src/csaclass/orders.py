@@ -31,11 +31,14 @@ def local_unit_index(N: int, d: int, f_vec) -> int:
     prod_{i=1}^{m}(N^{d i}-1) / prod over entries e of prod_{j<=e}(N^{d j}-1),
     with m the entry sum.  Zero entries contribute empty factors, so the same
     routine serves flattened vectors coming from local embedding data.
-    The quotient is a Gaussian multinomial, so it is exact.
+    The quotient is a Gaussian multinomial, so it is exact, and it is 1
+    with at most one non-zero entry, where no power of N is formed.
     """
     if N < 2:
         raise ValidationError("N must be at least 2")
     f = tuple(f_vec)
+    if len(f) - f.count(0) <= 1:
+        return 1
     m = sum(f)
     num = 1
     for i in range(1, m + 1):

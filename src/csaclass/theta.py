@@ -11,8 +11,9 @@ weight is symmetric in the columns, so sorting loses nothing.  A row's
 weight comes from one table, `_weights(Q, m_s, t)`: N of the `left` unplaced
 entries put in the next column contribute [left; N]_Q * g_t(N), whose product
 over a row telescopes to the slice weight.  `theta` takes the table at the
-residue field size Q; `omega_size` takes it at Q = 0, where every Gaussian
-binomial is 1 and the weights count the index set without walking it.
+residue field size Q, `omega_size` at q = 0, where Q = 0, every Gaussian
+binomial is 1 and the weights count the index set without walking it.  An
+empty set, read off `local_shape`, is 0 before any power of q is formed.
 
 The same symmetry lets a row treat the k columns of equal budget b as one
 group: it chooses how many of them take N entries, for N = b down to 0,
@@ -35,22 +36,23 @@ from __future__ import annotations
 from itertools import accumulate, groupby
 from math import comb
 
-from .algebra import Place
+from .algebra import Place, splitting_data
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .omega import LocalContext, enumerate_omega
+from .omega import enumerate_omega, local_shape
 from .orders import local_unit_index
 
 
-def residue_power(ctx: LocalContext, q: int) -> int:
+def residue_power(place: Place, s: int, q: int) -> int:
     """Cardinality of the residue field of the division part above w."""
-    N = q ** ctx.place.degree
-    return N ** (ctx.d_new * ctx.s // ctx.l)
+    l, t = splitting_data(place, s)
+    return q ** (place.degree * (place.local_index // t) * s // l)
 
 
 def theta_enum(place: Place, f_vec, s: int, q: int) -> int:
     """Sum over the local index set of the product of slice unit indices."""
-    ctx = LocalContext.create(place, f_vec, s)
-    Q = residue_power(ctx, q)
+    if local_shape(place, f_vec, s)[3] is None:
+        return 0
+    Q = residue_power(place, s, q)
     total = 0
     for elem in enumerate_omega(place, f_vec, s):
         term = 1
@@ -83,7 +85,8 @@ def _weights(Q: int, m: int, t: int) -> list[list[int]]:
             for left in range(m + 1)]
 
 
-def _row_sum(layer: str, ctx: LocalContext, Q: int, budget: int) -> int:
+def _row_sum(layer: str, place: Place, f_vec, s: int, q: int,
+             budget: int) -> int:
     """Sum of prod_i cell[left][N_i], cell = _weights(Q, m_s, t), over the
     rows (places w above v) of each matrix, 0 for an empty set; raises
     BudgetExceededError, naming `layer`, past `budget` row placements.
@@ -91,19 +94,19 @@ def _row_sum(layer: str, ctx: LocalContext, Q: int, budget: int) -> int:
     At l = 1 the one row is forced and counts no placement: its weight is
     the slice weight [m_s; N]_Q * prod_i g_t(N_i) of the targets N, read
     without the (m_s + 1)^2 table."""
-    targets = ctx.scaled_targets()
+    l, t, m, targets = local_shape(place, f_vec, s)
     if targets is None:
         return 0
-    if ctx.l == 1:
+    Q = residue_power(place, s, q)
+    if l == 1:
         # At Q = 0 every Gaussian binomial is 1; cell[b][b] is g_t(b).
         weight = local_unit_index(Q, 1, targets) if Q else 1
-        if ctx.t > 1:
-            cell = _weights(Q, max(targets), ctx.t)
+        if t > 1:
+            cell = _weights(Q, max(targets), t)
             for b in targets:
                 weight *= cell[b][b]
         return weight
-    m = ctx.m_s
-    cell = _weights(Q, m, ctx.t)
+    cell = _weights(Q, m, t)
     memo: dict[tuple[int, ...], int] = {}
     placements = 0
 
@@ -137,7 +140,7 @@ def _row_sum(layer: str, ctx: LocalContext, Q: int, budget: int) -> int:
                 placements += 1
                 if placements > budget:
                     raise BudgetExceededError(
-                        f"{layer}: place {ctx.place.label!r}, s = {ctx.s}: "
+                        f"{layer}: place {place.label!r}, s = {s}: "
                         f"row placements exceed budget of {budget}")
                 # The open columns keep their budgets: the last k of group
                 # j and every column after it.
@@ -178,8 +181,7 @@ def theta(place: Place, f_vec, s: int, q: int, *,
 
     Raises BudgetExceededError once the row placements tried exceed `budget`.
     """
-    ctx = LocalContext.create(place, f_vec, s)
-    return _row_sum("theta", ctx, residue_power(ctx, q), budget)
+    return _row_sum("theta", place, f_vec, s, q, budget)
 
 
 def omega_size(place: Place, f_vec, s: int, *,
@@ -188,4 +190,4 @@ def omega_size(place: Place, f_vec, s: int, *,
 
     Raises BudgetExceededError once the row placements tried exceed `budget`.
     """
-    return _row_sum("omega", LocalContext.create(place, f_vec, s), 0, budget)
+    return _row_sum("omega", place, f_vec, s, 0, budget)

@@ -42,6 +42,14 @@ def flatten_strip(slice_vec) -> tuple[int, ...]:
     return stripped
 
 
+class PowerlessInt(int):
+    """An int that compares and multiplies, but raises once a power of it is
+    formed: a call given one shows that it never raised it to a power."""
+
+    def __pow__(self, exponent, modulo=None):
+        raise AssertionError(f"{int(self)} ** {exponent} formed")
+
+
 def genus_reduce(g_vec) -> tuple[int, ...]:
     """The non-zero entries of a genus vector: the invariant vector of the
     order its genus reduces to."""

@@ -15,7 +15,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       enumerate_omega, normalize_invariant, omega_size,
                       strip_counts, transfer_check)
 from csaclass.errors import BudgetExceededError, ValidationError
-from csaclass.omega import LocalContext
+from csaclass.omega import local_shape
 from conftest import flatten_strip, with_listed_place
 
 
@@ -27,7 +27,7 @@ def count(place: Place, f_vec, s: int) -> int:
 
 
 def nonempty(place: Place, f_vec, s: int) -> bool:
-    return LocalContext.create(place, f_vec, s).scaled_targets() is not None
+    return local_shape(place, f_vec, s)[3] is not None
 
 
 def brute_force_omega(place: Place, f_vec, s: int) -> list[tuple]:
@@ -70,13 +70,14 @@ def small_cases():
                     for r in range(1, min(m, 3) + 1):
                         for f in _compositions_pos(m, r):
                             try:
-                                ctx = LocalContext.create(Place("v", deg, d), f, s)
+                                l, t, m_s, _ = local_shape(
+                                    Place("v", deg, d), f, s)
                             except Exception:
                                 continue
-                            size = ctx.l * r * ctx.t
+                            size = l * r * t
                             if size > 12:
                                 continue
-                            if (ctx.m_s + 1) ** (ctx.l * r * ctx.t) > 300000:
+                            if (m_s + 1) ** (l * r * t) > 300000:
                                 continue
                             cases.append((deg, d, s, f))
     return cases
@@ -204,10 +205,10 @@ def test_slice_sums_equal_capacity():
     place = Place("v", 2, 2)
     for s in (1, 2, 4):
         for f in ((2, 2), (1, 3), (4,)):
-            ctx = LocalContext.create(place, f, s)
+            m_s = local_shape(place, f, s)[2]
             for elem in enumerate_omega(place, f, s):
                 for sl in elem:
-                    assert sum(sl) == ctx.m_s
+                    assert sum(sl) == m_s
 
 
 def test_flatten_strip_rejects_all_zero_slice():
@@ -235,7 +236,7 @@ def test_strip_counts_match_the_walk_random():
         s = rng.randint(1, 6)
         place = Place("v", deg, d)
         try:
-            ctx = LocalContext.create(place, f, s)
+            l, t, _, _ = local_shape(place, f, s)
         except ValidationError:
             continue
         size = omega_size(place, f, s)
@@ -244,7 +245,7 @@ def test_strip_counts_match_the_walk_random():
         counts = strip_counts(place, f, s)
         assert counts == walked_strip_counts(place, f, s), (deg, d, f, s)
         assert sum(counts.values()) == size, (deg, d, f, s)
-        keys.update(checked=1, l=ctx.l > 1, t=ctx.t > 1, lt=ctx.l > 1 < ctx.t,
+        keys.update(checked=1, l=l > 1, t=t > 1, lt=l > 1 < t,
                     multi=len(counts) > 1)
     assert min(keys["l"], keys["t"], keys["multi"]) > 100
     assert keys["lt"] > 20

@@ -15,8 +15,8 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       local_unit_index, maximal_order, normalize_invariant)
 from csaclass.errors import IntegralityViolationError, ValidationError
 from csaclass.orders import count_genera, genus_axes
-from conftest import (enumerate_genera, genus_reduce, genus_vectors,
-                      with_listed_place)
+from conftest import (PowerlessInt, enumerate_genera, genus_reduce,
+                      genus_vectors, with_listed_place)
 
 
 @pytest.mark.parametrize("vec,expected", [
@@ -87,6 +87,17 @@ def test_local_unit_index_rejects_a_non_integral_quotient():
     # A negative entry is no invariant vector: its quotient is 1 / (N^3 - 1).
     with pytest.raises(IntegralityViolationError):
         local_unit_index(3, 1, (3, -1))
+
+
+def test_local_unit_index_of_one_block_forms_no_power():
+    # At most one non-zero entry: the Gaussian multinomial [m; m] is 1, and
+    # no N^(d i) - 1 is multiplied out for it.
+    for f in ((5,), (0, 5, 0), ()):
+        assert local_unit_index(PowerlessInt(3), 2, f) == 1
+    # (3, -1) still raises: see the test above.
+    for N in (1, 0, -3):
+        with pytest.raises(ValidationError, match="N must be at least 2"):
+            local_unit_index(PowerlessInt(N), 1, (5,))
 
 
 @pytest.mark.parametrize("vec,expected", [

@@ -13,8 +13,9 @@ import pytest
 from csaclass import (Place, enumerate_omega, local_unit_index,
                       strip_counts, theta, theta_enum)
 from csaclass.errors import BudgetExceededError, ValidationError
-from csaclass.omega import LocalContext
+from csaclass.omega import local_shape
 from csaclass.theta import _weights, omega_size, residue_power
+from conftest import PowerlessInt
 
 
 GOLDEN_Q = 3
@@ -39,10 +40,9 @@ def test_golden_iwahori_hand_expansion():
     # squared, so the Z^2 coefficient is 2*a_2 + a_1^2 = 3/160, and the
     # prefactor (9-1)(81-1) = 640 turns that into 12.  Row by row, the one
     # row splits its 2 into t = 2 parts: [2;0] + [2;1] + [2;2] = 1 + 10 + 1.
-    ctx = LocalContext.create(IW_PLACE, (2,), 2)
-    Q = residue_power(ctx, GOLDEN_Q)
+    Q = residue_power(IW_PLACE, 2, GOLDEN_Q)
     assert Q == 9
-    assert (ctx.l, ctx.t, ctx.m_s) == (1, 2, 2)
+    assert local_shape(IW_PLACE, (2,), 2) == (1, 2, 2, (2,))
     a1 = Fraction(1, Q - 1)
     a2 = a1 / (Q * Q - 1)
     coeff = 2 * a2 + a1 ** 2
@@ -62,7 +62,7 @@ def _compositions_pos(total, parts):
 
 
 def _local_data(qs, max_m):
-    """Every (q, deg, d, s, f) with up to three parts, and its context."""
+    """Every (q, deg, d, s, f) with up to three parts, and its shape."""
     for q in qs:
         for deg in (1, 2, 3):
             for d in (1, 2, 3, 4, 6):
@@ -71,11 +71,11 @@ def _local_data(qs, max_m):
                         for r in range(1, min(m, 3) + 1):
                             for f in _compositions_pos(m, r):
                                 try:
-                                    ctx = LocalContext.create(
+                                    shape = local_shape(
                                         Place("v", deg, d), f, s)
                                 except Exception:
                                     continue
-                                yield (q, deg, d, s, f), ctx
+                                yield (q, deg, d, s, f), shape
 
 
 def engine_cases():
@@ -86,17 +86,17 @@ def engine_cases():
     """
     cases = []
     seen = set()
-    for key, ctx in _local_data((2, 3, 4, 9), 6):
-        if ctx.l > 3 or ctx.t > 3 or ctx.m_s > 4:
+    for key, (l, t, m_s, _) in _local_data((2, 3, 4, 9), 6):
+        if l > 3 or t > 3 or m_s > 4:
             continue
         if key in seen:
             continue
         seen.add(key)
         cases.append(key)
     shapes = set()
-    for key, ctx in _local_data((2, 3), 12):
-        shape = (key[0], ctx.l, len(key[4]), ctx.t, ctx.m_s)
-        if ctx.l > 3 or ctx.t > 3 or not 5 <= ctx.m_s <= 6 or shape in shapes:
+    for key, (l, t, m_s, _) in _local_data((2, 3), 12):
+        shape = (key[0], l, len(key[4]), t, m_s)
+        if l > 3 or t > 3 or not 5 <= m_s <= 6 or shape in shapes:
             continue
         shapes.add(shape)
         cases.append(key)
@@ -111,8 +111,7 @@ def test_engines_agree(q, deg, d, s, f):
     assert type(value) is int
     assert type(production) is int
     assert production == value
-    assert (value == 0) == (LocalContext.create(place, f, s).scaled_targets()
-                            is None)
+    assert (value == 0) == (local_shape(place, f, s)[3] is None)
     if value != 0:
         assert value >= 1
 
@@ -194,8 +193,7 @@ def test_grouped_rows_agree_with_enumeration():
             if sum(f) % l:
                 continue
             place = Place("v", deg, t)
-            ctx = LocalContext.create(place, f, s)
-            assert (ctx.l, ctx.t) == (l, t)
+            assert local_shape(place, f, s)[:2] == (l, t)
             if sum(1 for _ in islice(enumerate_omega(place, f, s), 401)) > 400:
                 continue
             assert theta(place, f, s, q) == theta_enum(place, f, s, q), \
@@ -222,9 +220,33 @@ def test_budget_counts_grouped_row_placements():
 
 def test_zero_iff_empty():
     place = Place("v", 1, 1)
-    assert LocalContext.create(place, (1, 1), 2).scaled_targets() is None
+    assert local_shape(place, (1, 1), 2)[3] is None
     assert theta_enum(place, (1, 1), 2, 3) == 0
     assert theta(place, (1, 1), 2, 3) == 0
+
+
+def test_empty_set_forms_no_power_of_q():
+    # The set is settled as empty before Q, a power of q, is formed.
+    place = Place("v", 1, 1)
+    assert theta(place, (1, 1), 2, PowerlessInt(3)) == 0
+    assert theta_enum(place, (1, 1), 2, PowerlessInt(3)) == 0
+
+
+@pytest.mark.parametrize("place,f,s,q", [
+    (Place("U", 3), (1,) * 24, 3, 2),
+    (Place("U", 2), (2,) * 12, 2, 2),
+    (Place("U", 2), (1, 2, 3, 4, 5, 9), 2, 3),
+])
+def test_theta_weighs_strip_counts_by_unit_indices(place, f, s, q):
+    # Each slice weight is the Gaussian multinomial of its strip, so theta
+    # sums count * prod of the strips' unit indices over `strip_counts`: an
+    # oracle on sets no walk reaches (9,465,511,770 elements in the first).
+    Q = residue_power(place, s, q)
+    counts = strip_counts(place, f, s)
+    assert sum(counts.values()) == omega_size(place, f, s)
+    assert theta(place, f, s, q) == sum(
+        count * prod(local_unit_index(Q, 1, strip) for strip in key)
+        for key, count in counts.items())
 
 
 def test_empty_set_builds_no_table(monkeypatch):
@@ -261,12 +283,11 @@ def test_single_row_closed_form_matches_full_table():
     # At l = 1 the one row is forced, so theta is its weight read off the
     # full (m_s + 1)^2 table, the computation the closed form replaces.
     for q, place, f, s in _single_row_keys():
-        ctx = LocalContext.create(place, f, s)
-        assert ctx.l == 1 and ctx.t == place.local_index, (place, f, s)
-        targets = ctx.scaled_targets()
-        Q = residue_power(ctx, q)
-        cell = _weights(Q, ctx.m_s, ctx.t)
-        expected, left = 1, ctx.m_s
+        l, t, m_s, targets = local_shape(place, f, s)
+        assert l == 1 and t == place.local_index, (place, f, s)
+        Q = residue_power(place, s, q)
+        cell = _weights(Q, m_s, t)
+        expected, left = 1, m_s
         for b in targets:
             expected *= cell[left][b]
             left -= b
@@ -276,9 +297,8 @@ def test_single_row_closed_form_matches_full_table():
 def test_single_row_size_is_a_product_of_binomials():
     # At Q = 0 the slice weight is the number of t-way splits of each target.
     for _, place, f, s in _single_row_keys():
-        ctx = LocalContext.create(place, f, s)
-        size = prod(comb(b + ctx.t - 1, ctx.t - 1)
-                    for b in ctx.scaled_targets())
+        _, t, _, targets = local_shape(place, f, s)
+        size = prod(comb(b + t - 1, t - 1) for b in targets)
         assert omega_size(place, f, s) == size, (place, f, s)
         if size <= 5000:
             assert sum(strip_counts(place, f, s).values()) == size, \
