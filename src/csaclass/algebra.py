@@ -8,8 +8,7 @@ d_v = 1 and capacity m_v = n.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -19,25 +18,25 @@ from .errors import InvalidDivisorError, ValidationError
 INFINITY = "infinity"
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(namedtuple("Place", "label degree local_index invariant_num")):
     """One place of K together with the local data of D there."""
 
-    label: str
-    degree: int
-    local_index: int = 1
-    invariant_num: int | None = None
+    __slots__ = ()
+    # `_make`, and `_replace` through it, build by calling the type.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValidationError(f"place {self.label!r}: degree must be positive")
-        if self.local_index < 1:
-            raise ValidationError(f"place {self.label!r}: local index must be positive")
-        if self.invariant_num is not None:
-            g = gcd(self.invariant_num, self.local_index)
+    def __new__(cls, label: str, degree: int, local_index: int = 1,
+                invariant_num: int | None = None):
+        if degree < 1:
+            raise ValidationError(f"place {label!r}: degree must be positive")
+        if local_index < 1:
+            raise ValidationError(f"place {label!r}: local index must be positive")
+        if invariant_num is not None:
+            g = gcd(invariant_num, local_index)
             if g != 1:
                 raise ValidationError(
-                    f"place {self.label!r}: gcd(kappa, d) = {g} != 1")
+                    f"place {label!r}: gcd(kappa, d) = {g} != 1")
+        return super().__new__(cls, label, degree, local_index, invariant_num)
 
 
 def _irreducible_count(q: int, d: int) -> int:
@@ -74,34 +73,41 @@ def _ord_p(n: int, p: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(namedtuple("AlgebraSpec", "base degree finite_places "
+                              "infinity_invariant infinity")):
     """A central simple algebra D/K of degree n, definite at infinity: D is
     division there, so infinity has degree deg infinity and local index n,
-    and only its invariant kappa/n is given (None if unknown)."""
+    and only its invariant kappa/n is given (None if unknown).  The place
+    `infinity` is derived from the other fields, so it adds nothing to
+    equality."""
 
-    base: BaseField
-    degree: int
-    finite_places: tuple[Place, ...] = ()
-    infinity_invariant: int | None = None
-    infinity: Place = field(init=False, compare=False)
+    __slots__ = ()
+    # `_make`, and `_replace` through it, take the given fields and derive
+    # infinity again, as pickle and copy do through `__getnewargs__`.
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:4]))
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+    def __new__(cls, base: BaseField, degree: int,
+                finite_places: tuple[Place, ...] = (),
+                infinity_invariant: int | None = None):
+        if degree < 1:
             raise ValidationError("algebra degree must be positive")
-        self.base.check_class_number()
-        object.__setattr__(self, "finite_places", tuple(self.finite_places))
-        object.__setattr__(self, "infinity", Place(
-            INFINITY, self.base.infinity_degree, self.degree,
-            self.infinity_invariant))
-        for v in self.finite_places:
-            if self.degree % v.local_index != 0:
+        base.check_class_number()
+        finite_places = tuple(finite_places)
+        infinity = Place(INFINITY, base.infinity_degree, degree,
+                         infinity_invariant)
+        for v in finite_places:
+            if degree % v.local_index != 0:
                 raise ValidationError(
                     f"place {v.label!r}: local index {v.local_index} "
-                    f"does not divide degree {self.degree}")
-        labels = [v.label for v in self.all_places()]
+                    f"does not divide degree {degree}")
+        labels = [v.label for v in finite_places + (infinity,)]
         if len(set(labels)) != len(labels):
             raise ValidationError("place labels are not distinct")
+        return super().__new__(cls, base, degree, finite_places,
+                               infinity_invariant, infinity)
+
+    def __getnewargs__(self):
+        return self[:4]
 
     def all_places(self) -> tuple[Place, ...]:
         return self.finite_places + (self.infinity,)

@@ -14,7 +14,7 @@ constant field extensions L_s = K F_{q^s}.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -36,8 +36,7 @@ def _prime_factors(n: int) -> dict[int, int]:
     return factors
 
 
-@dataclass(frozen=True)
-class BaseField:
+class BaseField(namedtuple("BaseField", "q l_poly infinity_degree")):
     """The pair (K, infinity) as data.
 
     ``l_poly`` holds the coefficients of P(T), constant term first.  The
@@ -45,17 +44,17 @@ class BaseField:
     of P is 2g.
     """
 
-    q: int
-    l_poly: tuple[int, ...] = (1,)
-    infinity_degree: int = 1
+    __slots__ = ()
+    # `_make`, and `_replace` through it, build by calling the type.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if len(_prime_factors(self.q)) != 1:
-            raise ValidationError(f"q = {self.q} is not a prime power")
-        if self.infinity_degree < 1:
+    def __new__(cls, q: int, l_poly: tuple[int, ...] = (1,),
+                infinity_degree: int = 1):
+        if len(_prime_factors(q)) != 1:
+            raise ValidationError(f"q = {q} is not a prime power")
+        if infinity_degree < 1:
             raise ValidationError("infinity_degree must be positive")
-        poly = tuple(self.l_poly)
-        object.__setattr__(self, "l_poly", poly)
+        poly = tuple(l_poly)
         if not poly or poly[0] != 1:
             raise ValidationError("l_poly must have constant term 1")
         if len(poly) % 2 == 0:
@@ -64,13 +63,14 @@ class BaseField:
         # Users may probe hypothetical data, so this is a warning only.
         g = len(poly) // 2
         for k in range(g + 1):
-            if poly[2 * g - k] != self.q ** (g - k) * poly[k]:
+            if poly[2 * g - k] != q ** (g - k) * poly[k]:
                 warnings.warn(
                     "l_poly does not satisfy the functional equation "
                     f"c_{2 * g - k} = q^{g - k} * c_{k}",
-                    stacklevel=3,
+                    stacklevel=2,
                 )
                 break
+        return super().__new__(cls, q, poly, infinity_degree)
 
     def l_poly_at(self, x: int) -> int:
         """Evaluate P at an integer point."""

@@ -12,7 +12,7 @@ so the transfer check solves the sum of all its derived orders as one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
@@ -25,18 +25,14 @@ from .errors import (DEFAULT_BUDGET, BudgetExceededError,
                      NotPrimeDegreeError)
 from .massform import mass_hereditary, mass_maximal
 from .omega import strip_counts
-from .orders import GenusAxis, OrderSpec, count_genera, genus_axes
+from .orders import OrderSpec, count_genera, genus_axes
 from .theta import theta
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(namedtuple("Level", "s h mass theta")):
     """One solved level: h_s, the mass M_s and its theta factors."""
 
-    s: int
-    h: int
-    mass: Fraction
-    theta: dict[str, int]
+    __slots__ = ()
 
     @property
     def rhs(self) -> Fraction:  # M_s times the product of the theta factors
@@ -130,12 +126,8 @@ def embedding_count(order: OrderSpec, s: int, *,
     return s * sum(h[s2] for s2 in h if s2 % s == 0)
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    s: int
-    s2: int
-    lhs: int
-    rhs: int
+class TransferReport(namedtuple("TransferReport", "s s2 lhs rhs")):
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:
@@ -212,12 +204,8 @@ def prime_degree_class_number(order: OrderSpec) -> int:
     return int(total)
 
 
-@dataclass(frozen=True)
-class GeneraReport:
-    axes: tuple[GenusAxis, ...]
-    table: tuple[int, ...]  # h per tuple of reduced vectors, product order
-    count: int
-    total: int
+# `table` holds h per tuple of the axes' reduced vectors, in product order.
+GeneraReport = namedtuple("GeneraReport", "axes table count total")
 
 
 def total_class_number_genera(order: OrderSpec, *,
@@ -261,12 +249,8 @@ def total_class_number_genera(order: OrderSpec, *,
     return GeneraReport(axes, table, count, total)
 
 
-@dataclass(frozen=True)
-class ClassNumberReport:
-    s0: int
-    mass: Fraction
-    levels: tuple[Level, ...]  # ascending s
-    h_total: int
+# `levels` holds the solved `Level`s in ascending s.
+ClassNumberReport = namedtuple("ClassNumberReport", "s0 mass levels h_total")
 
 
 def _resum(levels, q: int) -> Fraction:

@@ -13,8 +13,8 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -38,9 +38,7 @@ class ConfigError(ValidationError):
         self.errors = errors
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    order: OrderSpec
+RunConfig = namedtuple("RunConfig", "order")
 
 
 def _integer(value, name: str) -> int:

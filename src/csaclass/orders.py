@@ -7,8 +7,7 @@ cyclic rotation.  Places without an entry are maximal, f_v = (m_v).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 from math import comb, prod
 from operator import sub
@@ -54,44 +53,45 @@ def local_unit_index(N: int, d: int, f_vec) -> int:
     return index
 
 
-@dataclass(frozen=True)
-class OrderSpec:
+class OrderSpec(namedtuple("OrderSpec", "algebra invariants")):
     """A hereditary order: the algebra plus invariant vectors per place.
 
     Invariant vectors are normalized at construction so that equal orders
     compare equal; entries equal to the forced maximal vector are dropped.
     """
 
-    algebra: AlgebraSpec
-    invariants: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    __slots__ = ()
+    # `_make`, and `_replace` through it, build by calling the type.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
+    def __new__(cls, algebra: AlgebraSpec,
+                invariants: tuple[tuple[str, tuple[int, ...]], ...] = ()):
         cleaned: list[tuple[str, tuple[int, ...]]] = []
         seen = set()
-        for label, f_vec in self.invariants:
+        for label, f_vec in invariants:
             if label in seen:
                 raise ValidationError(f"duplicate invariant for place {label!r}")
             seen.add(label)
             try:
-                place = self.algebra.place(label)
+                place = algebra.place(label)
             except KeyError:
                 raise ValidationError(
                     f"invariant given for unlisted place {label!r}; "
                     "list it on the algebra first") from None
-            if place.label == self.algebra.infinity.label:
+            if place.label == algebra.infinity.label:
                 raise ValidationError("no order invariant at infinity")
             f = normalize_invariant(f_vec)
             if any(e < 1 for e in f):
                 raise ValidationError(
                     f"place {label!r}: invariant entries must be positive")
-            m_v = self.algebra.capacity(place)
+            m_v = algebra.capacity(place)
             if sum(f) != m_v:
                 raise ValidationError(
                     f"place {label!r}: invariant sums to {sum(f)}, expected {m_v}")
             if len(f) > 1:
                 cleaned.append((label, f))
         cleaned.sort()
-        object.__setattr__(self, "invariants", tuple(cleaned))
+        return super().__new__(cls, algebra, tuple(cleaned))
 
     def invariant_at(self, label: str) -> tuple[int, ...]:
         for lab, f in self.invariants:
@@ -113,20 +113,15 @@ def count_genera(order: OrderSpec) -> int:
                 for _, f in order.invariants)
 
 
-@dataclass(frozen=True)
-class GenusAxis:
+class GenusAxis(namedtuple(
+        "GenusAxis", "label total parts reduced mults pick_of")):
     """The genus vectors of one non-maximal place, those of `parts` entries
     >= 0 summing to `total`.  `reduced` holds their distinct normalised
     non-zero parts by first appearance, `mults` how many vectors reduce to
     each, and `pick_of` the index of a vector's reduction by the cuts of its
     non-zero entries: a bit c - 1 for each partial sum c."""
 
-    label: str
-    total: int
-    parts: int
-    reduced: tuple[tuple[int, ...], ...]
-    mults: tuple[int, ...]
-    pick_of: dict[int, int]
+    __slots__ = ()
 
     def walk(self, start: str, sep: str, end: str) -> list[tuple]:
         """The vectors in lexicographic order as text, each `start`, its

@@ -13,7 +13,8 @@ entries put in the next column contribute [left; N]_Q * g_t(N), whose product
 over a row telescopes to the slice weight.  `theta` takes the table at the
 residue field size Q, `omega_size` at q = 0, where Q = 0, every Gaussian
 binomial is 1 and the weights count the index set without walking it.  An
-empty set, read off `local_shape`, is 0 before any power of q is formed.
+empty set, read off `local_shape`, is 0 before any power of q is formed,
+and a set of one matrix, at t = 1 with at most one non-zero target, is 1.
 
 The same symmetry lets a row treat the k columns of equal budget b as one
 group: it chooses how many of them take N entries, for N = b down to 0,
@@ -85,10 +86,17 @@ def _weights(Q: int, m: int, t: int) -> list[list[int]]:
             for left in range(m + 1)]
 
 
+def _over_budget(layer: str, place: Place, s: int,
+                 budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"{layer}: place {place.label!r}, s = {s}: "
+                               f"row placements exceed budget of {budget}")
+
+
 def _row_sum(layer: str, place: Place, f_vec, s: int, q: int,
              budget: int) -> int:
     """Sum of prod_i cell[left][N_i], cell = _weights(Q, m_s, t), over the
-    rows (places w above v) of each matrix, 0 for an empty set; raises
+    rows (places w above v) of each matrix, 0 for an empty set and 1 for
+    a set of one matrix (t = 1, at most one non-zero target); raises
     BudgetExceededError, naming `layer`, past `budget` row placements.
 
     At l = 1 the one row is forced and counts no placement: its weight is
@@ -97,6 +105,12 @@ def _row_sum(layer: str, place: Place, f_vec, s: int, q: int,
     l, t, m, targets = local_shape(place, f_vec, s)
     if targets is None:
         return 0
+    if t == 1 and len(targets) - targets.count(0) <= 1:
+        # Each row takes its whole m_s from the one column: one matrix, and
+        # l - 1 row placements before the forced last row.
+        if l - 1 > budget:
+            raise _over_budget(layer, place, s, budget)
+        return 1
     Q = residue_power(place, s, q)
     if l == 1:
         # At Q = 0 every Gaussian binomial is 1; cell[b][b] is g_t(b).
@@ -139,9 +153,7 @@ def _row_sum(layer: str, place: Place, f_vec, s: int, q: int,
             if left == 0:
                 placements += 1
                 if placements > budget:
-                    raise BudgetExceededError(
-                        f"{layer}: place {place.label!r}, s = {s}: "
-                        f"row placements exceed budget of {budget}")
+                    raise _over_budget(layer, place, s, budget)
                 # The open columns keep their budgets: the last k of group
                 # j and every column after it.
                 key = tuple(sorted(rest + cols[ends[j] - k:]))

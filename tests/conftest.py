@@ -5,7 +5,6 @@ the genera of an order one dict at a time, and a genera report's rows."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -26,8 +25,9 @@ def with_listed_place(spec: AlgebraSpec, label: str,
     try:
         existing = spec.place(label)
     except KeyError:
-        return dataclasses.replace(
-            spec, finite_places=spec.finite_places + (Place(label, degree, 1),))
+        return AlgebraSpec(spec.base, spec.degree,
+                           spec.finite_places + (Place(label, degree, 1),),
+                           spec.infinity_invariant)
     if existing.degree != degree:
         raise ValidationError(
             f"place {label!r} already listed with degree {existing.degree}")

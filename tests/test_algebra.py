@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
-from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
@@ -34,7 +34,7 @@ def test_broken_reciprocity_detected(golden_spec):
 def test_infinity_is_derived_from_the_base_and_degree():
     # D is definite: infinity has degree deg infinity and local index n, and
     # only its invariant is given.
-    assert [f.name for f in fields(AlgebraSpec) if f.init] == [
+    assert list(inspect.signature(AlgebraSpec).parameters) == [
         "base", "degree", "finite_places", "infinity_invariant"]
     spec = AlgebraSpec(BaseField(3, infinity_degree=2), 2,
                        (Place("T", 1, 2, 1),), 1)

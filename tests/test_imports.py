@@ -2,13 +2,16 @@
 private top-level function is used somewhere in the library, no library
 module uses `assert`, only the modules that hold rational values import
 `fractions`, `classnum` does not walk local index sets, no module keeps
-state between calls, and the package exports exactly what its
+state between calls, no module imports `dataclasses` and importing the CLI
+loads no introspection module, and the package exports exactly what its
 `__init__.py` imports."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -205,6 +208,42 @@ def test_kept_state_is_found():
 def test_no_state_between_calls(path):
     found = kept_state(path.read_text(encoding="utf-8"))
     assert set(found) - STATE_ALLOWED.get(path.name, set()) == set()
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules `source` imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    source = ("import os.path\nfrom . import errors\n"
+              "def f():\n    from dataclasses import dataclass\n")
+    assert imported_modules(source) == {"os", "dataclasses"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dataclasses_in_src(path):
+    # `dataclasses` loads inspect, ast, dis and tokenize, and each decorator
+    # execs its generated methods: most of the CLI's start-up time.
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # -S -E as perfbench/worker.py runs: no site module, no PYTHON* variables.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import csaclass.cli; "
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', "
+            "'tokenize'} & set(sys.modules))))")
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code,
+                           str(SRC.parent)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 def test_exports_are_the_imported_names():

@@ -232,6 +232,24 @@ def test_empty_set_forms_no_power_of_q():
     assert theta_enum(place, (1, 1), 2, PowerlessInt(3)) == 0
 
 
+@pytest.mark.parametrize("degree,budget,over", [
+    (1, 0, False), (1, 1, False), (2, 0, True), (2, 1, False)])
+def test_one_matrix_forms_no_power_of_q(degree, budget, over):
+    # At t = 1 with one non-zero target every row takes its whole m_s from
+    # that column, so theta is 1 before Q is formed.  At s = 2 a place of
+    # degree 2 has l = 2 places above it: the one unforced row placement
+    # still counts against the budget.
+    place = Place("U", degree)
+    for f in ((2,), (0, 2)):
+        if over:
+            with pytest.raises(BudgetExceededError, match=(
+                    r"^theta: place 'U', s = 2: row placements exceed "
+                    r"budget of 0$")):
+                theta(place, f, 2, PowerlessInt(3), budget=budget)
+        else:
+            assert theta(place, f, 2, PowerlessInt(3), budget=budget) == 1
+
+
 @pytest.mark.parametrize("place,f,s,q", [
     (Place("U", 3), (1,) * 24, 3, 2),
     (Place("U", 2), (2,) * 12, 2, 2),
