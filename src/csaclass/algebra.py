@@ -213,6 +213,11 @@ def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
     s0 = constant_field_degree(spec)
     if s < 1 or s0 % s != 0:
         raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
+    return _centralizer(spec, s)
+
+
+def _centralizer(spec: AlgebraSpec, s: int) -> AlgebraSpec:
+    """`centralizer_spec` for an s already known to divide s0."""
     if s == 1:
         return spec
     derived: list[Place] = []

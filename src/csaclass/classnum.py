@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
 
-from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
-                      places_above)
+from .algebra import (AlgebraSpec, _centralizer, centralizer_spec,
+                      constant_field_degree, places_above)
 from .basefield import _prime_factors, constant_extension, pic_order
 from .errors import (DEFAULT_BUDGET, BudgetExceededError,
                      IntegralityViolationError, InvalidDivisorError,
@@ -39,16 +39,23 @@ class Level(namedtuple("Level", "s h mass theta")):
         return self.mass * prod(self.theta.values())
 
 
-def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET):
-    """solve(terms) -> the `Level`s of `terms` in `spec`, largest s first.
+_Solver = namedtuple("_Solver", "s0 divisors theta settle solve")
 
-    `terms` pairs each label with its (count, ((place, f), ...)) terms; its
-    factor at level s is the sum of count * prod theta(place, f, s), and
-    rhs_s = M_s * prod of the factors.  An order is the one-term case
-    (`_one_term`).  h_s is linear in the rhs of the levels, so several terms
-    solve to the count-weighted sum of their orders' h.  M_s depends on s
-    alone and theta on (deg, d, f, s) alone, so each is computed once and
-    shared by every solve.  `budget` bounds the row placements of each theta.
+
+def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
+    """The level recursion of `spec` over the `divisors` s of its s0.
+
+    `solve(terms, step)` -> the `Level`s of `terms` at the s that `step`
+    divides, largest first: h_s reads only the levels s divides, so these
+    levels are closed.  `terms` pairs each label with its (count, ((place,
+    f), ...)) terms; its factor at level s is the sum of count * prod
+    theta(place, f, s), and rhs_s = M_s * prod of the factors.  An order is
+    the one-term case (`_one_term`).  h_s is linear in the rhs of the
+    levels, so several terms solve to the count-weighted sum of their
+    orders' h.  `settle(s, product, h)` sets h[s] from the product of the
+    factors and returns M_s.  M_s depends on s alone and theta on (deg, d,
+    f, s) alone, so each is computed once and shared by every solve.
+    `budget` bounds the row placements of each theta.
     With M_s = a/b and E the lcm of b and q^{s2} - 1 over the levels s2 > s
     that s divides, h_s = (A * prod(factors) - sum B_s2 * h_s2) / (s E) for
     the integers A = (q^s - 1) a E/b and B_s2 = (q^s - 1) s E/(q^{s2} - 1).
@@ -65,33 +72,37 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET):
             thetas[key] = theta(v, f_vec, s, q, budget=budget)
         return thetas[key]
 
-    def solve(terms) -> list[Level]:
+    def settle(s: int, product: int, h: dict[int, int]) -> Fraction:
+        if s not in steps:
+            mass = mass_maximal(_centralizer(spec, s))
+            tail = [s2 for s2 in divisors if s2 > s and s2 % s == 0]
+            e = lcm(mass.denominator, *(q ** s2 - 1 for s2 in tail))
+            scale = (q ** s - 1) * e
+            steps[s] = (mass, scale * mass.numerator // mass.denominator,
+                        [(s2, scale * s // (q ** s2 - 1)) for s2 in tail],
+                        s * e)
+        mass, lead, tail, den = steps[s]
+        num = lead * product - sum(b * h[s2] for s2, b in tail)
+        value, rest = divmod(num, den)
+        if rest or value < 0:
+            raise IntegralityViolationError(
+                f"h_{s} = {Fraction(num, den)} is not a non-negative integer")
+        h[s] = value
+        return mass
+
+    def solve(terms, step: int = 1) -> list[Level]:
         h: dict[int, int] = {}
         levels = []
-        for s in divisors:
+        for s in [d for d in divisors if d % step == 0]:
             factors = {label: sum(count * prod(theta_at(v, f_vec, s)
                                                for v, f_vec in places)
                                   for count, places in group)
                        for label, group in terms}
-            if s not in steps:
-                mass = mass_maximal(centralizer_spec(spec, s))
-                tail = [s2 for s2 in divisors if s2 > s and s2 % s == 0]
-                e = lcm(mass.denominator, *(q ** s2 - 1 for s2 in tail))
-                scale = (q ** s - 1) * e
-                steps[s] = (mass, scale * mass.numerator // mass.denominator,
-                            [(s2, scale * s // (q ** s2 - 1)) for s2 in tail],
-                            s * e)
-            mass, lead, tail, den = steps[s]
-            num = lead * prod(factors.values()) - sum(b * h[s2] for s2, b in tail)
-            value, rest = divmod(num, den)
-            if rest or value < 0:
-                raise IntegralityViolationError(
-                    f"h_{s} = {Fraction(num, den)} is not a non-negative integer")
-            h[s] = value
-            levels.append(Level(s, value, mass, factors))
+            mass = settle(s, prod(factors.values()), h)
+            levels.append(Level(s, h[s], mass, factors))
         return levels
 
-    return solve
+    return _Solver(s0, divisors, theta_at, settle, solve)
 
 
 def _one_term(order: OrderSpec) -> tuple:
@@ -108,8 +119,8 @@ def weight_class_numbers(order: OrderSpec, *,
 
     The result is not cached: each call solves every level of `order`.
     """
-    solve = _level_solver(order.algebra, budget)
-    return {level.s: level.h for level in solve(_one_term(order))}
+    levels = _level_solver(order.algebra, budget).solve(_one_term(order))
+    return {level.s: level.h for level in levels}
 
 
 def class_number(order: OrderSpec) -> int:
@@ -119,11 +130,11 @@ def class_number(order: OrderSpec) -> int:
 def embedding_count(order: OrderSpec, s: int, *,
                     budget: int = DEFAULT_BUDGET) -> int:
     """Total count of optimal embeddings of the degree-s constant ring."""
-    s0 = constant_field_degree(order.algebra)
+    solver = _level_solver(order.algebra, budget)
+    s0 = solver.s0
     if s < 1 or s0 % s != 0:
         raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
-    h = weight_class_numbers(order, budget=budget)
-    return s * sum(h[s2] for s2 in h if s2 % s == 0)
+    return s * sum(level.h for level in solver.solve(_one_term(order), s))
 
 
 class TransferReport(namedtuple("TransferReport", "s s2 lhs rhs")):
@@ -146,15 +157,17 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     each local set is counted by `strip_counts` without being walked.  A
     derived order's h is linear in the rhs of its levels, and each rhs is a
     product over the places v, so the sum is one solve whose factor at v
-    sums count * prod_w theta_w over v's strip groups.  The budget bounds
-    each place's strip state transitions and each theta factor's row
+    sums count * prod_w theta_w over v's strip groups.  The lhs solves only
+    the levels that s2 divides, the sum those that s2/s divides.  The budget
+    bounds each place's strip state transitions and each theta factor's row
     placements.
     """
     spec = order.algebra
-    s0 = constant_field_degree(spec)
+    solver = _level_solver(spec, budget)
+    s0 = solver.s0
     if s < 1 or s2 < 1 or s2 % s != 0 or s0 % s2 != 0:
         raise InvalidDivisorError(f"need s | s2 | s0, got s={s}, s2={s2}, s0={s0}")
-    lhs = s * weight_class_numbers(order, budget=budget)[s2]
+    lhs = s * solver.solve(_one_term(order), s2)[-1].h  # the last is h_s2
 
     terms = []
     for label in order.relevant_labels():
@@ -165,9 +178,10 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
         above = places_above(v, s)
         terms.append((label, tuple((count, tuple(zip(above, strips)))
                                    for strips, count in counts.items())))
-    levels = _level_solver(centralizer_spec(spec, s), budget)(tuple(terms))
-    h = {level.s: level.h for level in levels}
-    return TransferReport(s, s2, lhs, h[s2 // s])
+    # The derived algebra's s0 is s0 / s: its last level here is s2 / s.
+    levels = _level_solver(centralizer_spec(spec, s), budget).solve(
+        tuple(terms), s2 // s)
+    return TransferReport(s, s2, lhs, levels[-1].h)
 
 
 def prime_degree_class_number(order: OrderSpec) -> int:
@@ -216,27 +230,33 @@ def total_class_number_genera(order: OrderSpec, *,
     in the same algebra.  That order's class number depends only on the
     multiset of (deg v, d_v, reduced vector) over the places of the axes,
     so it is solved once per such multiset, and all solves share one level
-    solver.  The budget still bounds the full genus count, and it bounds
-    each theta factor's row placements.
+    solver, which settles each level from a bare product of thetas, taken
+    in label order as `solve` takes them.  The budget still bounds the full
+    genus count, and it bounds each theta factor's row placements.
     """
     count = count_genera(order)
     if count > budget:
         raise BudgetExceededError(
             f"genera: genus count {count} exceeds budget of {budget}")
+    spec = order.algebra
     axes = genus_axes(order)
-    places = [order.algebra.place(axis.label) for axis in axes]
-    solve = _level_solver(order.algebra, budget)
+    places = [spec.place(axis.label) for axis in axes]
+    solver = _level_solver(spec, budget)
+    pairs = {label: (spec.place(label), order.invariant_at(label))
+             for label in order.relevant_labels()}  # a problem resets its axes
     solved: dict[tuple, int] = {}
-    terms = dict(_one_term(order))  # each problem resets the axes' terms
 
     def reduced_class_number(key) -> int:  # one reduced vector per axis
         problem = tuple(sorted((v.degree, v.local_index, g)
                                for v, g in zip(places, key)))
         if problem not in solved:
-            for v, axis, g in zip(places, axes, key):
-                terms[axis.label] = ((1, ((v, g),)),)
-            solved[problem] = sum(level.h
-                                  for level in solve(tuple(terms.items())))
+            for axis, v, g in zip(axes, places, key):
+                pairs[axis.label] = (v, g)
+            h: dict[int, int] = {}
+            for s in solver.divisors:
+                solver.settle(s, prod(solver.theta(v, f_vec, s)
+                                      for v, f_vec in pairs.values()), h)
+            solved[problem] = sum(h.values())
         return solved[problem]
 
     # Reduced vectors are numbered by first appearance, so the solves run in
@@ -262,11 +282,12 @@ def _resum(levels, q: int) -> Fraction:
 def class_number_report(order: OrderSpec, *,
                         budget: int = DEFAULT_BUDGET) -> ClassNumberReport:
     spec = order.algebra
-    levels = _level_solver(spec, budget)(_one_term(order))[::-1]
+    solver = _level_solver(spec, budget)
+    levels = solver.solve(_one_term(order))[::-1]
     mass = mass_hereditary(order)
     resum = _resum(levels, spec.base.q)
     if resum != mass:
         raise IntegralityViolationError(
             f"weight class numbers resum to {resum}, not to the mass {mass}")
-    return ClassNumberReport(constant_field_degree(spec), mass, tuple(levels),
+    return ClassNumberReport(solver.s0, mass, tuple(levels),
                              sum(level.h for level in levels))

@@ -416,7 +416,7 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     checks: dict[str, bool] = {}
     spec = order.algebra
     q = spec.base.q
-    levels = _level_solver(spec, args.budget)(_one_term(order))
+    levels = _level_solver(spec, args.budget).solve(_one_term(order))
 
     checks["mass_consistency"] = _resum(levels, q) == mass_hereditary(order)
 

@@ -25,7 +25,7 @@ def local_shape(place: Place, f_vec, s: int):
     f = tuple(f_vec)
     if s < 1:
         raise ValidationError("s must be positive")
-    if any(e < 0 for e in f):
+    if f and min(f) < 0:
         raise ValidationError(
             "invariant vector entries must be non-negative")
     m_v = sum(f)
@@ -36,6 +36,8 @@ def local_shape(place: Place, f_vec, s: int):
         raise ValidationError(
             f"s = {s} incompatible with capacity {m_v} at {place.label!r}")
     scale = s // (l * t)
+    if scale == 1:
+        return l, t, m_v * t // s, f
     if any(e % scale for e in f):
         return l, t, m_v * t // s, None
     return l, t, m_v * t // s, tuple(e // scale for e in f)

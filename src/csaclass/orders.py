@@ -159,10 +159,14 @@ class GenusAxis(namedtuple(
 def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
     """One axis per non-maximal place, labels sorted; a genus picks one
     vector from every axis.  No vector is built: a composition of m_v into
-    k positive entries is the non-zero part of comb(parts, k) vectors."""
+    k positive entries is the non-zero part of comb(parts, k) vectors.
+    The rotations of a composition share its reduction; rotating it by a
+    partial sum a rotates its cuts, as `total` bits, right by a.  So the
+    first rotation met is normalised and marks the cuts of all of them."""
     axes = []
     for label, f in order.invariants:
         total, parts = sum(f), len(f)
+        full = (1 << total) - 1
         index: dict[tuple[int, ...], int] = {}
         mults: Counter[int] = Counter()
         pick_of = {}
@@ -170,10 +174,13 @@ def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
         for k in range(min(parts, total)):
             for sums in combinations(range(1, total), k):
                 ends = (*sums, total)  # the partial sums of the entries
-                i = index.setdefault(normalize_invariant(
-                    map(sub, ends, (0, *sums))), len(index))
-                pick_of[sum(1 << c - 1 for c in ends)] = i
-                mults[i] += comb(parts, k + 1)
+                cuts = sum(1 << c - 1 for c in ends)
+                if cuts not in pick_of:
+                    i = index[normalize_invariant(
+                        map(sub, ends, (0, *sums)))] = len(index)
+                    for a in (0, *sums):
+                        pick_of[(cuts >> a | cuts << total - a) & full] = i
+                mults[pick_of[cuts]] += comb(parts, k + 1)
         axes.append(GenusAxis(label, total, parts, tuple(index),
                               tuple(mults.values()), pick_of))
     return tuple(axes)

@@ -217,8 +217,22 @@ def _random_transfer_cases(count: int = 10):
 
 
 def test_transfer_random():
+    # The embedding count at s solves only the levels s divides, and the
+    # transfer only those s2 and s2/s divide; they must agree with a solve
+    # of every level at every s | s2 | s0.
     for order, s, s2, report in _random_transfer_cases():
         assert report.equal, (order, s, s2, report)
+        h = weight_class_numbers(order)
+        for a in h:
+            above = [b for b in h if b % a == 0]
+            assert embedding_count(order, a) == a * sum(h[b] for b in above)
+            for b in above:
+                try:
+                    pair = transfer_check(order, a, b, budget=20000)
+                except BudgetExceededError:
+                    continue
+                assert pair.lhs == a * h[b], (order, a, b)
+                assert pair.equal, (order, a, b, pair)
 
 
 def test_genera_iwahori_quaternion():
@@ -505,31 +519,39 @@ def test_genera_match_directly_built_orders_random():
             assert h == class_number(direct), (order, genus)
 
 
-def _count_solves(monkeypatch) -> list:
-    """Record each order the level solvers of `classnum` solve."""
-    solved = []
+def _count_settles(monkeypatch) -> list:
+    """Record each level the level solvers of `classnum` settle, as s and
+    the sorted (deg v, d_v, f) of the thetas asked for since the last one."""
+    settled, asked = [], []
     real_solver = classnum._level_solver
 
     def counted_solver(spec, budget=DEFAULT_BUDGET):
-        solve = real_solver(spec, budget)
+        solver = real_solver(spec, budget)
 
-        def counted(order):
-            solved.append(order)
-            return solve(order)
-        return counted
+        def counted_theta(v, f_vec, s):
+            asked.append((v.degree, v.local_index, f_vec))
+            return solver.theta(v, f_vec, s)
+
+        def counted_settle(s, product, h):
+            settled.append((s, tuple(sorted(asked))))
+            asked.clear()
+            return solver.settle(s, product, h)
+        return solver._replace(theta=counted_theta, settle=counted_settle)
 
     monkeypatch.setattr(classnum, "_level_solver", counted_solver)
-    return solved
+    return settled
 
 
 def test_genera_solve_once_per_label_free_problem(monkeypatch):
     # Two degree-1 Iwahori places of a degree-5 algebra: 7 reduced vectors
-    # each, 49 index tuples, but only 28 multisets of two of them.
-    solved = _count_solves(monkeypatch)
+    # each, 49 index tuples, but only 28 multisets of two of them.  Each
+    # problem settles every level once, largest s first.
+    settled = _count_settles(monkeypatch)
     report = total_class_number_genera(_two_iwahori_places(3, 5, 1))
     assert report.count == 126 ** 2
     assert len(report.table) == 7 ** 2
-    assert len(solved) == len(set(solved)) == 28
+    assert [s for s, _ in settled] == [5, 1] * 28  # s0 = 5
+    assert len(set(zip(settled[::2], settled[1::2]))) == 28
 
 
 def test_genera_total_by_multiplicity_matches_the_per_genus_sum():

@@ -234,10 +234,12 @@ def test_genera_computes_each_mass_and_theta_once(capsys, monkeypatch):
 
 def test_transfer_computes_each_mass_and_theta_once(tmp_path, capsys,
                                                     monkeypatch):
-    # The lhs solve (s0 = 8) and one solver shared by every derived order
-    # (s0 = 4): masses of degree 8/s and 4/s, and 12 + 12 theta keys.  A
-    # solver per derived order would ask again for the derived masses and
-    # for the theta keys at T.
+    # The lhs solve (s0 = 8) reads h_8 only, and one solver shared by every
+    # derived order (s0 = 4) reads its h_4 only: one mass of degree 1 per
+    # side, and 3 + 4 theta keys, all at the one level each side reads.  A
+    # solver per derived order would ask again for the derived mass and for
+    # the theta key at T; a solve of every level would ask for masses of
+    # degree 8/s and 4/s and for 12 + 12 keys.
     theta_keys, mass_keys = _count_solver_calls(monkeypatch)
     path = tmp_path / "transfer.json"
     path.write_text(TRANSFER_CONFIG, encoding="utf-8")
@@ -245,8 +247,9 @@ def test_transfer_computes_each_mass_and_theta_once(tmp_path, capsys,
                         "transfer", "--s", "2", "--s2", "8")
     assert code == 0
     assert json.loads(out)["equal"] is True
-    assert sorted(degree for degree, _ in mass_keys) == [1, 1, 2, 2, 4, 4, 8]
-    assert len(theta_keys) == len(set(theta_keys)) == 24
+    assert mass_keys == [(1, 4 ** 8), (1, 4 ** 8)]
+    assert len(theta_keys) == len(set(theta_keys)) == 7
+    assert sorted({(s, q) for *_, s, q in theta_keys}) == [(4, 16), (8, 4)]
 
 
 def test_selfcheck_command(golden_config_path, capsys):
@@ -590,6 +593,32 @@ def test_exit_code_budget(golden_config_path, capsys):
                  "transfer", "--s", "2", "--s2", "2"])
     capsys.readouterr()
     assert code == 4
+
+
+def test_embed_budget_reads_only_the_levels_above_s(tmp_path, capsys):
+    # s0 = 6 and U has degree 3: theta at U takes 7 row placements at s = 3,
+    # at most 2 at s = 6, 2 and 1.  `embed --s 2` reads h_6 and h_2 only, so
+    # a budget of 3 no longer stops it; `embed --s 1` reads every level.
+    path = tmp_path / "s0-6.json"
+    path.write_text(json.dumps({
+        "base": {"type": "rational_function_field", "q": 2}, "degree": 6,
+        "ramification": [{"place": "T", "degree": 1, "invariant": "1/6"},
+                         {"place": "infinity", "invariant": "-1/6"},
+                         {"place": "U", "degree": 3}],
+        "order": {"invariants": {"U": [2, 2, 2]}}}), encoding="utf-8")
+    code, out = run_cli(capsys, "--config", str(path), "classnum")
+    assert code == 0
+    h = json.loads(out)["h"]
+    assert h == {"1": 1467002079, "2": 12879, "3": 567, "6": 6}
+    for s, embeddings in ((2, 2 * (12879 + 6)), (6, 6 * 6)):
+        code, out = run_cli(capsys, "--config", str(path), "--budget", "3",
+                            "embed", "--s", str(s))
+        assert code == 0
+        assert json.loads(out) == {"embeddings": embeddings, "s": s}
+    assert main(["--config", str(path), "--budget", "3",
+                 "embed", "--s", "1"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: theta: place 'U', s = 3: row placements exceed budget of 3"]
 
 
 def test_timings_flag(golden_config_path, capsys):

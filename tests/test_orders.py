@@ -207,6 +207,11 @@ def test_genus_axes_match_brute_force():
         _check_axis(axis, sorted(g + (m - sum(g),)
                                  for g in product(range(m + 1), repeat=r - 1)
                                  if sum(g) <= m))
+    # Larger axes, whose compositions hold many rotations and periodic
+    # necklaces: 3003 to 11440 vectors each, by the recursive definition.
+    for m, r in ((10, 6), (12, 6), (8, 8), (9, 8), (16, 5), (30, 4)):
+        (axis,) = genus_axes(_order_with_axis((1,) * (r - 1) + (m - r + 1,)))
+        _check_axis(axis, list(genus_vectors(m, r)))
 
 
 def test_genus_axes_with_few_parts_and_a_large_total():
