@@ -134,14 +134,15 @@ def validate(spec: AlgebraSpec) -> list[str]:
     of listed places of each degree.  An empty list means valid."""
     violations: list[str] = []
     # Reciprocity needs every listed invariant; checkable only when present
-    # at all places with d_v > 1.
+    # at all places with d_v > 1.  Each d_v divides n: the sum is total / n.
     ramified_places = [v for v in spec.all_places() if v.local_index > 1]
     if all(v.invariant_num is not None for v in ramified_places):
-        total = sum(
-            Fraction(v.invariant_num, v.local_index)
-            for v in spec.all_places() if v.invariant_num is not None)
-        if total.denominator != 1:
-            violations.append(f"reciprocity fails: sum of invariants = {total}")
+        n = spec.degree
+        total = sum(v.invariant_num * (n // v.local_index)
+                    for v in spec.all_places() if v.invariant_num is not None)
+        if total % n:
+            violations.append("reciprocity fails: sum of invariants = "
+                              f"{Fraction(total, n)}")
     else:
         # Whatever the missing invariants are, a p-adic valuation reached at
         # one place only cannot cancel in the sum.
@@ -198,9 +199,15 @@ def places_above(v: Place, s: int) -> tuple[Place, ...]:
     degree deg(v)/l over F_{q^s}, with local index d_v / t; (v,) at s = 1."""
     if s == 1:
         return (v,)
-    l, t = splitting_data(v, s)
-    return tuple(Place(f"{v.label}#{w}", v.degree // l, v.local_index // t)
+    l, degree, local_index = shape_above(v, s)
+    return tuple(Place(f"{v.label}#{w}", degree, local_index)
                  for w in range(1, l + 1))
+
+
+def shape_above(v: Place, s: int) -> tuple[int, int, int]:
+    """(l, degree, local index) of the `places_above` v, with no Place."""
+    l, t = splitting_data(v, s)
+    return l, v.degree // l, v.local_index // t
 
 
 def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
@@ -208,22 +215,12 @@ def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
 
     Its finite places are the `places_above` the listed finite places.
     Derived places that become split are dropped; invariants are not carried
-    over (no downstream formula needs them).
-    """
+    over (no downstream formula needs them)."""
     s0 = constant_field_degree(spec)
     if s < 1 or s0 % s != 0:
         raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
-    return _centralizer(spec, s)
-
-
-def _centralizer(spec: AlgebraSpec, s: int) -> AlgebraSpec:
-    """`centralizer_spec` for an s already known to divide s0."""
     if s == 1:
         return spec
-    derived: list[Place] = []
-    for v in spec.finite_places:
-        t = splitting_data(v, s)[1]
-        if v.local_index > t:  # the places above v have local index d_v / t
-            derived += places_above(v, s)
     return AlgebraSpec(constant_extension(spec.base, s), spec.degree // s,
-                       tuple(derived))
+                       tuple(w for v in spec.finite_places
+                             for w in places_above(v, s) if w.local_index > 1))

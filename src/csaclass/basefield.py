@@ -92,17 +92,17 @@ class BaseField(namedtuple("BaseField", "q l_poly infinity_degree")):
                 f"l_polynomial has P(1) = {h}, but P(1) = h_K >= 1")
 
 
-def _zeta_terms(base: BaseField, i: int) -> tuple[int, int]:
-    """zeta_K(-i) as an unreduced (numerator, positive denominator)."""
-    q = base.q
-    return base.l_poly_at(q ** i), (1 - q ** i) * (1 - q ** (i + 1))
+def _zeta_terms(base: BaseField, power: int) -> tuple[int, int]:
+    """zeta_K(-i), given power = q^i, as an unreduced (numerator, positive
+    denominator)."""
+    return base.l_poly_at(power), (1 - power) * (1 - power * base.q)
 
 
 def zeta_at_negative(base: BaseField, i: int) -> Fraction:
     """Exact special value zeta_K(-i) for i >= 1."""
     if i < 1:
         raise ValidationError("zeta_at_negative requires i >= 1")
-    return Fraction(*_zeta_terms(base, i))
+    return Fraction(*_zeta_terms(base, base.q ** i))
 
 
 def _power_sums_from_l_poly(l_poly: tuple[int, ...], count: int) -> list[int]:

@@ -17,13 +17,13 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
 
-from .algebra import (AlgebraSpec, _centralizer, centralizer_spec,
-                      constant_field_degree, places_above)
+from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
+                      places_above)
 from .basefield import _prime_factors, constant_extension, pic_order
 from .errors import (DEFAULT_BUDGET, BudgetExceededError,
                      IntegralityViolationError, InvalidDivisorError,
                      NotPrimeDegreeError)
-from .massform import mass_hereditary, mass_maximal
+from .massform import _level_mass, mass_hereditary
 from .omega import strip_counts
 from .orders import OrderSpec, count_genera, genus_axes
 from .theta import theta
@@ -53,9 +53,9 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
     the one-term case (`_one_term`).  h_s is linear in the rhs of the
     levels, so several terms solve to the count-weighted sum of their
     orders' h.  `settle(s, product, h)` sets h[s] from the product of the
-    factors and returns M_s.  M_s depends on s alone and theta on (deg, d,
-    f, s) alone, so each is computed once and shared by every solve.
-    `budget` bounds the row placements of each theta.
+    factors and returns M_s, from `_level_mass`.  M_s depends on s alone
+    and theta on (deg, d, f, s) alone, so each is computed once and shared
+    by every solve.  `budget` bounds the row placements of each theta.
     With M_s = a/b and E the lcm of b and q^{s2} - 1 over the levels s2 > s
     that s divides, h_s = (A * prod(factors) - sum B_s2 * h_s2) / (s E) for
     the integers A = (q^s - 1) a E/b and B_s2 = (q^s - 1) s E/(q^{s2} - 1).
@@ -74,7 +74,7 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
 
     def settle(s: int, product: int, h: dict[int, int]) -> Fraction:
         if s not in steps:
-            mass = mass_maximal(_centralizer(spec, s))
+            mass = _level_mass(spec, s)
             tail = [s2 for s2 in divisors if s2 > s and s2 % s == 0]
             e = lcm(mass.denominator, *(q ** s2 - 1 for s2 in tail))
             scale = (q ** s - 1) * e
@@ -131,9 +131,8 @@ def embedding_count(order: OrderSpec, s: int, *,
                     budget: int = DEFAULT_BUDGET) -> int:
     """Total count of optimal embeddings of the degree-s constant ring."""
     solver = _level_solver(order.algebra, budget)
-    s0 = solver.s0
-    if s < 1 or s0 % s != 0:
-        raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
+    if s < 1 or solver.s0 % s != 0:
+        raise InvalidDivisorError(f"s = {s} does not divide s0 = {solver.s0}")
     return s * sum(level.h for level in solver.solve(_one_term(order), s))
 
 
@@ -192,24 +191,16 @@ def prime_degree_class_number(order: OrderSpec) -> int:
         raise NotPrimeDegreeError(f"degree {n} is not prime")
     q = spec.base.q
     mass = mass_hereditary(order)
-
-    def eps(place) -> int:
-        return 1 if place.degree % n != 0 else 0
-
     ramified = [v for v in spec.all_places() if v.local_index > 1]
     correction = Fraction(0)
-    if (all(eps(v) == 1 for v in ramified)
-            and all(eps(spec.place(lab)) == 0 for lab, _ in order.invariants)):
+    # eps(v) = 1 exactly where n does not divide deg v.
+    if (all(v.degree % n for v in ramified) and not any(
+            spec.place(lab).degree % n for lab, _ in order.invariants)):
         pic_ext = pic_order(constant_extension(spec.base, n))
-        term = Fraction(q ** n - q, q ** n - 1) * Fraction(pic_ext, n * n)
-        for _ in ramified:
-            term *= n
-        for _, f_vec in order.invariants:
-            multinomial = factorial(sum(f_vec))
-            for f_i in f_vec:
-                multinomial //= factorial(f_i)
-            term *= multinomial
-        correction = term
+        correction = Fraction((q ** n - q) * pic_ext * n ** len(ramified),
+                              (q ** n - 1) * n * n)
+        for _, f_vec in order.invariants:  # times the multinomial of f_v
+            correction *= factorial(sum(f_vec)) // prod(map(factorial, f_vec))
 
     total = (q - 1) * mass + correction
     if total.denominator != 1 or total < 0:
@@ -274,9 +265,11 @@ ClassNumberReport = namedtuple("ClassNumberReport", "s0 mass levels h_total")
 
 
 def _resum(levels, q: int) -> Fraction:
-    """Sum of h_s / (q^s - 1) over the levels: the mass, if they solve."""
-    return sum((Fraction(level.h, q ** level.s - 1) for level in levels),
-               Fraction(0))
+    """Sum of h_s / (q^s - 1) over the levels, the mass if they solve: an
+    integer sum over the lcm of the q^s - 1, reduced once."""
+    e = lcm(*(q ** level.s - 1 for level in levels))
+    return Fraction(sum(level.h * (e // (q ** level.s - 1))
+                        for level in levels), e)
 
 
 def class_number_report(order: OrderSpec, *,

@@ -4,49 +4,59 @@ The mass is a product of field data (#Pic(A)/(q-1) and the zeta special
 values), one factor per ramified place, and one unit-index factor per place
 where the order fails to be maximal.  Places appearing in both sets receive
 both factors; the non-maximal factor degenerates to 1 on maximal vectors,
-so this reading is self-consistent.
+so this reading is self-consistent.  It gives each level's M_s as well.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
-from .algebra import AlgebraSpec
-from .basefield import _zeta_terms, pic_order
+from .algebra import AlgebraSpec, shape_above
+from .basefield import _zeta_terms, constant_extension, pic_order
 from .errors import IntegralityViolationError
-from .orders import OrderSpec, local_unit_index, maximal_order
+from .orders import OrderSpec, local_unit_index
 
 
 def ramification_factor(N: int, d: int, n: int) -> int:
     """prod over 1 <= i <= n-1 with d not dividing i of (N^i - 1)."""
-    result = 1
+    result, power = 1, 1
     for i in range(1, n):
+        power *= N
         if i % d != 0:
-            result *= N ** i - 1
+            result *= power - 1
     return result
 
 
-def mass_hereditary(order: OrderSpec) -> Fraction:
-    """Exact mass sum of the given hereditary order."""
-    spec = order.algebra
-    n = spec.degree
-    base = spec.base
-    zetas = [_zeta_terms(base, i) for i in range(1, n)]
-    num = pic_order(base) * prod(z for z, _ in zetas)
-    den = (base.q - 1) * prod(d for _, d in zetas)
+def _level_mass(spec: AlgebraSpec, s: int, invariants=()) -> Fraction:
+    """M_s, s | s0: the mass of a maximal order in the centralizer of L_s,
+    from the zeta values of L_s and the places above each place of `spec`,
+    times the unit indices of `invariants`.  Builds no centralizer spec."""
+    base = constant_extension(spec.base, s)
+    base.check_class_number()
+    n = spec.degree // s
+    num, den, power = pic_order(base), base.q - 1, 1
+    for _ in range(1, n):  # zeta_K(-i) at one running power q^i
+        power *= base.q
+        zeta_num, zeta_den = _zeta_terms(base, power)
+        num, den = num * zeta_num, den * zeta_den
     for v in spec.all_places():
-        if v.local_index > 1:
-            num *= ramification_factor(spec.norm(v), v.local_index, n)
-    for label, f_vec in order.invariants:
+        l, degree, local_index = shape_above(v, s)
+        if local_index > 1:
+            num *= ramification_factor(base.q ** degree, local_index, n) ** l
+    for label, f_vec in invariants:
         v = spec.place(label)
         num *= local_unit_index(spec.norm(v), v.local_index, f_vec)
     mass = Fraction(num, den)
-    if mass <= 0:
+    if num <= 0:  # den > 0
         raise IntegralityViolationError(f"mass {mass} is not positive")
     return mass
 
 
+def mass_hereditary(order: OrderSpec) -> Fraction:
+    """Exact mass sum: `mass_maximal` times the local unit indices."""
+    return _level_mass(order.algebra, 1, order.invariants)
+
+
 def mass_maximal(spec: AlgebraSpec) -> Fraction:
-    """Mass of a maximal order in the algebra."""
-    return mass_hereditary(maximal_order(spec))
+    """Mass of a maximal order in the algebra: `_level_mass` at s = 1."""
+    return _level_mass(spec, 1)

@@ -31,21 +31,20 @@ def local_unit_index(N: int, d: int, f_vec) -> int:
     with m the entry sum.  Zero entries contribute empty factors, so the same
     routine serves flattened vectors coming from local embedding data.
     The quotient is a Gaussian multinomial, so it is exact, and it is 1
-    with at most one non-zero entry, where no power of N is formed.
-    """
+    with at most one non-zero entry, where no power of N is formed."""
     if N < 2:
         raise ValidationError("N must be at least 2")
     f = tuple(f_vec)
     if len(f) - f.count(0) <= 1:
         return 1
     m = sum(f)
-    num = 1
-    for i in range(1, m + 1):
-        num *= N ** (d * i) - 1
-    den = 1
-    for e in f:
-        for j in range(1, e + 1):
-            den *= N ** (d * j) - 1
+    step, power = N ** d, 1  # a running power forms each N^{d j} - 1 once
+    prefix = [1]  # prefix[j] = prod_{i<=j}(N^{d i}-1); an entry may pass m
+    for _ in range(max(m, *f)):
+        power *= step
+        prefix.append(prefix[-1] * (power - 1))
+    num = prefix[max(m, 0)]
+    den = prod([prefix[e] for e in f if e > 0])
     index, rest = divmod(num, den)
     if rest != 0:
         raise IntegralityViolationError(

@@ -14,7 +14,7 @@ from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
                       constant_field_degree, embedding_count, mass_maximal,
                       maximal_order, validate, weight_class_numbers)
 from csaclass.algebra import (_finite_place_count, _irreducible_count,
-                              places_above, splitting_data)
+                              places_above, shape_above, splitting_data)
 from csaclass.errors import InvalidDivisorError, ValidationError
 from conftest import random_definite_spec
 
@@ -29,6 +29,20 @@ def test_broken_reciprocity_detected(golden_spec):
         tuple(v for v in golden_spec.finite_places if v.label != "T+2"),
         golden_spec.infinity_invariant)
     assert any("reciprocity" in v for v in validate(spec))
+
+
+@pytest.mark.parametrize("places,kappa_inf,total", [
+    # a negative kappa: -1/4 + 1/2 - 3/4 = -1/2
+    ((Place("T", 1, 4, -1), Place("U", 1, 2, 1)), -3, "-1/2"),
+    # the finite invariants sum to 1; infinity adds 1/4
+    ((Place("T", 1, 2, 1), Place("U", 2, 2, 1)), 1, "5/4"),
+])
+def test_reciprocity_failure_names_the_sum(places, kappa_inf, total):
+    spec = AlgebraSpec(BaseField(3), 4, places, kappa_inf)
+    assert validate(spec) == [
+        f"reciprocity fails: sum of invariants = {total}"]
+    assert sum(Fraction(v.invariant_num, v.local_index)
+               for v in spec.all_places()) == Fraction(total)
 
 
 def test_infinity_is_derived_from_the_base_and_degree():
@@ -215,6 +229,8 @@ def test_places_above_random():
                 assert len(above) == l
                 assert all(w.degree == v.degree // l for w in above)
                 assert all(w.local_index == v.local_index // t for w in above)
+                assert shape_above(v, s) == (l, v.degree // l,
+                                             v.local_index // t)
                 if s == 1:
                     assert above == (v,)
                 labels += [w.label for w in above]

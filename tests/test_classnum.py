@@ -19,7 +19,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       transfer_check, weight_class_numbers)
 from csaclass import classnum
 from csaclass.algebra import centralizer_spec, places_above, validate
-from csaclass.cli import main
+from csaclass.cli import main, parse_config
 from csaclass.omega import enumerate_omega, strip_counts
 from csaclass.orders import count_genera, normalize_invariant
 from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
@@ -65,17 +65,51 @@ GOLDEN_CONFIG_PATH = (pathlib.Path(__file__).resolve().parents[1]
 ])
 def test_level_solver_integrality_error(golden_order, capsys, monkeypatch,
                                         degree, scale, message):
-    real_mass = classnum.mass_maximal
+    real_mass = classnum._level_mass
 
-    def scaled_mass(spec):
-        return real_mass(spec) * (scale if spec.degree == degree else 1)
+    def scaled_mass(spec, s):  # M_s, of a centralizer of degree n / s
+        return real_mass(spec, s) * (scale if spec.degree // s == degree
+                                     else 1)
 
-    monkeypatch.setattr(classnum, "mass_maximal", scaled_mass)
+    monkeypatch.setattr(classnum, "_level_mass", scaled_mass)
     with pytest.raises(IntegralityViolationError) as exc:
         weight_class_numbers(golden_order)
     assert str(exc.value) == message
     assert main(["--config", str(GOLDEN_CONFIG_PATH), "classnum"]) == 3
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def _count_specs(monkeypatch) -> list[str]:
+    """The class name of each `AlgebraSpec` and `OrderSpec` built from now."""
+    built = []
+    for cls in (AlgebraSpec, OrderSpec):
+        def counted(cls, *args, _new=cls.__new__, **kwargs):
+            built.append(cls.__name__)
+            return _new(cls, *args, **kwargs)
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize("config", ["dvg-example", "iwahori-two-places"])
+def test_solves_build_no_algebra_or_order_spec(config, monkeypatch):
+    # Each level's M_s is read off the algebra, with no centralizer spec.
+    order = parse_config((GOLDEN_CONFIG_PATH.parent / f"{config}.json")
+                         .read_text(encoding="utf-8")).order
+    s0 = constant_field_degree(order.algebra)
+    assert s0 > 1
+    built = _count_specs(monkeypatch)
+    weight_class_numbers(order)
+    embedding_count(order, 1)
+    embedding_count(order, s0)
+    total_class_number_genera(order)
+    assert built == []
+
+
+def test_transfer_builds_one_algebra_spec(golden_order, monkeypatch):
+    # The derived algebra, in which all derived orders are solved as one.
+    built = _count_specs(monkeypatch)
+    assert transfer_check(golden_order, 2, 4).equal
+    assert built == ["AlgebraSpec"]
 
 
 def test_golden_embedding_counts(golden_order):

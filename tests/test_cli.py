@@ -201,21 +201,22 @@ TRANSFER_CONFIG = json.dumps({
 
 
 def _count_solver_calls(monkeypatch):
-    """Record each theta key and each mass degree the level solver asks for."""
+    """Record each theta key the level solver asks for, and the degree and
+    q of the centralizer of each M_s it asks for."""
     theta_keys, mass_keys = [], []
-    real_theta, real_mass = classnum.theta, classnum.mass_maximal
+    real_theta, real_mass = classnum.theta, classnum._level_mass
 
     def counted_theta(place, f_vec, s, q, **budget):
         theta_keys.append((place.degree, place.local_index, tuple(f_vec),
                            s, q))
         return real_theta(place, f_vec, s, q, **budget)
 
-    def counted_mass(spec):
-        mass_keys.append((spec.degree, spec.base.q))
-        return real_mass(spec)
+    def counted_mass(spec, s):
+        mass_keys.append((spec.degree // s, spec.base.q ** s))
+        return real_mass(spec, s)
 
     monkeypatch.setattr(classnum, "theta", counted_theta)
-    monkeypatch.setattr(classnum, "mass_maximal", counted_mass)
+    monkeypatch.setattr(classnum, "_level_mass", counted_mass)
     return theta_keys, mass_keys
 
 

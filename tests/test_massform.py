@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
-                      local_unit_index, mass_hereditary, mass_maximal,
-                      maximal_order)
+                      constant_field_degree, local_unit_index,
+                      mass_hereditary, mass_maximal, maximal_order)
+from csaclass.algebra import shape_above
 from csaclass.basefield import zeta_at_negative
-from csaclass.errors import IntegralityViolationError
-from csaclass.massform import ramification_factor
+from csaclass.errors import IntegralityViolationError, ValidationError
+from csaclass.massform import _level_mass, ramification_factor
 from conftest import random_definite_spec, random_order
 
 
@@ -111,3 +113,60 @@ def test_non_positive_mass_is_a_typed_error():
     spec = AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),), -1)
     with pytest.raises(IntegralityViolationError):
         mass_hereditary(maximal_order(spec))
+
+
+def test_non_positive_mass_raises_at_every_level():
+    # s0 = 2.  At s = 1 the mass is negative; at s = 2, L_2 has P(T) =
+    # 1 - 3T + T^2 and P(1) = -1, which its centralizer spec refuses too.
+    with pytest.warns(UserWarning):
+        base = BaseField(3, (1, 1, -1))
+    spec = AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),), -1)
+    assert constant_field_degree(spec) == 2
+    with pytest.raises(IntegralityViolationError,
+                       match="^mass -5/8 is not positive$"):
+        _level_mass(spec, 1)
+    with pytest.warns(UserWarning), pytest.raises(
+            ValidationError, match=r"^l_polynomial has P\(1\) = -1, "):
+        _level_mass(spec, 2)
+    with pytest.warns(UserWarning), pytest.raises(
+            ValidationError, match=r"^l_polynomial has P\(1\) = -1, "):
+        centralizer_spec(spec, 2)
+
+
+def _random_l_poly(rng: random.Random, q: int) -> tuple[int, ...]:
+    """P(T) of genus 0, 1 or 2: 1 + aT + qT^2 with |a| <= 2 sqrt(q), or the
+    product of two of them; every constant extension has P(1) >= 1."""
+    bound = isqrt(4 * q)
+    a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+    return [(1,), (1, a, q),
+            (1, a + b, 2 * q + a * b, q * (a + b), q * q)][rng.randrange(3)]
+
+
+def test_level_mass_is_the_mass_of_the_centralizer():
+    # M_s, read off the algebra, against the maximal order of the
+    # centralizer spec, at every s | s0, over bases of genus 0, 1 and 2 and
+    # with deg infinity = 2 (s0 is odd there).
+    rng = random.Random(2026)
+    seen = {"genus 0": 0, "genus 1": 0, "genus 2": 0, "deg inf 2": 0,
+            "dropped": 0, "l > 1": 0}
+    for k in range(300):
+        delta = 2 if k % 4 == 0 else 1
+        shape = random_definite_spec(rng, max_degree=8,
+                                     infinity_degree=delta)
+        q = shape.base.q
+        spec = AlgebraSpec(BaseField(q, _random_l_poly(rng, q), delta),
+                           shape.degree, shape.finite_places,
+                           shape.infinity_invariant)
+        s0 = constant_field_degree(spec)
+        for s in range(1, s0 + 1):
+            if s0 % s:
+                continue
+            assert _level_mass(spec, s) == mass_maximal(
+                centralizer_spec(spec, s)), (spec, s)
+            above = [(v, shape_above(v, s)) for v in spec.finite_places]
+            seen[f"genus {len(spec.base.l_poly) // 2}"] += 1
+            seen["deg inf 2"] += delta == 2 and s > 1
+            seen["dropped"] += any(v.local_index > 1 == index
+                                   for v, (_, _, index) in above)
+            seen["l > 1"] += any(l > 1 < index for _, (l, _, index) in above)
+    assert min(seen.values()) >= 10, seen

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given
@@ -84,9 +85,29 @@ def test_local_unit_index_integral_index():
 
 
 def test_local_unit_index_rejects_a_non_integral_quotient():
-    # A negative entry is no invariant vector: its quotient is 1 / (N^3 - 1).
-    with pytest.raises(IntegralityViolationError):
+    # A negative entry is no invariant vector: its quotient is 1 / (N^3 - 1),
+    # (3 - 1)(9 - 1) over (3 - 1)(9 - 1)(27 - 1).
+    with pytest.raises(IntegralityViolationError,
+                       match="^unit index 16/416 is not an integer$"):
         local_unit_index(3, 1, (3, -1))
+
+
+def test_local_unit_index_is_the_quotient_of_its_factors():
+    # The oracle forms every N^(d i) - 1 afresh, once per factor.
+    def by_factors(N, d, f):
+        num = prod(N ** (d * i) - 1 for i in range(1, sum(f) + 1))
+        den = prod(N ** (d * j) - 1 for e in f for j in range(1, e + 1))
+        assert num % den == 0
+        return num // den
+
+    rng = random.Random(26)
+    with_zeros = 0
+    for _ in range(600):
+        N, d = rng.randint(2, 9), rng.randint(1, 3)
+        f = [rng.randint(0, 4) for _ in range(rng.randint(1, 6))]
+        with_zeros += 0 in f and len(f) - f.count(0) > 1
+        assert local_unit_index(N, d, f) == by_factors(N, d, f), (N, d, f)
+    assert with_zeros > 100
 
 
 def test_local_unit_index_of_one_block_forms_no_power():
