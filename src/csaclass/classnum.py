@@ -277,7 +277,7 @@ def class_number_report(order: OrderSpec, *,
     spec = order.algebra
     solver = _level_solver(spec, budget)
     levels = solver.solve(_one_term(order))[::-1]
-    mass = mass_hereditary(order)
+    mass = mass_hereditary(order, levels[0].mass)  # M_1 from the solve
     resum = _resum(levels, spec.base.q)
     if resum != mass:
         raise IntegralityViolationError(

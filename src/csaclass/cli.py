@@ -16,7 +16,6 @@ import time
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
@@ -217,12 +216,8 @@ def _dumps_indented(value, pad: str = "") -> str:
             return quote(value)
         if type(value) is int:
             return int.__repr__(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
+        if value is None or type(value) is bool:
+            return json.dumps(value)
         inner = pad + "  "
         sep = ",\n" + inner
         if isinstance(value, dict):
@@ -256,13 +251,10 @@ def _emit(report: dict, output: str) -> None:
         first, sep, end = "{\n  ", ",\n  ", "\n}\n"
     else:
         first, sep, end = "", "\n", "\n"
+    quote = encode_basestring_ascii if output == "json" else str
     text = ""
     for i, (key, value) in enumerate(sorted(report.items())):
-        text += sep if i else first
-        if output == "json":
-            text += f"{encode_basestring_ascii(key)}: "
-        else:
-            text += f"{key}: "
+        text += f"{sep if i else first}{quote(key)}: "
         if isinstance(value, Iterator):
             write(text)
             for chunk in value:
@@ -329,7 +321,7 @@ def _cmd_omega(order: OrderSpec, args) -> dict:
     return out
 
 
-# Rows of `per_genus` joined into one chunk: a few hundred kB of text.
+# Rows after which a chunk ends: it holds fewer than this plus one block.
 _CHUNK_ROWS = 2048
 
 
@@ -340,7 +332,8 @@ def _per_genus_chunks(report, output: str):
 
     A row is the head of its class number, picked by its genus's reduced
     vectors, then one entry per axis from the axis's walk, each with the
-    text that follows it baked in.  A chunk joins `_CHUNK_ROWS` rows.
+    text that follows it baked in.  Each walk block of the last axis
+    becomes its rows by three slice assignments; chunks join whole blocks.
     """
     def padding(depth: int) -> tuple[str, str, str]:
         """(after the opening bracket, between items, before the closing
@@ -362,36 +355,43 @@ def _per_genus_chunks(report, output: str):
     largest = max(axes, key=lambda axis: sum(axis.mults), default=None)
     walks = []
     for j, axis in enumerate(axes):
-        blocks = axis.walk(
+        walk = axis.walk(
             f"{encode_basestring_ascii(axis.label)}: [{vec_open}", vec_sep,
             f"{vec_close}]" + (genus_sep if j + 1 < len(axes)
                                else f"{genus_close}}}{row_close}}}"))
-        walks.append(blocks if axis is largest else [(
-            "", [prefix + tail for prefix, tails, _ in blocks
-                 for tail in tails],
-            [pick for *_, picks in blocks for pick in picks])])
+        walks.append(walk if axis is largest else [(
+            "", [prefix + tail for prefix, tails, _ in walk for tail in tails],
+            [pick for *_, picks in walk for pick in picks])])
 
-    def rows(depth: int, key: int, outer: str):
-        """(head, text, text) of each row whose first `depth` entries read
-        `outer` and reduce to the tuple numbered `key` in `report.table`."""
-        size = len(axes[depth].reduced)
-        key *= size
+    def blocks(depth: int, key: int, outer: str):
+        """The rows whose first `depth` entries read `outer` and reduce to
+        the tuple numbered `key` in `report.table`: a list of (head, text,
+        text) pieces per block of the last axis's walk."""
+        key *= len(axes[depth].reduced)
         if depth + 1 < len(axes):
-            return chain.from_iterable(
-                rows(depth + 1, key + pick, outer + prefix + tail)
-                for prefix, tails, picks in walks[depth]
-                for tail, pick in zip(tails, picks))
-        row_heads = heads[key:key + size]
-        return chain.from_iterable(
-            zip(map(row_heads.__getitem__, picks), repeat(outer + prefix),
-                tails) for prefix, tails, picks in walks[depth])
+            for prefix, tails, picks in walks[depth]:
+                for tail, pick in zip(tails, picks):
+                    yield from blocks(depth + 1, key + pick,
+                                      outer + prefix + tail)
+            return
+        head_of = heads[key:key + len(axes[depth].reduced)].__getitem__
+        for prefix, tails, picks in walks[depth]:
+            block = [outer + prefix] * (3 * len(tails))
+            block[::3] = map(head_of, picks)
+            block[2::3] = tails
+            yield block
 
-    pieces = chain.from_iterable(rows(0, 0, "") if axes else ((heads[0],),))
-    chunks = iter(lambda: "".join(islice(pieces, _CHUNK_ROWS * 3)), "")
+    parts = blocks(0, 0, "") if axes else iter([[heads[0]]])
     # Every order has at least one genus; its first row opens the list.
-    yield f"[{list_open}" + next(chunks)[len(row_sep):]
-    yield from chunks
-    yield f"{list_close}]"
+    chunk = next(parts)
+    chunk[0] = f"[{list_open}" + chunk[0][len(row_sep):]
+    for block in parts:
+        if len(chunk) >= 3 * _CHUNK_ROWS:
+            yield "".join(chunk)
+            chunk = []
+        chunk += block
+    chunk.append(f"{list_close}]")
+    yield "".join(chunk)
 
 
 def _cmd_genera(order: OrderSpec, args) -> dict:
@@ -408,8 +408,7 @@ def _cmd_embed(order: OrderSpec, args) -> dict:
 
 def _cmd_transfer(order: OrderSpec, args) -> dict:
     report = transfer_check(order, args.s, args.s2, budget=args.budget)
-    return {"s": report.s, "s2": report.s2, "lhs": report.lhs,
-            "rhs": report.rhs, "equal": report.equal}
+    return {**report._asdict(), "equal": report.equal}
 
 
 def _cmd_selfcheck(order: OrderSpec, args) -> dict:
@@ -418,7 +417,8 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     q = spec.base.q
     levels = _level_solver(spec, args.budget).solve(_one_term(order))
 
-    checks["mass_consistency"] = _resum(levels, q) == mass_hereditary(order)
+    checks["mass_consistency"] = (_resum(levels, q)
+                                  == mass_hereditary(order, levels[-1].mass))
 
     def enumerated(label: str, f_vec, s: int) -> int:
         """theta_enum, the oracle here, on a set `_walkable` has sized."""

@@ -27,10 +27,10 @@ def ramification_factor(N: int, d: int, n: int) -> int:
     return result
 
 
-def _level_mass(spec: AlgebraSpec, s: int, invariants=()) -> Fraction:
+def _level_mass(spec: AlgebraSpec, s: int, index: int = 1) -> Fraction:
     """M_s, s | s0: the mass of a maximal order in the centralizer of L_s,
     from the zeta values of L_s and the places above each place of `spec`,
-    times the unit indices of `invariants`.  Builds no centralizer spec."""
+    times the unit index `index`.  Builds no centralizer spec."""
     base = constant_extension(spec.base, s)
     base.check_class_number()
     n = spec.degree // s
@@ -43,18 +43,21 @@ def _level_mass(spec: AlgebraSpec, s: int, invariants=()) -> Fraction:
         l, degree, local_index = shape_above(v, s)
         if local_index > 1:
             num *= ramification_factor(base.q ** degree, local_index, n) ** l
-    for label, f_vec in invariants:
-        v = spec.place(label)
-        num *= local_unit_index(spec.norm(v), v.local_index, f_vec)
-    mass = Fraction(num, den)
-    if num <= 0:  # den > 0
+    mass = Fraction(num * index, den)
+    if num <= 0:  # den > 0 and index >= 1
         raise IntegralityViolationError(f"mass {mass} is not positive")
     return mass
 
 
-def mass_hereditary(order: OrderSpec) -> Fraction:
-    """Exact mass sum: `mass_maximal` times the local unit indices."""
-    return _level_mass(order.algebra, 1, order.invariants)
+def mass_hereditary(order: OrderSpec,
+                    maximal: Fraction | None = None) -> Fraction:
+    """Exact mass sum: `mass_maximal`, or `maximal` if given (the M_1 of a
+    level solve), times the local unit indices."""
+    spec, index = order.algebra, 1
+    for label, f_vec in order.invariants:
+        v = spec.place(label)
+        index *= local_unit_index(spec.norm(v), v.local_index, f_vec)
+    return _level_mass(spec, 1, index) if maximal is None else maximal * index
 
 
 def mass_maximal(spec: AlgebraSpec) -> Fraction:

@@ -17,13 +17,14 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
-                      class_number_report, classnum, cli)
+                      class_number_report, classnum, cli, massform)
 from csaclass.classnum import GeneraReport
 from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
                           parse_config)
@@ -341,7 +342,8 @@ def test_selfcheck_sizes_each_set_before_walking_it(tmp_path, capsys,
 
 def test_selfcheck_reports_a_failed_resum(golden_config_path, capsys,
                                           monkeypatch):
-    monkeypatch.setattr(cli, "mass_hereditary", lambda order: Fraction(1))
+    monkeypatch.setattr(cli, "mass_hereditary",
+                        lambda order, maximal=None: Fraction(1))
     code, out = run_cli(capsys, "--config", golden_config_path, "selfcheck")
     assert code == 1
     checks = json.loads(out)["checks"]
@@ -581,12 +583,31 @@ def test_engine_flag_is_gone(golden_config_path, capsys):
 def test_resum_violation_exits_3(golden_order, golden_config_path, capsys,
                                  monkeypatch):
     monkeypatch.setattr("csaclass.classnum.mass_hereditary",
-                        lambda order: Fraction(1))
+                        lambda order, maximal=None: Fraction(1))
     with pytest.raises(IntegralityViolationError):
         class_number_report(golden_order)
     code = main(["--config", golden_config_path, "classnum"])
     assert code == 3
     assert "error: weight class numbers resum to" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classnum", "selfcheck"])
+def test_mass_takes_m1_from_the_solve(golden_config_path, capsys,
+                                      monkeypatch, command):
+    # Each M_s is formed once: the order's mass is the solve's M_1 times
+    # the unit indices.
+    levels = []
+    real_mass = massform._level_mass
+
+    def counted_mass(spec, s, *index):
+        levels.append(s)
+        return real_mass(spec, s, *index)
+
+    monkeypatch.setattr(massform, "_level_mass", counted_mass)
+    monkeypatch.setattr(classnum, "_level_mass", counted_mass)
+    code, out = run_cli(capsys, "--config", golden_config_path, command)
+    assert code == 0 and "false" not in out
+    assert 1 in levels and len(levels) == len(set(levels))
 
 
 def test_exit_code_budget(golden_config_path, capsys):
@@ -1228,22 +1249,24 @@ def _emitted(report: dict, output: str) -> str:
 
 
 @settings(max_examples=100, deadline=None)
-@given(report=_genera_reports())
-def test_per_genus_json_matches_the_dict_form(report):
+@given(report=_genera_reports(), chunk_rows=st.sampled_from((1, 2, 7, 2048)))
+def test_per_genus_json_matches_the_dict_form(report, chunk_rows):
     rows = [{"genus": dict(genus), "class_number": h}
             for genus, h in per_genus(report)]
     assert len(rows) == report.count
     assert sum(row["class_number"] for row in rows) == report.total
-    # a bool, so that a failing draw is not diffed on every shrink step
-    same = ("".join(cli._per_genus_chunks(report, "json"))
-            == _dumps_indented(rows, "  "))
-    assert same
-    for head in ({}, {"count": len(rows), "total": report.total}):
-        for output in ("json", "text"):
-            same = (_emitted({**head, "per_genus": cli._per_genus_chunks(
-                        report, output)}, output)
-                    == _emitted({**head, "per_genus": rows}, output))
-            assert same
+    # Small chunks put a seam after almost every block.
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        # a bool, so that a failing draw is not diffed on every shrink step
+        same = ("".join(cli._per_genus_chunks(report, "json"))
+                == _dumps_indented(rows, "  "))
+        assert same
+        for head in ({}, {"count": len(rows), "total": report.total}):
+            for output in ("json", "text"):
+                same = (_emitted({**head, "per_genus": cli._per_genus_chunks(
+                            report, output)}, output)
+                        == _emitted({**head, "per_genus": rows}, output))
+                assert same
     assert _emitted({"per_genus": rows}, "json") == json.dumps(
         {"per_genus": rows}, sort_keys=True, indent=2) + "\n"
 
@@ -1294,6 +1317,33 @@ def test_genera_streams_the_dict_form(tmp_path, n, places, count):
     # per_genus arrives in chunks of a bounded size, never in one piece
     assert len(stdout.writes) > 2
     assert max(map(len, stdout.writes)) <= 1_000_000
+
+
+def test_a_chunk_ends_with_the_block_that_fills_it(monkeypatch):
+    # n = 7 Iwahori: a walk block holds up to 330 rows, far more than a
+    # chunk of 4.  Chunks join whole blocks: each holds fewer than 4 rows
+    # plus those of its last block, and each but the last at least 4.
+    report = classnum.total_class_number_genera(
+        parse_config(_fanout_config(7, 1)).order)
+    whole = {output: "".join(cli._per_genus_chunks(report, output))
+             for output in ("json", "text")}
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    (axis,) = report.axes
+    sizes = [len(tails) for _, tails, _ in axis.walk("", "", "")]
+    assert max(sizes) == 330 and sum(sizes) == report.count == 1716
+    for output in ("json", "text"):
+        chunks = list(cli._per_genus_chunks(report, output))
+        blocks = iter(sizes)
+        for i, chunk in enumerate(chunks):
+            rows, last = 0, 0
+            while rows < chunk.count('"class_number"'):
+                last = next(blocks)
+                rows += last
+            assert rows == chunk.count('"class_number"')
+            assert rows < 4 + last
+            assert rows >= 4 or i + 1 == len(chunks)
+        assert next(blocks, None) is None
+        assert "".join(chunks) == whole[output]
 
 
 class _ClosedPipe(io.StringIO):
@@ -1495,7 +1545,7 @@ def test_main_maps_each_outcome_to_its_exit_code(tmp_path, monkeypatch,
         pathlib.Path(path).write_text(
             BIG_PLACE_CONFIG if config == "big" else config, encoding="utf-8")
     if patched:
-        monkeypatch.setattr(patched, lambda order: Fraction(1))
+        monkeypatch.setattr(patched, lambda order, maximal=None: Fraction(1))
     out = {"capture": io.StringIO, "closed pipe": _ClosedPipe,
            "none": lambda: None, "bad descriptor": _BadDescriptor}[stdout]()
     err = io.StringIO()
