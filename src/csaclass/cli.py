@@ -6,7 +6,6 @@ config/validation error, 3 integrality violation, 4 work budget exceeded.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
@@ -17,6 +16,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from types import SimpleNamespace
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
 from .basefield import BaseField, pic_order
@@ -374,10 +375,12 @@ def _per_genus_chunks(report, output: str):
                     yield from blocks(depth + 1, key + pick,
                                       outer + prefix + tail)
             return
-        head_of = heads[key:key + len(axes[depth].reduced)].__getitem__
+        key_heads = heads[key:key + len(axes[depth].reduced)]
         for prefix, tails, picks in walks[depth]:
             block = [outer + prefix] * (3 * len(tails))
-            block[::3] = map(head_of, picks)
+            picked = itemgetter(*picks)(key_heads)
+            # itemgetter gives a one-row block its head bare, not in a tuple.
+            block[::3] = picked if len(picks) > 1 else (picked,)
             block[2::3] = tails
             yield block
 
@@ -442,21 +445,28 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     return {"checks": checks, "all_passed": all(checks.values())}
 
 
+# Each command's function and its options after the command word, as
+# (flag, type): a bool option is a flag, every other one is required and
+# takes the next word as its value.
 _COMMANDS = {
-    "classnum": _cmd_classnum,
-    "mass": _cmd_mass,
-    "theta": _cmd_theta,
-    "omega": _cmd_omega,
-    "genera": _cmd_genera,
-    "embed": _cmd_embed,
-    "transfer": _cmd_transfer,
-    "selfcheck": _cmd_selfcheck,
+    "classnum": (_cmd_classnum, ()),
+    "mass": (_cmd_mass, ()),
+    "theta": (_cmd_theta, (("--place", str), ("--s", int))),
+    "omega": (_cmd_omega, (("--place", str), ("--s", int), ("--list", bool))),
+    "genera": (_cmd_genera, ()),
+    "embed": (_cmd_embed, (("--s", int),)),
+    "transfer": (_cmd_transfer, (("--s", int), ("--s2", int))),
+    "selfcheck": (_cmd_selfcheck, ()),
 }
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser, built on first use; parse_args leaves it unchanged."""
+def build_parser():
+    """The one argparse parser, built on first use; parse_args leaves it
+    unchanged.  Only command lines that `_plain_args` does not read reach
+    it, so a plain run imports no argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="csaclass",
         description="Exact class numbers of hereditary orders in definite "
@@ -467,28 +477,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in the report")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("classnum")
-    sub.add_parser("mass")
-    p = sub.add_parser("theta")
-    p.add_argument("--place", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p = sub.add_parser("omega")
-    p.add_argument("--place", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--list", action="store_true")
-    sub.add_parser("genera")
-    p = sub.add_parser("embed")
-    p.add_argument("--s", type=int, required=True)
-    p = sub.add_parser("transfer")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--s2", type=int, required=True)
-    sub.add_parser("selfcheck")
+    for command, (_, options) in _COMMANDS.items():
+        p = sub.add_parser(command)
+        for flag, kind in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true")
+            else:
+                p.add_argument(flag, type=kind, required=True)
     return parser
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes `build_parser().parse_args(argv)` sets, read without
+    argparse, for an argv spelled plainly: `--config P [--output json|text]
+    [--budget N] [--timings] <command> [its options]`, each option spelled
+    in full and given once, and each value the next word, one that does not
+    start with "-".  None for any other argv, so that argparse reads it and
+    its help, usage and errors stay as they are."""
+    options = {"--config": str, "--output": str, "--budget": int,
+               "--timings": bool}
+    args = {"output": "json", "budget": DEFAULT_BUDGET, "timings": False}
+    words = iter(argv)
+    for word in words:
+        kind = options.pop(word, None)
+        if kind is bool:
+            args[word[2:]] = True
+        elif kind is not None:
+            value = next(words, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                args[word[2:]] = kind(value)
+            except ValueError:
+                return None
+        elif "command" not in args and word in _COMMANDS:
+            args["command"] = word
+            options = dict(_COMMANDS[word][1])
+            args.update((flag[2:], False)
+                        for flag, kind in options.items() if kind is bool)
+        else:
+            return None
+    if ("command" not in args or "config" not in args
+            or args["output"] not in ("json", "text")
+            or any(kind is not bool for kind in options.values())):
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     if args.budget < 0:
         print(f"error: --budget: must be >= 0, got {args.budget}",
               file=sys.stderr)
@@ -514,7 +552,7 @@ def main(argv=None) -> int:
     layer = args.command
     started = time.monotonic()
     try:
-        report = _COMMANDS[layer](config.order, args)
+        report = _COMMANDS[layer][0](config.order, args)
         if args.timings:
             report["timings_ms"] = {
                 layer: int((time.monotonic() - started) * 1000)}

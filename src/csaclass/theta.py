@@ -24,10 +24,11 @@ and it must take every budget whole, so its weight is a single product.
 With one place w above v (l = 1, as at s = 1 and at every place of degree
 1) that row is the whole sum: `_row_sum` returns [m_s; N]_Q * prod_i
 g_t(N_i) at once, the Gaussian multinomial from `local_unit_index` (1 at
-Q = 0) times, for t > 1, the diagonal g_t of a table up to max N, and
-builds no table at t = 1.  All of it is integer arithmetic.  Each row
-placement tried, one choice of a whole row, counts against a work budget;
-the forced last row does not.
+Q = 0) times, for t > 1, the diagonal g_t of a table up to max N.  It
+builds no table at t = 1, nor when every N is 0 or 1, where g_t(N) is 1
+or t.  All of it is integer arithmetic.  Each row placement tried, one
+choice of a whole row, counts against a work budget; the forced last row
+does not.
 `theta_enum` walks the index set itself and serves as the reference the
 tests compare against.
 """
@@ -75,6 +76,8 @@ def _weights(Q: int, m: int, t: int) -> list[list[int]]:
         above = binom[-1]
         binom.append([1, *(above[b - 1] + power[b] * above[b]
                            for b in range(1, a)), 1])
+    if t == 1:  # g is 1 throughout
+        return binom
     # g[N] sums [N; e]_Q over the t-way splits e of N, one part at a time.
     g = [1] * (m + 1)
     for _ in range(t - 1):
@@ -116,7 +119,10 @@ def _row_sum(layer: str, place: Place, f_vec, s: int, q: int,
         # At Q = 0 every Gaussian binomial is 1; cell[b][b] is g_t(b).
         weight = local_unit_index(Q, 1, targets) if Q else 1
         if t > 1:
-            cell = _weights(Q, max(targets), t)
+            top = max(targets)
+            if top <= 1:  # g_t(0) = 1 and g_t(1) = t
+                return weight * t ** targets.count(1)
+            cell = _weights(Q, top, t)
             for b in targets:
                 weight *= cell[b][b]
         return weight

@@ -974,7 +974,13 @@ GOLDEN_COMMANDS = [
 @pytest.mark.parametrize("output", ["json", "text"])
 @pytest.mark.parametrize("config,command,extra", GOLDEN_COMMANDS,
                          ids=[f"{c}.{cmd}" for c, cmd, _ in GOLDEN_COMMANDS])
-def test_output_matches_golden_file(config, command, extra, output, capsys):
+def test_output_matches_golden_file(config, command, extra, output, capsys,
+                                    monkeypatch):
+    # Each golden command line is spelled plainly, so none reaches argparse.
+    def no_parser():
+        raise AssertionError("build_parser called on a plain command line")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
     code = main(["--config", str(ROOT / "configs" / f"{config}.json"),
                  "--output", output, command, *extra])
     out, err = capsys.readouterr()
@@ -1045,6 +1051,128 @@ def test_reused_parser_holds_no_state(capsys, monkeypatch):
                 encoding="utf-8")
             assert (code, err, out) == (0, "", want)
     assert built == []
+
+
+def _parsed(argv):
+    """vars() of what argparse makes of argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _options(command):
+    """Each option of the parser, or of `command`'s subparser, as (flag,
+    takes a value, type or None, required, default, choices)."""
+    import argparse
+
+    parser = cli.build_parser()
+    if command is not None:
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[command]
+    return sorted((a.option_strings[0], a.nargs != 0, a.type, a.required,
+                   a.default, a.choices) for a in parser._actions
+                  if a.option_strings and a.dest != "help")
+
+
+def test_the_parser_reads_the_options_plain_spellings_use():
+    # The plain reader knows the global options by their spellings and each
+    # command's options from `_COMMANDS`, which build_parser also reads.
+    assert _options(None) == [
+        ("--budget", True, int, False, classnum.DEFAULT_BUDGET, None),
+        ("--config", True, None, True, None, None),
+        ("--output", True, None, False, "json", ("json", "text")),
+        ("--timings", False, None, False, False, None)]
+    for command, (_, options) in cli._COMMANDS.items():
+        assert _options(command) == sorted(
+            (flag, False, None, False, False, None) if kind is bool
+            else (flag, True, kind, True, None, None)
+            for flag, kind in options)
+
+
+# Values that argparse refuses or reads apart from the plain reader, and
+# some it reads alike.
+_VALUES = ("-1", "-x", "-h", "-", "--", "1.5", "x", "", "json", "classnum",
+           "T", "2")
+_PLAIN_VALUES = {"--config": ("c.json", "T", "", "classnum"),
+                 "--output": ("json", "text"),
+                 "--budget": ("0", "7", "+3", " 5", "1_0"),
+                 "--place": ("T", "T+1", "x y", ""),
+                 "--s": ("1", "2", "4"), "--s2": ("2", "3")}
+
+
+@st.composite
+def _argv(draw, odd=False):
+    """A command line: `--config` and some other global options in any
+    order, a command, then its own options in any order, each spelled in
+    full with a valid value.  `odd` changes one option: it is cut short,
+    given with `=`, given twice, given an odd value, or left out."""
+    def spelled(flag):
+        if flag not in _PLAIN_VALUES:
+            return [flag]
+        return [flag, draw(st.sampled_from(_PLAIN_VALUES[flag]))]
+
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    before = ["--config"] + draw(st.lists(st.sampled_from(
+        ("--output", "--budget", "--timings")), unique=True))
+    after = [flag for flag, kind in cli._COMMANDS[command][1]
+             if kind is not bool or draw(st.booleans())]
+    groups = [*map(spelled, draw(st.permutations(before))), [command],
+              *map(spelled, draw(st.permutations(after)))]
+    if odd:
+        i = draw(st.sampled_from([i for i, group in enumerate(groups)
+                                  if group != [command]]))
+        flag, *value = groups[i]
+        how = draw(st.sampled_from(("cut", "=", "twice", "value", "drop")))
+        groups[i] = {
+            "cut": lambda: [flag[:draw(st.integers(2, len(flag) - 1))],
+                            *value],
+            "=": lambda: [f"{flag}={''.join(value)}"],
+            "twice": lambda: [flag, *value] * 2,
+            "value": lambda: [flag, draw(st.sampled_from(_VALUES))],
+            "drop": lambda: [],
+        }[how]()
+    return [word for group in groups for word in group]
+
+
+_WORDS = st.one_of(
+    st.sampled_from(("--config", "--output", "--budget", "--timings",
+                     "--conf", "--c", "--out", "--bud", "--tim", "--place",
+                     "--s", "--s2", "--list", "--pl", "--li", "--s2=2",
+                     "--config=c.json", "--output=text", "--budget=-1",
+                     "--s=2", "-h", "--help", "--engine", "-s", "---config",
+                     "foo")),
+    st.sampled_from(sorted(cli._COMMANDS)),
+    st.sampled_from(_VALUES))
+
+
+@st.composite
+def _with_words(draw, argv):
+    """`argv` with one or two grammar words put in at one point."""
+    at = draw(st.integers(0, len(argv)))
+    return argv[:at] + draw(st.lists(_WORDS, min_size=1, max_size=2)) + \
+        argv[at:]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=st.one_of(_argv(odd=True), st.lists(_WORDS, max_size=9),
+                      _argv().flatmap(_with_words)))
+def test_plain_reader_agrees_with_argparse(argv):
+    # Help, usage and errors are argparse's: the reader reads an argv as
+    # argparse does, or leaves it to argparse.
+    read = cli._plain_args(argv)
+    assert read is None or vars(read) == _parsed(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_plain_reader_reads_every_plain_spelling(argv):
+    read = cli._plain_args(argv)
+    assert read is not None
+    assert vars(read) == _parsed(argv)
 
 
 def test_omega_budget_exits_4(golden_config_path, capsys):
@@ -1466,6 +1594,23 @@ def test_closed_fd_1_exits_1_without_a_traceback():
          sys.executable, str(CONFIG_PATH)],
         stderr=subprocess.PIPE, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("flag,loaded", [("--config", b"False"),
+                                         ("--conf", b"True")])
+def test_only_argparse_reads_odd_command_lines(flag, loaded):
+    # A fresh interpreter: a plain run never imports argparse; an
+    # abbreviated option is read by argparse, to the same report.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from csaclass.cli import main; "
+         "code = main(sys.argv[1:]); "
+         "print('argparse' in sys.modules, file=sys.stderr); sys.exit(code)",
+         flag, str(CONFIG_PATH), "classnum"],
+        capture_output=True, env=env, timeout=60)
+    want = (GOLDEN_DIR / "dvg-example.classnum.json").read_bytes()
+    assert (proc.returncode, proc.stdout, proc.stderr.strip()) == (
+        0, want, loaded)
 
 
 # q = 2, n = 2, ramified at T and infinity, with the Iwahori order at a

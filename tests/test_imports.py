@@ -2,9 +2,9 @@
 private top-level function is used somewhere in the library, no library
 module uses `assert`, only the modules that hold rational values import
 `fractions`, `classnum` does not walk local index sets, no module keeps
-state between calls, no module imports `dataclasses` and importing the CLI
-loads no introspection module, and the package exports exactly what its
-`__init__.py` imports."""
+state between calls, no module imports `dataclasses`, importing the CLI
+loads no introspection module and no argparse, and the package exports
+exactly what its `__init__.py` imports."""
 
 from __future__ import annotations
 
@@ -237,9 +237,10 @@ def test_no_dataclasses_in_src(path):
 
 def test_cli_import_loads_no_introspection_modules():
     # -S -E as perfbench/worker.py runs: no site module, no PYTHON* variables.
+    # argparse, and the gettext it loads, come only with `build_parser`.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import csaclass.cli; "
             "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', "
-            "'tokenize'} & set(sys.modules))))")
+            "'tokenize', 'argparse', 'gettext'} & set(sys.modules))))")
     done = subprocess.run([sys.executable, "-S", "-E", "-c", code,
                            str(SRC.parent)],
                           capture_output=True, text=True, check=True)

@@ -350,6 +350,43 @@ def test_single_row_work(monkeypatch):
     assert built == [(0, 6, 2)]
 
 
+def test_single_row_of_zeros_and_ones_builds_no_table(monkeypatch):
+    # At l = 1 with every target 0 or 1 the slice weight is the unit index
+    # times g_t(1) = t per target 1, and the set size is t ** ones.
+    rng = random.Random(28)
+    keys = []
+    for t in range(2, 13):
+        for scale in (1, 1, 2, 3):
+            s = t * scale
+            deg = rng.choice([g for g in range(1, 6) if gcd(g, s) == 1])
+            targets = [rng.randint(0, 1) for _ in range(rng.randint(1, 4))]
+            targets[rng.randrange(len(targets))] = 1
+            keys.append((rng.randint(2, 4), Place("v", deg, t),
+                         tuple(b * scale for b in targets), s))
+    expected = [(theta_enum(place, f, s, q),
+                 sum(1 for _ in enumerate_omega(place, f, s)))
+                for q, place, f, s in keys]
+
+    def no_table(Q, m, t):
+        raise AssertionError(f"table built for Q = {Q}, m = {m}, t = {t}")
+    # `csaclass.theta` names the function, so patch the module itself.
+    monkeypatch.setattr(sys.modules[theta.__module__], "_weights", no_table)
+    for (q, place, f, s), (value, size) in zip(keys, expected):
+        l, t, _, targets = local_shape(place, f, s)
+        assert l == 1 and set(targets) <= {0, 1}, (place, f, s)
+        assert theta(place, f, s, q) == value, (q, place, f, s)
+        assert omega_size(place, f, s) == size == t ** targets.count(1)
+
+
+def test_weights_at_one_split_are_gaussian_binomials():
+    # At t = 1, g is 1 and cell[left][N] is the Gaussian binomial itself.
+    for Q in (0, 2, 3, 4):
+        for m in range(8):
+            assert _weights(Q, m, 1) == [
+                [local_unit_index(Q, 1, (N, left - N)) if Q else 1
+                 for N in range(left + 1)] for left in range(m + 1)]
+
+
 @pytest.mark.parametrize("place,f,s", [
     (Place("v", 1), (-1, 3), 1),
     (Place("v", 2), (-1, 3, 2), 2),
