@@ -8,7 +8,7 @@ d_v = 1 and capacity m_v = n.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -36,7 +36,7 @@ class Place(namedtuple("Place", "label degree local_index invariant_num")):
             if g != 1:
                 raise ValidationError(
                     f"place {label!r}: gcd(kappa, d) = {g} != 1")
-        return super().__new__(cls, label, degree, local_index, invariant_num)
+        return tuple.__new__(cls, (label, degree, local_index, invariant_num))
 
 
 def _irreducible_count(q: int, d: int) -> int:
@@ -103,8 +103,8 @@ class AlgebraSpec(namedtuple("AlgebraSpec", "base degree finite_places "
         labels = [v.label for v in finite_places + (infinity,)]
         if len(set(labels)) != len(labels):
             raise ValidationError("place labels are not distinct")
-        return super().__new__(cls, base, degree, finite_places,
-                               infinity_invariant, infinity)
+        return tuple.__new__(cls, (base, degree, finite_places,
+                                   infinity_invariant, infinity))
 
     def __getnewargs__(self):
         return self[:4]
@@ -155,8 +155,14 @@ def validate(spec: AlgebraSpec) -> list[str]:
 
     if spec.base.l_poly == (1,):
         q, delta = spec.base.q, spec.base.infinity_degree
-        by_degree = Counter(v.degree for v in spec.finite_places)
+        by_degree: dict[int, int] = {}
+        for v in spec.finite_places:
+            by_degree[v.degree] = by_degree.get(v.degree, 0) + 1
         for d, count in sorted(by_degree.items()):
+            # One place of degree d != delta exists: there are q + 1 of
+            # degree 1, and an irreducible of every degree d >= 2.
+            if count == 1 and d != delta:
+                continue
             available = _finite_place_count(q, d, delta, count)
             if count > available:
                 where = (f"monic irreducibles exist over F_{q}" if delta == 1

@@ -70,7 +70,7 @@ class BaseField(namedtuple("BaseField", "q l_poly infinity_degree")):
                     stacklevel=2,
                 )
                 break
-        return super().__new__(cls, q, poly, infinity_degree)
+        return tuple.__new__(cls, (q, poly, infinity_degree))
 
     def l_poly_at(self, x: int) -> int:
         """Evaluate P at an integer point."""
@@ -92,17 +92,12 @@ class BaseField(namedtuple("BaseField", "q l_poly infinity_degree")):
                 f"l_polynomial has P(1) = {h}, but P(1) = h_K >= 1")
 
 
-def _zeta_terms(base: BaseField, power: int) -> tuple[int, int]:
-    """zeta_K(-i), given power = q^i, as an unreduced (numerator, positive
-    denominator)."""
-    return base.l_poly_at(power), (1 - power) * (1 - power * base.q)
-
-
 def zeta_at_negative(base: BaseField, i: int) -> Fraction:
     """Exact special value zeta_K(-i) for i >= 1."""
     if i < 1:
         raise ValidationError("zeta_at_negative requires i >= 1")
-    return Fraction(*_zeta_terms(base, base.q ** i))
+    power = base.q ** i
+    return Fraction(base.l_poly_at(power), (1 - power) * (1 - power * base.q))
 
 
 def _power_sums_from_l_poly(l_poly: tuple[int, ...], count: int) -> list[int]:
@@ -136,18 +131,24 @@ def _l_poly_from_power_sums(p: list[int], deg: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def check_extension_degree(s: int, infinity_degree: int) -> None:
+    """Raise unless s >= 1 and gcd(s, deg inf) = 1, so that the infinite
+    place stays inert in L_s = K F_{q^s} with unchanged residue degree."""
+    if s < 1:
+        raise ValidationError("extension degree must be positive")
+    if gcd(s, infinity_degree) != 1:
+        raise ExtensionNotSupportedError(
+            f"gcd(s={s}, infinity_degree={infinity_degree}) != 1")
+
+
 def constant_extension(base: BaseField, s: int) -> BaseField:
     """Descriptor of L_s = K F_{q^s}.
 
     The inverse roots of the new L-polynomial are the s-th powers of those of
-    P; they are computed exactly via power sums.  Requires gcd(s, deg inf) = 1
-    so that the infinite place stays inert with unchanged residue degree.
+    P; they are computed exactly via power sums.  Requires
+    `check_extension_degree`.
     """
-    if s < 1:
-        raise ValidationError("extension degree must be positive")
-    if gcd(s, base.infinity_degree) != 1:
-        raise ExtensionNotSupportedError(
-            f"gcd(s={s}, infinity_degree={base.infinity_degree}) != 1")
+    check_extension_degree(s, base.infinity_degree)
     if s == 1:
         return base
     deg = len(base.l_poly) - 1

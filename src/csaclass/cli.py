@@ -13,11 +13,11 @@ import os
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import itemgetter
-from types import SimpleNamespace
+from types import GeneratorType, SimpleNamespace
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
 from .basefield import BaseField, pic_order
@@ -28,7 +28,7 @@ from .errors import (BudgetExceededError, CsaClassError,
                      IntegralityViolationError, ValidationError)
 from .massform import mass_hereditary
 from .omega import enumerate_omega
-from .orders import OrderSpec, normalize_invariant
+from .orders import OrderSpec
 from .theta import omega_size, theta, theta_enum
 
 
@@ -47,6 +47,23 @@ def _integer(value, name: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{name} is not an integer")
     return value
+
+
+def _fraction_parts(text: str) -> tuple[int, int]:
+    """(numerator, denominator) of `Fraction(text)`: a plain
+    "[+-]digits[/digits]" in ASCII is read with int() and reduced by the
+    gcd; any other spelling goes to `Fraction`, which accepts or refuses it.
+    Raises ValueError or ZeroDivisionError as `Fraction` does."""
+    num, slash, den = text.partition("/")
+    if (text.isascii() and (den.isdigit() or not slash)
+            and (num.isdigit() or num[:1] in "+-" and num[1:].isdigit())):
+        kappa, d = int(num), int(den) if slash else 1
+        if d == 0:
+            raise ZeroDivisionError(f"Fraction({kappa}, 0)")
+        g = gcd(kappa, d)
+        return kappa // g, d // g
+    value = Fraction(text)
+    return value.numerator, value.denominator
 
 
 def _parse_base(node, errors: list[str]) -> BaseField | None:
@@ -82,19 +99,25 @@ def _parse_base(node, errors: list[str]) -> BaseField | None:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config; raises ConfigError on any problem."""
-    errors: list[str] = []
     try:
-        doc = json.loads(text)
+        return _read_config(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ConfigError([f"schema: not valid JSON ({exc})"]) from None
-    except ValueError:  # an integer past the interpreter's digit cap
+    except ValueError as exc:
+        # An integer past the interpreter's digit cap: in the JSON, or a
+        # value read from it that a message prints, such as "1e5000".
+        if "integer string conversion" not in str(exc):
+            raise
         raise ConfigError([f"schema: an integer has more than "
                            f"{sys.get_int_max_str_digits()} digits"]) from None
     except RecursionError:
         raise ConfigError(["schema: JSON nested too deep"]) from None
+
+
+def _read_config(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["schema: top level must be an object"])
-
+    errors: list[str] = []
     base = _parse_base(doc.get("base"), errors)
     try:
         degree = _integer(doc["degree"], "degree")
@@ -110,6 +133,7 @@ def parse_config(text: str) -> RunConfig:
     ramification = doc.get("ramification", [])
     if not isinstance(ramification, list):
         raise ConfigError(["ramification: expected a list"])
+    delta = base.infinity_degree
     for idx, entry in enumerate(ramification):
         path = f"ramification[{idx}]"
         if not isinstance(entry, dict) or "place" not in entry:
@@ -119,36 +143,37 @@ def parse_config(text: str) -> RunConfig:
         if type(label) is not str:
             errors.append(f"{path}.place: not a string")
             continue
-        if label == INFINITY:
+        at_infinity = label == INFINITY
+        if at_infinity:
             if infinity_listed:
                 errors.append(f"{path}.place: infinity listed twice")
                 continue
             infinity_listed = True
+        kappa, d = None, 1
         if "invariant" in entry:
-            if type(entry["invariant"]) not in (str, int):
+            value = entry["invariant"]
+            if type(value) is int:
+                kappa = value
+            elif type(value) is not str:
                 errors.append(f"{path}.invariant: not a string or an integer")
                 continue
-            try:
-                inv = Fraction(str(entry["invariant"]))
-            except (ValueError, ZeroDivisionError):
-                errors.append(f"{path}.invariant: not a fraction")
-                continue
-            kappa, d = inv.numerator, inv.denominator
-        else:
-            kappa, d = None, 1
-        if label != INFINITY and "degree" not in entry:
+            else:
+                try:
+                    kappa, d = _fraction_parts(value)
+                except (ValueError, ZeroDivisionError):
+                    errors.append(f"{path}.invariant: not a fraction")
+                    continue
+        if not at_infinity and "degree" not in entry:
             errors.append(f"{path}.degree: required for finite places")
             continue
-        try:
-            deg = _integer(entry.get("degree", base.infinity_degree), "degree")
-        except TypeError:
+        deg = entry.get("degree", delta)
+        if type(deg) is not int:
             errors.append(f"{path}.degree: not an integer")
             continue
-        if label == INFINITY:
-            if deg != base.infinity_degree:
-                errors.append(
-                    f"{path}.degree: infinity has degree "
-                    f"{base.infinity_degree} on this base field")
+        if at_infinity:
+            if deg != delta:
+                errors.append(f"{path}.degree: infinity has degree {delta} "
+                              "on this base field")
             elif d != degree and degree >= 1:  # else AlgebraSpec says why
                 errors.append(f"algebra: not definite: d_infinity = {d} "
                               f"!= n = {degree}")
@@ -170,24 +195,29 @@ def parse_config(text: str) -> RunConfig:
     if violations:
         raise ConfigError([f"algebra: {v}" for v in violations])
 
-    invariants: dict[str, tuple[int, ...]] = {}
     order_node = doc.get("order", {})
     if not isinstance(order_node, dict):
         raise ConfigError(["order: expected an object"])
     invariant_node = order_node.get("invariants", {})
     if not isinstance(invariant_node, dict):
         raise ConfigError(["order.invariants: expected an object"])
+    # Entry types and emptiness are checked here; OrderSpec normalises.
+    invariants = []
     for label, vec in invariant_node.items():
         path = f"order.invariants[{label!r}]"
         try:
-            invariants[label] = normalize_invariant(
-                _integer(e, f"entry {i}") for i, e in enumerate(vec))
-        except (TypeError, ValueError, ValidationError) as exc:
+            f_vec = tuple(_integer(e, f"entry {i}") for i, e in enumerate(vec))
+        except TypeError as exc:
             errors.append(f"{path}: {exc}")
+            continue
+        if f_vec:
+            invariants.append((label, f_vec))
+        else:
+            errors.append(f"{path}: invariant vector must be non-empty")
     if errors:
         raise ConfigError(errors)
     try:
-        order = OrderSpec(spec, tuple(sorted(invariants.items())))
+        order = OrderSpec(spec, tuple(sorted(invariants)))
     except ValidationError as exc:
         raise ConfigError([f"order: {exc}"]) from None
     return RunConfig(order)
@@ -242,7 +272,7 @@ def _emit(report: dict, output: str) -> None:
 
     `--output json` writes json.dumps(report, sort_keys=True, indent=2)
     and a newline; `--output text` writes one `key: <compact JSON>` line per
-    key.  A value that is an iterator yields its text in chunks, already
+    key.  A value that is a generator yields its text in chunks, already
     encoded for its key in that mode, and each chunk is written as it comes;
     the text between such values goes out in one write, so a report without
     one is a single write.
@@ -256,7 +286,7 @@ def _emit(report: dict, output: str) -> None:
     text = ""
     for i, (key, value) in enumerate(sorted(report.items())):
         text += f"{sep if i else first}{quote(key)}: "
-        if isinstance(value, Iterator):
+        if isinstance(value, GeneratorType):
             write(text)
             for chunk in value:
                 write(chunk)
@@ -532,8 +562,12 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = parse_config(fh.read())
+        with open(args.config, "rb", buffering=0) as fh:
+            text = fh.read().decode()
+        # Text mode's newline translation, which JSON error positions count.
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        config = parse_config(text)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, shape_above
-from .basefield import _zeta_terms, constant_extension, pic_order
+from .basefield import check_extension_degree, constant_extension, pic_order
 from .errors import IntegralityViolationError
 from .orders import OrderSpec, local_unit_index
 
@@ -30,19 +30,26 @@ def ramification_factor(N: int, d: int, n: int) -> int:
 def _level_mass(spec: AlgebraSpec, s: int, index: int = 1) -> Fraction:
     """M_s, s | s0: the mass of a maximal order in the centralizer of L_s,
     from the zeta values of L_s and the places above each place of `spec`,
-    times the unit index `index`.  Builds no centralizer spec."""
-    base = constant_extension(spec.base, s)
-    base.check_class_number()
+    times the unit index `index`.  Builds no centralizer spec, and over a
+    rational base no BaseField: there L_s is (q^s, P = 1)."""
+    base = spec.base
+    if base.l_poly == (1,):  # L_s has P = 1 too; only q changes
+        check_extension_degree(s, base.infinity_degree)
+        q = base.q ** s
+    else:
+        base = constant_extension(base, s)
+        base.check_class_number()
+        q = base.q
     n = spec.degree // s
-    num, den, power = pic_order(base), base.q - 1, 1
-    for _ in range(1, n):  # zeta_K(-i) at one running power q^i
-        power *= base.q
-        zeta_num, zeta_den = _zeta_terms(base, power)
-        num, den = num * zeta_num, den * zeta_den
+    num, den, power = pic_order(base), q - 1, 1
+    for _ in range(1, n):  # zeta_{L_s}(-i) at one running power q^i
+        power *= q
+        num *= base.l_poly_at(power)
+        den *= (1 - power) * (1 - power * q)
     for v in spec.all_places():
         l, degree, local_index = shape_above(v, s)
         if local_index > 1:
-            num *= ramification_factor(base.q ** degree, local_index, n) ** l
+            num *= ramification_factor(q ** degree, local_index, n) ** l
     mass = Fraction(num * index, den)
     if num <= 0:  # den > 0 and index >= 1
         raise IntegralityViolationError(f"mass {mass} is not positive")

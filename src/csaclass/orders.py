@@ -90,7 +90,7 @@ class OrderSpec(namedtuple("OrderSpec", "algebra invariants")):
             if len(f) > 1:
                 cleaned.append((label, f))
         cleaned.sort()
-        return super().__new__(cls, algebra, tuple(cleaned))
+        return tuple.__new__(cls, (algebra, tuple(cleaned)))
 
     def invariant_at(self, label: str) -> tuple[int, ...]:
         for lab, f in self.invariants:

@@ -9,12 +9,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
                       constant_field_degree, embedding_count, mass_maximal,
                       maximal_order, validate, weight_class_numbers)
-from csaclass.algebra import (_finite_place_count, _irreducible_count,
-                              places_above, shape_above, splitting_data)
+from csaclass.algebra import (INFINITY, _finite_place_count,
+                              _irreducible_count, places_above, shape_above, splitting_data)
 from csaclass.errors import InvalidDivisorError, ValidationError
 from conftest import random_definite_spec
 
@@ -298,3 +300,42 @@ def test_a_place_of_huge_degree_validates_at_once():
     started = time.perf_counter()
     assert validate(spec) == []
     assert time.perf_counter() - started < 0.1
+
+
+def _full_place_count_lines(q: int, delta: int, degrees) -> list[str]:
+    """The place-count lines of `validate`, with `_finite_place_count` at
+    every listed degree."""
+    lines = []
+    for d in sorted(set(degrees)):
+        count = degrees.count(d)
+        available = _finite_place_count(q, d, delta, count)
+        if count > available:
+            where = (f"monic irreducibles exist over F_{q}" if delta == 1
+                     else f"exist on F_{q}(T) with infinity of degree {delta}")
+            lines.append(f"{count} listed finite places of degree {d}, "
+                         f"but only {available} {where}")
+    return lines
+
+
+def _split_places_spec(q: int, delta: int, degrees) -> AlgebraSpec:
+    return AlgebraSpec(BaseField(q, (1,), delta), 1,
+                       tuple(Place(f"p{i}", d) for i, d in enumerate(degrees)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from((2, 3, 4, 5, 7, 8, 9)), delta=st.integers(1, 3),
+       degrees=st.lists(st.integers(1, 4), max_size=12))
+def test_place_count_shortcut_keeps_every_verdict(q, delta, degrees):
+    # `validate` skips the count for one listed place of a degree other
+    # than deg infinity; the verdicts are those of the full count.
+    spec = _split_places_spec(q, delta, degrees)
+    assert validate(spec) == _full_place_count_lines(q, delta, degrees)
+
+
+def test_one_place_of_the_degree_of_infinity_is_still_counted():
+    # F_2(T) has one place of degree 2, and it is infinity.
+    spec = _split_places_spec(2, 2, [2])
+    assert spec.infinity == Place(INFINITY, 2, 1)
+    assert validate(spec) == [
+        "1 listed finite places of degree 2, but only 0 exist on F_2(T) "
+        "with infinity of degree 2"]

@@ -1549,6 +1549,24 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
                "0xff in position 0: invalid start byte\n")
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_config_newlines_read_as_in_text_mode(tmp_path, capsys, newline):
+    # The config is read as bytes; "\r\n" and "\r" still count as one "\n"
+    # in the positions a JSON error names, and a valid config runs alike.
+    path = tmp_path / "config.json"
+    results = []
+    for text in (GOLDEN_CONFIG, GOLDEN_CONFIG.replace('"degree": 4',
+                                                      '"degree": 4,,')):
+        for ending in (b"\n", newline):
+            path.write_bytes(text.encode().replace(b"\n", ending))
+            code = main(["--config", str(path), "mass"])
+            results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1] and results[0][0] == 0
+    assert results[2] == results[3] == (
+        2, "", "error: schema: not valid JSON (Expecting property name "
+               "enclosed in double quotes: line 3 column 15 (char 71))\n")
+
+
 @pytest.mark.parametrize("opening", ["[", '{"a": '])
 def test_config_nested_too_deep_exits_2(tmp_path, capsys, opening):
     # 10^5 levels pass the recursion limit of every supported Python.
@@ -1699,3 +1717,140 @@ def test_main_maps_each_outcome_to_its_exit_code(tmp_path, monkeypatch,
     assert (got, out.getvalue() if out else "", err.getvalue()) == (
         code, want_out, want_err.format(cap=cap))
     assert _digit_cap() == cap
+
+
+# Invariant spellings: ints, signs (doubled ones too), whitespace,
+# underscores, Arabic-Indic digits, decimals, exponents and broken slashes.
+_SPELLINGS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds(
+        "{}{}{}{}{}{}".format,
+        st.sampled_from(("", " ", "\t", " \n")),
+        st.sampled_from(("", "+", "-", "--", "+-", "-+", "++")),
+        st.text("0123456789", max_size=4) | st.sampled_from(("1_0", "١")),
+        st.sampled_from(("", "/", "//", " / ", ".", "e", "E-")),
+        st.text("0123456789", max_size=4) | st.sampled_from(("0", "٢")),
+        st.sampled_from(("", " ", "\t"))),
+    st.sampled_from(("", "/", "1/", "/2", "1/0", "0/0", "-0/0", "1//2",
+                     "1/2/3", "2/4", "-2/4", "+2/-4", "0.5", "-.5", "1e3",
+                     "1_000/3", "١/٢", "--1/3", "-0/7", "+0")),
+    st.text("0123456789+-/ ._e١", max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_SPELLINGS)
+def test_invariant_reader_matches_fraction(value):
+    # The int() reader of plain spellings against Fraction(str(x)), the
+    # reader of every other spelling: both refuse with the same line, or
+    # both give the same (kappa, d).
+    try:
+        want = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        want = None
+    doc = json.loads(IWAHORI_CONFIG)
+    doc["ramification"][0]["invariant"] = value
+    try:
+        got = parse_config(json.dumps(doc)).order.algebra.place("v0")
+    except ConfigError as exc:
+        got = exc.errors
+    if want is None:
+        assert got == ["ramification[0].invariant: not a fraction"]
+    elif isinstance(got, list):  # read, then refused for what it reads as
+        assert not any("invariant: not a" in line for line in got), got
+    else:
+        assert (got.invariant_num, got.local_index) == (
+            want.numerator, want.denominator)
+    if type(value) is str:
+        try:
+            parts = cli._fraction_parts(value)
+        except (ValueError, ZeroDivisionError):
+            parts = None
+        assert parts == (None if want is None
+                         else (want.numerator, want.denominator))
+
+
+
+@pytest.mark.parametrize("invariant", ["1e5000", "1E-5000"])
+def test_an_invariant_past_the_digit_cap_exits_2(tmp_path, capsys, invariant):
+    # Fraction reads these; the reciprocity and local index messages would
+    # print a number of more than 4300 digits, and used to raise from there.
+    if not _digit_cap():
+        pytest.skip("this interpreter has no cap on digits")
+    doc = json.loads(GOLDEN_CONFIG)
+    doc["ramification"][0]["invariant"] = invariant
+    code = main(["--config", _write_config(tmp_path, doc), "mass"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: schema: an integer has more than {_digit_cap()} "
+               "digits\n")
+
+def test_invariant_spellings_give_the_same_report(tmp_path, capsys):
+    doc = {"base": {"type": "rational_function_field", "q": 3}, "degree": 2,
+           "ramification": [{"place": "T", "degree": 1},
+                            {"place": "T+1", "degree": 1},
+                            {"place": "T+2", "degree": 1},
+                            {"place": "infinity"}]}
+    reports = []
+    for spellings in (["1/2"] * 4, ["+1/2", " 1/2 ", "2/4", "0.5"]):
+        for entry, spelled in zip(doc["ramification"], spellings):
+            entry["invariant"] = spelled
+        assert main(["--config", _write_config(tmp_path, doc),
+                     "classnum"]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+    assert reports[0].err == ""
+
+
+@pytest.mark.parametrize("vec,line", [
+    ([], "order.invariants['U']: invariant vector must be non-empty"),
+    ("", "order.invariants['U']: invariant vector must be non-empty"),
+    (5, "order.invariants['U']: 'int' object is not iterable"),
+    ([1, True], "order.invariants['U']: entry 1 is not an integer"),
+    ([0, 2], "order: place 'U': invariant entries must be positive"),
+    ([1, 2], "order: place 'U': invariant sums to 3, expected 2"),
+])
+def test_order_invariant_messages(tmp_path, capsys, vec, line):
+    # The CLI checks entry types and emptiness; OrderSpec normalises the
+    # vector once and checks its entries and sum.
+    doc = json.loads(IWAHORI_CONFIG)
+    doc["ramification"][2]["place"] = "U"
+    doc["order"]["invariants"] = {"U": vec}
+    code = main(["--config", _write_config(tmp_path, doc), "mass"])
+    assert (code, capsys.readouterr()) == (2, ("", f"error: {line}\n"))
+
+
+def test_classnum_builds_one_base_field(tmp_path, capsys, monkeypatch):
+    # Over a rational base each level reads L_s as (q^s, P = 1): the one
+    # BaseField is the config's, whatever the number of levels.
+    built = []
+    new = BaseField.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(BaseField, "__new__", staticmethod(counting))
+    code, out = run_cli(capsys, "--config", str(CONFIG_PATH), "classnum")
+    assert code == 0 and len(json.loads(out)["h"]) == 3
+    assert built == [(3, (1,), 1)]
+
+
+# q = 100000000000031 is prime: a BaseField of q^2 would trial-divide up
+# to q itself.
+LARGE_Q_CONFIG = json.dumps({
+    "base": {"type": "rational_function_field", "q": 100000000000031},
+    "degree": 2,
+    "ramification": [{"place": "T", "degree": 1, "invariant": "1/2"},
+                     {"place": "infinity", "invariant": "1/2"}]})
+
+
+def test_classnum_over_a_large_prime_q_finishes(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(LARGE_Q_CONFIG, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "csaclass.cli", "--config", str(path),
+         "--budget", "10", "classnum"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert (report["h"], report["h_total"]) == ({"1": 0, "2": 1}, 1)

@@ -12,7 +12,8 @@ from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
                       constant_field_degree, local_unit_index,
                       mass_hereditary, mass_maximal, maximal_order)
 from csaclass.algebra import shape_above
-from csaclass.basefield import zeta_at_negative
+from csaclass.basefield import (constant_extension, pic_order,
+                                zeta_at_negative)
 from csaclass.errors import IntegralityViolationError, ValidationError
 from csaclass.massform import _level_mass, ramification_factor
 from conftest import random_definite_spec, random_order
@@ -170,3 +171,35 @@ def test_level_mass_is_the_mass_of_the_centralizer():
                                    for v, (_, _, index) in above)
             seen["l > 1"] += any(l > 1 < index for _, (l, _, index) in above)
     assert min(seen.values()) >= 10, seen
+
+
+def _level_mass_by_extension(spec: AlgebraSpec, s: int) -> Fraction:
+    """M_s from the BaseField of L_s that `constant_extension` builds."""
+    base = constant_extension(spec.base, s)
+    n = spec.degree // s
+    mass = Fraction(pic_order(base), base.q - 1)
+    for i in range(1, n):
+        mass *= zeta_at_negative(base, i)
+    for v in spec.all_places():
+        l, degree, local_index = shape_above(v, s)
+        if local_index > 1:
+            mass *= ramification_factor(base.q ** degree, local_index, n) ** l
+    return mass
+
+
+def test_rational_level_mass_matches_the_extension_path():
+    # Over P = 1, `_level_mass` reads L_s as (q^s, P = 1) with no BaseField;
+    # every level agrees with the constant_extension path, deg infinity
+    # 1, 2 and 3 included.
+    rng = random.Random(30)
+    levels = 0
+    for k in range(400):
+        spec = random_definite_spec(rng, max_degree=8,
+                                    infinity_degree=1 + k % 3)
+        s0 = constant_field_degree(spec)
+        for s in range(1, s0 + 1):
+            if s0 % s == 0:
+                assert _level_mass(spec, s, 7) == 7 * _level_mass_by_extension(
+                    spec, s), (spec, s)
+                levels += s > 1
+    assert levels >= 200
