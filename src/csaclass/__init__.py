@@ -12,7 +12,7 @@ from .massform import mass_hereditary, mass_maximal
 from .omega import enumerate_omega, strip_counts
 from .orders import (OrderSpec, local_unit_index, maximal_order,
                      normalize_invariant)
-from .theta import omega_size, theta, theta_enum
+from .theta import omega_size, theta
 
 __all__ = [
     "AlgebraSpec", "BaseField", "OrderSpec", "Place",
@@ -21,7 +21,7 @@ __all__ = [
     "enumerate_omega", "local_unit_index", "mass_hereditary",
     "mass_maximal", "maximal_order",
     "normalize_invariant", "omega_size", "pic_order",
-    "prime_degree_class_number", "strip_counts", "theta", "theta_enum",
+    "prime_degree_class_number", "strip_counts", "theta",
     "total_class_number_genera", "transfer_check", "validate",
     "weight_class_numbers", "zeta_at_negative",
 ]

@@ -15,7 +15,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter
 from types import GeneratorType, SimpleNamespace
 
@@ -27,9 +27,9 @@ from .classnum import (DEFAULT_BUDGET, _level_solver, _one_term, _resum,
 from .errors import (BudgetExceededError, CsaClassError,
                      IntegralityViolationError, ValidationError)
 from .massform import mass_hereditary
-from .omega import enumerate_omega
-from .orders import OrderSpec
-from .theta import omega_size, theta, theta_enum
+from .omega import enumerate_omega, strip_counts
+from .orders import OrderSpec, local_unit_index
+from .theta import omega_size, residue_power, theta
 
 
 class ConfigError(ValidationError):
@@ -93,6 +93,8 @@ def _parse_base(node, errors: list[str]) -> BaseField | None:
     except KeyError as exc:
         errors.append(f"base.{exc.args[0]}: missing field")
     except (TypeError, ValueError, ValidationError) as exc:
+        if "integer string conversion" in str(exc):
+            raise  # a message past the digit cap; parse_config reports it
         errors.append(f"base: {exc}")
     return None
 
@@ -330,22 +332,16 @@ def _cmd_theta(order: OrderSpec, args) -> dict:
     return {"place": args.place, "s": args.s, "theta": str(value)}
 
 
-def _walkable(layer: str, v: Place, f_vec, s: int, budget: int) -> int:
-    """Size of the local index set, from `omega_size`, checked against
-    `budget` before the set is walked; the error names `layer`."""
-    count = omega_size(v, f_vec, s, budget=budget)
-    if count > budget:
-        raise BudgetExceededError(
-            f"{layer}: local index set of {count} elements exceeds budget of "
-            f"{budget}")
-    return count
-
-
 def _cmd_omega(order: OrderSpec, args) -> dict:
     v = _place_arg(order, args.place)
     f_vec = order.invariant_at(args.place)
-    out: dict = {"place": args.place, "s": args.s,
-                 "count": _walkable("omega", v, f_vec, args.s, args.budget)}
+    # The set is sized, and checked against the budget, before it is walked.
+    count = omega_size(v, f_vec, args.s, budget=args.budget)
+    if count > args.budget:
+        raise BudgetExceededError(
+            f"omega: local index set of {count} elements exceeds budget of "
+            f"{args.budget}")
+    out: dict = {"place": args.place, "s": args.s, "count": count}
     if args.list:
         out["elements"] = [[list(slice_vec) for slice_vec in elem]
                            for elem in enumerate_omega(v, f_vec, args.s)]
@@ -453,23 +449,29 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     checks["mass_consistency"] = (_resum(levels, q)
                                   == mass_hereditary(order, levels[-1].mass))
 
-    def enumerated(label: str, f_vec, s: int) -> int:
-        """theta_enum, the oracle here, on a set `_walkable` has sized."""
+    def by_strips(label: str, f_vec, s: int) -> int:
+        """The theta factor as a sum over the strip counts of its set: an
+        element weighs the product of its strips' unit indices."""
         v = spec.place(label)
-        _walkable(f"selfcheck: place {label!r}, s = {s}", v, f_vec, s,
-                  args.budget)
-        return theta_enum(v, f_vec, s, q)
+        counts = strip_counts(v, f_vec, s, budget=args.budget,
+                              layer="selfcheck")
+        # A strip of one entry has unit index 1.  Q, a power of q that may
+        # run to millions of digits, is formed only for a longer strip.
+        if all(len(strip) == 1 for key in counts for strip in key):
+            return sum(counts.values())
+        Q = residue_power(v, s, q)
+        return sum(count * prod(local_unit_index(Q, 1, strip) for strip in key)
+                   for key, count in counts.items())
 
-    # The enumeration is compared with the theta factors the solve used.
+    # The strip sums are compared with the theta factors the solve used.
     checks["theta_engines_agree"] = all(
-        enumerated(label, order.invariant_at(label), level.s) == value
+        by_strips(label, order.invariant_at(label), level.s) == value
         for level in levels for label, value in level.theta.items())
 
     # OrderSpec keeps the least rotation, so the rotated vector goes to the
-    # enumeration, which walks the columns in the order given.
+    # strip count, which fills the columns in the order given.
     checks["rotation_invariance"] = all(
-        enumerated(label, f_vec[1:] + f_vec[:1], level.s)
-        == level.theta[label]
+        by_strips(label, f_vec[1:] + f_vec[:1], level.s) == level.theta[label]
         for level in levels for label, f_vec in order.invariants)
 
     return {"checks": checks, "all_passed": all(checks.values())}

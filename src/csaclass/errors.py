@@ -1,4 +1,4 @@
-"""Shared exception types and the default work budget."""
+"""Shared exception types, the default work budget and its error text."""
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -28,4 +28,12 @@ class NotPrimeDegreeError(CsaClassError):
 
 
 class BudgetExceededError(CsaClassError):
-    """An enumeration exceeded the configured work budget."""
+    """A computation exceeded the configured work budget."""
+
+
+def over_budget(layer: str, place, s: int, work: str,
+                budget: int) -> BudgetExceededError:
+    """The error of a local count at `place` and level `s` whose `work`
+    passed `budget`, named for the `layer` that asked for it."""
+    return BudgetExceededError(f"{layer}: place {place.label!r}, s = {s}: "
+                               f"{work} exceed budget of {budget}")

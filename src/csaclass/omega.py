@@ -4,8 +4,10 @@ For a place v, an invariant vector f_v and a level s, the index set
 collects tuples (f_{w,(i,j)}) of non-negative integers, one r x t matrix per
 place w of L_s above v, whose scaled row sums recover the capacity above w
 and whose column sums recover f_v.  It depends only on `local_shape`, how v
-splits in L_s = K F_{q^s}.  The walk is the reference for the local theta
-factors; the transfer check counts the set by its strips instead.
+splits in L_s = K F_{q^s}.  `enumerate_omega` walks the set, for `omega
+--list` and as the tests' oracle; `strip_counts` counts it by its strips
+without walking it, for the transfer check and for `selfcheck`'s check of
+the theta factors.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import Counter
 from operator import eq
 
 from .algebra import Place, splitting_data
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
+from .errors import DEFAULT_BUDGET, ValidationError, over_budget
 from .orders import normalize_invariant
 
 
@@ -87,7 +89,8 @@ def enumerate_omega(place: Place, f_vec, s: int):
 
 
 def strip_counts(place: Place, f_vec, s: int, *,
-                 budget: int = DEFAULT_BUDGET) -> Counter:
+                 budget: int = DEFAULT_BUDGET,
+                 layer: str = "transfer") -> Counter:
     """Count the local index set by the normalised strips of its elements.
 
     The strip of a long vector is its non-zero entries, normalised.  A key
@@ -104,8 +107,8 @@ def strip_counts(place: Place, f_vec, s: int, *,
     non-decreasing entries and counts each choice once per ordering.  The
     rooms and the budgets left have the same sum, and a column's last slot
     places its whole budget, so every state completes to elements.  Raises
-    BudgetExceededError, naming the `transfer` layer it serves, once the
-    entries placed, one place w at a time, exceed `budget`.
+    BudgetExceededError, naming the caller's `layer`, once the entries
+    placed, one place w at a time, exceed `budget`.
     """
     l, t, m_s, targets = local_shape(place, f_vec, s)
     if targets is None:
@@ -117,9 +120,7 @@ def strip_counts(place: Place, f_vec, s: int, *,
         nonlocal placed
         placed += n
         if placed > budget:
-            raise BudgetExceededError(
-                f"transfer: place {place.label!r}, s = {s}: "
-                f"strip states exceed budget of {budget}")
+            raise over_budget(layer, place, s, "strip states", budget)
 
     states = {((((), m_s),) * l, targets): 1}
     splits: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}

@@ -28,9 +28,9 @@ Q = 0) times, for t > 1, the diagonal g_t of a table up to max N.  It
 builds no table at t = 1, nor when every N is 0 or 1, where g_t(N) is 1
 or t.  All of it is integer arithmetic.  Each row placement tried, one
 choice of a whole row, counts against a work budget; the forced last row
-does not.
-`theta_enum` walks the index set itself and serves as the reference the
-tests compare against.
+does not.  This is the one theta engine: `selfcheck` checks it against the
+strip counts of `omega.strip_counts`, and the tests against a walk of the
+set.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from itertools import accumulate, groupby
 from math import comb
 
 from .algebra import Place, splitting_data
-from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .omega import enumerate_omega, local_shape
+from .errors import DEFAULT_BUDGET, over_budget
+from .omega import local_shape
 from .orders import local_unit_index
 
 
@@ -48,20 +48,6 @@ def residue_power(place: Place, s: int, q: int) -> int:
     """Cardinality of the residue field of the division part above w."""
     l, t = splitting_data(place, s)
     return q ** (place.degree * (place.local_index // t) * s // l)
-
-
-def theta_enum(place: Place, f_vec, s: int, q: int) -> int:
-    """Sum over the local index set of the product of slice unit indices."""
-    if local_shape(place, f_vec, s)[3] is None:
-        return 0
-    Q = residue_power(place, s, q)
-    total = 0
-    for elem in enumerate_omega(place, f_vec, s):
-        term = 1
-        for slice_vec in elem:
-            term *= local_unit_index(Q, 1, slice_vec)
-        total += term
-    return total
 
 
 def _weights(Q: int, m: int, t: int) -> list[list[int]]:
@@ -89,12 +75,6 @@ def _weights(Q: int, m: int, t: int) -> list[list[int]]:
             for left in range(m + 1)]
 
 
-def _over_budget(layer: str, place: Place, s: int,
-                 budget: int) -> BudgetExceededError:
-    return BudgetExceededError(f"{layer}: place {place.label!r}, s = {s}: "
-                               f"row placements exceed budget of {budget}")
-
-
 def _row_sum(layer: str, place: Place, f_vec, s: int, q: int,
              budget: int) -> int:
     """Sum of prod_i cell[left][N_i], cell = _weights(Q, m_s, t), over the
@@ -112,7 +92,7 @@ def _row_sum(layer: str, place: Place, f_vec, s: int, q: int,
         # Each row takes its whole m_s from the one column: one matrix, and
         # l - 1 row placements before the forced last row.
         if l - 1 > budget:
-            raise _over_budget(layer, place, s, budget)
+            raise over_budget(layer, place, s, "row placements", budget)
         return 1
     Q = residue_power(place, s, q)
     if l == 1:
@@ -159,7 +139,8 @@ def _row_sum(layer: str, place: Place, f_vec, s: int, q: int,
             if left == 0:
                 placements += 1
                 if placements > budget:
-                    raise _over_budget(layer, place, s, budget)
+                    raise over_budget(layer, place, s, "row placements",
+                                      budget)
                 # The open columns keep their budgets: the last k of group
                 # j and every column after it.
                 key = tuple(sorted(rest + cols[ends[j] - k:]))

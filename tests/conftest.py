@@ -1,7 +1,8 @@
 """Shared fixtures and the helpers only the tests use: the worked golden
 example, a random spec generator, a split place listed by label, a long
-vector's strip, a genus vector's reduction, the genus vectors of a place,
-the genera of an order one dict at a time, and a genera report's rows."""
+vector's strip, the theta factor by a walk of the index set, a genus
+vector's reduction, the genus vectors of a place, the genera of an order
+one dict at a time, and a genera report's rows."""
 
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ import pytest
 from csaclass import AlgebraSpec, BaseField, OrderSpec, Place
 from csaclass.algebra import _finite_place_count, validate
 from csaclass.errors import ValidationError
-from csaclass.orders import normalize_invariant
+from csaclass.omega import enumerate_omega, local_shape
+from csaclass.orders import local_unit_index, normalize_invariant
+from csaclass.theta import residue_power
 
 
 def with_listed_place(spec: AlgebraSpec, label: str,
@@ -40,6 +43,22 @@ def flatten_strip(slice_vec) -> tuple[int, ...]:
     if not stripped:
         raise ValidationError("slice is all zero")
     return stripped
+
+
+def theta_enum(place: Place, f_vec, s: int, q: int) -> int:
+    """The theta factor by a walk of the local index set: the sum over its
+    elements of the product of their slice unit indices.  The oracle of
+    the production `theta`; it takes no budget."""
+    if local_shape(place, f_vec, s)[3] is None:
+        return 0
+    Q = residue_power(place, s, q)
+    total = 0
+    for elem in enumerate_omega(place, f_vec, s):
+        term = 1
+        for slice_vec in elem:
+            term *= local_unit_index(Q, 1, slice_vec)
+        total += term
+    return total
 
 
 class PowerlessInt(int):

@@ -15,7 +15,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       class_number_report, constant_field_degree,
                       embedding_count, mass_hereditary, maximal_order,
                       prime_degree_class_number,
-                      total_class_number_genera, theta, theta_enum,
+                      total_class_number_genera, theta,
                       transfer_check, weight_class_numbers)
 from csaclass import classnum
 from csaclass.algebra import centralizer_spec, places_above, validate
@@ -26,7 +26,8 @@ from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
                              IntegralityViolationError, InvalidDivisorError,
                              NotPrimeDegreeError)
 from conftest import (enumerate_genera, flatten_strip, genus_reduce, per_genus,
-                      random_definite_spec, random_order, with_listed_place)
+                      random_definite_spec, random_order, theta_enum,
+                      with_listed_place)
 
 
 def test_golden_weight_class_numbers(golden_order):

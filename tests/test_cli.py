@@ -15,7 +15,7 @@ import tempfile
 import time
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from math import gcd, prod
 from unittest import mock
 
@@ -31,7 +31,6 @@ from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
 from csaclass.errors import IntegralityViolationError
 from csaclass.massform import mass_hereditary
 from csaclass.orders import genus_axes, normalize_invariant
-from csaclass.theta import omega_size, theta_enum
 from conftest import genus_reduce, per_genus
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -273,17 +272,19 @@ ROTATION_CONFIG = json.dumps({
 
 
 @pytest.mark.parametrize("broken", [False, True])
-def test_selfcheck_rotation_reaches_the_enumeration(tmp_path, capsys,
-                                                   monkeypatch, broken):
+def test_selfcheck_rotation_reaches_the_strip_count(tmp_path, capsys,
+                                                    monkeypatch, broken):
     # The order stores (1, 1, 2); only the rotation check passes (1, 2, 1).
-    real_enum = cli.theta_enum
+    real_counts = cli.strip_counts
 
-    def least_rotation_only(place, f_vec, s, q):
-        value = real_enum(place, f_vec, s, q)
-        return value if tuple(f_vec) == normalize_invariant(f_vec) else value + 1
+    def least_rotation_only(place, f_vec, s, **kwargs):
+        counts = real_counts(place, f_vec, s, **kwargs)
+        if tuple(f_vec) != normalize_invariant(f_vec):
+            counts.update(islice(counts, 1))  # one element more
+        return counts
 
     if broken:
-        monkeypatch.setattr(cli, "theta_enum", least_rotation_only)
+        monkeypatch.setattr(cli, "strip_counts", least_rotation_only)
     path = tmp_path / "rotation.json"
     path.write_text(ROTATION_CONFIG, encoding="utf-8")
     code, out = run_cli(capsys, "--config", str(path), "selfcheck")
@@ -308,36 +309,113 @@ def test_selfcheck_computes_each_theta_once(tmp_path, capsys, monkeypatch):
     assert cli_theta_calls == []
 
 
-def test_selfcheck_sizes_each_set_before_walking_it(tmp_path, capsys,
-                                                    monkeypatch):
-    # The Iwahori order at a degree-3 place of a degree-24 algebra: the
-    # solve takes milliseconds, the set at U and s = 3 has 9.47e9 elements.
-    # A walk of a set over the budget fails at once instead of running on.
-    def walk(v, f_vec, s, q):
-        if omega_size(v, f_vec, s) > 1000:
-            raise AssertionError("selfcheck walked a set over the budget")
-        return theta_enum(v, f_vec, s, q)
+# The Iwahori order at a place U of degree 3 in a degree-24 algebra over
+# F_2(T): its set at s = 3 has 9,465,511,770 elements.
+IW24D3_CONFIG = json.dumps({
+    "base": {"type": "rational_function_field", "q": 2},
+    "degree": 24,
+    "ramification": [
+        {"place": "T", "degree": 1, "invariant": "1/24"},
+        {"place": "infinity", "invariant": "-1/24"},
+        {"place": "U", "degree": 3},
+    ],
+    "order": {"invariants": {"U": [1] * 24}},
+})
 
-    monkeypatch.setattr(cli, "theta_enum", walk)
+
+def test_selfcheck_strip_states_count_against_the_budget(tmp_path, capsys,
+                                                         monkeypatch):
+    # The solve takes milliseconds; the strip count of the set at U and
+    # s = 3 trips the budget at once, and no set is walked.
+    def walk(*args):
+        raise AssertionError("selfcheck walked a set")
+
+    monkeypatch.setattr(cli, "enumerate_omega", walk)
     path = tmp_path / "reach.json"
-    path.write_text(json.dumps({
-        "base": {"type": "rational_function_field", "q": 2},
-        "degree": 24,
-        "ramification": [
-            {"place": "T", "degree": 1, "invariant": "1/24"},
-            {"place": "infinity", "invariant": "-1/24"},
-            {"place": "U", "degree": 3},
-        ],
-        "order": {"invariants": {"U": [1] * 24}},
-    }), encoding="utf-8")
+    path.write_text(IW24D3_CONFIG, encoding="utf-8")
     started = time.monotonic()
     code = main(["--config", str(path), "--budget", "1000", "selfcheck"])
     elapsed = time.monotonic() - started
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
-    assert err == ("error: selfcheck: place 'U', s = 3: local index set of "
-                   "9465511770 elements exceeds budget of 1000\n")
+    assert err == ("error: selfcheck: place 'U', s = 3: strip states "
+                   "exceed budget of 1000\n")
     assert elapsed < 1
+
+
+@pytest.mark.parametrize("n,deg", [(24, 3), (48, 12)],
+                         ids=["iw24d3", "iw48d12"])
+def test_selfcheck_reaches_large_iwahori_orders(tmp_path, capsys, n, deg):
+    # Sets of 9.5e9 and 3.4e44 elements, checked through their strip counts
+    # under the default budget.
+    path = tmp_path / "reach.json"
+    path.write_text(json.dumps({
+        "base": {"type": "rational_function_field", "q": 2},
+        "degree": n,
+        "ramification": [
+            {"place": "T", "degree": 1, "invariant": f"1/{n}"},
+            {"place": "infinity", "invariant": f"-1/{n}"},
+            {"place": "U", "degree": deg},
+        ],
+        "order": {"invariants": {"U": [1] * n}},
+    }), encoding="utf-8")
+    started = time.monotonic()
+    code, out = run_cli(capsys, "--config", str(path), "selfcheck")
+    elapsed = time.monotonic() - started
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+    if n == 24:
+        assert elapsed < 1
+
+
+def test_selfcheck_catches_a_strip_count_off_at_one_key(tmp_path, capsys,
+                                                        monkeypatch):
+    # At s = 3 the place U of degree 3 splits into l = 3 places above it;
+    # one element more at that key alone fails theta_engines_agree.
+    real_counts = cli.strip_counts
+    keys = []
+
+    def off_at_l3(place, f_vec, s, **kwargs):
+        counts = real_counts(place, f_vec, s, **kwargs)
+        if (place.label, s) == ("U", 3):
+            assert {len(key) for key in counts} == {3}
+            keys.append(tuple(f_vec))
+            counts.update(islice(counts, 1))
+        return counts
+
+    monkeypatch.setattr(cli, "strip_counts", off_at_l3)
+    path = tmp_path / "reach.json"
+    path.write_text(IW24D3_CONFIG, encoding="utf-8")
+    code, out = run_cli(capsys, "--config", str(path), "selfcheck")
+    checks = json.loads(out)["checks"]
+    assert code == 1
+    assert checks["theta_engines_agree"] is False
+    assert checks["mass_consistency"] is True
+    # The rotation check reaches the same key, with f_U rotated to itself.
+    assert keys == [(1,) * 24] * 2
+
+
+def test_selfcheck_forms_no_residue_power_for_one_entry_strips(tmp_path,
+                                                              capsys,
+                                                              monkeypatch):
+    # A maximal order with a split place of degree 10^8 listed: every strip
+    # has one entry and unit index 1, so no Q = q^(10^8 ...) is formed.
+    def no_power(*args):
+        raise AssertionError("residue power formed")
+
+    monkeypatch.setattr(cli, "residue_power", no_power)
+    path = _write_config(tmp_path, {
+        "base": {"type": "rational_function_field", "q": 3},
+        "degree": 2,
+        "ramification": [
+            {"place": "T", "degree": 1, "invariant": "1/2"},
+            {"place": "infinity", "invariant": "1/2"},
+            {"place": "U", "degree": 10 ** 8},
+        ],
+    })
+    code, out = run_cli(capsys, "--config", path, "selfcheck")
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
 
 
 def test_selfcheck_reports_a_failed_resum(golden_config_path, capsys,
@@ -1782,6 +1860,24 @@ def test_an_invariant_past_the_digit_cap_exits_2(tmp_path, capsys, invariant):
     assert (code, *capsys.readouterr()) == (
         2, "", f"error: schema: an integer has more than {_digit_cap()} "
                "digits\n")
+
+
+def test_a_pic_order_message_past_the_digit_cap_exits_2(tmp_path, capsys):
+    # Each coefficient has 4300 digits and reads in; the pic_order message
+    # would print P(1) = 1 + 18 * 10^4299, of 4301 digits.
+    if not _digit_cap():
+        pytest.skip("this interpreter has no cap on digits")
+    big = 9 * 10 ** 4299
+    doc = json.loads(GOLDEN_CONFIG)
+    doc["base"] = {"type": "custom", "q": 3, "l_polynomial": [1, big, big],
+                   "pic_order": 5}
+    path = _write_config(tmp_path, doc)
+    with pytest.warns(UserWarning, match="functional equation"):
+        code = main(["--config", path, "mass"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: schema: an integer has more than {_digit_cap()} "
+               "digits\n")
+
 
 def test_invariant_spellings_give_the_same_report(tmp_path, capsys):
     doc = {"base": {"type": "rational_function_field", "q": 3}, "degree": 2,

@@ -1,10 +1,11 @@
 """Every name a library module imports is used in that module, every
 private top-level function is used somewhere in the library, no library
 module uses `assert`, only the modules that hold rational values import
-`fractions`, `classnum` does not walk local index sets, no module keeps
-state between calls, no module imports `dataclasses`, importing the CLI
-loads no introspection module and no argparse, and the package exports
-exactly what its `__init__.py` imports."""
+`fractions`, `classnum` and `theta` do not walk local index sets, the
+tests' oracles stay out of the package, no module keeps state between
+calls, no module imports `dataclasses`, importing the CLI loads no
+introspection module and no argparse, and the package exports exactly
+what its `__init__.py` imports."""
 
 from __future__ import annotations
 
@@ -128,7 +129,8 @@ def imported_names(source: str) -> set[str]:
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-# Transfer counts local index sets by their strips; the walk is an oracle.
+# Transfer and selfcheck count local index sets by their strips, and theta
+# sums them by rows; the walk is an oracle.
 WALKS = {"enumerate_omega"}
 
 
@@ -143,6 +145,11 @@ def test_classnum_does_not_walk_index_sets():
     assert imported_names(source) & WALKS == set()
 
 
+def test_theta_does_not_walk_index_sets():
+    source = (SRC / "theta.py").read_text(encoding="utf-8")
+    assert imported_names(source) & WALKS == set()
+
+
 def test_test_oracles_stay_out_of_the_package():
     # The tests build these from the library in conftest.py.
     from csaclass import algebra, classnum, omega, orders
@@ -151,6 +158,8 @@ def test_test_oracles_stay_out_of_the_package():
     assert not hasattr(orders, "genus_reduce")
     assert not hasattr(classnum.GeneraReport, "per_genus")
     assert not hasattr(algebra.AlgebraSpec, "with_listed_place")
+    assert not hasattr(sys.modules["csaclass.theta"], "theta_enum")
+    assert "theta_enum" not in csaclass.__all__
 
 
 # Nothing is kept between calls: the one cached function builds the argument

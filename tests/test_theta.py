@@ -11,11 +11,11 @@ from math import comb, factorial, gcd, prod
 import pytest
 
 from csaclass import (Place, enumerate_omega, local_unit_index,
-                      strip_counts, theta, theta_enum)
+                      strip_counts, theta)
 from csaclass.errors import BudgetExceededError, ValidationError
 from csaclass.omega import local_shape
 from csaclass.theta import _weights, omega_size, residue_power
-from conftest import PowerlessInt
+from conftest import PowerlessInt, theta_enum
 
 
 GOLDEN_Q = 3
