@@ -52,8 +52,9 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
     theta(place, f, s), and rhs_s = M_s * prod of the factors.  An order is
     the one-term case (`_one_term`).  h_s is linear in the rhs of the
     levels, so several terms solve to the count-weighted sum of their
-    orders' h.  `settle(s, product, h)` sets h[s] from the product of the
-    factors and returns M_s, from `_level_mass`.  M_s depends on s alone
+    orders' h.  `settle(s, products, h)` sets h[s] to the values solved
+    from a list of products of the factors, the i-th from entry i of each
+    list h[s2], and returns M_s, from `_level_mass`.  M_s depends on s alone
     and theta on (deg, d, f, s) alone, so each is computed once and shared
     by every solve.  `budget` bounds the row placements of each theta.
     With M_s = a/b and E the lcm of b and q^{s2} - 1 over the levels s2 > s
@@ -72,7 +73,7 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
             thetas[key] = theta(v, f_vec, s, q, budget=budget)
         return thetas[key]
 
-    def settle(s: int, product: int, h: dict[int, int]) -> Fraction:
+    def settle(s: int, products: list[int], h: dict[int, list]) -> Fraction:
         if s not in steps:
             mass = _level_mass(spec, s)
             tail = [s2 for s2 in divisors if s2 > s and s2 % s == 0]
@@ -82,24 +83,28 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
                         [(s2, scale * s // (q ** s2 - 1)) for s2 in tail],
                         s * e)
         mass, lead, tail, den = steps[s]
-        num = lead * product - sum(b * h[s2] for s2, b in tail)
-        value, rest = divmod(num, den)
-        if rest or value < 0:
-            raise IntegralityViolationError(
-                f"h_{s} = {Fraction(num, den)} is not a non-negative integer")
-        h[s] = value
+        values = h[s] = []
+        for i, product in enumerate(products):
+            num = lead * product
+            for s2, b in tail:
+                num -= b * h[s2][i]
+            value, rest = divmod(num, den)
+            if rest or value < 0:
+                raise IntegralityViolationError(
+                    f"h_{s} = {Fraction(num, den)} is not a non-negative integer")
+            values.append(value)
         return mass
 
     def solve(terms, step: int = 1) -> list[Level]:
-        h: dict[int, int] = {}
+        h: dict[int, list] = {}
         levels = []
         for s in [d for d in divisors if d % step == 0]:
             factors = {label: sum(count * prod(theta_at(v, f_vec, s)
                                                for v, f_vec in places)
                                   for count, places in group)
                        for label, group in terms}
-            mass = settle(s, prod(factors.values()), h)
-            levels.append(Level(s, h[s], mass, factors))
+            mass = settle(s, [prod(factors.values())], h)
+            levels.append(Level(s, h[s][0], mass, factors))
         return levels
 
     return _Solver(s0, divisors, theta_at, settle, solve)
@@ -153,7 +158,8 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     centralizer algebra of L_s with every place w above the listed places
     listed.  Listing split places changes neither its masses nor its s0.  A
     derived order reads an element only through its normalised strips, so
-    each local set is counted by `strip_counts` without being walked.  A
+    each local set is counted by `strip_counts` without being walked, once
+    per place shape (deg v, d_v, f_v), the whole of what the counts read.  A
     derived order's h is linear in the rhs of its levels, and each rhs is a
     product over the places v, so the sum is one solve whose factor at v
     sums count * prod_w theta_w over v's strip groups.  The lhs solves only
@@ -169,9 +175,13 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     lhs = s * solver.solve(_one_term(order), s2)[-1].h  # the last is h_s2
 
     terms = []
+    shapes: dict[tuple, dict] = {}  # (deg v, d_v, f_v) -> its strip counts
     for label in order.relevant_labels():
-        v = spec.place(label)
-        counts = strip_counts(v, order.invariant_at(label), s, budget=budget)
+        v, f_vec = spec.place(label), order.invariant_at(label)
+        shape = (v.degree, v.local_index, f_vec)
+        if shape not in shapes:
+            shapes[shape] = strip_counts(v, f_vec, s, budget=budget)
+        counts = shapes[shape]
         if not counts:
             return TransferReport(s, s2, lhs, 0)
         above = places_above(v, s)
@@ -218,11 +228,11 @@ def total_class_number_genera(order: OrderSpec, *,
     """Class numbers of every genus of right ideals, and their sum.
 
     Every genus reduces to the principal genus of another hereditary order
-    in the same algebra.  That order's class number depends only on the
-    multiset of (deg v, d_v, reduced vector) over the places of the axes,
-    so it is solved once per such multiset, and all solves share one level
-    solver, which settles each level from a bare product of thetas, taken
-    in label order as `solve` takes them.  The budget still bounds the full
+    in the same algebra: one tuple of reduced vectors, one per axis.  Each
+    level is settled once for the whole table, largest s first, from the
+    column of its products in `product` order: the outer product, in label
+    order, of each place's row of thetas, those of an axis's reduced vectors
+    or the one of a place off the axes.  The budget still bounds the full
     genus count, and it bounds each theta factor's row placements.
     """
     count = count_genera(order)
@@ -231,31 +241,22 @@ def total_class_number_genera(order: OrderSpec, *,
             f"genera: genus count {count} exceeds budget of {budget}")
     spec = order.algebra
     axes = genus_axes(order)
-    places = [spec.place(axis.label) for axis in axes]
     solver = _level_solver(spec, budget)
-    pairs = {label: (spec.place(label), order.invariant_at(label))
-             for label in order.relevant_labels()}  # a problem resets its axes
-    solved: dict[tuple, int] = {}
-
-    def reduced_class_number(key) -> int:  # one reduced vector per axis
-        problem = tuple(sorted((v.degree, v.local_index, g)
-                               for v, g in zip(places, key)))
-        if problem not in solved:
-            for axis, v, g in zip(axes, places, key):
-                pairs[axis.label] = (v, g)
-            h: dict[int, int] = {}
-            for s in solver.divisors:
-                solver.settle(s, prod(solver.theta(v, f_vec, s)
-                                      for v, f_vec in pairs.values()), h)
-            solved[problem] = sum(h.values())
-        return solved[problem]
-
-    # Reduced vectors are numbered by first appearance, so the solves run in
-    # the order the genera first reach them.
-    table = tuple(map(reduced_class_number,
-                      product(*(axis.reduced for axis in axes))))
+    reduced = {axis.label: axis.reduced for axis in axes}
+    # A place off the axes keeps its own vector: a row of one theta.
+    rows = [(spec.place(label),
+             reduced.get(label, (order.invariant_at(label),)))
+            for label in order.relevant_labels()]
+    h: dict[int, list] = {}
+    for s in solver.divisors:
+        column = [1]
+        for v, vectors in rows:
+            row = [solver.theta(v, g, s) for g in vectors]
+            column = [a * b for a in column for b in row]
+        solver.settle(s, column, h)
+    table = tuple(map(sum, zip(*h.values())))
     # Each h counts once per genus that reduces to its tuple.
-    total = sum(h * prod(mults) for h, mults in zip(
+    total = sum(number * prod(mults) for number, mults in zip(
         table, product(*(axis.mults for axis in axes))))
     return GeneraReport(axes, table, count, total)
 

@@ -449,19 +449,28 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     checks["mass_consistency"] = (_resum(levels, q)
                                   == mass_hereditary(order, levels[-1].mass))
 
+    counted: dict[tuple, int] = {}  # (deg v, d_v, f_v, s) -> the strip sum
+
     def by_strips(label: str, f_vec, s: int) -> int:
         """The theta factor as a sum over the strip counts of its set: an
-        element weighs the product of its strips' unit indices."""
+        element weighs the product of its strips' unit indices.  Each key is
+        counted once, as a vector may be its own rotation."""
         v = spec.place(label)
-        counts = strip_counts(v, f_vec, s, budget=args.budget,
-                              layer="selfcheck")
-        # A strip of one entry has unit index 1.  Q, a power of q that may
-        # run to millions of digits, is formed only for a longer strip.
-        if all(len(strip) == 1 for key in counts for strip in key):
-            return sum(counts.values())
-        Q = residue_power(v, s, q)
-        return sum(count * prod(local_unit_index(Q, 1, strip) for strip in key)
-                   for key, count in counts.items())
+        key = (v.degree, v.local_index, tuple(f_vec), s)
+        if key not in counted:
+            counts = strip_counts(v, f_vec, s, budget=args.budget,
+                                  layer="selfcheck")
+            # A strip of one entry has unit index 1.  Q, a power of q that
+            # may run to millions of digits, is formed only for a longer one.
+            if all(len(strip) == 1 for strips in counts for strip in strips):
+                counted[key] = sum(counts.values())
+            else:
+                Q = residue_power(v, s, q)
+                counted[key] = sum(
+                    count * prod(local_unit_index(Q, 1, strip)
+                                 for strip in strips)
+                    for strips, count in counts.items())
+        return counted[key]
 
     # The strip sums are compared with the theta factors the solve used.
     checks["theta_engines_agree"] = all(

@@ -165,18 +165,19 @@ def genus_axes(order: OrderSpec) -> tuple[GenusAxis, ...]:
     axes = []
     for label, f in order.invariants:
         total, parts = sum(f), len(f)
-        full = (1 << total) - 1
+        full, top = (1 << total) - 1, 1 << total - 1
         index: dict[tuple[int, ...], int] = {}
         mults: Counter[int] = Counter()
         pick_of = {}
         # Fewest entries first, then ascending: the order of first appearance.
         for k in range(min(parts, total)):
             for sums in combinations(range(1, total), k):
-                ends = (*sums, total)  # the partial sums of the entries
-                cuts = sum(1 << c - 1 for c in ends)
+                cuts = top  # a bit c - 1 for each partial sum c
+                for c in sums:
+                    cuts |= 1 << c - 1
                 if cuts not in pick_of:
                     i = index[normalize_invariant(
-                        map(sub, ends, (0, *sums)))] = len(index)
+                        map(sub, (*sums, total), (0, *sums)))] = len(index)
                     for a in (0, *sums):
                         pick_of[(cuts >> a | cuts << total - a) & full] = i
                 mults[pick_of[cuts]] += comb(parts, k + 1)

@@ -506,6 +506,21 @@ def test_transfer_matches_brute_force_two_iwahori_places(s2):
     assert report.rhs == _brute_force_transfer_rhs(order, 2, s2)
 
 
+def test_transfer_counts_strips_once_per_place_shape(monkeypatch):
+    # Two degree-2 Iwahori places of a degree-4 algebra share (deg v, d_v,
+    # f_v), so their strips are counted once; T, of another shape, once.
+    calls = []
+
+    def counted(place, f_vec, s, **kwargs):
+        calls.append((place.label, f_vec, s))
+        return strip_counts(place, f_vec, s, **kwargs)
+
+    monkeypatch.setattr(classnum, "strip_counts", counted)
+    report = transfer_check(_two_iwahori_places(3, 4, 2), 2, 2)
+    assert report == classnum.TransferReport(s=2, s2=2, lhs=72000, rhs=72000)
+    assert calls == [("T", (1,), 2), ("U", (1,) * 4, 2)]
+
+
 @pytest.mark.parametrize("s2", [2, 4, 8])
 @pytest.mark.parametrize("f_vecs,groups", [
     (((1, 1, 2, 2, 2), (1, 1, 2, 2, 2)), (4, 4)),
@@ -554,39 +569,53 @@ def test_genera_match_directly_built_orders_random():
             assert h == class_number(direct), (order, genus)
 
 
-def _count_settles(monkeypatch) -> list:
+def _count_settles(monkeypatch) -> tuple[list, list, list]:
     """Record each level the level solvers of `classnum` settle, as s and
-    the sorted (deg v, d_v, f) of the thetas asked for since the last one."""
-    settled, asked = [], []
-    real_solver = classnum._level_solver
+    the number of products; each theta the solvers are asked for, as
+    (label, f, s); and each theta they compute, as (deg v, d_v, f, s)."""
+    settled, asked, computed = [], [], []
+    real_solver, real_theta = classnum._level_solver, classnum.theta
 
     def counted_solver(spec, budget=DEFAULT_BUDGET):
         solver = real_solver(spec, budget)
 
         def counted_theta(v, f_vec, s):
-            asked.append((v.degree, v.local_index, f_vec))
+            asked.append((v.label, f_vec, s))
             return solver.theta(v, f_vec, s)
 
-        def counted_settle(s, product, h):
-            settled.append((s, tuple(sorted(asked))))
-            asked.clear()
-            return solver.settle(s, product, h)
+        def counted_settle(s, products, h):
+            settled.append((s, len(products)))
+            return solver.settle(s, products, h)
         return solver._replace(theta=counted_theta, settle=counted_settle)
 
+    def computed_theta(v, f_vec, s, q, **budget):
+        computed.append((v.degree, v.local_index, f_vec, s))
+        return real_theta(v, f_vec, s, q, **budget)
+
     monkeypatch.setattr(classnum, "_level_solver", counted_solver)
-    return settled
+    monkeypatch.setattr(classnum, "theta", computed_theta)
+    return settled, asked, computed
 
 
-def test_genera_solve_once_per_label_free_problem(monkeypatch):
+def test_genera_settle_each_level_once_for_the_table(monkeypatch):
     # Two degree-1 Iwahori places of a degree-5 algebra: 7 reduced vectors
-    # each, 49 index tuples, but only 28 multisets of two of them.  Each
-    # problem settles every level once, largest s first.
-    settled = _count_settles(monkeypatch)
+    # each and 49 index tuples.  Each level is settled once for all of
+    # them, largest s first, and each axis asks for the theta of each of
+    # its reduced vectors once per level; the two axes share each one.
+    settled, asked, computed = _count_settles(monkeypatch)
     report = total_class_number_genera(_two_iwahori_places(3, 5, 1))
     assert report.count == 126 ** 2
     assert len(report.table) == 7 ** 2
-    assert [s for s, _ in settled] == [5, 1] * 28  # s0 = 5
-    assert len(set(zip(settled[::2], settled[1::2]))) == 28
+    assert settled == [(5, 49), (1, 49)]  # s0 = 5
+    reduced = [(g, s) for s in (5, 1) for g in report.axes[0].reduced]
+    assert len(reduced) == 7 * 2
+    for axis in report.axes:
+        assert axis.reduced == report.axes[0].reduced
+        assert [(g, s) for label, g, s in asked if label == axis.label] \
+            == reduced
+    # The place T, off the axes, once per level.
+    assert [s for label, _, s in asked if label == "T"] == [5, 1]
+    assert len(computed) == len(set(computed)) == 7 * 2 + 2
 
 
 def test_genera_total_by_multiplicity_matches_the_per_genus_sum():
