@@ -1,8 +1,7 @@
 """Exact class numbers of hereditary orders in definite central simple
 algebras over global function fields."""
 
-from .algebra import (AlgebraSpec, Place, centralizer_spec,
-                      constant_field_degree, validate)
+from .algebra import AlgebraSpec, Place, constant_field_degree, validate
 from .basefield import (BaseField, constant_extension, pic_order,
                         zeta_at_negative)
 from .classnum import (class_number, class_number_report, embedding_count,
@@ -16,7 +15,7 @@ from .theta import omega_size, theta
 
 __all__ = [
     "AlgebraSpec", "BaseField", "OrderSpec", "Place",
-    "centralizer_spec", "class_number", "class_number_report",
+    "class_number", "class_number_report",
     "constant_extension", "constant_field_degree", "embedding_count",
     "enumerate_omega", "local_unit_index", "mass_hereditary",
     "mass_maximal", "maximal_order",

@@ -12,8 +12,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .basefield import BaseField, _prime_factors, constant_extension
-from .errors import InvalidDivisorError, ValidationError
+from .basefield import BaseField, _prime_factors
+from .errors import ValidationError
 
 INFINITY = "infinity"
 
@@ -215,18 +215,3 @@ def shape_above(v: Place, s: int) -> tuple[int, int, int]:
     l, t = splitting_data(v, s)
     return l, v.degree // l, v.local_index // t
 
-
-def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
-    """The centralizer algebra D'_s of an embedded L_s, as a spec over L_s.
-
-    Its finite places are the `places_above` the listed finite places.
-    Derived places that become split are dropped; invariants are not carried
-    over (no downstream formula needs them)."""
-    s0 = constant_field_degree(spec)
-    if s < 1 or s0 % s != 0:
-        raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
-    if s == 1:
-        return spec
-    return AlgebraSpec(constant_extension(spec.base, s), spec.degree // s,
-                       tuple(w for v in spec.finite_places
-                             for w in places_above(v, s) if w.local_index > 1))

@@ -155,7 +155,9 @@ def constant_extension(base: BaseField, s: int) -> BaseField:
     p = _power_sums_from_l_poly(base.l_poly, deg * s)
     p_new = [0] + [p[k * s] for k in range(1, deg + 1)]
     l_poly = _l_poly_from_power_sums(p_new, deg)
-    return BaseField(base.q ** s, l_poly, base.infinity_degree)
+    # Unchecked: q^s is a prime power; P keeps c_0 = 1, degree and symmetry.
+    return tuple.__new__(BaseField,
+                         (base.q ** s, l_poly, base.infinity_degree))
 
 
 def pic_order(base: BaseField) -> int:

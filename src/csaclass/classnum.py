@@ -4,10 +4,9 @@ The weight-s class numbers are solved one level at a time, largest s first:
 at each level the mass M_s of a maximal order in the centralizer algebra
 times the product of the local theta factors pins down a weighted partial
 sum of the remaining unknowns.  Integrality of every solved value is
-enforced, not assumed.  A command solves the orders of one algebra through
-one level solver, which computes each M_s and each theta factor once.  The
-solver takes each place's factor as a count-weighted sum of theta products,
-so the transfer check solves the sum of all its derived orders as one.
+enforced, not assumed.  Each command solves through one level solver, which
+computes each M_s and each theta factor once; the transfer check solves the
+sum of its derived orders on the algebra's own levels s s'.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
 
-from .algebra import (AlgebraSpec, centralizer_spec, constant_field_degree,
-                      places_above)
+from .algebra import AlgebraSpec, constant_field_degree, places_above
 from .basefield import _prime_factors, constant_extension, pic_order
 from .errors import (DEFAULT_BUDGET, BudgetExceededError,
                      IntegralityViolationError, InvalidDivisorError,
@@ -39,27 +37,24 @@ class Level(namedtuple("Level", "s h mass theta")):
         return self.mass * prod(self.theta.values())
 
 
-_Solver = namedtuple("_Solver", "s0 divisors theta settle solve")
+_Solver = namedtuple("_Solver", "s0 theta solve")
 
 
 def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
-    """The level recursion of `spec` over the `divisors` s of its s0.
+    """The level recursion of `spec` over the divisors s of its s0.
 
-    `solve(terms, step)` -> the `Level`s of `terms` at the s that `step`
-    divides, largest first: h_s reads only the levels s divides, so these
-    levels are closed.  `terms` pairs each label with its (count, ((place,
-    f), ...)) terms; its factor at level s is the sum of count * prod
-    theta(place, f, s), and rhs_s = M_s * prod of the factors.  An order is
-    the one-term case (`_one_term`).  h_s is linear in the rhs of the
-    levels, so several terms solve to the count-weighted sum of their
-    orders' h.  `settle(s, products, h)` sets h[s] to the values solved
-    from a list of products of the factors, the i-th from entry i of each
-    list h[s2], and returns M_s, from `_level_mass`.  M_s depends on s alone
-    and theta on (deg, d, f, s) alone, so each is computed once and shared
-    by every solve.  `budget` bounds the row placements of each theta.
-    With M_s = a/b and E the lcm of b and q^{s2} - 1 over the levels s2 > s
-    that s divides, h_s = (A * prod(factors) - sum B_s2 * h_s2) / (s E) for
-    the integers A = (q^s - 1) a E/b and B_s2 = (q^s - 1) s E/(q^{s2} - 1).
+    `solve(rows, step)` -> (s, M_s, rows(s), [h_s, ...]) at each s that
+    `step` divides, largest first: h_s reads only the levels s divides, so
+    these levels are closed.  `rows(s)` gives the rows of factors at level
+    s; their outer product, in order, is the list of products, and the i-th
+    h_s is solved from the i-th product and the i-th h of each level above.
+    An order has one row of one theta per place (`_order_levels`).  M_s,
+    from `_level_mass`, depends on s alone and `theta(v, f, s)` on (deg, d,
+    f, s) alone, so each is computed once and shared by every solve.
+    `budget` bounds the row placements of each theta.  With M_s = a/b and E
+    the lcm of b and q^{s2} - 1 over the levels s2 > s that s divides, h_s =
+    (A * product - sum B_s2 * h_s2) / (s E) for the integers A = (q^s - 1) a
+    E/b and B_s2 = (q^s - 1) s E/(q^{s2} - 1).
     """
     q = spec.base.q
     s0 = constant_field_degree(spec)
@@ -73,49 +68,47 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
             thetas[key] = theta(v, f_vec, s, q, budget=budget)
         return thetas[key]
 
-    def settle(s: int, products: list[int], h: dict[int, list]) -> Fraction:
-        if s not in steps:
-            mass = _level_mass(spec, s)
-            tail = [s2 for s2 in divisors if s2 > s and s2 % s == 0]
-            e = lcm(mass.denominator, *(q ** s2 - 1 for s2 in tail))
-            scale = (q ** s - 1) * e
-            steps[s] = (mass, scale * mass.numerator // mass.denominator,
-                        [(s2, scale * s // (q ** s2 - 1)) for s2 in tail],
-                        s * e)
-        mass, lead, tail, den = steps[s]
-        values = h[s] = []
-        for i, product in enumerate(products):
-            num = lead * product
-            for s2, b in tail:
-                num -= b * h[s2][i]
-            value, rest = divmod(num, den)
-            if rest or value < 0:
-                raise IntegralityViolationError(
-                    f"h_{s} = {Fraction(num, den)} is not a non-negative integer")
-            values.append(value)
-        return mass
-
-    def solve(terms, step: int = 1) -> list[Level]:
+    def solve(rows, step: int = 1) -> list[tuple]:
         h: dict[int, list] = {}
-        levels = []
+        solved = []
         for s in [d for d in divisors if d % step == 0]:
-            factors = {label: sum(count * prod(theta_at(v, f_vec, s)
-                                               for v, f_vec in places)
-                                  for count, places in group)
-                       for label, group in terms}
-            mass = settle(s, [prod(factors.values())], h)
-            levels.append(Level(s, h[s][0], mass, factors))
-        return levels
+            level_rows = rows(s)
+            products = [prod(row) for row in product(*level_rows)]
+            if s not in steps:
+                mass = _level_mass(spec, s)
+                tail = [s2 for s2 in divisors if s2 > s and s2 % s == 0]
+                e = lcm(mass.denominator, *(q ** s2 - 1 for s2 in tail))
+                scale = (q ** s - 1) * e
+                steps[s] = (mass, scale * mass.numerator // mass.denominator,
+                            [(s2, scale * s // (q ** s2 - 1)) for s2 in tail],
+                            s * e)
+            mass, lead, tail, den = steps[s]
+            values = h[s] = []
+            for i, term in enumerate(products):
+                num = lead * term
+                for s2, b in tail:
+                    num -= b * h[s2][i]
+                value, rest = divmod(num, den)
+                if rest or value < 0:
+                    raise IntegralityViolationError(
+                        f"h_{s} = {Fraction(num, den)} is not a non-negative integer")
+                values.append(value)
+            solved.append((s, mass, level_rows, values))
+        return solved
 
-    return _Solver(s0, divisors, theta_at, settle, solve)
+    return _Solver(s0, theta_at, solve)
 
 
-def _one_term(order: OrderSpec) -> tuple:
-    """The terms of one order: each label's place and vector, count 1."""
-    spec = order.algebra
-    return tuple(
-        (label, ((1, ((spec.place(label), order.invariant_at(label)),)),))
-        for label in order.relevant_labels())
+def _order_levels(solver: _Solver, order: OrderSpec,
+                  step: int = 1) -> list[Level]:
+    """The `Level`s of one order at the s that `step` divides, largest
+    first: each place's row is its one theta factor."""
+    labels = order.relevant_labels()
+    places = [(order.algebra.place(label), order.invariant_at(label))
+              for label in labels]
+    return [Level(s, h, mass, dict(zip(labels, (t for (t,) in rows))))
+            for s, mass, rows, (h,) in solver.solve(lambda s: [
+                [solver.theta(v, f_vec, s)] for v, f_vec in places], step)]
 
 
 def weight_class_numbers(order: OrderSpec, *,
@@ -124,7 +117,7 @@ def weight_class_numbers(order: OrderSpec, *,
 
     The result is not cached: each call solves every level of `order`.
     """
-    levels = _level_solver(order.algebra, budget).solve(_one_term(order))
+    levels = _order_levels(_level_solver(order.algebra, budget), order)
     return {level.s: level.h for level in levels}
 
 
@@ -138,7 +131,7 @@ def embedding_count(order: OrderSpec, s: int, *,
     solver = _level_solver(order.algebra, budget)
     if s < 1 or solver.s0 % s != 0:
         raise InvalidDivisorError(f"s = {s} does not divide s0 = {solver.s0}")
-    return s * sum(level.h for level in solver.solve(_one_term(order), s))
+    return s * sum(level.h for level in _order_levels(solver, order, s))
 
 
 class TransferReport(namedtuple("TransferReport", "s s2 lhs rhs")):
@@ -155,26 +148,27 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
 
     Each summand is the weight-(s2/s) class number of the derived order cut
     out by one element of the product of local index sets, in the
-    centralizer algebra of L_s with every place w above the listed places
-    listed.  Listing split places changes neither its masses nor its s0.  A
-    derived order reads an element only through its normalised strips, so
-    each local set is counted by `strip_counts` without being walked, once
-    per place shape (deg v, d_v, f_v), the whole of what the counts read.  A
-    derived order's h is linear in the rhs of its levels, and each rhs is a
-    product over the places v, so the sum is one solve whose factor at v
-    sums count * prod_w theta_w over v's strip groups.  The lhs solves only
-    the levels that s2 divides, the sum those that s2/s divides.  The budget
-    bounds each place's strip state transitions and each theta factor's row
-    placements.
+    centralizer D'_s of L_s with every place w above the listed places
+    listed.  A derived order reads an element only through its normalised
+    strips, so each local set is counted by `strip_counts` without being
+    walked, once per place shape (deg v, d_v, f_v), the whole of what the
+    counts read.  A derived order's h is linear in the rhs of its levels,
+    each a product over the places v, so the sum is one solve whose factor
+    at v sums count * prod_w theta_w over v's strip groups.  D'_s at level
+    s' is D at S = s s': its mass is M_S and its q^{s'} - 1 over F_{q^s} is
+    q^S - 1.  So the sum is solved on the lhs's solver, sharing each M_S,
+    with its factor times s to turn the 1/S of level S into the 1/s' of
+    D'_s.  The budget bounds each place's strip state transitions and each
+    theta factor's row placements.
     """
     spec = order.algebra
     solver = _level_solver(spec, budget)
     s0 = solver.s0
     if s < 1 or s2 < 1 or s2 % s != 0 or s0 % s2 != 0:
         raise InvalidDivisorError(f"need s | s2 | s0, got s={s}, s2={s2}, s0={s0}")
-    lhs = s * solver.solve(_one_term(order), s2)[-1].h  # the last is h_s2
+    lhs = s * _order_levels(solver, order, s2)[-1].h  # the last is h_s2
 
-    terms = []
+    places = []
     shapes: dict[tuple, dict] = {}  # (deg v, d_v, f_v) -> its strip counts
     for label in order.relevant_labels():
         v, f_vec = spec.place(label), order.invariant_at(label)
@@ -184,13 +178,22 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
         counts = shapes[shape]
         if not counts:
             return TransferReport(s, s2, lhs, 0)
-        above = places_above(v, s)
-        terms.append((label, tuple((count, tuple(zip(above, strips)))
-                                   for strips, count in counts.items())))
-    # The derived algebra's s0 is s0 / s: its last level here is s2 / s.
-    levels = _level_solver(centralizer_spec(spec, s), budget).solve(
-        tuple(terms), s2 // s)
-    return TransferReport(s, s2, lhs, levels[-1].h)
+        places.append((places_above(v, s), counts))
+
+    q = spec.base.q ** s
+    thetas: dict[tuple, int] = {}  # (deg w, d_w, g, S) -> theta at S / s
+
+    def theta_at(w, g, S: int) -> int:
+        key = (w.degree, w.local_index, g, S)
+        if key not in thetas:
+            thetas[key] = theta(w, g, S // s, q, budget=budget)
+        return thetas[key]
+
+    (h,) = solver.solve(lambda S: [[s * prod(
+        sum(count * prod(theta_at(w, g, S) for w, g in zip(above, strips))
+            for strips, count in counts.items())
+        for above, counts in places)]], s2)[-1][3]  # the sum at S = s2
+    return TransferReport(s, s2, lhs, h)
 
 
 def prime_degree_class_number(order: OrderSpec) -> int:
@@ -228,12 +231,13 @@ def total_class_number_genera(order: OrderSpec, *,
     """Class numbers of every genus of right ideals, and their sum.
 
     Every genus reduces to the principal genus of another hereditary order
-    in the same algebra: one tuple of reduced vectors, one per axis.  Each
-    level is settled once for the whole table, largest s first, from the
-    column of its products in `product` order: the outer product, in label
-    order, of each place's row of thetas, those of an axis's reduced vectors
-    or the one of a place off the axes.  The budget still bounds the full
-    genus count, and it bounds each theta factor's row placements.
+    in the same algebra: one tuple of reduced vectors, one per axis.  One
+    solve gives the whole table: its products, in `product` order, are the
+    outer product, in label order, of each place's row of thetas, those of
+    an axis's reduced vectors or the one of a place off the axes, and each
+    tuple's class number sums its h over the levels.  The budget still
+    bounds the full genus count, and it bounds each theta factor's row
+    placements.
     """
     count = count_genera(order)
     if count > budget:
@@ -247,14 +251,9 @@ def total_class_number_genera(order: OrderSpec, *,
     rows = [(spec.place(label),
              reduced.get(label, (order.invariant_at(label),)))
             for label in order.relevant_labels()]
-    h: dict[int, list] = {}
-    for s in solver.divisors:
-        column = [1]
-        for v, vectors in rows:
-            row = [solver.theta(v, g, s) for g in vectors]
-            column = [a * b for a in column for b in row]
-        solver.settle(s, column, h)
-    table = tuple(map(sum, zip(*h.values())))
+    solved = solver.solve(lambda s: [[solver.theta(v, g, s) for g in vectors]
+                                     for v, vectors in rows])
+    table = tuple(map(sum, zip(*(h for *_, h in solved))))
     # Each h counts once per genus that reduces to its tuple.
     total = sum(number * prod(mults) for number, mults in zip(
         table, product(*(axis.mults for axis in axes))))
@@ -277,7 +276,7 @@ def class_number_report(order: OrderSpec, *,
                         budget: int = DEFAULT_BUDGET) -> ClassNumberReport:
     spec = order.algebra
     solver = _level_solver(spec, budget)
-    levels = solver.solve(_one_term(order))[::-1]
+    levels = _order_levels(solver, order)[::-1]
     mass = mass_hereditary(order, levels[0].mass)  # M_1 from the solve
     resum = _resum(levels, spec.base.q)
     if resum != mass:

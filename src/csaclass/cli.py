@@ -21,7 +21,7 @@ from types import GeneratorType, SimpleNamespace
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
 from .basefield import BaseField, pic_order
-from .classnum import (DEFAULT_BUDGET, _level_solver, _one_term, _resum,
+from .classnum import (DEFAULT_BUDGET, _level_solver, _order_levels, _resum,
                        class_number_report, embedding_count,
                        total_class_number_genera, transfer_check)
 from .errors import (BudgetExceededError, CsaClassError,
@@ -444,7 +444,7 @@ def _cmd_selfcheck(order: OrderSpec, args) -> dict:
     checks: dict[str, bool] = {}
     spec = order.algebra
     q = spec.base.q
-    levels = _level_solver(spec, args.budget).solve(_one_term(order))
+    levels = _order_levels(_level_solver(spec, args.budget), order)
 
     checks["mass_consistency"] = (_resum(levels, q)
                                   == mass_hereditary(order, levels[-1].mass))

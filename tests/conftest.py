@@ -1,21 +1,23 @@
 """Shared fixtures and the helpers only the tests use: the worked golden
-example, a random spec generator, a split place listed by label, a long
-vector's strip, the theta factor by a walk of the index set, a genus
-vector's reduction, the genus vectors of a place, the genera of an order
-one dict at a time, and a genera report's rows."""
+example, random spec and L-polynomial generators, a split place listed by
+label, the centralizer algebra as a spec, a long vector's strip, the theta
+factor by a walk of the index set, a genus vector's reduction, the genus
+vectors of a place, the genera of an order one dict at a time, and a genera
+report's rows."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
-from csaclass import AlgebraSpec, BaseField, OrderSpec, Place
-from csaclass.algebra import _finite_place_count, validate
-from csaclass.errors import ValidationError
+from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
+                      constant_extension, constant_field_degree)
+from csaclass.algebra import _finite_place_count, places_above, validate
+from csaclass.errors import InvalidDivisorError, ValidationError
 from csaclass.omega import enumerate_omega, local_shape
 from csaclass.orders import local_unit_index, normalize_invariant
 from csaclass.theta import residue_power
@@ -35,6 +37,23 @@ def with_listed_place(spec: AlgebraSpec, label: str,
         raise ValidationError(
             f"place {label!r} already listed with degree {existing.degree}")
     return spec
+
+
+def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
+    """The centralizer algebra D'_s of an embedded L_s, as a spec over L_s.
+
+    Its finite places are the `places_above` the listed finite places.
+    Derived places that become split are dropped; invariants are not carried
+    over (no formula here needs them).  The reference for `_level_mass` at
+    s and for the derived orders of the brute-force transfer sum."""
+    s0 = constant_field_degree(spec)
+    if s < 1 or s0 % s != 0:
+        raise InvalidDivisorError(f"s = {s} does not divide s0 = {s0}")
+    if s == 1:
+        return spec
+    return AlgebraSpec(constant_extension(spec.base, s), spec.degree // s,
+                       tuple(w for v in spec.finite_places
+                             for w in places_above(v, s) if w.local_index > 1))
 
 
 def flatten_strip(slice_vec) -> tuple[int, ...]:
@@ -190,6 +209,15 @@ def random_definite_spec(rng: random.Random, max_degree: int = 6,
             continue
         return spec
     raise RuntimeError("failed to generate a valid random spec")
+
+
+def random_l_poly(rng: random.Random, q: int) -> tuple[int, ...]:
+    """P(T) of genus 0, 1 or 2: 1 + aT + qT^2 with |a| <= 2 sqrt(q), or the
+    product of two of them; every constant extension has P(1) >= 1."""
+    bound = isqrt(4 * q)
+    a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+    return [(1,), (1, a, q),
+            (1, a + b, 2 * q + a * b, q * (a + b), q * q)][rng.randrange(3)]
 
 
 def random_order(rng: random.Random, spec: AlgebraSpec,

@@ -13,14 +13,14 @@ from fractions import Fraction
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       constant_extension, constant_field_degree,
-                      centralizer_spec, enumerate_omega, mass_hereditary,
+                      enumerate_omega, mass_hereditary,
                       mass_maximal, maximal_order,
                       prime_degree_class_number, theta,
                       total_class_number_genera, transfer_check,
                       weight_class_numbers)
 from csaclass.omega import local_shape
-from conftest import (per_genus, random_definite_spec, random_order,
-                      theta_enum, with_listed_place)
+from conftest import (centralizer_spec, per_genus, random_definite_spec,
+                      random_order, theta_enum, with_listed_place)
 
 from test_basefield import (divisor_counts_rational, root_power_l_poly,
                             series_coefficients)

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
-                      constant_field_degree, embedding_count, mass_maximal,
+from csaclass import (AlgebraSpec, BaseField, Place, constant_field_degree,
+                      embedding_count, mass_maximal,
                       maximal_order, validate, weight_class_numbers)
 from csaclass.algebra import (INFINITY, _finite_place_count,
                               _irreducible_count, places_above, shape_above, splitting_data)
 from csaclass.errors import InvalidDivisorError, ValidationError
-from conftest import random_definite_spec
+from conftest import centralizer_spec, random_definite_spec
 
 
 def test_golden_spec_valid(golden_spec):

@@ -11,6 +11,7 @@ from math import gcd
 import pytest
 
 from csaclass import BaseField, constant_extension, pic_order, zeta_at_negative
+from csaclass import basefield
 from csaclass.basefield import _l_poly_from_power_sums, _power_sums_from_l_poly
 from csaclass.errors import (ExtensionNotSupportedError, IntegralityViolationError,
                              ValidationError)
@@ -144,6 +145,26 @@ def test_extension_tower_matches_direct_extension(q, shape, infinity_degree):
             assert all(type(x) is int for x in direct.l_poly)
     power_sums = _power_sums_from_l_poly(base.l_poly, 40)
     assert all(type(x) is int for x in power_sums)
+
+
+def test_extension_builds_its_field_unchecked(monkeypatch):
+    # q^s of a prime power q is one, and P of L_s meets the functional
+    # equation when P does: the extension is the field that a checked
+    # construction gives, built with no trial division and no warning.
+    base = BaseField(5, (1, 2, 5))
+    checked = {s: BaseField(5 ** s, constant_extension(base, s).l_poly)
+               for s in (2, 3)}
+
+    def refuse(n):
+        raise AssertionError(f"{n} trial-divided")
+
+    monkeypatch.setattr(basefield, "_prime_factors", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, field in checked.items():
+            extension = constant_extension(base, s)
+            assert type(extension) is BaseField
+            assert extension == field
 
 
 def test_extension_rejects_shared_factor_with_infinity():

@@ -5,28 +5,31 @@ from __future__ import annotations
 import pathlib
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import prod
 
 import pytest
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       class_number_report, constant_field_degree,
                       embedding_count, mass_hereditary, maximal_order,
-                      prime_degree_class_number,
+                      omega_size, prime_degree_class_number,
                       total_class_number_genera, theta,
                       transfer_check, weight_class_numbers)
 from csaclass import classnum
-from csaclass.algebra import centralizer_spec, places_above, validate
+from csaclass.algebra import places_above, validate
 from csaclass.cli import main, parse_config
 from csaclass.omega import enumerate_omega, strip_counts
 from csaclass.orders import count_genera, normalize_invariant
 from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
                              IntegralityViolationError, InvalidDivisorError,
                              NotPrimeDegreeError)
-from conftest import (enumerate_genera, flatten_strip, genus_reduce, per_genus,
-                      random_definite_spec, random_order, theta_enum,
+from conftest import (centralizer_spec, enumerate_genera, flatten_strip,
+                      genus_reduce, per_genus, random_definite_spec,
+                      random_l_poly, random_order, theta_enum,
                       with_listed_place)
 
 
@@ -81,9 +84,10 @@ def test_level_solver_integrality_error(golden_order, capsys, monkeypatch,
 
 
 def _count_specs(monkeypatch) -> list[str]:
-    """The class name of each `AlgebraSpec` and `OrderSpec` built from now."""
+    """The class name of each `AlgebraSpec`, `OrderSpec` and checked
+    `BaseField` built from now."""
     built = []
-    for cls in (AlgebraSpec, OrderSpec):
+    for cls in (AlgebraSpec, OrderSpec, BaseField):
         def counted(cls, *args, _new=cls.__new__, **kwargs):
             built.append(cls.__name__)
             return _new(cls, *args, **kwargs)
@@ -106,11 +110,13 @@ def test_solves_build_no_algebra_or_order_spec(config, monkeypatch):
     assert built == []
 
 
-def test_transfer_builds_one_algebra_spec(golden_order, monkeypatch):
-    # The derived algebra, in which all derived orders are solved as one.
+def test_transfer_builds_no_algebra_spec(golden_order, monkeypatch):
+    # The derived orders are solved as one on the algebra's own levels, with
+    # no derived algebra and no field of its own.
     built = _count_specs(monkeypatch)
-    assert transfer_check(golden_order, 2, 4).equal
-    assert built == ["AlgebraSpec"]
+    for s, s2 in ((1, 4), (2, 2), (2, 4), (4, 4)):
+        assert transfer_check(golden_order, s, s2).equal
+    assert built == []
 
 
 def test_golden_embedding_counts(golden_order):
@@ -496,6 +502,39 @@ def test_transfer_matches_brute_force_random():
             (order, s, s2)
 
 
+def test_transfer_matches_brute_force_over_curves():
+    # Bases of genus 1 and 2 with deg infinity 1, 2 and 3: the sum solved on
+    # the algebra's own levels s s' against one solve per derived order in
+    # the centralizer spec over L_s, whose masses come from the L-polynomial
+    # of L_s.  At most 300 summands per pair.
+    rng = random.Random(33)
+    seen = Counter()
+    while sum(seen.values()) < 64:
+        delta = rng.choice((1, 2, 3))
+        shape = random_definite_spec(rng, max_degree=6, infinity_degree=delta)
+        q = shape.base.q
+        l_poly = random_l_poly(rng, q)
+        spec = AlgebraSpec(BaseField(q, l_poly, delta), shape.degree,
+                           shape.finite_places, shape.infinity_invariant)
+        s0 = constant_field_degree(spec)
+        if l_poly == (1,) or s0 == 1:
+            continue
+        order = random_order(rng, spec, extra_split_places=2)
+        s = rng.choice([s for s in range(1, s0 + 1) if s0 % s == 0])
+        s2 = rng.choice([s2 for s2 in range(s, s0 + 1, s) if s0 % s2 == 0])
+        if prod(omega_size(order.algebra.place(label),
+                           order.invariant_at(label), s)
+                for label in order.relevant_labels()) > 300:
+            continue
+        report = transfer_check(order, s, s2)
+        assert report.equal, (order, s, s2, report)
+        assert report.rhs == _brute_force_transfer_rhs(order, s, s2), \
+            (order, s, s2)
+        seen[len(l_poly) // 2, delta, s > 1] += 1
+    assert {key[:2] for key in seen} == set(product((1, 2), (1, 2, 3)))
+    assert sum(count for key, count in seen.items() if key[2]) >= 16, seen
+
+
 @pytest.mark.parametrize("s2", [2, 4, 8])
 def test_transfer_matches_brute_force_two_iwahori_places(s2):
     # 70 elements per place, all with strips (1, 1, 1, 1): 4900 summands
@@ -569,11 +608,12 @@ def test_genera_match_directly_built_orders_random():
             assert h == class_number(direct), (order, genus)
 
 
-def _count_settles(monkeypatch) -> tuple[list, list, list]:
-    """Record each level the level solvers of `classnum` settle, as s and
-    the number of products; each theta the solvers are asked for, as
-    (label, f, s); and each theta they compute, as (deg v, d_v, f, s)."""
-    settled, asked, computed = [], [], []
+def _count_solves(monkeypatch) -> tuple[list, list, list]:
+    """Record each solve of the level solvers of `classnum`, as the list of
+    its levels' s and number of products; each theta the solvers are asked
+    for, as (label, f, s); and each theta they compute, as (deg v, d_v, f,
+    s)."""
+    solves, asked, computed = [], [], []
     real_solver, real_theta = classnum._level_solver, classnum.theta
 
     def counted_solver(spec, budget=DEFAULT_BUDGET):
@@ -583,10 +623,11 @@ def _count_settles(monkeypatch) -> tuple[list, list, list]:
             asked.append((v.label, f_vec, s))
             return solver.theta(v, f_vec, s)
 
-        def counted_settle(s, products, h):
-            settled.append((s, len(products)))
-            return solver.settle(s, products, h)
-        return solver._replace(theta=counted_theta, settle=counted_settle)
+        def counted_solve(rows, step=1):
+            solved = solver.solve(rows, step)
+            solves.append([(s, len(h)) for s, _, _, h in solved])
+            return solved
+        return solver._replace(theta=counted_theta, solve=counted_solve)
 
     def computed_theta(v, f_vec, s, q, **budget):
         computed.append((v.degree, v.local_index, f_vec, s))
@@ -594,19 +635,19 @@ def _count_settles(monkeypatch) -> tuple[list, list, list]:
 
     monkeypatch.setattr(classnum, "_level_solver", counted_solver)
     monkeypatch.setattr(classnum, "theta", computed_theta)
-    return settled, asked, computed
+    return solves, asked, computed
 
 
-def test_genera_settle_each_level_once_for_the_table(monkeypatch):
+def test_genera_solve_each_level_once_for_the_table(monkeypatch):
     # Two degree-1 Iwahori places of a degree-5 algebra: 7 reduced vectors
-    # each and 49 index tuples.  Each level is settled once for all of
-    # them, largest s first, and each axis asks for the theta of each of
+    # each and 49 index tuples.  One solve covers all of them, each level
+    # once, largest s first, and each axis asks for the theta of each of
     # its reduced vectors once per level; the two axes share each one.
-    settled, asked, computed = _count_settles(monkeypatch)
+    solves, asked, computed = _count_solves(monkeypatch)
     report = total_class_number_genera(_two_iwahori_places(3, 5, 1))
     assert report.count == 126 ** 2
     assert len(report.table) == 7 ** 2
-    assert settled == [(5, 49), (1, 49)]  # s0 = 5
+    assert solves == [[(5, 49), (1, 49)]]  # s0 = 5
     reduced = [(g, s) for s in (5, 1) for g in report.axes[0].reduced]
     assert len(reduced) == 7 * 2
     for axis in report.axes:

@@ -235,12 +235,12 @@ def test_genera_computes_each_mass_and_theta_once(capsys, monkeypatch):
 
 def test_transfer_computes_each_mass_and_theta_once(tmp_path, capsys,
                                                     monkeypatch):
-    # The lhs solve (s0 = 8) reads h_8 only, and one solver shared by every
-    # derived order (s0 = 4) reads its h_4 only: one mass of degree 1 per
-    # side, and 3 + 4 theta keys, all at the one level each side reads.  A
-    # solver per derived order would ask again for the derived mass and for
-    # the theta key at T; a solve of every level would ask for masses of
-    # degree 8/s and 4/s and for 12 + 12 keys.
+    # The lhs solve (s0 = 8) reads h_8 only, and the sum over every derived
+    # order is solved on the same levels and reads M_8, the derived algebra's
+    # M_4, from it: one mass of degree 1 for both sides, and 3 + 4 theta
+    # keys, all at the one level each side reads.  A derived algebra would
+    # ask again for that mass; a solve of every level would ask for masses
+    # of degree 8/s and for 12 + 12 keys.
     theta_keys, mass_keys = _count_solver_calls(monkeypatch)
     path = tmp_path / "transfer.json"
     path.write_text(TRANSFER_CONFIG, encoding="utf-8")
@@ -248,7 +248,7 @@ def test_transfer_computes_each_mass_and_theta_once(tmp_path, capsys,
                         "transfer", "--s", "2", "--s2", "8")
     assert code == 0
     assert json.loads(out)["equal"] is True
-    assert mass_keys == [(1, 4 ** 8), (1, 4 ** 8)]
+    assert mass_keys == [(1, 4 ** 8)]
     assert len(theta_keys) == len(set(theta_keys)) == 7
     assert sorted({(s, q) for *_, s, q in theta_keys}) == [(4, 16), (8, 4)]
 

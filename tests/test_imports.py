@@ -160,6 +160,8 @@ def test_test_oracles_stay_out_of_the_package():
     assert not hasattr(algebra.AlgebraSpec, "with_listed_place")
     assert not hasattr(sys.modules["csaclass.theta"], "theta_enum")
     assert "theta_enum" not in csaclass.__all__
+    assert not hasattr(algebra, "centralizer_spec")
+    assert "centralizer_spec" not in csaclass.__all__
 
 
 # Nothing is kept between calls: the one cached function builds the argument

@@ -3,20 +3,21 @@
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
-from csaclass import (AlgebraSpec, BaseField, Place, centralizer_spec,
-                      constant_field_degree, local_unit_index,
+from csaclass import (AlgebraSpec, BaseField, Place, constant_field_degree,
+                      local_unit_index,
                       mass_hereditary, mass_maximal, maximal_order)
 from csaclass.algebra import shape_above
 from csaclass.basefield import (constant_extension, pic_order,
                                 zeta_at_negative)
 from csaclass.errors import IntegralityViolationError, ValidationError
 from csaclass.massform import _level_mass, ramification_factor
-from conftest import random_definite_spec, random_order
+from conftest import (centralizer_spec, random_definite_spec, random_l_poly,
+                      random_order)
 
 
 def test_ramification_factor_examples():
@@ -119,6 +120,7 @@ def test_non_positive_mass_is_a_typed_error():
 def test_non_positive_mass_raises_at_every_level():
     # s0 = 2.  At s = 1 the mass is negative; at s = 2, L_2 has P(T) =
     # 1 - 3T + T^2 and P(1) = -1, which its centralizer spec refuses too.
+    # Only the base warns of the functional equation: L_2 is built unchecked.
     with pytest.warns(UserWarning):
         base = BaseField(3, (1, 1, -1))
     spec = AlgebraSpec(base, 2, (Place("v0", 1, 2, 1),), -1)
@@ -126,21 +128,14 @@ def test_non_positive_mass_raises_at_every_level():
     with pytest.raises(IntegralityViolationError,
                        match="^mass -5/8 is not positive$"):
         _level_mass(spec, 1)
-    with pytest.warns(UserWarning), pytest.raises(
-            ValidationError, match=r"^l_polynomial has P\(1\) = -1, "):
-        _level_mass(spec, 2)
-    with pytest.warns(UserWarning), pytest.raises(
-            ValidationError, match=r"^l_polynomial has P\(1\) = -1, "):
-        centralizer_spec(spec, 2)
-
-
-def _random_l_poly(rng: random.Random, q: int) -> tuple[int, ...]:
-    """P(T) of genus 0, 1 or 2: 1 + aT + qT^2 with |a| <= 2 sqrt(q), or the
-    product of two of them; every constant extension has P(1) >= 1."""
-    bound = isqrt(4 * q)
-    a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
-    return [(1,), (1, a, q),
-            (1, a + b, 2 * q + a * b, q * (a + b), q * q)][rng.randrange(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=r"^l_polynomial has P\(1\) = -1, "):
+            _level_mass(spec, 2)
+        with pytest.raises(ValidationError,
+                           match=r"^l_polynomial has P\(1\) = -1, "):
+            centralizer_spec(spec, 2)
 
 
 def test_level_mass_is_the_mass_of_the_centralizer():
@@ -155,7 +150,7 @@ def test_level_mass_is_the_mass_of_the_centralizer():
         shape = random_definite_spec(rng, max_degree=8,
                                      infinity_degree=delta)
         q = shape.base.q
-        spec = AlgebraSpec(BaseField(q, _random_l_poly(rng, q), delta),
+        spec = AlgebraSpec(BaseField(q, random_l_poly(rng, q), delta),
                            shape.degree, shape.finite_places,
                            shape.infinity_invariant)
         s0 = constant_field_degree(spec)
