@@ -5,8 +5,9 @@ from .algebra import AlgebraSpec, Place, constant_field_degree, validate
 from .basefield import (BaseField, constant_extension, pic_order,
                         zeta_at_negative)
 from .classnum import (class_number, class_number_report, embedding_count,
-                       prime_degree_class_number, total_class_number_genera,
-                       transfer_check, weight_class_numbers)
+                       prime_degree_class_number, selfcheck,
+                       total_class_number_genera, transfer_check,
+                       weight_class_numbers)
 from .massform import mass_hereditary, mass_maximal
 from .omega import enumerate_omega, strip_counts
 from .orders import (OrderSpec, local_unit_index, maximal_order,
@@ -20,7 +21,7 @@ __all__ = [
     "enumerate_omega", "local_unit_index", "mass_hereditary",
     "mass_maximal", "maximal_order",
     "normalize_invariant", "omega_size", "pic_order",
-    "prime_degree_class_number", "strip_counts", "theta",
+    "prime_degree_class_number", "selfcheck", "strip_counts", "theta",
     "total_class_number_genera", "transfer_check", "validate",
     "weight_class_numbers", "zeta_at_negative",
 ]

@@ -5,8 +5,9 @@ at each level the mass M_s of a maximal order in the centralizer algebra
 times the product of the local theta factors pins down a weighted partial
 sum of the remaining unknowns.  Integrality of every solved value is
 enforced, not assumed.  Each command solves through one level solver, which
-computes each M_s and each theta factor once; the transfer check solves the
-sum of its derived orders on the algebra's own levels s s'.
+computes each M_s and each theta factor once.  `transfer_check` solves the
+sum of its derived orders on the algebra's own levels s s' through one strip
+sum, whose factor at S = s is the theta factor itself: `selfcheck` checks it.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
     s; their outer product, in order, is the list of products, and the i-th
     h_s is solved from the i-th product and the i-th h of each level above.
     An order has one row of one theta per place (`_order_levels`).  M_s,
-    from `_level_mass`, depends on s alone and `theta(v, f, s)` on (deg, d,
-    f, s) alone, so each is computed once and shared by every solve.
-    `budget` bounds the row placements of each theta.  With M_s = a/b and E
+    from `_level_mass`, depends on s alone and `theta(v, f, s, field=q)` on
+    (deg, d, f, s, field) alone, so each is computed once and shared by
+    every solve and `_strip_sums`.  `budget` bounds each theta's row
+    placements.  With M_s = a/b and E
     the lcm of b and q^{s2} - 1 over the levels s2 > s that s divides, h_s =
     (A * product - sum B_s2 * h_s2) / (s E) for the integers A = (q^s - 1) a
     E/b and B_s2 = (q^s - 1) s E/(q^{s2} - 1).
@@ -62,10 +64,10 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
     steps: dict[int, tuple] = {}  # s -> (M_s, A, [(s2, B_s2), ...], s E)
     thetas: dict[tuple, int] = {}
 
-    def theta_at(v, f_vec, s: int) -> int:
-        key = (v.degree, v.local_index, f_vec, s)
+    def theta_at(v, f_vec, s: int, field: int = q) -> int:
+        key = (v.degree, v.local_index, f_vec, s, field)
         if key not in thetas:
-            thetas[key] = theta(v, f_vec, s, q, budget=budget)
+            thetas[key] = theta(v, f_vec, s, field, budget=budget)
         return thetas[key]
 
     def solve(rows, step: int = 1) -> list[tuple]:
@@ -111,6 +113,31 @@ def _order_levels(solver: _Solver, order: OrderSpec,
                 [solver.theta(v, f_vec, s)] for v, f_vec in places], step)]
 
 
+def _strip_sums(theta_at, q: int, budget: int, layer: str):
+    """(counts, factor) over `theta_at`, a solver's theta memo.
+    `counts(v, f, s)` is `strip_counts` once per (deg v, d_v, f, s), its
+    budget naming `layer`; `factor(v, f, s, S)` sums count * prod_w
+    theta_at(w, g_w, S/s, q^s) over those strip groups, w in
+    `places_above(v, s)`.  At S = s each w is at its level 1, where theta
+    is its strip's unit index, so the factor is theta(v, f, s) itself."""
+    counted: dict[tuple, dict] = {}
+
+    def counts(v, f_vec, s: int) -> dict:
+        key = (v.degree, v.local_index, f_vec, s)
+        if key not in counted:
+            counted[key] = strip_counts(v, f_vec, s, budget=budget,
+                                        layer=layer)
+        return counted[key]
+
+    def factor(v, f_vec, s: int, S: int) -> int:
+        above, field = places_above(v, s), q ** s
+        return sum(count * prod(theta_at(w, g, S // s, field)
+                                for w, g in zip(above, strips))
+                   for strips, count in counts(v, f_vec, s).items())
+
+    return counts, factor
+
+
 def weight_class_numbers(order: OrderSpec, *,
                          budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Map s -> h_s over the divisors of the constant field degree.
@@ -150,16 +177,16 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     out by one element of the product of local index sets, in the
     centralizer D'_s of L_s with every place w above the listed places
     listed.  A derived order reads an element only through its normalised
-    strips, so each local set is counted by `strip_counts` without being
-    walked, once per place shape (deg v, d_v, f_v), the whole of what the
-    counts read.  A derived order's h is linear in the rhs of its levels,
-    each a product over the places v, so the sum is one solve whose factor
-    at v sums count * prod_w theta_w over v's strip groups.  D'_s at level
-    s' is D at S = s s': its mass is M_S and its q^{s'} - 1 over F_{q^s} is
-    q^S - 1.  So the sum is solved on the lhs's solver, sharing each M_S,
-    with its factor times s to turn the 1/S of level S into the 1/s' of
-    D'_s.  The budget bounds each place's strip state transitions and each
-    theta factor's row placements.
+    strips, so each local set is counted by its strip groups without being
+    walked.  A derived order's h is linear in the rhs of its levels, each a
+    product over the places v, so the sum is one solve whose factor at v is
+    `_strip_sums`'s count-weighted sum of theta products.  D'_s at level s'
+    is D at S = s s': its mass is M_S and its q^{s'} - 1 over F_{q^s} is
+    q^S - 1.  So the sum is solved on the lhs's solver, sharing each M_S
+    and each theta factor, with its factor times s to turn the 1/S of level
+    S into the 1/s' of D'_s.  An empty local set, met in label order, makes
+    the sum 0.  The budget bounds each place's strip state transitions and
+    each theta factor's row placements.
     """
     spec = order.algebra
     solver = _level_solver(spec, budget)
@@ -168,31 +195,15 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
         raise InvalidDivisorError(f"need s | s2 | s0, got s={s}, s2={s2}, s0={s0}")
     lhs = s * _order_levels(solver, order, s2)[-1].h  # the last is h_s2
 
-    places = []
-    shapes: dict[tuple, dict] = {}  # (deg v, d_v, f_v) -> its strip counts
-    for label in order.relevant_labels():
-        v, f_vec = spec.place(label), order.invariant_at(label)
-        shape = (v.degree, v.local_index, f_vec)
-        if shape not in shapes:
-            shapes[shape] = strip_counts(v, f_vec, s, budget=budget)
-        counts = shapes[shape]
-        if not counts:
+    counts, factor = _strip_sums(solver.theta, spec.base.q, budget,
+                                 "transfer")
+    places = [(spec.place(label), order.invariant_at(label))
+              for label in order.relevant_labels()]
+    for v, f_vec in places:
+        if not counts(v, f_vec, s):
             return TransferReport(s, s2, lhs, 0)
-        places.append((places_above(v, s), counts))
-
-    q = spec.base.q ** s
-    thetas: dict[tuple, int] = {}  # (deg w, d_w, g, S) -> theta at S / s
-
-    def theta_at(w, g, S: int) -> int:
-        key = (w.degree, w.local_index, g, S)
-        if key not in thetas:
-            thetas[key] = theta(w, g, S // s, q, budget=budget)
-        return thetas[key]
-
     (h,) = solver.solve(lambda S: [[s * prod(
-        sum(count * prod(theta_at(w, g, S) for w, g in zip(above, strips))
-            for strips, count in counts.items())
-        for above, counts in places)]], s2)[-1][3]  # the sum at S = s2
+        factor(v, f_vec, s, S) for v, f_vec in places)]], s2)[-1][3]
     return TransferReport(s, s2, lhs, h)
 
 
@@ -284,3 +295,26 @@ def class_number_report(order: OrderSpec, *,
             f"weight class numbers resum to {resum}, not to the mass {mass}")
     return ClassNumberReport(solver.s0, mass, tuple(levels),
                              sum(level.h for level in levels))
+
+
+def selfcheck(order: OrderSpec, *,
+              budget: int = DEFAULT_BUDGET) -> dict[str, bool]:
+    """The checks of one solve: its h_s resum to the mass, and each theta
+    factor equals `_strip_sums`'s factor at S = s, on the stored vector
+    and on its rotation, which the strip count reads as given."""
+    spec = order.algebra
+    solver = _level_solver(spec, budget)
+    levels = _order_levels(solver, order)
+    _, factor = _strip_sums(solver.theta, spec.base.q, budget, "selfcheck")
+
+    def agree(vectors: list) -> bool:
+        return all(factor(spec.place(label), f_vec, level.s, level.s)
+                   == level.theta[label]
+                   for level in levels for label, f_vec in vectors)
+
+    mass = mass_hereditary(order, levels[-1].mass)
+    return {"mass_consistency": _resum(levels, spec.base.q) == mass,
+            "theta_engines_agree": agree([(label, order.invariant_at(label))
+                                          for label in levels[0].theta]),
+            "rotation_invariance": agree([(label, f[1:] + f[:1])
+                                          for label, f in order.invariants])}

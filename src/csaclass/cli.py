@@ -15,21 +15,20 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd, prod
+from math import gcd
 from operator import itemgetter
 from types import GeneratorType, SimpleNamespace
 
 from .algebra import INFINITY, AlgebraSpec, Place, validate
 from .basefield import BaseField, pic_order
-from .classnum import (DEFAULT_BUDGET, _level_solver, _order_levels, _resum,
-                       class_number_report, embedding_count,
-                       total_class_number_genera, transfer_check)
+from .classnum import (DEFAULT_BUDGET, class_number_report, embedding_count,
+                       selfcheck, total_class_number_genera, transfer_check)
 from .errors import (BudgetExceededError, CsaClassError,
                      IntegralityViolationError, ValidationError)
 from .massform import mass_hereditary
-from .omega import enumerate_omega, strip_counts
-from .orders import OrderSpec, local_unit_index
-from .theta import omega_size, residue_power, theta
+from .omega import enumerate_omega
+from .orders import OrderSpec
+from .theta import omega_size, theta
 
 
 class ConfigError(ValidationError):
@@ -441,48 +440,7 @@ def _cmd_transfer(order: OrderSpec, args) -> dict:
 
 
 def _cmd_selfcheck(order: OrderSpec, args) -> dict:
-    checks: dict[str, bool] = {}
-    spec = order.algebra
-    q = spec.base.q
-    levels = _order_levels(_level_solver(spec, args.budget), order)
-
-    checks["mass_consistency"] = (_resum(levels, q)
-                                  == mass_hereditary(order, levels[-1].mass))
-
-    counted: dict[tuple, int] = {}  # (deg v, d_v, f_v, s) -> the strip sum
-
-    def by_strips(label: str, f_vec, s: int) -> int:
-        """The theta factor as a sum over the strip counts of its set: an
-        element weighs the product of its strips' unit indices.  Each key is
-        counted once, as a vector may be its own rotation."""
-        v = spec.place(label)
-        key = (v.degree, v.local_index, tuple(f_vec), s)
-        if key not in counted:
-            counts = strip_counts(v, f_vec, s, budget=args.budget,
-                                  layer="selfcheck")
-            # A strip of one entry has unit index 1.  Q, a power of q that
-            # may run to millions of digits, is formed only for a longer one.
-            if all(len(strip) == 1 for strips in counts for strip in strips):
-                counted[key] = sum(counts.values())
-            else:
-                Q = residue_power(v, s, q)
-                counted[key] = sum(
-                    count * prod(local_unit_index(Q, 1, strip)
-                                 for strip in strips)
-                    for strips, count in counts.items())
-        return counted[key]
-
-    # The strip sums are compared with the theta factors the solve used.
-    checks["theta_engines_agree"] = all(
-        by_strips(label, order.invariant_at(label), level.s) == value
-        for level in levels for label, value in level.theta.items())
-
-    # OrderSpec keeps the least rotation, so the rotated vector goes to the
-    # strip count, which fills the columns in the order given.
-    checks["rotation_invariance"] = all(
-        by_strips(label, f_vec[1:] + f_vec[:1], level.s) == level.theta[label]
-        for level in levels for label, f_vec in order.invariants)
-
+    checks = selfcheck(order, budget=args.budget)
     return {"checks": checks, "all_passed": all(checks.values())}
 
 

@@ -191,15 +191,24 @@ def test_prime_degree_requires_prime(golden_order):
 
 
 def test_prime_degree_cross_check_random():
+    # Bases of genus 0, 1 and 2 with deg infinity 1 and 2: the closed form
+    # reads #Pic of the degree-n constant extension, the solve each M_s.
     rng = random.Random(20260823)
-    checked = 0
-    while checked < 25:
-        spec = random_definite_spec(rng, max_degree=3)
-        if spec.degree not in (2, 3):
+    seen = Counter()
+    while sum(seen.values()) < 200:
+        delta = rng.choice((1, 2))
+        shape = random_definite_spec(rng, max_degree=5, infinity_degree=delta)
+        if shape.degree not in (2, 3, 5):
             continue
+        q = shape.base.q
+        spec = AlgebraSpec(BaseField(q, random_l_poly(rng, q), delta),
+                           shape.degree, shape.finite_places,
+                           shape.infinity_invariant)
         order = random_order(rng, spec)
-        assert prime_degree_class_number(order) == class_number(order)
-        checked += 1
+        assert prime_degree_class_number(order) == class_number(order), order
+        seen[len(spec.base.l_poly) // 2, delta, spec.degree] += 1
+    assert {key[:2] for key in seen} == set(product((0, 1, 2), (1, 2)))
+    assert {key[2] for key in seen} == {2, 3, 5}, seen
 
 
 def test_s0_one_single_level():

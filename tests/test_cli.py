@@ -275,7 +275,7 @@ ROTATION_CONFIG = json.dumps({
 def test_selfcheck_rotation_reaches_the_strip_count(tmp_path, capsys,
                                                     monkeypatch, broken):
     # The order stores (1, 1, 2); only the rotation check passes (1, 2, 1).
-    real_counts = cli.strip_counts
+    real_counts = classnum.strip_counts
 
     def least_rotation_only(place, f_vec, s, **kwargs):
         counts = real_counts(place, f_vec, s, **kwargs)
@@ -284,7 +284,7 @@ def test_selfcheck_rotation_reaches_the_strip_count(tmp_path, capsys,
         return counts
 
     if broken:
-        monkeypatch.setattr(cli, "strip_counts", least_rotation_only)
+        monkeypatch.setattr(classnum, "strip_counts", least_rotation_only)
     path = tmp_path / "rotation.json"
     path.write_text(ROTATION_CONFIG, encoding="utf-8")
     code, out = run_cli(capsys, "--config", str(path), "selfcheck")
@@ -296,17 +296,19 @@ def test_selfcheck_rotation_reaches_the_strip_count(tmp_path, capsys,
 
 def test_selfcheck_computes_each_theta_once(tmp_path, capsys, monkeypatch):
     theta_keys, _ = _count_solver_calls(monkeypatch)
-    cli_theta_calls = []
-    monkeypatch.setattr(cli, "theta",
-                        lambda *args, **kwargs: cli_theta_calls.append(args))
     path = tmp_path / "rotation.json"
     path.write_text(ROTATION_CONFIG, encoding="utf-8")
     code, out = run_cli(capsys, "--config", str(path), "selfcheck")
     assert code == 0
     assert json.loads(out)["all_passed"] is True
-    # s0 = 4: three levels, at the places T and U.
-    assert len(theta_keys) == len(set(theta_keys)) == 6
-    assert cli_theta_calls == []
+    # s0 = 4: the solve asks for three levels at the places T and U.  The
+    # strip sums ask only for keys at level 1 over 3^s: at s = 1 those are
+    # the solve's own, at s = 2 and 4 only T's set is not empty.  So the
+    # check at s > 1 never reads the factor it checks.
+    assert len(theta_keys) == len(set(theta_keys)) == 8
+    solve, strips = theta_keys[:6], theta_keys[6:]
+    assert sorted({(s, q) for *_, s, q in solve}) == [(1, 3), (2, 3), (4, 3)]
+    assert sorted((s, q) for *_, s, q in strips) == [(1, 9), (1, 81)]
 
 
 # The Iwahori order at a place U of degree 3 in a degree-24 algebra over
@@ -372,7 +374,7 @@ def test_selfcheck_catches_a_strip_count_off_at_one_key(tmp_path, capsys,
                                                         monkeypatch):
     # At s = 3 the place U of degree 3 splits into l = 3 places above it;
     # one element more at that key alone fails theta_engines_agree.
-    real_counts = cli.strip_counts
+    real_counts = classnum.strip_counts
     keys = []
 
     def off_at_l3(place, f_vec, s, **kwargs):
@@ -383,7 +385,7 @@ def test_selfcheck_catches_a_strip_count_off_at_one_key(tmp_path, capsys,
             counts.update(islice(counts, 1))
         return counts
 
-    monkeypatch.setattr(cli, "strip_counts", off_at_l3)
+    monkeypatch.setattr(classnum, "strip_counts", off_at_l3)
     path = tmp_path / "reach.json"
     path.write_text(IW24D3_CONFIG, encoding="utf-8")
     code, out = run_cli(capsys, "--config", str(path), "selfcheck")
@@ -400,11 +402,17 @@ def test_selfcheck_forms_no_residue_power_for_one_entry_strips(tmp_path,
                                                               capsys,
                                                               monkeypatch):
     # A maximal order with a split place of degree 10^8 listed: every strip
-    # has one entry and unit index 1, so no Q = q^(10^8 ...) is formed.
-    def no_power(*args):
-        raise AssertionError("residue power formed")
+    # has one entry and unit index 1, so no Q = q^(10^8 ...) is formed at U
+    # or at the places above it.  The ramified place T forms its own.
+    theta_module = sys.modules["csaclass.theta"]
+    real_power = theta_module.residue_power
 
-    monkeypatch.setattr(cli, "residue_power", no_power)
+    def no_power(place, s, q):
+        if place.degree > 1:
+            raise AssertionError(f"residue power formed at {place.label}")
+        return real_power(place, s, q)
+
+    monkeypatch.setattr(theta_module, "residue_power", no_power)
     path = _write_config(tmp_path, {
         "base": {"type": "rational_function_field", "q": 3},
         "degree": 2,
@@ -421,7 +429,7 @@ def test_selfcheck_forms_no_residue_power_for_one_entry_strips(tmp_path,
 
 def test_selfcheck_reports_a_failed_resum(golden_config_path, capsys,
                                           monkeypatch):
-    monkeypatch.setattr(cli, "mass_hereditary",
+    monkeypatch.setattr(classnum, "mass_hereditary",
                         lambda order, maximal=None: Fraction(1))
     code, out = run_cli(capsys, "--config", golden_config_path, "selfcheck")
     assert code == 1
@@ -1760,8 +1768,8 @@ _OUTCOMES = {
         "error: output: integer of more than {cap} digits exceeds budget of "
         "3\n"),
     "failed selfcheck": (
-        "dvg", ["selfcheck"], "csaclass.cli.mass_hereditary", "capture", 1,
-        FAILED_SELFCHECK, ""),
+        "dvg", ["selfcheck"], "csaclass.classnum.mass_hereditary", "capture",
+        1, FAILED_SELFCHECK, ""),
     "gone reader": (
         "dvg", ["classnum"], None, "closed pipe", 1, "", ""),
     "stdout none": (

@@ -4,8 +4,9 @@ module uses `assert`, only the modules that hold rational values import
 `fractions`, `classnum` and `theta` do not walk local index sets, the
 tests' oracles stay out of the package, no module keeps state between
 calls, no module imports `dataclasses`, importing the CLI loads no
-introspection module and no argparse, and the package exports exactly
-what its `__init__.py` imports."""
+introspection module and no argparse, `cli` imports no private name from
+`classnum`, and the package exports exactly what its `__init__.py`
+imports."""
 
 from __future__ import annotations
 
@@ -148,6 +149,27 @@ def test_classnum_does_not_walk_index_sets():
 def test_theta_does_not_walk_index_sets():
     source = (SRC / "theta.py").read_text(encoding="utf-8")
     assert imported_names(source) & WALKS == set()
+
+
+def private_imports(source: str, module: str) -> set[str]:
+    """Underscore-prefixed names `source` imports from the sibling
+    `module`."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module for alias in node.names
+            if alias.name.startswith("_")}
+
+
+def test_private_imports_are_found():
+    planted = ("from .classnum import DEFAULT_BUDGET, _resum, selfcheck\n"
+               "from classnum import _level_solver\n")
+    assert private_imports(planted, "classnum") == {"_resum"}
+
+
+def test_cli_imports_no_private_name_from_classnum():
+    # The solve's internals stay behind `classnum`'s public functions.
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert private_imports(source, "classnum") == set()
 
 
 def test_test_oracles_stay_out_of_the_package():

@@ -12,7 +12,9 @@ import pytest
 
 from csaclass import (Place, enumerate_omega, local_unit_index,
                       strip_counts, theta)
-from csaclass.errors import BudgetExceededError, ValidationError
+from csaclass.classnum import _strip_sums
+from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
+                             ValidationError)
 from csaclass.omega import local_shape
 from csaclass.theta import _weights, omega_size, residue_power
 from conftest import PowerlessInt, theta_enum
@@ -259,12 +261,16 @@ def test_theta_weighs_strip_counts_by_unit_indices(place, f, s, q):
     # Each slice weight is the Gaussian multinomial of its strip, so theta
     # sums count * prod of the strips' unit indices over `strip_counts`: an
     # oracle on sets no walk reaches (9,465,511,770 elements in the first).
+    # The strip sum of transfer and selfcheck at S = s is the same sum: each
+    # place w above v at its level 1 over q^s, where theta is a unit index.
     Q = residue_power(place, s, q)
     counts = strip_counts(place, f, s)
     assert sum(counts.values()) == omega_size(place, f, s)
     assert theta(place, f, s, q) == sum(
         count * prod(local_unit_index(Q, 1, strip) for strip in key)
         for key, count in counts.items())
+    _, factor = _strip_sums(theta, q, DEFAULT_BUDGET, "theta")
+    assert factor(place, f, s, s) == theta(place, f, s, q)
 
 
 def test_empty_set_builds_no_table(monkeypatch):
