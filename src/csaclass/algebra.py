@@ -173,36 +173,18 @@ def validate(spec: AlgebraSpec) -> list[str]:
 
 
 def constant_field_degree(spec: AlgebraSpec) -> int:
-    """Degree s0 of the constant field of D over F_q.
-
-    For each prime p | n the exponent of p in s0 is capped by the places
-    where the p-part of gcd(deg v, n) exceeds the p-part of m_v; unlisted
-    places have m_v = n and never constrain.
-    """
+    """Degree s0 of the constant field of D over F_q: the largest s | n at
+    which every place w of L_s above every place v, infinity included, has
+    local index d_w dividing n/s.  The s that pass are the divisors of s0;
+    unlisted places have d_w = 1 and never constrain."""
     n = spec.degree
-    s0 = 1
-    for p, n_i in _prime_factors(n).items():
-        constraining = []
-        for v in spec.all_places():
-            n_i_v = _ord_p(gcd(v.degree, n), p)
-            m_i_v = _ord_p(spec.capacity(v), p)
-            if n_i_v > m_i_v:
-                constraining.append(m_i_v)
-        exponent = min(constraining) if constraining else n_i
-        s0 *= p ** exponent
-    return s0
-
-
-def splitting_data(place: Place, s: int) -> tuple[int, int]:
-    """(l, t): number of places of L_s above v, and the capacity gain there."""
-    l = gcd(s, place.degree)
-    t = gcd(s // l, place.local_index)
-    return l, t
+    return next(s for s in range(n, 0, -1) if n % s == 0 and all(
+        n % (s * shape_above(v, s)[2]) == 0 for v in spec.all_places()))
 
 
 def places_above(v: Place, s: int) -> tuple[Place, ...]:
-    """The places of L_s above v: l = gcd(s, deg v) places v#1, ..., v#l of
-    degree deg(v)/l over F_{q^s}, with local index d_v / t; (v,) at s = 1."""
+    """The places v#1, ..., v#l of L_s above v, sized by `shape_above`:
+    degree deg(v)/l over F_{q^s}, local index d_w; (v,) at s = 1."""
     if s == 1:
         return (v,)
     l, degree, local_index = shape_above(v, s)
@@ -211,7 +193,9 @@ def places_above(v: Place, s: int) -> tuple[Place, ...]:
 
 
 def shape_above(v: Place, s: int) -> tuple[int, int, int]:
-    """(l, degree, local index) of the `places_above` v, with no Place."""
-    l, t = splitting_data(v, s)
-    return l, v.degree // l, v.local_index // t
-
+    """(l, deg w, d_w): the one rule for how v splits in L_s = K F_{q^s}.
+    There are l = gcd(s, deg v) places w above v, each of degree deg(v)/l
+    over F_{q^s} and of local degree s/l over v, so the local index of D
+    there is d_w = d_v / gcd(s/l, d_v)."""
+    l = gcd(s, v.degree)
+    return l, v.degree // l, v.local_index // gcd(s // l, v.local_index)

@@ -15,15 +15,15 @@ from __future__ import annotations
 from collections import Counter
 from operator import eq
 
-from .algebra import Place, splitting_data
+from .algebra import Place, shape_above
 from .errors import DEFAULT_BUDGET, ValidationError, over_budget
 from .orders import normalize_invariant
 
 
 def local_shape(place: Place, f_vec, s: int):
-    """(l, t, m_s, targets) at v in L_s: l places w above v, the capacity
-    gain t, the capacity m_s above each w, and the column targets f_{v,i} /
-    (s / (l t)), None when one is not whole, that is, the set is empty."""
+    """(l, t, m_s, targets) at v in L_s: the l places w of `shape_above`,
+    the gain t = d_v / d_w, the capacity m_s above each w, and the column
+    targets f_{v,i} / (s / (l t)), None when one is not whole (empty set)."""
     f = tuple(f_vec)
     if s < 1:
         raise ValidationError("s must be positive")
@@ -33,7 +33,8 @@ def local_shape(place: Place, f_vec, s: int):
     m_v = sum(f)
     if m_v < 1:
         raise ValidationError("invariant vector must have positive sum")
-    l, t = splitting_data(place, s)
+    l, _, d_w = shape_above(place, s)
+    t = place.local_index // d_w
     if (m_v * t) % s != 0:
         raise ValidationError(
             f"s = {s} incompatible with capacity {m_v} at {place.label!r}")

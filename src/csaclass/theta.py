@@ -38,16 +38,17 @@ from __future__ import annotations
 from itertools import accumulate, groupby
 from math import comb
 
-from .algebra import Place, splitting_data
+from .algebra import Place, shape_above
 from .errors import DEFAULT_BUDGET, over_budget
 from .omega import local_shape
 from .orders import local_unit_index
 
 
 def residue_power(place: Place, s: int, q: int) -> int:
-    """Cardinality of the residue field of the division part above w."""
-    l, t = splitting_data(place, s)
-    return q ** (place.degree * (place.local_index // t) * s // l)
+    """Q = (q^s)^(deg w d_w): the residue field of the division part of D
+    at a place w above v, from `shape_above`."""
+    _, degree, local_index = shape_above(place, s)
+    return (q ** s) ** (degree * local_index)
 
 
 def _weights(Q: int, m: int, t: int) -> list[list[int]]:

@@ -2,8 +2,8 @@
 example, random spec and L-polynomial generators, a split place listed by
 label, the centralizer algebra as a spec, a long vector's strip, the theta
 factor by a walk of the index set, a genus vector's reduction, the genus
-vectors of a place, the genera of an order one dict at a time, and a genera
-report's rows."""
+vectors of a place, the genera of an order one dict at a time, a genera
+report's rows, and s0 prime by prime."""
 
 from __future__ import annotations
 
@@ -16,7 +16,9 @@ import pytest
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       constant_extension, constant_field_degree)
-from csaclass.algebra import _finite_place_count, places_above, validate
+from csaclass.algebra import (_finite_place_count, _ord_p, places_above,
+                              validate)
+from csaclass.basefield import _prime_factors
 from csaclass.errors import InvalidDivisorError, ValidationError
 from csaclass.omega import enumerate_omega, local_shape
 from csaclass.orders import local_unit_index, normalize_invariant
@@ -54,6 +56,22 @@ def centralizer_spec(spec: AlgebraSpec, s: int) -> AlgebraSpec:
     return AlgebraSpec(constant_extension(spec.base, s), spec.degree // s,
                        tuple(w for v in spec.finite_places
                              for w in places_above(v, s) if w.local_index > 1))
+
+
+def constant_field_degree_reference(spec: AlgebraSpec) -> int:
+    """s0 one prime p | n at a time, the tests' reference for
+    `constant_field_degree`: the exponent of p is ord_p(n), capped at
+    ord_p(m_v) by every place v, infinity included, where ord_p of
+    gcd(deg v, n) exceeds ord_p(m_v)."""
+    n = spec.degree
+    s0 = 1
+    for p, exponent in _prime_factors(n).items():
+        for v in spec.all_places():
+            cap = _ord_p(spec.capacity(v), p)
+            if _ord_p(gcd(v.degree, n), p) > cap:
+                exponent = min(exponent, cap)
+        s0 *= p ** exponent
+    return s0
 
 
 def flatten_strip(slice_vec) -> tuple[int, ...]:

@@ -16,9 +16,12 @@ from csaclass import (AlgebraSpec, BaseField, Place, constant_field_degree,
                       embedding_count, mass_maximal,
                       maximal_order, validate, weight_class_numbers)
 from csaclass.algebra import (INFINITY, _finite_place_count,
-                              _irreducible_count, places_above, shape_above, splitting_data)
+                              _irreducible_count, places_above, shape_above)
 from csaclass.errors import InvalidDivisorError, ValidationError
-from conftest import centralizer_spec, random_definite_spec
+from csaclass.omega import local_shape
+from csaclass.theta import residue_power
+from conftest import (centralizer_spec, constant_field_degree_reference,
+                      random_definite_spec)
 
 
 def test_golden_spec_valid(golden_spec):
@@ -127,6 +130,34 @@ def test_constant_field_degree_blocked_by_degree():
     assert constant_field_degree(spec) == 1
 
 
+def test_constant_field_degree_matches_the_prime_by_prime_reference():
+    # s0 is the largest s | n with s d_w | n at every place w above every v;
+    # the s | n that pass are exactly the divisors of s0, and s0 agrees
+    # with the p-adic reference.  Place degrees run up to 10^8, half of
+    # them multiples of a divisor of n.  s0 reads no invariant, so the
+    # specs list none and need not satisfy reciprocity.
+    rng = random.Random(35)
+    between = 0
+    for _ in range(3000):
+        n = rng.randint(1, 720)
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        places = []
+        for k in range(rng.randint(0, 4)):
+            degree = (rng.choice(divisors) * rng.randint(1, 10 ** 8 // n)
+                      if rng.random() < 0.5 else rng.randint(1, 10 ** 8))
+            places.append(Place(f"v{k}", degree, rng.choice(divisors)))
+        base = BaseField(2, infinity_degree=rng.choice((1, 2, 3, 6)))
+        spec = AlgebraSpec(base, n, tuple(places))
+        s0 = constant_field_degree(spec)
+        assert s0 == constant_field_degree_reference(spec)
+        passing = [s for s in divisors
+                   if all(n % (s * shape_above(v, s)[2]) == 0
+                          for v in spec.all_places())]
+        assert passing == [s for s in divisors if s0 % s == 0]
+        between += 1 < s0 < n
+    assert between > 1000
+
+
 def test_embedding_possible(golden_spec):
     # L_s embeds into D exactly when s divides the constant field degree.
     assert constant_field_degree(golden_spec) % 4 == 0
@@ -215,6 +246,8 @@ def test_definite_s0_is_prime_to_the_degree_of_infinity():
 
 
 def test_places_above_random():
+    # Also the identities read off `shape_above`: Q = (q^s)^(deg w d_w),
+    # and the index set's (l, t) is (l, d_v / d_w).
     rng = random.Random(10)
     checked = 0
     for _ in range(80):
@@ -233,6 +266,14 @@ def test_places_above_random():
                 assert all(w.local_index == v.local_index // t for w in above)
                 assert shape_above(v, s) == (l, v.degree // l,
                                              v.local_index // t)
+                w = above[0]
+                q = spec.base.q
+                assert residue_power(v, s, q) \
+                    == (q ** s) ** (w.degree * w.local_index)
+                m_v = spec.capacity(v)
+                if (m_v * t) % s == 0:
+                    assert local_shape(v, (m_v,), s)[:2] \
+                        == (l, v.local_index // w.local_index)
                 if s == 1:
                     assert above == (v,)
                 labels += [w.label for w in above]
@@ -250,7 +291,8 @@ def test_splitting_divisibility_invariant():
             if s0 % s:
                 continue
             for v in spec.all_places():
-                l, t = splitting_data(v, s)
+                l = gcd(s, v.degree)
+                t = gcd(s // l, v.local_index)
                 m_v = spec.capacity(v)
                 assert m_v % l == 0
                 assert (m_v // l) % (s // (l * t)) == 0

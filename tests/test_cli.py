@@ -1036,8 +1036,9 @@ def test_emit_matches_reference_walk(output, capsys):
 
 
 # Every subcommand on the golden example, genera and selfcheck on two
-# Iwahori places, and four subcommands over a genus-1 base field, in both
-# output modes.  The files were written with json.dumps(indent=2),
+# Iwahori places, four subcommands over a genus-1 base field, and five over
+# a genus-2 base field with infinity of degree 2, where places split into
+# l = 3 places above them (with t = 3 at V, s = 9), in both output modes.  The files were written with json.dumps(indent=2),
 # so they check the join-based encoder against an independent one.
 GOLDEN_DIR = ROOT / "tests" / "golden"
 GOLDEN_COMMANDS = [
@@ -1055,6 +1056,11 @@ GOLDEN_COMMANDS = [
     ("genus1-example", "transfer", ("--s", "2", "--s2", "2")),
     ("genus1-example", "genera", ()),
     ("genus1-example", "selfcheck", ()),
+    ("genus2-infinity2", "classnum", ()),
+    ("genus2-infinity2", "theta", ("--place", "V", "--s", "9")),
+    ("genus2-infinity2", "transfer", ("--s", "3", "--s2", "9")),
+    ("genus2-infinity2", "embed", ("--s", "3")),
+    ("genus2-infinity2", "selfcheck", ()),
 ]
 
 
