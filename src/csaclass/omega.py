@@ -117,7 +117,7 @@ def strip_counts(place: Place, f_vec, s: int, *,
     r = len(targets)
     placed = 0
 
-    def spend(n: int) -> None:
+    def spend(n: int, _: int = 0) -> None:
         nonlocal placed
         placed += n
         if placed > budget:
@@ -155,12 +155,16 @@ def _slot_entries(key, spend) -> list[tuple[tuple[int, ...], int]]:
     """Entries of one slot for every place w, with their number of orderings.
 
     `key` is (rooms, runs, b, last): each place's room, whether its pair
-    equals the previous place's, the column's budget left, and whether the
-    slot must place all of it.  Within a run of equal places the entries
+    equals the previous place's, the budget b to split, and whether the
+    places must take all of it.  Within a run of equal places the entries
     are non-decreasing; each choice comes with the number of its distinct
-    orderings.  The entries tried at each place are passed to `spend`
-    before they are placed, and each bound below is exact, so every entry
-    tried completes to a choice.
+    orderings.  `strip_counts` splits a column's budget left over the
+    places w; `theta` splits a row's m_s over the columns, whose budgets
+    left are the rooms.  As each partial choice is extended, `spend` gets
+    the number of entries it tried and the number of partial choices at
+    this place so far, so a caller can refuse a list while it grows.  Each
+    bound below is exact, so every entry tried completes to a choice, and
+    the last place's count is the number of choices.
     """
     rooms, runs, b, last = key
     l = len(rooms)
@@ -188,9 +192,9 @@ def _slot_entries(key, spend) -> list[tuple[tuple[int, ...], int]]:
             hi = min(rooms[k], left // (rest[k] + 1))
             if last:
                 low = max(low, left - later[k] - rest[k] * rooms[k])
-            spend(hi + 1 - low)
             for e in range(low, hi + 1):
                 m = streak + 1 if runs[k] and e == entries[-1] else 1
                 grown.append((entries + (e,), orderings * j[k] // m, m))
+            spend(hi + 1 - low, len(grown))
         ways = grown
     return [(entries, orderings) for entries, orderings, _ in ways]

@@ -6,23 +6,25 @@ one slice depends only on its column counts N (one per entry of f_v) and
 factorises as [m_s; N]_Q * prod_i g_t(N_i), where g_t(N) sums the Gaussian
 multinomials [N; e]_Q over the t-way splits e of N.  `_row_sum` sums over
 l x r matrices with row sums m_s and the scaled targets as column sums, one
-row at a time, memoised on the sorted remaining column budgets; the row
-weight is symmetric in the columns, so sorting loses nothing.  A row's
-weight comes from one table, `_weights(Q, m_s, t)`: N of the `left` unplaced
-entries put in the next column contribute [left; N]_Q * g_t(N), whose product
-over a row telescopes to the slice weight.  `theta` takes the table at the
-residue field size Q, `omega_size` at q = 0, where Q = 0, every Gaussian
-binomial is 1 and the weights count the index set without walking it.  An
-empty set, read off `local_shape`, is 0 before any power of q is formed,
-and a set of one matrix, at t = 1 with at most one non-zero target, is 1.
+row at a time, merging the partial sums that leave the same sorted column
+budgets; the row weight is symmetric in the columns, so sorting loses
+nothing.  A row's weight comes from one table, `_weights(Q, m_s, t)`: N of
+the `left` unplaced entries put in the next column contribute
+[left; N]_Q * g_t(N), whose product over a row telescopes to the slice
+weight.  `theta` takes the table at the residue field size Q, `omega_size`
+at q = 0, where Q = 0, every Gaussian binomial is 1 and the weights count
+the index set without walking it.  An empty set, read off `local_shape`, is
+0 before any power of q is formed, and a set of one matrix, at t = 1 with
+at most one non-zero target, is 1.
 
-The same symmetry lets a row treat the k columns of equal budget b as one
-group: it chooses how many of them take N entries, for N = b down to 0,
-and counts the ways with the multinomial k! / prod c_N!, instead of giving
-each column its N in turn.  When the budgets sum to m_s, one row is left
-and it must take every budget whole, so its weight is a single product.
-With one place w above v (l = 1, as at s = 1 and at every place of degree
-1) that row is the whole sum: `_row_sum` returns [m_s; N]_Q * prod_i
+Each row is a split of m_s over the columns from `omega._slot_entries`,
+the step that splits a column's budget over the places w in `strip_counts`;
+here the column budgets left are its rooms.  The same symmetry lets it give
+columns of equal budget non-decreasing entries, one choice per multiset
+weighted by its number of orderings.  When the budgets sum to m_s, one row
+is left and it must take every budget whole, so its weight is a single
+product.  With one place w above v (l = 1, as at s = 1 and at every place of
+degree 1) that row is the whole sum: `_row_sum` returns [m_s; N]_Q * prod_i
 g_t(N_i) at once, the Gaussian multinomial from `local_unit_index` (1 at
 Q = 0) times, for t > 1, the diagonal g_t of a table up to max N.  It
 builds no table at t = 1, nor when every N is 0 or 1, where g_t(N) is 1
@@ -35,12 +37,11 @@ set.
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
-from math import comb
+from operator import eq
 
 from .algebra import Place, shape_above
 from .errors import DEFAULT_BUDGET, over_budget
-from .omega import local_shape
+from .omega import _slot_entries, local_shape
 from .orders import local_unit_index
 
 
@@ -85,7 +86,9 @@ def _row_sum(layer: str, place: Place, f_vec, s: int, q: int,
 
     At l = 1 the one row is forced and counts no placement: its weight is
     the slice weight [m_s; N]_Q * prod_i g_t(N_i) of the targets N, read
-    without the (m_s + 1)^2 table."""
+    without the (m_s + 1)^2 table.  Otherwise the first l - 1 rows are
+    walked forward, each distinct state's rows charged as they are built,
+    and the forced last row closes each state."""
     l, t, m, targets = local_shape(place, f_vec, s)
     if targets is None:
         return 0
@@ -108,71 +111,38 @@ def _row_sum(layer: str, place: Place, f_vec, s: int, q: int,
                 weight *= cell[b][b]
         return weight
     cell = _weights(Q, m, t)
-    memo: dict[tuple[int, ...], int] = {}
     placements = 0
 
-    def rows_below(cols: tuple[int, ...]) -> int:
-        """Sum over the remaining rows, given sorted non-zero column budgets."""
-        if sum(cols) == m:
-            # One row is left, and it must take every column's whole budget.
-            weight, left = 1, m
-            for b in cols:
-                weight *= cell[left][b]
-                left -= b
-            return weight
-        if cols in memo:
-            return memo[cols]
-        groups = [(b, len(list(run))) for b, run in groupby(cols)]
-        # Group j is cols[ends[j] - k_j:ends[j]]; room[j] is what groups j,
-        # j+1, ... can take in one row together.
-        ends = list(accumulate(k for _, k in groups))
-        room = [0] * (len(groups) + 1)
-        for j in range(len(groups) - 1, -1, -1):
-            room[j] = room[j + 1] + groups[j][0] * groups[j][1]
-        total = 0
+    def check(_: int, ways: int) -> None:
+        if placements + ways > budget:
+            raise over_budget(layer, place, s, "row placements", budget)
 
-        def place_row(j: int, k: int, N: int, left: int, weight: int,
-                      rest: tuple[int, ...]) -> None:
-            """Place `left` entries: k columns of group j are open, and each
-            takes at most N; every later group is open in full.  `rest` holds
-            the non-zero budgets the decided columns leave to later rows."""
-            nonlocal total, placements
-            if left == 0:
-                placements += 1
-                if placements > budget:
-                    raise over_budget(layer, place, s, "row placements",
-                                      budget)
-                # The open columns keep their budgets: the last k of group
-                # j and every column after it.
-                key = tuple(sorted(rest + cols[ends[j] - k:]))
-                total += weight * rows_below(key)
-                return
-            b = groups[j][0]
-            if k == 0 or N == 0:
-                # The k open columns take nothing; move on to group j + 1.
-                nb, nk = groups[j + 1]
-                place_row(j + 1, nk, min(nb, left), left, weight,
-                          rest + (b,) * k)
-                return
-            # c of the k open columns take N each; the other k - c take at
-            # most N - 1, so they and the later groups must absorb the rest.
-            lo = max(0, left - room[j + 1] - k * (N - 1))
-            hi = min(k, left // N)
-            product = 1
-            for i in range(lo):
-                product *= cell[left - i * N][N]
-            for c in range(lo, hi + 1):
-                if c > lo:
-                    product *= cell[left - (c - 1) * N][N]
-                place_row(j, k - c, N - 1, left - c * N,
-                          weight * comb(k, c) * product,
-                          rest + (b - N,) * c if b > N else rest)
-
-        place_row(0, groups[0][1], min(groups[0][0], m), m, 1, ())
-        memo[cols] = total
-        return total
-
-    return rows_below(tuple(sorted(b for b in targets if b)))
+    # A state maps the sorted non-zero column budgets left to its weight.
+    states = {tuple(sorted(b for b in targets if b)): 1}
+    for _ in range(l - 1):
+        merged: dict[tuple[int, ...], int] = {}
+        for cols, weight in states.items():
+            runs = (False, *map(eq, cols[1:], cols))
+            rows = _slot_entries((cols, runs, m, True), check)
+            placements += len(rows)
+            for entries, orderings in rows:
+                term, left = weight * orderings, m
+                for e in entries:
+                    term *= cell[left][e]
+                    left -= e
+                key = tuple(sorted(b - e for b, e in zip(cols, entries)
+                                   if b > e))
+                merged[key] = merged.get(key, 0) + term
+        states = merged
+    # The budgets left sum to m: the last row takes each of them whole.
+    total = 0
+    for cols, weight in states.items():
+        left = m
+        for b in cols:
+            weight *= cell[left][b]
+            left -= b
+        total += weight
+    return total
 
 
 def theta(place: Place, f_vec, s: int, q: int, *,

@@ -1038,8 +1038,11 @@ def test_emit_matches_reference_walk(output, capsys):
 # Every subcommand on the golden example, genera and selfcheck on two
 # Iwahori places, four subcommands over a genus-1 base field, and five over
 # a genus-2 base field with infinity of degree 2, where places split into
-# l = 3 places above them (with t = 3 at V, s = 9), in both output modes.  The files were written with json.dumps(indent=2),
-# so they check the join-based encoder against an independent one.
+# l = 3 places above them (with t = 3 at V, s = 9), in both output modes.
+# The reach orders add classnum and theta at a place of degree 3, 4 or 12
+# with up to 48 columns, where rows of many equal columns are placed.  The
+# files were written with json.dumps(indent=2), so they check the
+# join-based encoder against an independent one.
 GOLDEN_DIR = ROOT / "tests" / "golden"
 GOLDEN_COMMANDS = [
     ("dvg-example", "classnum", ()),
@@ -1061,6 +1064,12 @@ GOLDEN_COMMANDS = [
     ("genus2-infinity2", "transfer", ("--s", "3", "--s2", "9")),
     ("genus2-infinity2", "embed", ("--s", "3")),
     ("genus2-infinity2", "selfcheck", ()),
+    ("reach/x24d4", "classnum", ()),
+    ("reach/iw24d3", "classnum", ()),
+    ("reach/iw48d12", "classnum", ()),
+    ("reach/x24d4", "theta", ("--place", "U", "--s", "4")),
+    ("reach/iw48d12", "theta", ("--place", "U", "--s", "4")),
+    ("reach/f8", "theta", ("--place", "U", "--s", "2")),
 ]
 
 

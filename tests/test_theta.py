@@ -175,11 +175,13 @@ def test_iwahori_product_form_large():
 
 
 def test_grouped_rows_agree_with_enumeration():
-    # Random keys with three or more equal column budgets, l in {2, 3} rows
-    # and t in {1, 2}: each row is placed group by group and the last row is
-    # closed, and the enumeration walks every element instead.
+    # Random keys with three or more equal column budgets, l in {2, 3, 4, 6}
+    # rows and t in {1, 2}: each row gives equal columns one choice per
+    # multiset and the last row is closed, and the enumeration walks every
+    # element instead.  At l = 6 and t = 2 every set drawn below has more
+    # than 400 elements, so l = 6 comes with t = 1 only.
     rng = random.Random(8)
-    for l, t in product((2, 3), (1, 2)):
+    for l, t in [*product((2, 3, 4), (1, 2)), (6, 1)]:
         s = l * t
         cases = 0
         while cases < 10:
@@ -218,6 +220,88 @@ def test_budget_counts_grouped_row_placements():
     assert theta(place, (1,) * 4, 1, 2, budget=0) == _iwahori_theta(2, 2, 4, 1)
     assert theta(IW_PLACE, (2,), 2, GOLDEN_Q, budget=0) == 12
     assert omega_size(IW_PLACE, (2,), 2, budget=0) == 3
+
+
+@pytest.mark.parametrize("f,budget", [
+    (tuple(range(1, 16)), 1000),
+    ((*range(1, 9), 100, 100), 10 ** 5),
+])
+def test_rows_are_refused_as_they_are_built(monkeypatch, f, budget):
+    # Two rows over many distinct columns: the first row alone has millions
+    # of choices, so the budget must stop them while they are built.  No
+    # place's list of partial rows may pass the budget by more than the
+    # m_s + 1 entries one partial row can try.
+    place = Place("U", 2)
+    m = local_shape(place, f, 2)[2]
+    module = sys.modules[theta.__module__]
+    slot_entries = module._slot_entries
+    counts = []
+
+    def recording(key, spend):
+        def tally(*args):
+            counts.append(args[-1])
+            spend(*args)
+        return slot_entries(key, tally)
+
+    monkeypatch.setattr(module, "_slot_entries", recording)
+    with pytest.raises(BudgetExceededError) as exc:
+        theta(place, f, 2, 2, budget=budget)
+    assert str(exc.value) == \
+        f"theta: place 'U', s = 2: row placements exceed budget of {budget}"
+    assert budget < max(counts) <= budget + m + 1
+
+
+# Seeded keys (deg v, d_v, f_v, s) with l >= 2 places above v, and the least
+# budgets at which theta (q = 2) and strip_counts pass: the row placements
+# and the strip states each tries.
+PINNED_BUDGETS = [
+    (8, 3, (1, 1, 1, 1, 1, 1), 2, 1, 36),
+    (3, 2, (1, 1, 1), 3, 2, 12),
+    (10, 9, (1, 1), 18, 1, 115),
+    (2, 3, (1, 2, 1), 6, 3, 259),
+    (6, 2, (1, 2, 3, 2), 2, 10, 44),
+    (8, 2, (1, 1, 1, 1), 4, 3, 20),
+    (2, 1, (7, 4, 1, 1, 1), 2, 20, 116),
+    (2, 5, (4, 2), 2, 3, 12),
+    (6, 3, (1, 5, 2, 1), 9, 30, 11238),
+    (8, 1, (4, 4), 2, 3, 18),
+    (4, 2, (2, 2, 1, 1, 3, 1), 2, 18, 118),
+    (3, 7, (2, 1), 21, 4, 178),
+    (2, 4, (3, 1), 4, 2, 82),
+    (9, 4, (1, 1, 1), 12, 2, 142),
+    (8, 1, (1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2), 2, 10, 605),
+    (6, 2, (8, 4), 8, 3, 245),
+    (4, 9, (1, 1), 2, 1, 6),
+    (2, 2, (1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1), 2, 3, 308),
+    (8, 1, (1,) * 19 + (2, 1, 1, 1), 2, 3, 493),
+    (4, 3, (1, 1, 8), 2, 3, 15),
+    (12, 2, (2, 1, 1), 8, 7, 108),
+    (10, 1, (1, 2, 1, 1), 5, 10, 24),
+    (6, 7, (1, 1), 14, 1, 91),
+    (6, 3, (1, 4, 2, 2), 3, 31, 110),
+    (4, 1, (2, 3, 9), 2, 12, 36),
+    (7, 4, (4, 1, 1, 1), 28, 24, 1237),
+    (7, 3, (1, 1, 1, 3, 1), 21, 22, 1203),
+    (2, 4, (1, 1), 8, 1, 55),
+    (6, 6, (1, 1), 4, 1, 27),
+    (10, 4, (2, 3), 5, 10, 12),
+]
+
+
+@pytest.mark.parametrize("deg,d,f,s,placements,states", PINNED_BUDGETS)
+def test_least_budgets_are_pinned(deg, d, f, s, placements, states):
+    place = Place("U", deg, d)
+    assert local_shape(place, f, s)[0] >= 2
+    theta(place, f, s, 2, budget=placements)
+    with pytest.raises(BudgetExceededError) as exc:
+        theta(place, f, s, 2, budget=placements - 1)
+    assert str(exc.value) == (f"theta: place 'U', s = {s}: row placements "
+                              f"exceed budget of {placements - 1}")
+    strip_counts(place, f, s, budget=states)
+    with pytest.raises(BudgetExceededError) as exc:
+        strip_counts(place, f, s, budget=states - 1)
+    assert str(exc.value) == (f"transfer: place 'U', s = {s}: strip states "
+                              f"exceed budget of {states - 1}")
 
 
 def test_zero_iff_empty():
