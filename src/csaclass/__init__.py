@@ -8,7 +8,7 @@ from .classnum import (class_number, class_number_report, embedding_count,
                        prime_degree_class_number, selfcheck,
                        total_class_number_genera, transfer_check,
                        weight_class_numbers)
-from .massform import mass_hereditary, mass_maximal
+from .massform import mass_hereditary
 from .omega import enumerate_omega, strip_counts
 from .orders import (OrderSpec, local_unit_index, maximal_order,
                      normalize_invariant)
@@ -19,8 +19,7 @@ __all__ = [
     "class_number", "class_number_report",
     "constant_extension", "constant_field_degree", "embedding_count",
     "enumerate_omega", "local_unit_index", "mass_hereditary",
-    "mass_maximal", "maximal_order",
-    "normalize_invariant", "omega_size", "pic_order",
+    "maximal_order", "normalize_invariant", "omega_size", "pic_order",
     "prime_degree_class_number", "selfcheck", "strip_counts", "theta",
     "total_class_number_genera", "transfer_check", "validate",
     "weight_class_numbers", "zeta_at_negative",

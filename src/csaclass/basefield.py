@@ -131,24 +131,19 @@ def _l_poly_from_power_sums(p: list[int], deg: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def check_extension_degree(s: int, infinity_degree: int) -> None:
-    """Raise unless s >= 1 and gcd(s, deg inf) = 1, so that the infinite
-    place stays inert in L_s = K F_{q^s} with unchanged residue degree."""
-    if s < 1:
-        raise ValidationError("extension degree must be positive")
-    if gcd(s, infinity_degree) != 1:
-        raise ExtensionNotSupportedError(
-            f"gcd(s={s}, infinity_degree={infinity_degree}) != 1")
-
-
 def constant_extension(base: BaseField, s: int) -> BaseField:
-    """Descriptor of L_s = K F_{q^s}.
+    """Descriptor of L_s = K F_{q^s}, for s >= 1 prime to deg(infinity), so
+    that the infinite place stays inert with unchanged residue degree.
 
     The inverse roots of the new L-polynomial are the s-th powers of those of
-    P; they are computed exactly via power sums.  Requires
-    `check_extension_degree`.
+    P; they are computed exactly via power sums.  The field is built without
+    the checks of `BaseField`: q^s is a prime power when q is.
     """
-    check_extension_degree(s, base.infinity_degree)
+    if s < 1:
+        raise ValidationError("extension degree must be positive")
+    if gcd(s, base.infinity_degree) != 1:
+        raise ExtensionNotSupportedError(
+            f"gcd(s={s}, infinity_degree={base.infinity_degree}) != 1")
     if s == 1:
         return base
     deg = len(base.l_poly) - 1

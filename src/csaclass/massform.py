@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, shape_above
-from .basefield import check_extension_degree, constant_extension, pic_order
+from .basefield import constant_extension, pic_order
 from .errors import IntegralityViolationError
 from .orders import OrderSpec, local_unit_index
 
@@ -29,18 +29,12 @@ def ramification_factor(N: int, d: int, n: int) -> int:
 
 def _level_mass(spec: AlgebraSpec, s: int, index: int = 1) -> Fraction:
     """M_s, s | s0: the mass of a maximal order in the centralizer of L_s,
-    from the zeta values of L_s and the places above each place of `spec`,
-    times the unit index `index`.  Builds no centralizer spec, and over a
-    rational base no BaseField: there L_s is (q^s, P = 1)."""
-    base = spec.base
-    if base.l_poly == (1,):  # L_s has P = 1 too; only q changes
-        check_extension_degree(s, base.infinity_degree)
-        q = base.q ** s
-    else:
-        base = constant_extension(base, s)
-        base.check_class_number()
-        q = base.q
-    n = spec.degree // s
+    from the zeta values of L_s = `constant_extension(base, s)` and the
+    places above each place of `spec`, times the unit index `index`.
+    Builds no centralizer spec."""
+    base = constant_extension(spec.base, s)
+    base.check_class_number()
+    q, n = base.q, spec.degree // s
     num, den, power = pic_order(base), q - 1, 1
     for _ in range(1, n):  # zeta_{L_s}(-i) at one running power q^i
         power *= q
@@ -58,15 +52,10 @@ def _level_mass(spec: AlgebraSpec, s: int, index: int = 1) -> Fraction:
 
 def mass_hereditary(order: OrderSpec,
                     maximal: Fraction | None = None) -> Fraction:
-    """Exact mass sum: `mass_maximal`, or `maximal` if given (the M_1 of a
-    level solve), times the local unit indices."""
+    """Exact mass sum: M_1 (`_level_mass` at s = 1), or `maximal` if given
+    (the M_1 of a level solve), times the local unit indices."""
     spec, index = order.algebra, 1
     for label, f_vec in order.invariants:
         v = spec.place(label)
         index *= local_unit_index(spec.norm(v), v.local_index, f_vec)
     return _level_mass(spec, 1, index) if maximal is None else maximal * index
-
-
-def mass_maximal(spec: AlgebraSpec) -> Fraction:
-    """Mass of a maximal order in the algebra: `_level_mass` at s = 1."""
-    return _level_mass(spec, 1)

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
                       constant_extension, constant_field_degree,
-                      enumerate_omega, mass_hereditary,
-                      mass_maximal, maximal_order,
+                      enumerate_omega, mass_hereditary, maximal_order,
                       prime_degree_class_number, theta,
                       total_class_number_genera, transfer_check,
                       weight_class_numbers)
@@ -47,7 +46,8 @@ def test_criterion_01_golden_example():
     started = time.monotonic()
     order = _golden_order()
     ok = mass_hereditary(order) == Fraction(169, 5)
-    ok &= mass_maximal(centralizer_spec(order.algebra, 2)) == Fraction(1, 80)
+    ok &= mass_hereditary(maximal_order(
+        centralizer_spec(order.algebra, 2))) == Fraction(1, 80)
     q = 3
     ok &= theta_enum(Place("T", 1, 4), (1,), 2, q) == 2
     ok &= theta_enum(Place("T+1", 1, 2), (2,), 2, q) == 12

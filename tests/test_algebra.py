@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csaclass import (AlgebraSpec, BaseField, Place, constant_field_degree,
-                      embedding_count, mass_maximal,
-                      maximal_order, validate, weight_class_numbers)
+                      embedding_count, mass_hereditary, maximal_order,
+                      validate, weight_class_numbers)
 from csaclass.algebra import (INFINITY, _finite_place_count,
                               _irreducible_count, places_above, shape_above)
 from csaclass.errors import InvalidDivisorError, ValidationError
@@ -58,7 +58,7 @@ def test_infinity_is_derived_from_the_base_and_degree():
     spec = AlgebraSpec(BaseField(3, infinity_degree=2), 2,
                        (Place("T", 1, 2, 1),), 1)
     assert spec.infinity == Place("infinity", 2, 2, 1)
-    assert mass_maximal(spec) == Fraction(1)
+    assert mass_hereditary(maximal_order(spec)) == Fraction(1)
     assert weight_class_numbers(maximal_order(spec)) == {1: 2}
     assert AlgebraSpec(BaseField(3), 1).infinity == Place("infinity", 1, 1)
 

@@ -10,11 +10,13 @@ from math import gcd
 
 import pytest
 
-from csaclass import BaseField, constant_extension, pic_order, zeta_at_negative
+from csaclass import (AlgebraSpec, BaseField, Place, constant_extension,
+                      pic_order, zeta_at_negative)
 from csaclass import basefield
 from csaclass.basefield import _l_poly_from_power_sums, _power_sums_from_l_poly
-from csaclass.errors import (ExtensionNotSupportedError, IntegralityViolationError,
-                             ValidationError)
+from csaclass.errors import (CsaClassError, ExtensionNotSupportedError,
+                             IntegralityViolationError, ValidationError)
+from csaclass.massform import _level_mass
 
 
 def divisor_counts_rational(q: int, up_to: int) -> list[int]:
@@ -167,10 +169,23 @@ def test_extension_builds_its_field_unchecked(monkeypatch):
             assert extension == field
 
 
-def test_extension_rejects_shared_factor_with_infinity():
-    base = BaseField(3, infinity_degree=2)
-    with pytest.raises(ExtensionNotSupportedError):
-        constant_extension(base, 2)
+def _rational_level_mass(base: BaseField, s: int) -> Fraction:
+    return _level_mass(AlgebraSpec(base, 2, (Place("T", 1, 2, 1),), 1), s)
+
+
+# `constant_extension` guards L_s = K F_{q^s} for every caller, each level's
+# mass over a rational base included.
+@pytest.mark.parametrize("s,error,message", [
+    (0, ValidationError, "extension degree must be positive"),
+    (2, ExtensionNotSupportedError, "gcd(s=2, infinity_degree=2) != 1"),
+], ids=["s0", "gcd"])
+@pytest.mark.parametrize("entry", [constant_extension, _rational_level_mass],
+                         ids=["constant_extension", "level_mass"])
+def test_extension_rejects_shared_factor_with_infinity(entry, s, error,
+                                                       message):
+    with pytest.raises(CsaClassError) as caught:
+        entry(BaseField(3, infinity_degree=2), s)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_pic_order_cases():

@@ -1041,6 +1041,8 @@ def test_emit_matches_reference_walk(output, capsys):
 # l = 3 places above them (with t = 3 at V, s = 9), in both output modes.
 # The reach orders add classnum and theta at a place of degree 3, 4 or 12
 # with up to 48 columns, where rows of many equal columns are placed.  The
+# maximal orders of degree 720 pin M_s over a rational base at all 30
+# levels of s0 = 720, and at s = 9 and 45 with infinity of degree 2.  The
 # files were written with json.dumps(indent=2), so they check the
 # join-based encoder against an independent one.
 GOLDEN_DIR = ROOT / "tests" / "golden"
@@ -1070,6 +1072,8 @@ GOLDEN_COMMANDS = [
     ("reach/x24d4", "theta", ("--place", "U", "--s", "4")),
     ("reach/iw48d12", "theta", ("--place", "U", "--s", "4")),
     ("reach/f8", "theta", ("--place", "U", "--s", "2")),
+    ("reach/m720", "classnum", ()),
+    ("reach/m720-infinity2", "embed", ("--s", "9")),
 ]
 
 
@@ -1939,8 +1943,9 @@ def test_order_invariant_messages(tmp_path, capsys, vec, line):
 
 
 def test_classnum_builds_one_base_field(tmp_path, capsys, monkeypatch):
-    # Over a rational base each level reads L_s as (q^s, P = 1): the one
-    # BaseField is the config's, whatever the number of levels.
+    # Each level's L_s is `constant_extension`'s, built without the checks
+    # of `BaseField`: the one checked BaseField is the config's, whatever
+    # the number of levels.
     built = []
     new = BaseField.__new__
 
@@ -1954,18 +1959,10 @@ def test_classnum_builds_one_base_field(tmp_path, capsys, monkeypatch):
     assert built == [(3, (1,), 1)]
 
 
-# q = 100000000000031 is prime: a BaseField of q^2 would trial-divide up
-# to q itself.
-LARGE_Q_CONFIG = json.dumps({
-    "base": {"type": "rational_function_field", "q": 100000000000031},
-    "degree": 2,
-    "ramification": [{"place": "T", "degree": 1, "invariant": "1/2"},
-                     {"place": "infinity", "invariant": "1/2"}]})
-
-
-def test_classnum_over_a_large_prime_q_finishes(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(LARGE_Q_CONFIG, encoding="utf-8")
+def test_classnum_over_a_large_prime_q_finishes():
+    # q = 100000000000031 is prime: a checked BaseField of q^2 would
+    # trial-divide up to q itself.
+    path = ROOT / "configs" / "reach" / "bigq.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "csaclass.cli", "--config", str(path),

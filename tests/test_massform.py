@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from csaclass import (AlgebraSpec, BaseField, Place, constant_field_degree,
-                      local_unit_index,
-                      mass_hereditary, mass_maximal, maximal_order)
+                      local_unit_index, mass_hereditary, maximal_order)
 from csaclass.algebra import shape_above
 from csaclass.basefield import (constant_extension, pic_order,
                                 zeta_at_negative)
@@ -29,7 +28,7 @@ def test_ramification_factor_examples():
 
 
 def test_golden_maximal_mass(golden_spec):
-    assert mass_maximal(golden_spec) == Fraction(169, 5)
+    assert mass_hereditary(maximal_order(golden_spec)) == Fraction(169, 5)
 
 
 def test_golden_mass_assembly(golden_spec):
@@ -41,14 +40,16 @@ def test_golden_mass_assembly(golden_spec):
 
 
 def test_golden_centralizer_mass(golden_spec):
-    assert mass_maximal(centralizer_spec(golden_spec, 2)) == Fraction(1, 80)
-    assert mass_maximal(centralizer_spec(golden_spec, 1)) == Fraction(169, 5)
+    assert mass_hereditary(maximal_order(
+        centralizer_spec(golden_spec, 2))) == Fraction(1, 80)
+    assert mass_hereditary(maximal_order(
+        centralizer_spec(golden_spec, 1))) == Fraction(169, 5)
 
 
 def test_degree_one_algebra_mass():
     # n = 1: the mass is #Pic(A)/(q-1) with no zeta or local factors.
     spec = AlgebraSpec(BaseField(4), 1, ())
-    assert mass_maximal(spec) == Fraction(1, 3)
+    assert mass_hereditary(maximal_order(spec)) == Fraction(1, 3)
 
 
 def test_quaternion_rational_mass():
@@ -56,7 +57,7 @@ def test_quaternion_rational_mass():
     # (1/2) * zeta(-1) * (3-1)^2 = (1/2)(1/16)(4) = 1/8.
     spec = AlgebraSpec(BaseField(3), 2,
                        (Place("v0", 1, 2, 1),), -1)
-    assert mass_maximal(spec) == Fraction(1, 8)
+    assert mass_hereditary(maximal_order(spec)) == Fraction(1, 8)
 
 
 def test_refinement_factorization():
@@ -67,7 +68,7 @@ def test_refinement_factorization():
         spec = random_definite_spec(rng)
         order = random_order(rng, spec)
         full = order.algebra  # may carry extra listed split places
-        expected = mass_maximal(full)
+        expected = mass_hereditary(maximal_order(full))
         for label, f_vec in order.invariants:
             v = full.place(label)
             expected *= local_unit_index(full.norm(v), v.local_index, f_vec)
@@ -157,8 +158,8 @@ def test_level_mass_is_the_mass_of_the_centralizer():
         for s in range(1, s0 + 1):
             if s0 % s:
                 continue
-            assert _level_mass(spec, s) == mass_maximal(
-                centralizer_spec(spec, s)), (spec, s)
+            assert _level_mass(spec, s) == mass_hereditary(
+                maximal_order(centralizer_spec(spec, s))), (spec, s)
             above = [(v, shape_above(v, s)) for v in spec.finite_places]
             seen[f"genus {len(spec.base.l_poly) // 2}"] += 1
             seen["deg inf 2"] += delta == 2 and s > 1
@@ -183,9 +184,10 @@ def _level_mass_by_extension(spec: AlgebraSpec, s: int) -> Fraction:
 
 
 def test_rational_level_mass_matches_the_extension_path():
-    # Over P = 1, `_level_mass` reads L_s as (q^s, P = 1) with no BaseField;
-    # every level agrees with the constant_extension path, deg infinity
-    # 1, 2 and 3 included.
+    # Over P = 1, each level of `_level_mass`, one Fraction over integer
+    # products, agrees with the product of `zeta_at_negative` values of the
+    # field that `constant_extension` builds, deg infinity 1, 2 and 3
+    # included.
     rng = random.Random(30)
     levels = 0
     for k in range(400):
