@@ -65,14 +65,6 @@ def _finite_place_count(q: int, d: int, infinity_degree: int,
                - (d == infinity_degree))
 
 
-def _ord_p(n: int, p: int) -> int:
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
-
-
 class AlgebraSpec(namedtuple("AlgebraSpec", "base degree finite_places "
                               "infinity_invariant infinity")):
     """A central simple algebra D/K of degree n, definite at infinity: D is
@@ -147,7 +139,8 @@ def validate(spec: AlgebraSpec) -> list[str]:
         # Whatever the missing invariants are, a p-adic valuation reached at
         # one place only cannot cancel in the sum.
         for p in _prime_factors(spec.degree):
-            parts = [p ** _ord_p(v.local_index, p) for v in ramified_places]
+            parts = [p ** _prime_factors(v.local_index).get(p, 0)
+                     for v in ramified_places]
             if parts and max(parts) > 1 and parts.count(max(parts)) == 1:
                 violations.append(
                     f"reciprocity fails: {max(parts)} divides a local index "

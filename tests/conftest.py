@@ -16,8 +16,7 @@ import pytest
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       constant_extension, constant_field_degree)
-from csaclass.algebra import (_finite_place_count, _ord_p, places_above,
-                              validate)
+from csaclass.algebra import _finite_place_count, places_above, validate
 from csaclass.basefield import _prime_factors
 from csaclass.errors import InvalidDivisorError, ValidationError
 from csaclass.omega import enumerate_omega, local_shape
@@ -67,8 +66,8 @@ def constant_field_degree_reference(spec: AlgebraSpec) -> int:
     s0 = 1
     for p, exponent in _prime_factors(n).items():
         for v in spec.all_places():
-            cap = _ord_p(spec.capacity(v), p)
-            if _ord_p(gcd(v.degree, n), p) > cap:
+            cap = _prime_factors(spec.capacity(v)).get(p, 0)
+            if _prime_factors(gcd(v.degree, n)).get(p, 0) > cap:
                 exponent = min(exponent, cap)
         s0 *= p ** exponent
     return s0

@@ -35,6 +35,22 @@ from conftest import genus_reduce, per_genus
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIG_PATH = ROOT / "configs" / "dvg-example.json"
+REACH_DIR = ROOT / "configs" / "reach"
+
+# Every interpreter the tests start has src on its path and treats a
+# DeprecationWarning as an error: a deprecated stdlib call in src/ fails a
+# process-level test before it is removed.
+SPAWN_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                 PYTHONWARNINGS="error::DeprecationWarning")
+
+
+def spawn(*args, start=subprocess.run, **kwargs):
+    """`python ARGS` in a fresh interpreter under SPAWN_ENV, by `start`
+    (`subprocess.Popen` to stream); stdout and stderr are piped unless the
+    caller sets them."""
+    return start([sys.executable, *args], env=SPAWN_ENV,
+                 **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE,
+                    **kwargs})
 
 GOLDEN_CONFIG = CONFIG_PATH.read_text(encoding="utf-8")
 
@@ -313,30 +329,18 @@ def test_selfcheck_computes_each_theta_once(tmp_path, capsys, monkeypatch):
 
 # The Iwahori order at a place U of degree 3 in a degree-24 algebra over
 # F_2(T): its set at s = 3 has 9,465,511,770 elements.
-IW24D3_CONFIG = json.dumps({
-    "base": {"type": "rational_function_field", "q": 2},
-    "degree": 24,
-    "ramification": [
-        {"place": "T", "degree": 1, "invariant": "1/24"},
-        {"place": "infinity", "invariant": "-1/24"},
-        {"place": "U", "degree": 3},
-    ],
-    "order": {"invariants": {"U": [1] * 24}},
-})
+IW24D3_PATH = str(REACH_DIR / "iw24d3.json")
 
 
-def test_selfcheck_strip_states_count_against_the_budget(tmp_path, capsys,
-                                                         monkeypatch):
+def test_selfcheck_strip_states_count_against_the_budget(capsys, monkeypatch):
     # The solve takes milliseconds; the strip count of the set at U and
     # s = 3 trips the budget at once, and no set is walked.
     def walk(*args):
         raise AssertionError("selfcheck walked a set")
 
     monkeypatch.setattr(cli, "enumerate_omega", walk)
-    path = tmp_path / "reach.json"
-    path.write_text(IW24D3_CONFIG, encoding="utf-8")
     started = time.monotonic()
-    code = main(["--config", str(path), "--budget", "1000", "selfcheck"])
+    code = main(["--config", IW24D3_PATH, "--budget", "1000", "selfcheck"])
     elapsed = time.monotonic() - started
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
@@ -345,33 +349,24 @@ def test_selfcheck_strip_states_count_against_the_budget(tmp_path, capsys,
     assert elapsed < 1
 
 
-@pytest.mark.parametrize("n,deg", [(24, 3), (48, 12)],
-                         ids=["iw24d3", "iw48d12"])
-def test_selfcheck_reaches_large_iwahori_orders(tmp_path, capsys, n, deg):
-    # Sets of 9.5e9 and 3.4e44 elements, checked through their strip counts
-    # under the default budget.
-    path = tmp_path / "reach.json"
-    path.write_text(json.dumps({
-        "base": {"type": "rational_function_field", "q": 2},
-        "degree": n,
-        "ramification": [
-            {"place": "T", "degree": 1, "invariant": f"1/{n}"},
-            {"place": "infinity", "invariant": f"-1/{n}"},
-            {"place": "U", "degree": deg},
-        ],
-        "order": {"invariants": {"U": [1] * n}},
-    }), encoding="utf-8")
+# selfcheck counts each local set by its strips and walks none of them:
+# the set above at s = 3, f_U = (2)^12 at a place of degree 4, and the
+# Iwahori order of degree 48 at a place of degree 12, whose set at s = 12
+# has 3.4e44 elements.  Each runs in a process under the default budget.
+@pytest.mark.parametrize("name", ["iw24d3", "iw48d12", "x24d4"])
+def test_selfcheck_reaches_large_iwahori_orders(name):
     started = time.monotonic()
-    code, out = run_cli(capsys, "--config", str(path), "selfcheck")
+    proc = spawn("-m", "csaclass.cli", "--config",
+                 str(REACH_DIR / f"{name}.json"), "selfcheck",
+                 text=True, timeout=10)
     elapsed = time.monotonic() - started
-    assert code == 0
-    assert json.loads(out)["all_passed"] is True
-    if n == 24:
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["all_passed"] is True
+    if name == "iw24d3":
         assert elapsed < 1
 
 
-def test_selfcheck_catches_a_strip_count_off_at_one_key(tmp_path, capsys,
-                                                        monkeypatch):
+def test_selfcheck_catches_a_strip_count_off_at_one_key(capsys, monkeypatch):
     # At s = 3 the place U of degree 3 splits into l = 3 places above it;
     # one element more at that key alone fails theta_engines_agree.
     real_counts = classnum.strip_counts
@@ -386,9 +381,7 @@ def test_selfcheck_catches_a_strip_count_off_at_one_key(tmp_path, capsys,
         return counts
 
     monkeypatch.setattr(classnum, "strip_counts", off_at_l3)
-    path = tmp_path / "reach.json"
-    path.write_text(IW24D3_CONFIG, encoding="utf-8")
-    code, out = run_cli(capsys, "--config", str(path), "selfcheck")
+    code, out = run_cli(capsys, "--config", IW24D3_PATH, "selfcheck")
     checks = json.loads(out)["checks"]
     assert code == 1
     assert checks["theta_engines_agree"] is False
@@ -660,11 +653,20 @@ def test_repeated_infinity_exits_2(tmp_path, capsys):
         "error: ramification[2].place: infinity listed twice"]
 
 
-def test_engine_flag_is_gone(golden_config_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", golden_config_path, "classnum", "--engine", "enum"])
-    capsys.readouterr()
-    assert exc.value.code == 2
+def test_engine_flag_is_gone():
+    # Before the command or after it, argparse refuses the flag with usage.
+    for argv in (["--engine", "enum", "classnum"],
+                 ["classnum", "--engine", "enum"]):
+        proc = spawn("-m", "csaclass.cli", "--config", str(CONFIG_PATH),
+                     *argv, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage:")
+
+
+def test_help_prints_usage():
+    proc = spawn("-m", "csaclass.cli", "--help", text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage:")
 
 
 def test_resum_violation_exits_3(golden_order, golden_config_path, capsys,
@@ -760,11 +762,9 @@ def test_negative_class_number_base_exits_2(tmp_path, capsys):
 
 
 def test_negative_class_number_base_exits_2_under_optimize(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "csaclass.cli",
-         "--config", _negative_p1_config(tmp_path), "mass"],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = spawn("-O", "-m", "csaclass.cli",
+                 "--config", _negative_p1_config(tmp_path), "mass",
+                 text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [NEGATIVE_P1_ERROR]
@@ -1040,11 +1040,13 @@ def test_emit_matches_reference_walk(output, capsys):
 # a genus-2 base field with infinity of degree 2, where places split into
 # l = 3 places above them (with t = 3 at V, s = 9), in both output modes.
 # The reach orders add classnum and theta at a place of degree 3, 4 or 12
-# with up to 48 columns, where rows of many equal columns are placed.  The
-# maximal orders of degree 720 pin M_s over a rational base at all 30
-# levels of s0 = 720, and at s = 9 and 45 with infinity of degree 2.  The
-# files were written with json.dumps(indent=2), so they check the
-# join-based encoder against an independent one.
+# with up to 48 columns, where rows of many equal columns are placed, and
+# classnum, selfcheck, theta and transfer where f_U has 6 or 12 equal parts
+# at a place of degree 1 or 2 (x24d2, g24, g30).  The maximal orders of
+# degree 720 pin M_s over a rational base at all 30 levels of s0 = 720, and
+# at s = 9 and 45 with infinity of degree 2.  The files were written with
+# json.dumps(indent=2), so they check the join-based encoder against an
+# independent one.
 GOLDEN_DIR = ROOT / "tests" / "golden"
 GOLDEN_COMMANDS = [
     ("dvg-example", "classnum", ()),
@@ -1074,6 +1076,16 @@ GOLDEN_COMMANDS = [
     ("reach/f8", "theta", ("--place", "U", "--s", "2")),
     ("reach/m720", "classnum", ()),
     ("reach/m720-infinity2", "embed", ("--s", "9")),
+    ("reach/x24d2", "classnum", ()),
+    ("reach/x24d2", "selfcheck", ()),
+    ("reach/x24d2", "theta", ("--place", "U", "--s", "2")),
+    ("reach/x24d2", "transfer", ("--s", "2", "--s2", "2")),
+    ("reach/g24", "classnum", ()),
+    ("reach/g24", "selfcheck", ()),
+    ("reach/g24", "theta", ("--place", "U", "--s", "2")),
+    ("reach/g24", "transfer", ("--s", "2", "--s2", "2")),
+    ("reach/g30", "classnum", ()),
+    ("reach/g30", "selfcheck", ()),
 ]
 
 
@@ -1543,14 +1555,22 @@ def test_genera_streams_the_dict_form(tmp_path, n, places, count):
         assert main(["--config", str(path), "genera"]) == 0
     report = classnum.total_class_number_genera(
         parse_config(path.read_text(encoding="utf-8")).order)
+    rows = per_genus(report)
+    assert sum(h for _, h in rows) == report.total
     want = _dumps_indented({
         "count": count, "total": report.total,
         "per_genus": [{"genus": dict(genus), "class_number": h}
-                      for genus, h in per_genus(report)]}) + "\n"
+                      for genus, h in rows]}) + "\n"
     assert "".join(stdout.writes) == want
     # per_genus arrives in chunks of a bounded size, never in one piece
     assert len(stdout.writes) > 2
     assert max(map(len, stdout.writes)) <= 1_000_000
+    # The text form's per_genus line holds the same rows.
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(["--config", str(path), "--output", "text", "genera"]) == 0
+    lines = dict(line.split(": ", 1) for line in text.getvalue().splitlines())
+    assert json.loads(lines["per_genus"]) == json.loads(want)["per_genus"]
 
 
 def test_a_chunk_ends_with_the_block_that_fills_it(monkeypatch):
@@ -1597,15 +1617,12 @@ def test_closed_stdout_exits_1_quietly(tmp_path, capsys, command):
     assert capsys.readouterr() == ("", "")
 
 
-def test_closed_pipe_exits_1_without_a_traceback(tmp_path):
+def test_closed_pipe_exits_1_without_a_traceback():
     # `csaclass ... genera | head -c 300`: the 1.3 MB report outruns the
     # pipe, so writes go on after its reader has closed it.
-    path = tmp_path / "fanout.json"
-    path.write_text(_fanout_config(8, 1), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "csaclass.cli", "--config", str(path), "genera"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = spawn("-m", "csaclass.cli", "--config",
+                 str(REACH_DIR / "fanout.json"), "genera",
+                 start=subprocess.Popen)
     assert len(proc.stdout.read(300)) == 300
     proc.stdout.close()
     err = proc.stderr.read()
@@ -1705,19 +1722,15 @@ def test_unwritable_stdout_exits_1_while_streaming(tmp_path, capsys,
 
 
 def test_closed_fd_1_exits_1_without_a_traceback():
-    # As in `csaclass ... >&-`: the interpreter starts with sys.stdout None.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import os, runpy; os.close(1); "
-         "runpy.run_module('csaclass.cli', run_name='__main__')",
-         "--config", str(CONFIG_PATH), "classnum"],
-        stderr=subprocess.PIPE, env=env, timeout=60)
-    assert (proc.returncode, proc.stderr) == (1, b"")
-    proc = subprocess.run(
-        ["sh", "-c", '"$0" -m csaclass.cli --config "$1" classnum >&-',
-         sys.executable, str(CONFIG_PATH)],
-        stderr=subprocess.PIPE, env=env, timeout=60)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    # fd 1 closed under a running interpreter, then as in `csaclass ... >&-`,
+    # where the interpreter starts with sys.stdout None.
+    for closing in ("import os, runpy; os.close(1); "
+                    "runpy.run_module('csaclass.cli', run_name='__main__')",
+                    "import os, sys; os.close(1); os.execv(sys.executable, "
+                    "[sys.executable, '-m', 'csaclass.cli', *sys.argv[1:]])"):
+        proc = spawn("-c", closing, "--config", str(CONFIG_PATH), "classnum",
+                     stdout=None, timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize("flag,loaded", [("--config", b"False"),
@@ -1725,13 +1738,11 @@ def test_closed_fd_1_exits_1_without_a_traceback():
 def test_only_argparse_reads_odd_command_lines(flag, loaded):
     # A fresh interpreter: a plain run never imports argparse; an
     # abbreviated option is read by argparse, to the same report.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from csaclass.cli import main; "
-         "code = main(sys.argv[1:]); "
-         "print('argparse' in sys.modules, file=sys.stderr); sys.exit(code)",
-         flag, str(CONFIG_PATH), "classnum"],
-        capture_output=True, env=env, timeout=60)
+    proc = spawn("-c", "import sys; from csaclass.cli import main; "
+                 "code = main(sys.argv[1:]); "
+                 "print('argparse' in sys.modules, file=sys.stderr); "
+                 "sys.exit(code)", flag, str(CONFIG_PATH), "classnum",
+                 timeout=60)
     want = (GOLDEN_DIR / "dvg-example.classnum.json").read_bytes()
     assert (proc.returncode, proc.stdout, proc.stderr.strip()) == (
         0, want, loaded)
@@ -1962,12 +1973,40 @@ def test_classnum_builds_one_base_field(tmp_path, capsys, monkeypatch):
 def test_classnum_over_a_large_prime_q_finishes():
     # q = 100000000000031 is prime: a checked BaseField of q^2 would
     # trial-divide up to q itself.
-    path = ROOT / "configs" / "reach" / "bigq.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "csaclass.cli", "--config", str(path),
-         "--budget", "10", "classnum"],
-        capture_output=True, text=True, env=env, timeout=30)
+    proc = spawn("-m", "csaclass.cli", "--config",
+                 str(REACH_DIR / "bigq.json"), "--budget", "10", "classnum",
+                 text=True, timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     report = json.loads(proc.stdout)
     assert (report["h"], report["h_total"]) == ({"1": 0, "2": 1}, 1)
+
+
+# Reach runs in a process, each within its time bound and under the default
+# budget unless it sets one.  A split place of degree 10^8 gives theta 1
+# with no power of q.  Over the prime q = 100000000000031, transfer solves
+# its derived sum on the algebra's own levels and builds no algebra over
+# q^2; over a curve with that q, the field of q^2 is built unchecked.  A
+# maximal order of degree 720 settles all 30 levels of s0 = 720; with
+# infinity of degree 2, an even s gives the places above infinity local
+# index 1440/s, which does not divide 720/s, so s0 = 45.
+@pytest.mark.parametrize("config,argv,seconds,needle", [
+    ("split1e8", ("--budget", "10", "classnum"), 10, '"s0": 2,'),
+    ("bigq", ("--budget", "10", "transfer", "--s", "2", "--s2", "2"), 10,
+     '"equal": true'),
+    ("bigq-curve", ("--budget", "10", "classnum"), 10, '"s0": 2,'),
+    ("m720", ("classnum",), 20, '"s0": 720,'),
+    ("m720-infinity2", ("classnum",), 20, '"s0": 45,'),
+], ids=["split1e8", "bigq-transfer", "bigq-curve", "m720", "m720-infinity2"])
+def test_reach_run_finishes_in_a_process(config, argv, seconds, needle):
+    proc = spawn("-m", "csaclass.cli", "--config",
+                 str(REACH_DIR / f"{config}.json"), *argv,
+                 text=True, timeout=seconds)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert needle in proc.stdout
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/**/*.json")),
+                         ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_every_config_parses(path):
+    # Configs without a golden file are read here, so none of them rots.
+    parse_config(path.read_text(encoding="utf-8"))
