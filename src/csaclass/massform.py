@@ -14,17 +14,7 @@ from fractions import Fraction
 from .algebra import AlgebraSpec, shape_above
 from .basefield import constant_extension, pic_order
 from .errors import IntegralityViolationError
-from .orders import OrderSpec, local_unit_index
-
-
-def ramification_factor(N: int, d: int, n: int) -> int:
-    """prod over 1 <= i <= n-1 with d not dividing i of (N^i - 1)."""
-    result, power = 1, 1
-    for i in range(1, n):
-        power *= N
-        if i % d != 0:
-            result *= power - 1
-    return result
+from .orders import OrderSpec, local_unit_index, q_factorial
 
 
 def _level_mass(spec: AlgebraSpec, s: int, index: int = 1) -> Fraction:
@@ -35,15 +25,18 @@ def _level_mass(spec: AlgebraSpec, s: int, index: int = 1) -> Fraction:
     base = constant_extension(spec.base, s)
     base.check_class_number()
     q, n = base.q, spec.degree // s
-    num, den, power = pic_order(base), q - 1, 1
+    num, power = pic_order(base), 1
     for _ in range(1, n):  # zeta_{L_s}(-i) at one running power q^i
         power *= q
         num *= base.l_poly_at(power)
-        den *= (1 - power) * (1 - power * q)
+    # q - 1 times the zeta denominators (q^i - 1)(q^{i+1} - 1), 0 < i < n
+    den = q_factorial(q, n - 1) ** 2 * (q ** n - 1)
     for v in spec.all_places():
-        l, degree, local_index = shape_above(v, s)
-        if local_index > 1:
-            num *= ramification_factor(q ** degree, local_index, n) ** l
+        l, degree, d_w = shape_above(v, s)
+        if d_w > 1:  # prod over i < n with d_w not dividing i of (N^i - 1)
+            N = q ** degree
+            num *= (q_factorial(N, n - 1)
+                    // q_factorial(N ** d_w, (n - 1) // d_w)) ** l
     mass = Fraction(num * index, den)
     if num <= 0:  # den > 0 and index >= 1
         raise IntegralityViolationError(f"mass {mass} is not positive")

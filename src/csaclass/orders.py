@@ -24,11 +24,21 @@ def normalize_invariant(f_vec) -> tuple[int, ...]:
     return min(f[i:] + f[:i] for i in range(len(f)))
 
 
+def q_factorial(x: int, k: int) -> int:
+    """[k]!_x = prod_{i=1}^{k}(x^i - 1), 1 for k < 1: every product of terms
+    x^i - 1 in the mass is one of these, or a quotient of them."""
+    result, power = 1, 1
+    for _ in range(k):
+        power *= x
+        result *= power - 1
+    return result
+
+
 def local_unit_index(N: int, d: int, f_vec) -> int:
     """Index of the hereditary unit group in the maximal one.
 
-    prod_{i=1}^{m}(N^{d i}-1) / prod over entries e of prod_{j<=e}(N^{d j}-1),
-    with m the entry sum.  Zero entries contribute empty factors, so the same
+    [m]!_{N^d} / prod over entries e of [e]!_{N^d} (`q_factorial`), with m
+    the entry sum.  Zero entries contribute empty factors, so the same
     routine serves flattened vectors coming from local embedding data.
     The quotient is a Gaussian multinomial, so it is exact, and it is 1
     with at most one non-zero entry, where no power of N is formed."""
@@ -37,14 +47,9 @@ def local_unit_index(N: int, d: int, f_vec) -> int:
     f = tuple(f_vec)
     if len(f) - f.count(0) <= 1:
         return 1
-    m = sum(f)
-    step, power = N ** d, 1  # a running power forms each N^{d j} - 1 once
-    prefix = [1]  # prefix[j] = prod_{i<=j}(N^{d i}-1); an entry may pass m
-    for _ in range(max(m, *f)):
-        power *= step
-        prefix.append(prefix[-1] * (power - 1))
-    num = prefix[max(m, 0)]
-    den = prod([prefix[e] for e in f if e > 0])
+    step = N ** d
+    num = q_factorial(step, sum(f))
+    den = prod([q_factorial(step, e) for e in f])
     index, rest = divmod(num, den)
     if rest != 0:
         raise IntegralityViolationError(

@@ -190,6 +190,17 @@ def test_prime_degree_requires_prime(golden_order):
         prime_degree_class_number(golden_order)
 
 
+def test_prime_degree_refuses_a_non_integral_class_number(monkeypatch):
+    # A mass of 1/7 would not do: its correction term makes it whole.
+    order = maximal_order(AlgebraSpec(BaseField(2), 3,
+                                      (Place("T", 1, 3, 1),), -1))
+    monkeypatch.setattr(classnum, "mass_hereditary",
+                        lambda order: Fraction(2, 7))
+    with pytest.raises(IntegralityViolationError, match=(
+            "^prime-degree class number 8/7 is not a non-negative integer$")):
+        prime_degree_class_number(order)
+
+
 def test_prime_degree_cross_check_random():
     # Bases of genus 0, 1 and 2 with deg infinity 1 and 2: the closed form
     # reads #Pic of the degree-n constant extension, the solve each M_s.

@@ -5,12 +5,13 @@ module uses `assert`, only the modules that hold rational values import
 tests' oracles stay out of the package, no module keeps state between
 calls, no module imports `dataclasses`, importing the CLI loads no
 introspection module and no argparse, `cli` imports no private name from
-`classnum`, and the package exports exactly what its `__init__.py`
-imports."""
+`classnum`, the package exports exactly what its `__init__.py`
+imports, and every name the benchmark reads from the package resolves."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -19,7 +20,8 @@ import pytest
 
 import csaclass
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "csaclass"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "csaclass"
 # __init__.py imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -288,3 +290,73 @@ def test_exports_are_the_imported_names():
     missing = [name for name in csaclass.__all__
                if not hasattr(csaclass, name)]
     assert missing == []
+
+
+def benchmark_names(sources: list[str]) -> set[str]:
+    """Dotted `csaclass` names the sources read: each name a `from csaclass`
+    import binds, each module `importlib.import_module` loads, and each
+    attribute read off a module so imported.  The worker hands the modules
+    it imports to the pass runner under the same names, so the bindings of
+    all the sources are shared."""
+    names, modules = set(), {}
+    trees = [ast.parse(source) for source in sources]
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.ImportFrom) and not node.level and \
+                node.module.split(".")[0] == "csaclass":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "import_module" and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and str(node.args[0].value).startswith("csaclass")):
+            names.add(node.args[0].value)
+    names |= set(modules.values())
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add(f"{modules[node.value.id]}.{node.attr}")
+    return names
+
+
+def resolve(dotted: str):
+    """The module or attribute a dotted name stands for."""
+    try:
+        return importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        parent, _, name = dotted.rpartition(".")
+        return getattr(resolve(parent), name)
+
+
+def test_benchmark_names_are_found():
+    worker = "def main():\n    from csaclass import cli as c, classnum\n"
+    runner = ("import importlib\nfrom csaclass.algebra import Place\n"
+              "def run(c, classnum, other):\n"
+              "    c.main([]); classnum.solve(other.x)\n"
+              "    return importlib.import_module('csaclass.theta')\n")
+    assert benchmark_names([worker, runner]) == {
+        "csaclass.cli", "csaclass.cli.main", "csaclass.classnum",
+        "csaclass.classnum.solve", "csaclass.algebra.Place", "csaclass.theta"}
+    assert resolve("csaclass.cli.main") is csaclass.cli.main
+    with pytest.raises(AttributeError):
+        resolve("csaclass.classnum.no_such_name")
+
+
+def test_names_the_benchmark_reads_resolve():
+    # perfbench runs every op through these names; one renamed or moved
+    # fails every benchmark run, so the tests fail first.
+    sources = [(ROOT / "perfbench" / name).read_text(encoding="utf-8")
+               for name in ("worker.py", "pass_runner.py")]
+    names = benchmark_names(sources)
+    assert "csaclass.cli.main" in names
+    unresolved = []
+    for name in sorted(names):
+        try:
+            resolve(name)
+        except (AttributeError, ImportError):
+            unresolved.append(name)
+    assert unresolved == []
+    # The prime-degree check reads the order off the parsed config.
+    config = (ROOT / "configs" / "dvg-example.json").read_text(encoding="utf-8")
+    assert hasattr(resolve("csaclass.cli").parse_config(config), "order")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import warnings
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -14,17 +15,41 @@ from csaclass.algebra import shape_above
 from csaclass.basefield import (constant_extension, pic_order,
                                 zeta_at_negative)
 from csaclass.errors import IntegralityViolationError, ValidationError
-from csaclass.massform import _level_mass, ramification_factor
+from csaclass.massform import _level_mass
+from csaclass.orders import q_factorial
 from conftest import (centralizer_spec, random_definite_spec, random_l_poly,
                       random_order)
+
+
+def ramification_by_loop(N: int, d: int, n: int) -> int:
+    """lambda: prod over 1 <= i < n with d not dividing i of (N^i - 1)."""
+    result = 1
+    for i in range(1, n):
+        if i % d:
+            result *= N ** i - 1
+    return result
 
 
 def test_ramification_factor_examples():
     # q = 3, n = 4: a fully ramified place of degree 1 contributes
     # (3-1)(9-1)(27-1) = 416; an index-2 place skips i = 2.
-    assert ramification_factor(3, 4, 4) == 2 * 8 * 26
-    assert ramification_factor(3, 2, 4) == 2 * 26
-    assert ramification_factor(3, 1, 4) == 1
+    assert ramification_by_loop(3, 4, 4) == 2 * 8 * 26
+    assert ramification_by_loop(3, 2, 4) == 2 * 26
+    assert ramification_by_loop(3, 1, 4) == 1
+    # `q_factorial`, and the quotient `_level_mass` forms lambda by, against
+    # the products taken term by term: the i < n that d divides are d j with
+    # j <= (n - 1) // d.
+    rng = random.Random(39)
+    for k in range(-2, 1):
+        assert q_factorial(rng.randint(2, 27), k) == 1
+    for _ in range(300):
+        x, N, n = rng.randint(2, 27), rng.randint(2, 27), rng.randint(1, 60)
+        assert q_factorial(x, n) == prod(x ** i - 1 for i in range(1, n + 1))
+        for d in range(1, n + 1):
+            if n % d == 0:
+                assert (q_factorial(N, n - 1)
+                        // q_factorial(N ** d, (n - 1) // d)
+                        == ramification_by_loop(N, d, n)), (N, d, n)
 
 
 def test_golden_maximal_mass(golden_spec):
@@ -179,7 +204,7 @@ def _level_mass_by_extension(spec: AlgebraSpec, s: int) -> Fraction:
     for v in spec.all_places():
         l, degree, local_index = shape_above(v, s)
         if local_index > 1:
-            mass *= ramification_factor(base.q ** degree, local_index, n) ** l
+            mass *= ramification_by_loop(base.q ** degree, local_index, n) ** l
     return mass
 
 

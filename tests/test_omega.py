@@ -13,7 +13,7 @@ import pytest
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       enumerate_omega, normalize_invariant, omega_size,
-                      strip_counts, transfer_check)
+                      strip_counts, theta, transfer_check)
 from csaclass.errors import BudgetExceededError, ValidationError
 from csaclass.omega import local_shape
 from conftest import flatten_strip, with_listed_place
@@ -215,6 +215,20 @@ def test_flatten_strip_rejects_all_zero_slice():
     elem = ((1, 1), (0, 0))
     with pytest.raises(ValidationError):
         flatten_strip(elem[1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: theta(v, (0, 0), 1, 2),
+    lambda v: omega_size(v, (), 1),
+    lambda v: strip_counts(v, (0,), 1),
+    lambda v: list(enumerate_omega(v, (0, 0), 1)),
+], ids=["theta", "omega_size", "strip_counts", "enumerate_omega"])
+def test_zero_sum_vector_is_refused(call):
+    # OrderSpec refuses such a vector first, so only library callers get
+    # this far.
+    with pytest.raises(ValidationError,
+                       match="^invariant vector must have positive sum$"):
+        call(Place("v", 1))
 
 
 def walked_strip_counts(place: Place, f_vec, s: int) -> Counter:
