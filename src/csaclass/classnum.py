@@ -5,9 +5,10 @@ at each level the mass M_s of a maximal order in the centralizer algebra
 times the product of the local theta factors pins down a weighted partial
 sum of the remaining unknowns.  Integrality of every solved value is
 enforced, not assumed.  Each command solves through one level solver, which
-computes each M_s and each theta factor once.  `transfer_check` solves the
-sum of its derived orders on the algebra's own levels s s' through one strip
-sum, whose factor at S = s is the theta factor itself: `selfcheck` checks it.
+holds the order's places and computes each M_s, each theta factor and each
+strip count once.  `transfer_check` solves the sum of its derived orders on
+the algebra's own levels s s' through the solver's strip sum, whose factor
+at S = s is the theta factor itself: `selfcheck` checks it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
 
-from .algebra import AlgebraSpec, constant_field_degree, places_above
+from .algebra import constant_field_degree, places_above
 from .basefield import _prime_factors, constant_extension, pic_order
 from .errors import (DEFAULT_BUDGET, BudgetExceededError,
                      IntegralityViolationError, InvalidDivisorError,
@@ -38,12 +39,15 @@ class Level(namedtuple("Level", "s h mass theta")):
         return self.mass * prod(self.theta.values())
 
 
-_Solver = namedtuple("_Solver", "s0 theta solve")
+_Solver = namedtuple("_Solver", "s0 places theta counts factor solve")
 
 
-def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
-    """The level recursion of `spec` over the divisors s of its s0.
+def _level_solver(order: OrderSpec, budget: int = DEFAULT_BUDGET,
+                  layer: str = "transfer") -> _Solver:
+    """The one record of a command on `order`: its level recursion over the
+    divisors s of its s0, its places and its memos.
 
+    `places` holds (label, v, f_v) over the order's relevant labels.
     `solve(rows, step)` -> (s, M_s, rows(s), [h_s, ...]) at each s that
     `step` divides, largest first: h_s reads only the levels s divides, so
     these levels are closed.  `rows(s)` gives the rows of factors at level
@@ -52,23 +56,46 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
     An order has one row of one theta per place (`_order_levels`).  M_s,
     from `_level_mass`, depends on s alone and `theta(v, f, s, field=q)` on
     (deg, d, f, s, field) alone, so each is computed once and shared by
-    every solve and `_strip_sums`.  `budget` bounds each theta's row
-    placements.  With M_s = a/b and E
-    the lcm of b and q^{s2} - 1 over the levels s2 > s that s divides, h_s =
-    (A * product - sum B_s2 * h_s2) / (s E) for the integers A = (q^s - 1) a
-    E/b and B_s2 = (q^s - 1) s E/(q^{s2} - 1).
+    every solve and every strip sum.  `budget` bounds each theta's row
+    placements.  With M_s = a/b and E the lcm of b and q^{s2} - 1 over the
+    levels s2 > s that s divides, h_s = (A * product - sum B_s2 * h_s2) /
+    (s E) for the integers A = (q^s - 1) a E/b and B_s2 = (q^s - 1) s E/
+    (q^{s2} - 1).
+
+    `counts(v, f, s)` is `strip_counts` once per (deg v, d_v, f, s), its
+    budget naming `layer`; `factor(v, f, s, S)` sums count * prod_w
+    theta(w, g_w, S/s, q^s) over those strip groups, w in
+    `places_above(v, s)`.  At S = s each w is at its level 1, where theta
+    is its strip's unit index, so the factor is theta(v, f, s) itself.
     """
+    spec = order.algebra
     q = spec.base.q
     s0 = constant_field_degree(spec)
+    places = tuple((label, spec.place(label), order.invariant_at(label))
+                   for label in order.relevant_labels())
     divisors = [s for s in range(s0, 0, -1) if s0 % s == 0]
     steps: dict[int, tuple] = {}  # s -> (M_s, A, [(s2, B_s2), ...], s E)
     thetas: dict[tuple, int] = {}
+    counted: dict[tuple, dict] = {}
 
     def theta_at(v, f_vec, s: int, field: int = q) -> int:
         key = (v.degree, v.local_index, f_vec, s, field)
         if key not in thetas:
             thetas[key] = theta(v, f_vec, s, field, budget=budget)
         return thetas[key]
+
+    def counts(v, f_vec, s: int) -> dict:
+        key = (v.degree, v.local_index, f_vec, s)
+        if key not in counted:
+            counted[key] = strip_counts(v, f_vec, s, budget=budget,
+                                        layer=layer)
+        return counted[key]
+
+    def factor(v, f_vec, s: int, S: int) -> int:
+        above, field = places_above(v, s), q ** s
+        return sum(count * prod(theta_at(w, g, S // s, field)
+                                for w, g in zip(above, strips))
+                   for strips, count in counts(v, f_vec, s).items())
 
     def solve(rows, step: int = 1) -> list[tuple]:
         h: dict[int, list] = {}
@@ -98,44 +125,16 @@ def _level_solver(spec: AlgebraSpec, budget: int = DEFAULT_BUDGET) -> _Solver:
             solved.append((s, mass, level_rows, values))
         return solved
 
-    return _Solver(s0, theta_at, solve)
+    return _Solver(s0, places, theta_at, counts, factor, solve)
 
 
-def _order_levels(solver: _Solver, order: OrderSpec,
-                  step: int = 1) -> list[Level]:
-    """The `Level`s of one order at the s that `step` divides, largest
-    first: each place's row is its one theta factor."""
-    labels = order.relevant_labels()
-    places = [(order.algebra.place(label), order.invariant_at(label))
-              for label in labels]
+def _order_levels(solver: _Solver, step: int = 1) -> list[Level]:
+    """The `Level`s of the solver's order at the s that `step` divides,
+    largest first: each place's row is its one theta factor."""
+    labels = [label for label, _, _ in solver.places]
     return [Level(s, h, mass, dict(zip(labels, (t for (t,) in rows))))
             for s, mass, rows, (h,) in solver.solve(lambda s: [
-                [solver.theta(v, f_vec, s)] for v, f_vec in places], step)]
-
-
-def _strip_sums(theta_at, q: int, budget: int, layer: str):
-    """(counts, factor) over `theta_at`, a solver's theta memo.
-    `counts(v, f, s)` is `strip_counts` once per (deg v, d_v, f, s), its
-    budget naming `layer`; `factor(v, f, s, S)` sums count * prod_w
-    theta_at(w, g_w, S/s, q^s) over those strip groups, w in
-    `places_above(v, s)`.  At S = s each w is at its level 1, where theta
-    is its strip's unit index, so the factor is theta(v, f, s) itself."""
-    counted: dict[tuple, dict] = {}
-
-    def counts(v, f_vec, s: int) -> dict:
-        key = (v.degree, v.local_index, f_vec, s)
-        if key not in counted:
-            counted[key] = strip_counts(v, f_vec, s, budget=budget,
-                                        layer=layer)
-        return counted[key]
-
-    def factor(v, f_vec, s: int, S: int) -> int:
-        above, field = places_above(v, s), q ** s
-        return sum(count * prod(theta_at(w, g, S // s, field)
-                                for w, g in zip(above, strips))
-                   for strips, count in counts(v, f_vec, s).items())
-
-    return counts, factor
+                [solver.theta(v, f, s)] for _, v, f in solver.places], step)]
 
 
 def weight_class_numbers(order: OrderSpec, *,
@@ -144,7 +143,7 @@ def weight_class_numbers(order: OrderSpec, *,
 
     The result is not cached: each call solves every level of `order`.
     """
-    levels = _order_levels(_level_solver(order.algebra, budget), order)
+    levels = _order_levels(_level_solver(order, budget))
     return {level.s: level.h for level in levels}
 
 
@@ -155,10 +154,10 @@ def class_number(order: OrderSpec) -> int:
 def embedding_count(order: OrderSpec, s: int, *,
                     budget: int = DEFAULT_BUDGET) -> int:
     """Total count of optimal embeddings of the degree-s constant ring."""
-    solver = _level_solver(order.algebra, budget)
+    solver = _level_solver(order, budget)
     if s < 1 or solver.s0 % s != 0:
         raise InvalidDivisorError(f"s = {s} does not divide s0 = {solver.s0}")
-    return s * sum(level.h for level in _order_levels(solver, order, s))
+    return s * sum(level.h for level in _order_levels(solver, s))
 
 
 class TransferReport(namedtuple("TransferReport", "s s2 lhs rhs")):
@@ -180,7 +179,7 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     strips, so each local set is counted by its strip groups without being
     walked.  A derived order's h is linear in the rhs of its levels, each a
     product over the places v, so the sum is one solve whose factor at v is
-    `_strip_sums`'s count-weighted sum of theta products.  D'_s at level s'
+    the solver's count-weighted sum of theta products.  D'_s at level s'
     is D at S = s s': its mass is M_S and its q^{s'} - 1 over F_{q^s} is
     q^S - 1.  So the sum is solved on the lhs's solver, sharing each M_S
     and each theta factor, with its factor times s to turn the 1/S of level
@@ -188,22 +187,17 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     the sum 0.  The budget bounds each place's strip state transitions and
     each theta factor's row placements.
     """
-    spec = order.algebra
-    solver = _level_solver(spec, budget)
+    solver = _level_solver(order, budget)
     s0 = solver.s0
     if s < 1 or s2 < 1 or s2 % s != 0 or s0 % s2 != 0:
         raise InvalidDivisorError(f"need s | s2 | s0, got s={s}, s2={s2}, s0={s0}")
-    lhs = s * _order_levels(solver, order, s2)[-1].h  # the last is h_s2
+    lhs = s * _order_levels(solver, s2)[-1].h  # the last is h_s2
 
-    counts, factor = _strip_sums(solver.theta, spec.base.q, budget,
-                                 "transfer")
-    places = [(spec.place(label), order.invariant_at(label))
-              for label in order.relevant_labels()]
-    for v, f_vec in places:
-        if not counts(v, f_vec, s):
+    for _, v, f_vec in solver.places:
+        if not solver.counts(v, f_vec, s):
             return TransferReport(s, s2, lhs, 0)
     (h,) = solver.solve(lambda S: [[s * prod(
-        factor(v, f_vec, s, S) for v, f_vec in places)]], s2)[-1][3]
+        solver.factor(v, f, s, S) for _, v, f in solver.places)]], s2)[-1][3]
     return TransferReport(s, s2, lhs, h)
 
 
@@ -254,14 +248,12 @@ def total_class_number_genera(order: OrderSpec, *,
     if count > budget:
         raise BudgetExceededError(
             f"genera: genus count {count} exceeds budget of {budget}")
-    spec = order.algebra
     axes = genus_axes(order)
-    solver = _level_solver(spec, budget)
+    solver = _level_solver(order, budget)
     reduced = {axis.label: axis.reduced for axis in axes}
     # A place off the axes keeps its own vector: a row of one theta.
-    rows = [(spec.place(label),
-             reduced.get(label, (order.invariant_at(label),)))
-            for label in order.relevant_labels()]
+    rows = [(v, reduced.get(label, (f_vec,)))
+            for label, v, f_vec in solver.places]
     solved = solver.solve(lambda s: [[solver.theta(v, g, s) for g in vectors]
                                      for v, vectors in rows])
     table = tuple(map(sum, zip(*(h for *_, h in solved))))
@@ -285,11 +277,10 @@ def _resum(levels, q: int) -> Fraction:
 
 def class_number_report(order: OrderSpec, *,
                         budget: int = DEFAULT_BUDGET) -> ClassNumberReport:
-    spec = order.algebra
-    solver = _level_solver(spec, budget)
-    levels = _order_levels(solver, order)[::-1]
+    solver = _level_solver(order, budget)
+    levels = _order_levels(solver)[::-1]
     mass = mass_hereditary(order, levels[0].mass)  # M_1 from the solve
-    resum = _resum(levels, spec.base.q)
+    resum = _resum(levels, order.algebra.base.q)
     if resum != mass:
         raise IntegralityViolationError(
             f"weight class numbers resum to {resum}, not to the mass {mass}")
@@ -300,21 +291,20 @@ def class_number_report(order: OrderSpec, *,
 def selfcheck(order: OrderSpec, *,
               budget: int = DEFAULT_BUDGET) -> dict[str, bool]:
     """The checks of one solve: its h_s resum to the mass, and each theta
-    factor equals `_strip_sums`'s factor at S = s, on the stored vector
+    factor equals the solver's strip factor at S = s, on the stored vector
     and on its rotation, which the strip count reads as given."""
     spec = order.algebra
-    solver = _level_solver(spec, budget)
-    levels = _order_levels(solver, order)
-    _, factor = _strip_sums(solver.theta, spec.base.q, budget, "selfcheck")
+    solver = _level_solver(order, budget, "selfcheck")
+    levels = _order_levels(solver)
 
-    def agree(vectors: list) -> bool:
-        return all(factor(spec.place(label), f_vec, level.s, level.s)
+    def agree(places) -> bool:
+        return all(solver.factor(v, f_vec, level.s, level.s)
                    == level.theta[label]
-                   for level in levels for label, f_vec in vectors)
+                   for level in levels for label, v, f_vec in places)
 
     mass = mass_hereditary(order, levels[-1].mass)
     return {"mass_consistency": _resum(levels, spec.base.q) == mass,
-            "theta_engines_agree": agree([(label, order.invariant_at(label))
-                                          for label in levels[0].theta]),
-            "rotation_invariance": agree([(label, f[1:] + f[:1])
+            "theta_engines_agree": agree(solver.places),
+            "rotation_invariance": agree([(label, spec.place(label),
+                                           f[1:] + f[:1])
                                           for label, f in order.invariants])}

@@ -1,7 +1,8 @@
 """Shared fixtures and the helpers only the tests use: the worked golden
 example, random spec and L-polynomial generators, a split place listed by
 label, the centralizer algebra as a spec, a long vector's strip, the theta
-factor by a walk of the index set, a genus vector's reduction, the genus
+factor by a walk of the index set and by a walk of its columns, a genus
+vector's reduction, the genus
 vectors of a place, the genera of an order one dict at a time, a genera
 report's rows, and s0 prime by prime."""
 
@@ -10,7 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+from operator import eq
 
 import pytest
 
@@ -19,9 +21,9 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
 from csaclass.algebra import _finite_place_count, places_above, validate
 from csaclass.basefield import _prime_factors
 from csaclass.errors import InvalidDivisorError, ValidationError
-from csaclass.omega import enumerate_omega, local_shape
-from csaclass.orders import local_unit_index, normalize_invariant
-from csaclass.theta import residue_power
+from csaclass.omega import _slot_entries, enumerate_omega, local_shape
+from csaclass.orders import local_unit_index, normalize_invariant, q_factorial
+from csaclass.theta import _weights, residue_power
 
 
 def with_listed_place(spec: AlgebraSpec, label: str,
@@ -95,6 +97,52 @@ def theta_enum(place: Place, f_vec, s: int, q: int) -> int:
             term *= local_unit_index(Q, 1, slice_vec)
         total += term
     return total
+
+
+def theta_columns(place: Place, f_vec, s: int, q: int) -> int:
+    """The theta factor by a walk of the columns (the parts of f_v) over the
+    l rows (the places w above v), where `theta` walks the rows over the
+    columns.  A row's weight [m; N]_Q prod_i g_t(N_i) is [m]!_Q over the
+    prod_i [N_i]!_Q times the g_t, so the product over the rows is
+    [m]!_Q^l / prod_b [b]!_Q times, per column of target b, the multinomial
+    [b; N_1, ..., N_l]_Q prod_w g_t(N_w): the telescoped product of
+    cell[left][N_w] with left starting at b.  The state maps the sorted
+    non-zero rooms left in the rows to a weight; each column is split over
+    them by `omega._slot_entries`, and the last column takes every room
+    left whole.  At Q = 0 every Gaussian binomial is 1 and so is the
+    prefactor, so the sum is the size of the index set."""
+    l, t, m, targets = local_shape(place, f_vec, s)
+    if targets is None:
+        return 0
+    Q = residue_power(place, s, q)
+    *walked, last = sorted(b for b in targets if b)
+    cell = _weights(Q, last, t)
+    states = {(m,) * l: 1}
+    for b in walked:
+        merged: dict[tuple[int, ...], int] = {}
+        for rooms, weight in states.items():
+            runs = (False, *map(eq, rooms[1:], rooms))
+            for entries, orderings in _slot_entries(
+                    (rooms, runs, b, True), lambda *_: None):
+                term, left = weight * orderings, b
+                for e in entries:
+                    term *= cell[left][e]
+                    left -= e
+                key = tuple(sorted(r - e for r, e in zip(rooms, entries)
+                                   if r > e))
+                merged[key] = merged.get(key, 0) + term
+        states = merged
+    total = 0
+    for rooms, weight in states.items():
+        left = last
+        for r in rooms:
+            weight *= cell[left][r]
+            left -= r
+        total += weight
+    if not Q:
+        return total
+    return (q_factorial(Q, m) ** l * total
+            // prod(q_factorial(Q, b) for b in targets))
 
 
 class PowerlessInt(int):

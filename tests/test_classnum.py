@@ -636,8 +636,8 @@ def _count_solves(monkeypatch) -> tuple[list, list, list]:
     solves, asked, computed = [], [], []
     real_solver, real_theta = classnum._level_solver, classnum.theta
 
-    def counted_solver(spec, budget=DEFAULT_BUDGET):
-        solver = real_solver(spec, budget)
+    def counted_solver(order, budget=DEFAULT_BUDGET, layer="transfer"):
+        solver = real_solver(order, budget, layer)
 
         def counted_theta(v, f_vec, s):
             asked.append((v.label, f_vec, s))

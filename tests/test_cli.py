@@ -1039,6 +1039,7 @@ def test_emit_matches_reference_walk(output, capsys):
 # Iwahori places, four subcommands over a genus-1 base field, and five over
 # a genus-2 base field with infinity of degree 2, where places split into
 # l = 3 places above them (with t = 3 at V, s = 9), in both output modes.
+# Those two moved into reach/ and keep the ids they had before the move.
 # The reach orders add classnum and theta at a place of degree 3, 4 or 12
 # with up to 48 columns, where rows of many equal columns are placed, and
 # classnum, selfcheck, theta and transfer where f_U has 6 or 12 equal parts
@@ -1059,15 +1060,15 @@ GOLDEN_COMMANDS = [
     ("dvg-example", "selfcheck", ()),
     ("iwahori-two-places", "genera", ()),
     ("iwahori-two-places", "selfcheck", ()),
-    ("genus1-example", "classnum", ()),
-    ("genus1-example", "transfer", ("--s", "2", "--s2", "2")),
-    ("genus1-example", "genera", ()),
-    ("genus1-example", "selfcheck", ()),
-    ("genus2-infinity2", "classnum", ()),
-    ("genus2-infinity2", "theta", ("--place", "V", "--s", "9")),
-    ("genus2-infinity2", "transfer", ("--s", "3", "--s2", "9")),
-    ("genus2-infinity2", "embed", ("--s", "3")),
-    ("genus2-infinity2", "selfcheck", ()),
+    ("reach/genus1-example", "classnum", ()),
+    ("reach/genus1-example", "transfer", ("--s", "2", "--s2", "2")),
+    ("reach/genus1-example", "genera", ()),
+    ("reach/genus1-example", "selfcheck", ()),
+    ("reach/genus2-infinity2", "classnum", ()),
+    ("reach/genus2-infinity2", "theta", ("--place", "V", "--s", "9")),
+    ("reach/genus2-infinity2", "transfer", ("--s", "3", "--s2", "9")),
+    ("reach/genus2-infinity2", "embed", ("--s", "3")),
+    ("reach/genus2-infinity2", "selfcheck", ()),
     ("reach/x24d4", "classnum", ()),
     ("reach/iw24d3", "classnum", ()),
     ("reach/iw48d12", "classnum", ()),
@@ -1087,11 +1088,14 @@ GOLDEN_COMMANDS = [
     ("reach/g30", "classnum", ()),
     ("reach/g30", "selfcheck", ()),
 ]
+KEPT_IDS = {"reach/genus1-example": "genus1-example",
+            "reach/genus2-infinity2": "genus2-infinity2"}
 
 
 @pytest.mark.parametrize("output", ["json", "text"])
 @pytest.mark.parametrize("config,command,extra", GOLDEN_COMMANDS,
-                         ids=[f"{c}.{cmd}" for c, cmd, _ in GOLDEN_COMMANDS])
+                         ids=[f"{KEPT_IDS.get(c, c)}.{cmd}"
+                              for c, cmd, _ in GOLDEN_COMMANDS])
 def test_output_matches_golden_file(config, command, extra, output, capsys,
                                     monkeypatch):
     # Each golden command line is spelled plainly, so none reaches argparse.
@@ -1111,7 +1115,8 @@ def test_output_matches_golden_file(config, command, extra, output, capsys,
 
 @pytest.mark.parametrize("output", ["json", "text"])
 @pytest.mark.parametrize("config", ["dvg-example", "iwahori-two-places",
-                                    "genus1-example"])
+                                    "reach/genus1-example"],
+                         ids=lambda config: KEPT_IDS.get(config, config))
 def test_genera_timings_add_one_key_to_the_golden_report(config, output,
                                                          capsys):
     code = main(["--config", str(ROOT / "configs" / f"{config}.json"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -10,14 +11,16 @@ from math import comb, factorial, gcd, prod
 
 import pytest
 
-from csaclass import (Place, enumerate_omega, local_unit_index,
+from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
+                      constant_field_degree, enumerate_omega, local_unit_index,
                       strip_counts, theta)
-from csaclass.classnum import _strip_sums
-from csaclass.errors import (DEFAULT_BUDGET, BudgetExceededError,
-                             ValidationError)
+from csaclass.classnum import _level_solver
+from csaclass.cli import parse_config
+from csaclass.errors import BudgetExceededError, ValidationError
 from csaclass.omega import local_shape
 from csaclass.theta import _weights, omega_size, residue_power
-from conftest import PowerlessInt, theta_enum
+from conftest import (PowerlessInt, random_definite_spec, random_order,
+                      theta_columns, theta_enum)
 
 
 GOLDEN_Q = 3
@@ -353,8 +356,10 @@ def test_theta_weighs_strip_counts_by_unit_indices(place, f, s, q):
     assert theta(place, f, s, q) == sum(
         count * prod(local_unit_index(Q, 1, strip) for strip in key)
         for key, count in counts.items())
-    _, factor = _strip_sums(theta, q, DEFAULT_BUDGET, "theta")
-    assert factor(place, f, s, s) == theta(place, f, s, q)
+    n = sum(f)
+    spec = AlgebraSpec(BaseField(q), n, (Place("T", 1, n, 1), place), -1)
+    solver = _level_solver(OrderSpec(spec, ((place.label, f),)))
+    assert solver.factor(place, f, s, s) == theta(place, f, s, q)
 
 
 def test_empty_set_builds_no_table(monkeypatch):
@@ -509,3 +514,39 @@ def test_rotation_invariance():
                 rot = f[1:] + f[:1]
                 assert theta(place, f, s, q) == theta(place, rot, s, q)
 
+
+def _seeded_order_keys(rng: random.Random, count: int) -> list[tuple]:
+    """(place, f, s, q) for `count` distinct keys (deg, d, f, s, q): every
+    listed place of seeded random orders, at every s that divides s0."""
+    keys: dict[tuple, tuple] = {}
+    while len(keys) < count:
+        order = random_order(rng, random_definite_spec(rng, max_degree=12),
+                             extra_split_places=2)
+        spec = order.algebra
+        s0 = constant_field_degree(spec)
+        for label in order.relevant_labels():
+            v, f = spec.place(label), order.invariant_at(label)
+            for s in (s for s in range(1, s0 + 1) if s0 % s == 0):
+                keys.setdefault((v.degree, v.local_index, f, s, spec.base.q),
+                                (v, f, s, spec.base.q))
+    return list(keys.values())[:count]
+
+
+def test_theta_by_columns_equals_theta_by_rows():
+    # The column form, the tests' `theta_columns`, walks the parts of f_v
+    # over the l rows where `theta` walks the rows over the parts: the same
+    # sum, and at q = 0 the size of the index set.  The reach keys have 12
+    # to 48 equal parts or eight distinct ones, at l = 2, 4 and 6.
+    reach = pathlib.Path(__file__).resolve().parents[1] / "configs" / "reach"
+    keys = _seeded_order_keys(random.Random(42), 600)
+    shapes = [local_shape(v, f, s)[:2] for v, f, s, _ in keys]
+    assert sum(t > 1 for _, t in shapes) > 150
+    assert sum(l > 1 for l, _ in shapes) > 50
+    for config, s in (("x24d4", 4), ("iw48d12", 6), ("f8", 2)):
+        order = parse_config((reach / f"{config}.json").read_text(
+            encoding="utf-8")).order
+        keys.append((order.algebra.place("U"), order.invariant_at("U"), s,
+                     order.algebra.base.q))
+    for v, f, s, q in keys:
+        assert theta_columns(v, f, s, q) == theta(v, f, s, q), (v, f, s, q)
+        assert theta_columns(v, f, s, 0) == omega_size(v, f, s), (v, f, s)
