@@ -56,11 +56,11 @@ def _level_solver(order: OrderSpec, budget: int = DEFAULT_BUDGET,
     An order has one row of one theta per place (`_order_levels`).  M_s,
     from `_level_mass`, depends on s alone and `theta(v, f, s, field=q)` on
     (deg, d, f, s, field) alone, so each is computed once and shared by
-    every solve and every strip sum.  `budget` bounds each theta's row
-    placements.  With M_s = a/b and E the lcm of b and q^{s2} - 1 over the
-    levels s2 > s that s divides, h_s = (A * product - sum B_s2 * h_s2) /
-    (s E) for the integers A = (q^s - 1) a E/b and B_s2 = (q^s - 1) s E/
-    (q^{s2} - 1).
+    every solve and every strip sum.  `budget` bounds each theta's row or
+    column placements.  With M_s = a/b and E the lcm of b and q^{s2} - 1
+    over the levels s2 > s that s divides, h_s = (A * product - sum B_s2 *
+    h_s2) / (s E) for the integers A = (q^s - 1) a E/b and B_s2 = (q^s - 1)
+    s E/(q^{s2} - 1).
 
     `counts(v, f, s)` is `strip_counts` once per (deg v, d_v, f, s), its
     budget naming `layer`; `factor(v, f, s, S)` sums count * prod_w
@@ -185,7 +185,7 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     and each theta factor, with its factor times s to turn the 1/S of level
     S into the 1/s' of D'_s.  An empty local set, met in label order, makes
     the sum 0.  The budget bounds each place's strip state transitions and
-    each theta factor's row placements.
+    each theta factor's row or column placements.
     """
     solver = _level_solver(order, budget)
     s0 = solver.s0
@@ -242,7 +242,7 @@ def total_class_number_genera(order: OrderSpec, *,
     an axis's reduced vectors or the one of a place off the axes, and each
     tuple's class number sums its h over the levels.  The budget still
     bounds the full genus count, and it bounds each theta factor's row
-    placements.
+    or column placements.
     """
     count = count_genera(order)
     if count > budget:

@@ -159,42 +159,55 @@ def _slot_entries(key, spend) -> list[tuple[tuple[int, ...], int]]:
     places must take all of it.  Within a run of equal places the entries
     are non-decreasing; each choice comes with the number of its distinct
     orderings.  `strip_counts` splits a column's budget left over the
-    places w; `theta` splits a row's m_s over the columns, whose budgets
-    left are the rooms.  As each partial choice is extended, `spend` gets
-    the number of entries it tried and the number of partial choices at
-    this place so far, so a caller can refuse a list while it grows.  Each
+    places w; `theta` splits a row's m_s over the columns (the rooms are
+    their budgets left) or a column's target over the rows (the rooms are
+    what each row has left of its m_s).  As each partial choice is
+    extended, `spend` gets the number of entries it tried and the number
+    of partial choices at this place so far, so a caller can refuse a
+    list while it grows.  Each
     bound below is exact, so every entry tried completes to a choice, and
     the last place's count is the number of choices.
     """
     rooms, runs, b, last = key
     l = len(rooms)
-    # Position of each place in its run, the places after it in the run,
-    # and the rooms of the places after that run.
+    # Position of each place in its run, the places from it to the end of
+    # its run, and the rooms after it (places in a run have equal rooms).
     j = [1] * l
-    rest = [0] * l
-    later = [0] * l
+    share = [1] * l
+    after = [0] * l
     for k in range(1, l):
         if runs[k]:
             j[k] = j[k - 1] + 1
     for k in range(l - 2, -1, -1):
+        after[k] = after[k + 1] + rooms[k + 1]
         if runs[k + 1]:
-            rest[k], later[k] = rest[k + 1] + 1, later[k + 1]
-        else:
-            later[k] = later[k + 1] + rooms[k + 1] * (rest[k + 1] + 1)
-    # Partial choices: entries so far, their orderings, and the number of
-    # equal entries that end them.
-    ways = [((), 1, 0)]
+            share[k] = share[k + 1] + 1
+    # Partial choices: entries so far, their orderings, the number of equal
+    # entries that end them, and the budget left.
+    ways = [((), 1, 0, b)]
     for k in range(l):
         grown = []
-        for entries, orderings, streak in ways:
-            left = b - sum(entries)
-            low = entries[-1] if runs[k] else 0
-            hi = min(rooms[k], left // (rest[k] + 1))
-            if last:
-                low = max(low, left - later[k] - rest[k] * rooms[k])
-            for e in range(low, hi + 1):
-                m = streak + 1 if runs[k] and e == entries[-1] else 1
-                grown.append((entries + (e,), orderings * j[k] // m, m))
+        add = grown.append
+        run, room, split, j_k = runs[k], rooms[k], share[k], j[k]
+        # A last slot's places after this one absorb at most `rest`.
+        rest = after[k] if last else b
+        for entries, orderings, streak, left in ways:
+            hi = left // split
+            if hi > room:
+                hi = room
+            low = left - rest
+            if run:
+                prev = entries[-1]
+                if low < prev:
+                    low = prev
+                for e in range(low, hi + 1):
+                    m = streak + 1 if e == prev else 1
+                    add((entries + (e,), orderings * j_k // m, m, left - e))
+            else:
+                if low < 0:
+                    low = 0
+                for e in range(low, hi + 1):
+                    add((entries + (e,), orderings, 1, left - e))
             spend(hi + 1 - low, len(grown))
         ways = grown
-    return [(entries, orderings) for entries, orderings, _ in ways]
+    return [(entries, orderings) for entries, orderings, _, _ in ways]

@@ -455,9 +455,10 @@ def test_transfer_with_a_place_above_v_per_degree(n):
 
 
 def test_budget_reaches_theta_through_every_solve():
-    # theta at U for s = 4 takes more than 13 row placements, and the order
-    # has 13 genera, so a budget of 13 lets `genera` reach theta too.
-    order = _one_split_place(2, 12, 4, (4, 8))
+    # theta at U for s = 4 walks the rows of (6, 6), 18 placements, and the
+    # order has 13 genera, so a budget of 13 lets `genera` reach theta too.
+    # (The columns of (4, 8) take 4 placements, fewer than its 13 genera.)
+    order = _one_split_place(2, 12, 4, (6, 6))
     assert count_genera(order) == 13
     solves = [
         lambda budget: weight_class_numbers(order, budget=budget),

@@ -24,14 +24,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place, class_number,
-                      class_number_report, classnum, cli, massform)
+                      class_number_report, classnum, cli,
+                      constant_field_degree, massform, theta)
 from csaclass.classnum import GeneraReport
 from csaclass.cli import (ConfigError, _dumps_indented, _emit, _fraction, main,
                           parse_config)
 from csaclass.errors import IntegralityViolationError
 from csaclass.massform import mass_hereditary
 from csaclass.orders import genus_axes, normalize_invariant
-from conftest import genus_reduce, per_genus
+from conftest import genus_reduce, per_genus, theta_columns
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIG_PATH = ROOT / "configs" / "dvg-example.json"
@@ -1087,6 +1088,7 @@ GOLDEN_COMMANDS = [
     ("reach/g24", "transfer", ("--s", "2", "--s2", "2")),
     ("reach/g30", "classnum", ()),
     ("reach/g30", "selfcheck", ()),
+    ("reach/f9", "classnum", ()),
 ]
 KEPT_IDS = {"reach/genus1-example": "genus1-example",
             "reach/genus2-infinity2": "genus2-infinity2"}
@@ -1111,6 +1113,19 @@ def test_output_matches_golden_file(config, command, extra, output, capsys,
         encoding="utf-8")
     assert (code, err) == (0, "")
     assert out == want
+
+
+def test_f9_thetas_equal_the_column_form():
+    # f9's U has the nine distinct parts 1, ..., 9 and degree 9: theta walks
+    # the columns at s = 3 and the rows at s = 9 (r = l = d = 9).  At every
+    # level, each is the column form's sum.
+    order = parse_config((ROOT / "configs" / "reach" / "f9.json").read_text(
+        encoding="utf-8")).order
+    spec = order.algebra
+    s0 = constant_field_degree(spec)
+    place, f, q = spec.place("U"), order.invariant_at("U"), spec.base.q
+    for s in (s for s in range(1, s0 + 1) if s0 % s == 0):
+        assert theta(place, f, s, q) == theta_columns(place, f, s, q), s
 
 
 @pytest.mark.parametrize("output", ["json", "text"])
@@ -1327,7 +1342,8 @@ def test_negative_budget_exits_2(golden_config_path, capsys, argv,
 
 
 # A 14-part composition of 36 at a degree-4 place: at s = 4 its theta
-# factor runs to millions of row placements.
+# factor walks the columns, 2525 placements, and its rows would run to
+# millions of placements.
 WIDE_ORDER_CONFIG = json.dumps({
     "base": {"type": "rational_function_field", "q": 2},
     "degree": 36,
@@ -1356,7 +1372,7 @@ def test_theta_budget_exits_4(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
     assert err == ("error: theta: place 'U', s = 4: "
-                   "row placements exceed budget of 1000\n")
+                   "column placements exceed budget of 1000\n")
     assert elapsed < 1.0
 
 

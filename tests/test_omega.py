@@ -172,7 +172,7 @@ def test_omega_size_budget_names_the_layer():
     with pytest.raises(BudgetExceededError) as exc:
         omega_size(Place("U", 4, 1), f, 4, budget=1000)
     assert str(exc.value) == ("omega: place 'U', s = 4: "
-                              "row placements exceed budget of 1000")
+                              "column placements exceed budget of 1000")
 
 
 def test_rotation_bijection():

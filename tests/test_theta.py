@@ -5,6 +5,7 @@ from __future__ import annotations
 import pathlib
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 from math import comb, factorial, gcd, prod
@@ -18,7 +19,7 @@ from csaclass.classnum import _level_solver
 from csaclass.cli import parse_config
 from csaclass.errors import BudgetExceededError, ValidationError
 from csaclass.omega import local_shape
-from csaclass.theta import _weights, omega_size, residue_power
+from csaclass.theta import _walk, _weights, omega_size, residue_power
 from conftest import (PowerlessInt, random_definite_spec, random_order,
                       theta_columns, theta_enum)
 
@@ -225,38 +226,46 @@ def test_budget_counts_grouped_row_placements():
     assert omega_size(IW_PLACE, (2,), 2, budget=0) == 3
 
 
-@pytest.mark.parametrize("f,budget", [
-    (tuple(range(1, 16)), 1000),
-    ((*range(1, 9), 100, 100), 10 ** 5),
-])
-def test_rows_are_refused_as_they_are_built(monkeypatch, f, budget):
-    # Two rows over many distinct columns: the first row alone has millions
-    # of choices, so the budget must stop them while they are built.  No
-    # place's list of partial rows may pass the budget by more than the
-    # m_s + 1 entries one partial row can try.
-    place = Place("U", 2)
-    m = local_shape(place, f, 2)[2]
+@pytest.mark.parametrize("f,budget,side", [
+    ((*range(1, 12), 18), 1000, "row"),
+    ((20, 30, 40, 50, 64), 300, "column"),
+], ids=["rows", "columns"])
+def test_placements_are_refused_as_they_are_built(monkeypatch, f, budget,
+                                                  side):
+    # Twelve places above a place of degree 12 at s = 12: the first step of
+    # either walk alone has more choices than the budget (a row of 7 over
+    # twelve distinct columns; a column of 20 over twelve rooms of 17), so
+    # the budget must stop them while they are built.  No list of partial
+    # choices may pass the budget by more than the amount + 1 entries one
+    # partial choice can try.
+    place = Place("U", 12)
+    l, _, m, targets = local_shape(place, f, 12)
+    amount = m if side == "row" else min(targets)
     module = sys.modules[theta.__module__]
     slot_entries = module._slot_entries
     counts = []
 
     def recording(key, spend):
         def tally(*args):
-            counts.append(args[-1])
+            counts[-1].append(args[-1])
             spend(*args)
+        counts.append([])
         return slot_entries(key, tally)
 
     monkeypatch.setattr(module, "_slot_entries", recording)
     with pytest.raises(BudgetExceededError) as exc:
-        theta(place, f, 2, 2, budget=budget)
-    assert str(exc.value) == \
-        f"theta: place 'U', s = 2: row placements exceed budget of {budget}"
-    assert budget < max(counts) <= budget + m + 1
+        theta(place, f, 12, 2, budget=budget)
+    assert str(exc.value) == (f"theta: place 'U', s = 12: {side} placements "
+                              f"exceed budget of {budget}")
+    (first,) = counts
+    assert budget < max(first) <= budget + amount + 1
 
 
 # Seeded keys (deg v, d_v, f_v, s) with l >= 2 places above v, and the least
-# budgets at which theta (q = 2) and strip_counts pass: the row placements
-# and the strip states each tries.
+# budgets at which theta's row walk (q = 2) and strip_counts pass: the row
+# placements and the strip states each tries.  theta walks the rows of each
+# key but those of COLUMN_BUDGETS, whose columns it walks, with the least
+# budget of that walk.
 PINNED_BUDGETS = [
     (8, 3, (1, 1, 1, 1, 1, 1), 2, 1, 36),
     (3, 2, (1, 1, 1), 3, 2, 12),
@@ -289,17 +298,46 @@ PINNED_BUDGETS = [
     (6, 6, (1, 1), 4, 1, 27),
     (10, 4, (2, 3), 5, 10, 12),
 ]
+COLUMN_BUDGETS = {
+    (6, 2, (1, 2, 3, 2), 2): 9,
+    (2, 1, (7, 4, 1, 1, 1), 2): 16,
+    (4, 2, (2, 2, 1, 1, 3, 1), 2): 18,
+    (3, 7, (2, 1), 21): 1,
+    (12, 2, (2, 1, 1), 8): 2,
+    (10, 1, (1, 2, 1, 1), 5): 3,
+    (4, 1, (2, 3, 9), 2): 8,
+    (7, 4, (4, 1, 1, 1), 28): 3,
+    (7, 3, (1, 1, 1, 3, 1), 21): 4,
+    (10, 4, (2, 3), 5): 1,
+}
+
+
+def _row_walk(place: Place, f, s: int, budget: int) -> int:
+    """theta at q = 2 by its row walk, whichever side `theta` takes."""
+    l, t, m, targets = local_shape(place, f, s)
+
+    def refuse():
+        return BudgetExceededError(f"row placements past {budget}")
+
+    return _walk(tuple(sorted(b for b in targets if b)), (m,) * l,
+                 _weights(residue_power(place, s, 2), m, t), budget, refuse)
 
 
 @pytest.mark.parametrize("deg,d,f,s,placements,states", PINNED_BUDGETS)
 def test_least_budgets_are_pinned(deg, d, f, s, placements, states):
     place = Place("U", deg, d)
     assert local_shape(place, f, s)[0] >= 2
-    theta(place, f, s, 2, budget=placements)
+    value = _row_walk(place, f, s, placements)
+    with pytest.raises(BudgetExceededError):
+        _row_walk(place, f, s, placements - 1)
+    side, least = "row", placements
+    if (deg, d, f, s) in COLUMN_BUDGETS:
+        side, least = "column", COLUMN_BUDGETS[deg, d, f, s]
+    assert theta(place, f, s, 2, budget=least) == value
     with pytest.raises(BudgetExceededError) as exc:
-        theta(place, f, s, 2, budget=placements - 1)
-    assert str(exc.value) == (f"theta: place 'U', s = {s}: row placements "
-                              f"exceed budget of {placements - 1}")
+        theta(place, f, s, 2, budget=least - 1)
+    assert str(exc.value) == (f"theta: place 'U', s = {s}: {side} placements "
+                              f"exceed budget of {least - 1}")
     strip_counts(place, f, s, budget=states)
     with pytest.raises(BudgetExceededError) as exc:
         strip_counts(place, f, s, budget=states - 1)
@@ -550,3 +588,90 @@ def test_theta_by_columns_equals_theta_by_rows():
     for v, f, s, q in keys:
         assert theta_columns(v, f, s, q) == theta(v, f, s, q), (v, f, s, q)
         assert theta_columns(v, f, s, 0) == omega_size(v, f, s), (v, f, s)
+
+
+REACH = pathlib.Path(__file__).resolve().parents[1] / "configs" / "reach"
+# The 14-part vector at the degree-4 place of tests/test_cli.py's
+# WIDE_ORDER_CONFIG.
+WIDE_F = (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 1, 2, 1, 2)
+
+
+def _reach_u(config: str) -> tuple[Place, tuple[int, ...]]:
+    order = parse_config((REACH / f"{config}.json").read_text(
+        encoding="utf-8")).order
+    return order.algebra.place("U"), order.invariant_at("U")
+
+
+def _side(place: Place, f, s: int) -> str:
+    """The side theta walks, "row" or "column", read off the unit its
+    refusal names at budget 0.  At l > 1 a row walk places at least one
+    row; a column walk over one column places none, its column forced."""
+    try:
+        theta(place, f, s, 2, budget=0)
+    except BudgetExceededError as exc:
+        return str(exc).split(": ")[-1].split()[0]
+    return "column"
+
+
+@pytest.mark.parametrize("key,side", [
+    (("f9", 3), "column"),
+    (("f8", 4), "column"),
+    ((Place("U", 2), (*range(1, 9), 100, 100), 2), "column"),
+    ((Place("U", 4), WIDE_F, 4), "column"),
+    (("iw48d12", 6), "row"),
+    (("x24d4", 4), "row"),
+    # Fewer columns than rows, but more sorted rooms than sorted budgets:
+    # the columns would take seconds here, the rows milliseconds.
+    ((Place("U", 12), (100, 140), 12), "row"),
+    ((Place("U", 6), (10, 20, 30), 6), "row"),
+], ids=["f9-s3", "f8-s4", "u2-100x2", "wide-s4", "iw48d12-s6", "x24d4-s4",
+        "u12-2parts", "u6-3parts"])
+def test_theta_walks_the_side_its_shape_picks(key, side):
+    if isinstance(key[0], str):
+        place, f = _reach_u(key[0])
+        key = (place, f, key[1])
+    assert _side(*key) == side
+
+
+def test_theta_walks_either_side_to_the_same_sum():
+    # Seeded keys from both sides of the choice, with its edges: r = l
+    # and d = l (the rows), and the two state bounds equal.  Each side
+    # gives the column form's sum, and at q = 0 the size of the set; on
+    # sets of at most 400 elements, the walk of the set's sum.
+    rng = random.Random(41)
+    seen: Counter = Counter()
+    while seen["row"] + seen["column"] < 150:
+        deg, d = rng.choice((2, 3, 4, 6, 12)), rng.choice((1, 2, 3, 4))
+        f = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 6)))
+        s = rng.randint(2, 24)
+        place = Place("v", deg, d)
+        try:
+            l, t, m, targets = local_shape(place, f, s)
+        except ValidationError:  # a zero f, or s past the capacity
+            continue
+        cols = [b for b in targets or () if b]
+        if l == 1 or not cols or (t == 1 and len(cols) == 1):
+            continue
+        side = _side(place, f, s)
+        rooms = comb(l + m, l)
+        budgets = prod(comb(b + k, k) for b, k in Counter(cols).items())
+        seen[side] += 1
+        seen[side, "t > 1"] += t > 1
+        seen[side, "bounds equal"] += rooms == budgets
+        seen["r = l"] += len(cols) == l
+        seen["d = l"] += len(set(cols)) == l
+        # The columns only where they take fewer steps, or the rows have no
+        # equal budgets, and their states are bounded by the rows'.
+        assert side == "row" or (len(cols) < l or len(set(cols)) > l) and \
+            rooms <= budgets, (place, f, s)
+        for q in (0, 2, 3):
+            want = theta_columns(place, f, s, q)
+            got = omega_size(place, f, s) if q == 0 else theta(place, f, s, q)
+            assert got == want, (place, f, s, q)
+        if sum(1 for _ in islice(enumerate_omega(place, f, s), 401)) <= 400:
+            for q in (2, 3):
+                assert theta(place, f, s, q) == theta_enum(place, f, s, q)
+    assert min(seen[k] for k in (
+        "row", "column", ("row", "t > 1"), ("column", "t > 1"),
+        ("row", "bounds equal"), ("column", "bounds equal"), "r = l",
+        "d = l")) > 0, seen
