@@ -164,9 +164,9 @@ def _slot_entries(key, spend) -> list[tuple[tuple[int, ...], int]]:
     what each row has left of its m_s).  As each partial choice is
     extended, `spend` gets the number of entries it tried and the number
     of partial choices at this place so far, so a caller can refuse a
-    list while it grows.  Each
-    bound below is exact, so every entry tried completes to a choice, and
-    the last place's count is the number of choices.
+    list while it grows.  Each bound below is exact, so every entry tried
+    completes to a choice, and the last place's count is the number of
+    choices.
     """
     rooms, runs, b, last = key
     l = len(rooms)
@@ -189,7 +189,8 @@ def _slot_entries(key, spend) -> list[tuple[tuple[int, ...], int]]:
         grown = []
         add = grown.append
         run, room, split, j_k = runs[k], rooms[k], share[k], j[k]
-        # A last slot's places after this one absorb at most `rest`.
+        # A last slot's places after this one absorb at most `rest`; any
+        # other slot may leave its whole budget.
         rest = after[k] if last else b
         for entries, orderings, streak, left in ways:
             hi = left // split

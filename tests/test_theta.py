@@ -239,7 +239,7 @@ def test_placements_are_refused_as_they_are_built(monkeypatch, f, budget,
     # choices may pass the budget by more than the amount + 1 entries one
     # partial choice can try.
     place = Place("U", 12)
-    l, _, m, targets = local_shape(place, f, 12)
+    _, _, m, targets = local_shape(place, f, 12)
     amount = m if side == "row" else min(targets)
     module = sys.modules[theta.__module__]
     slot_entries = module._slot_entries
