@@ -55,15 +55,15 @@ def _level_solver(order: OrderSpec, budget: int = DEFAULT_BUDGET,
     h_s is solved from the i-th product and the i-th h of each level above.
     An order has one row of one theta per place (`_order_levels`).  M_s,
     from `_level_mass`, depends on s alone and `theta(v, f, s, field=q)` on
-    (deg, d, f, s, field) alone, so each is computed once and shared by
-    every solve and every strip sum.  `budget` bounds each theta's row or
-    column placements.  With M_s = a/b and E the lcm of b and q^{s2} - 1
-    over the levels s2 > s that s divides, h_s = (A * product - sum B_s2 *
-    h_s2) / (s E) for the integers A = (q^s - 1) a E/b and B_s2 = (q^s - 1)
-    s E/(q^{s2} - 1).
+    (deg, d, sorted f, s, field) alone, so each is computed once and
+    shared by every solve and every strip sum.  `budget` bounds each
+    theta's row or column placements.  With M_s = a/b and E the lcm of b
+    and q^{s2} - 1 over the levels s2 > s that s divides, h_s = (A *
+    product - sum B_s2 * h_s2) / (s E) for the integers A = (q^s - 1) a E/b
+    and B_s2 = (q^s - 1) s E/(q^{s2} - 1).
 
-    `counts(v, f, s)` is `strip_counts` once per (deg v, d_v, f, s), its
-    budget naming `layer`; `factor(v, f, s, S)` sums count * prod_w
+    `counts(v, f, s)` is `strip_counts` once per (deg v, d_v, f as given,
+    s), its budget naming `layer`; `factor(v, f, s, S)` sums count * prod_w
     theta(w, g_w, S/s, q^s) over those strip groups, w in
     `places_above(v, s)`.  At S = s each w is at its level 1, where theta
     is its strip's unit index, so the factor is theta(v, f, s) itself.
@@ -79,7 +79,7 @@ def _level_solver(order: OrderSpec, budget: int = DEFAULT_BUDGET,
     counted: dict[tuple, dict] = {}
 
     def theta_at(v, f_vec, s: int, field: int = q) -> int:
-        key = (v.degree, v.local_index, f_vec, s, field)
+        key = (v.degree, v.local_index, tuple(sorted(f_vec)), s, field)
         if key not in thetas:
             thetas[key] = theta(v, f_vec, s, field, budget=budget)
         return thetas[key]
@@ -175,7 +175,7 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     Each summand is the weight-(s2/s) class number of the derived order cut
     out by one element of the product of local index sets, in the
     centralizer D'_s of L_s with every place w above the listed places
-    listed.  A derived order reads an element only through its normalised
+    listed.  A derived order reads an element only through its sorted
     strips, so each local set is counted by its strip groups without being
     walked.  A derived order's h is linear in the rhs of its levels, each a
     product over the places v, so the sum is one solve whose factor at v is
@@ -292,7 +292,8 @@ def selfcheck(order: OrderSpec, *,
               budget: int = DEFAULT_BUDGET) -> dict[str, bool]:
     """The checks of one solve: its h_s resum to the mass, and each theta
     factor equals the solver's strip factor at S = s, on the stored vector
-    and on its rotation, which the strip count reads as given."""
+    and on its rotation, which the strip count reads as given and theta
+    as the same multiset."""
     spec = order.algebra
     solver = _level_solver(order, budget, "selfcheck")
     levels = _order_levels(solver)

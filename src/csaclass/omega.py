@@ -17,7 +17,6 @@ from operator import eq
 
 from .algebra import Place, shape_above
 from .errors import DEFAULT_BUDGET, ValidationError, over_budget
-from .orders import normalize_invariant
 
 
 def local_shape(place: Place, f_vec, s: int):
@@ -92,29 +91,29 @@ def enumerate_omega(place: Place, f_vec, s: int):
 def strip_counts(place: Place, f_vec, s: int, *,
                  budget: int = DEFAULT_BUDGET,
                  layer: str = "transfer") -> Counter:
-    """Count the local index set by the normalised strips of its elements.
+    """Count the local index set by the multisets of its elements' strips.
 
-    The strip of a long vector is its non-zero entries, normalised.  A key
-    is the sorted tuple of the strips of one element, one per place w above
-    v, and its count is the number of elements with those strips.  The
-    places w share their degree and local index, so the class number of the
-    derived order an element cuts out depends only on this key.
+    The strip of a long vector is its non-zero entries, sorted.  A key is
+    the sorted tuple of the strips of one element, one per place w above v,
+    and its count is the number of elements with those strips.  The places
+    w share their degree and local index, and theta reads a vector only as
+    the multiset of its non-zero parts, so the class number of the derived
+    order an element cuts out depends only on this key.
 
-    The set is not walked: the r*t slots are filled in the column-major
-    order of `enumerate_omega`, each for every place w at once.  A state is
-    the sorted (strip prefix, room left) pairs of the places w and the
-    budget left in each column; equal states merge and their counts add.
-    Places with equal pairs are interchangeable, so a slot gives them
-    non-decreasing entries and counts each choice once per ordering.  The
-    rooms and the budgets left have the same sum, and a column's last slot
-    places its whole budget, so every state completes to elements.  Raises
-    BudgetExceededError, naming the caller's `layer`, once the entries
-    placed, one place w at a time, exceed `budget`.
+    The set is not walked: each column's t slots are filled in turn, each
+    for every place w at once.  A state is the sorted (strip so far, room
+    left) pairs of the places w and the budget left in the current column;
+    equal states merge and their counts add.  Places with equal pairs are
+    interchangeable, so a slot gives them non-decreasing entries and counts
+    each choice once per ordering.  The rooms sum to the budget left and
+    the later targets, and a column's last slot places its whole budget,
+    so every state completes to elements.  Raises BudgetExceededError,
+    naming the caller's `layer`, once the entries placed, one place w at a
+    time, exceed `budget`.
     """
     l, t, m_s, targets = local_shape(place, f_vec, s)
     if targets is None:
         return Counter()
-    r = len(targets)
     placed = 0
 
     def spend(n: int, _: int = 0) -> None:
@@ -123,14 +122,14 @@ def strip_counts(place: Place, f_vec, s: int, *,
         if placed > budget:
             raise over_budget(layer, place, s, "strip states", budget)
 
-    states = {((((), m_s),) * l, targets): 1}
+    states = {((((), m_s),) * l, 0): 1}
     splits: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}
-    for pos in range(r * t):
-        i = pos % r
-        last = pos // r == t - 1
+    for pos in range(len(targets) * t):
+        last = pos % t == t - 1
         merged: dict[tuple, int] = {}
-        for (pairs, budgets), count in states.items():
-            b = budgets[i]
+        for (pairs, b), count in states.items():
+            if not pos % t:
+                b = targets[pos // t]
             # Places with equal pairs are adjacent, since pairs are sorted.
             runs = (False, *map(eq, pairs[1:], pairs))
             key = (tuple(room for _, room in pairs), runs, b, last)
@@ -139,16 +138,15 @@ def strip_counts(place: Place, f_vec, s: int, *,
             spend(len(splits[key]))
             for entries, orderings in splits[key]:
                 nxt = (tuple(sorted(
-                           (strip + (e,), room - e) if e else (strip, room)
+                           (tuple(sorted((*strip, e))), room - e) if e
+                           else (strip, room)
                            for (strip, room), e in zip(pairs, entries))),
-                       budgets[:i] + (b - sum(entries),) + budgets[i + 1:])
+                       b - sum(entries))
                 merged[nxt] = merged.get(nxt, 0) + count * orderings
         states = merged
-    counts: Counter = Counter()
-    for (pairs, _), count in states.items():
-        counts[tuple(sorted(normalize_invariant(strip)
-                            for strip, _ in pairs))] += count
-    return counts
+    # Every room ends at 0, so distinct states have distinct strips.
+    return Counter({tuple(strip for strip, _ in pairs): count
+                    for (pairs, _), count in states.items()})
 
 
 def _slot_entries(key, spend) -> list[tuple[tuple[int, ...], int]]:

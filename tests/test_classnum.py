@@ -680,6 +680,39 @@ def test_genera_solve_each_level_once_for_the_table(monkeypatch):
     assert len(computed) == len(set(computed)) == 7 * 2 + 2
 
 
+def _reach_order(name: str) -> OrderSpec:
+    return parse_config((GOLDEN_CONFIG_PATH.parent / "reach" / f"{name}.json")
+                        .read_text(encoding="utf-8")).order
+
+
+def test_genera_compute_one_theta_per_multiset_key(monkeypatch):
+    # g24: f_U = (4)^6 at a place of degree 2 in a degree-24 algebra, with
+    # 118,755 genera.  Their reduced vectors ask for 63,488 thetas, each a
+    # distinct (deg v, d_v, f, s), but theta reads f only as a multiset,
+    # and the solver computes each of the 4,264 multisets once.
+    _, asked, computed = _count_solves(monkeypatch)
+    report = total_class_number_genera(_reach_order("g24"))
+    assert report.count == 118_755
+    assert len(set(asked)) == 63_488
+    multisets = {(deg, d, tuple(sorted(f)), s) for deg, d, f, s in computed}
+    assert len(computed) == len(multisets) == 4_264
+
+
+@pytest.mark.parametrize("name", ["x24d2", "x24d4"])
+def test_transfer_holds_on_every_pair_of_the_reach_orders(name):
+    # f_U = (2)^12 at a place of degree 2 or 4 in a degree-24 algebra: every
+    # (s, s2) with s | s2 | s0 = 24, 30 pairs each, through the strip sums.
+    order = _reach_order(name)
+    divisors = [s for s in range(1, 25) if 24 % s == 0]
+    pairs = [(s, s2) for s in divisors for s2 in divisors if s2 % s == 0]
+    assert len(pairs) == 30
+    started = time.monotonic()
+    for s, s2 in pairs:
+        report = transfer_check(order, s, s2)
+        assert report.equal, (s, s2, report)
+    assert time.monotonic() - started < 2.0
+
+
 def test_genera_total_by_multiplicity_matches_the_per_genus_sum():
     # The report sums each solved class number times the genera that reduce
     # to its tuple; the brute force sums one class number per genus.

@@ -232,9 +232,10 @@ def test_zero_sum_vector_is_refused(call):
 
 
 def walked_strip_counts(place: Place, f_vec, s: int) -> Counter:
-    """Walk the set and count each element by its sorted normalised strips."""
+    """Walk the set and count each element by its sorted tuple of sorted
+    strips."""
     return Counter(
-        tuple(sorted(normalize_invariant(flatten_strip(sl)) for sl in elem))
+        tuple(sorted(tuple(sorted(flatten_strip(sl))) for sl in elem))
         for elem in enumerate_omega(place, f_vec, s))
 
 

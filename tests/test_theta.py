@@ -7,7 +7,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, permutations, product
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -269,34 +269,49 @@ def test_placements_are_refused_as_they_are_built(monkeypatch, f, budget,
 PINNED_BUDGETS = [
     (8, 3, (1, 1, 1, 1, 1, 1), 2, 1, 36),
     (3, 2, (1, 1, 1), 3, 2, 12),
-    (10, 9, (1, 1), 18, 1, 115),
-    (2, 3, (1, 2, 1), 6, 3, 259),
-    (6, 2, (1, 2, 3, 2), 2, 10, 44),
+    (10, 9, (1, 1), 18, 1, 69),
+    (2, 3, (1, 2, 1), 6, 3, 93),
+    (6, 2, (1, 2, 3, 2), 2, 10, 46),
     (8, 2, (1, 1, 1, 1), 4, 3, 20),
     (2, 1, (7, 4, 1, 1, 1), 2, 20, 116),
     (2, 5, (4, 2), 2, 3, 12),
-    (6, 3, (1, 5, 2, 1), 9, 30, 11238),
+    (6, 3, (1, 5, 2, 1), 9, 30, 1185),
     (8, 1, (4, 4), 2, 3, 18),
-    (4, 2, (2, 2, 1, 1, 3, 1), 2, 18, 118),
-    (3, 7, (2, 1), 21, 4, 178),
-    (2, 4, (3, 1), 4, 2, 82),
-    (9, 4, (1, 1, 1), 12, 2, 142),
-    (8, 1, (1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2), 2, 10, 605),
-    (6, 2, (8, 4), 8, 3, 245),
+    (4, 2, (2, 2, 1, 1, 3, 1), 2, 18, 108),
+    (3, 7, (2, 1), 21, 4, 93),
+    (2, 4, (3, 1), 4, 2, 48),
+    (9, 4, (1, 1, 1), 12, 2, 72),
+    (8, 1, (1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2), 2, 10, 316),
+    (6, 2, (8, 4), 8, 3, 122),
     (4, 9, (1, 1), 2, 1, 6),
-    (2, 2, (1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1), 2, 3, 308),
-    (8, 1, (1,) * 19 + (2, 1, 1, 1), 2, 3, 493),
+    (2, 2, (1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1), 2, 3, 243),
+    (8, 1, (1,) * 19 + (2, 1, 1, 1), 2, 3, 485),
     (4, 3, (1, 1, 8), 2, 3, 15),
-    (12, 2, (2, 1, 1), 8, 7, 108),
+    (12, 2, (2, 1, 1), 8, 7, 64),
     (10, 1, (1, 2, 1, 1), 5, 10, 24),
-    (6, 7, (1, 1), 14, 1, 91),
-    (6, 3, (1, 4, 2, 2), 3, 31, 110),
-    (4, 1, (2, 3, 9), 2, 12, 36),
-    (7, 4, (4, 1, 1, 1), 28, 24, 1237),
-    (7, 3, (1, 1, 1, 3, 1), 21, 22, 1203),
-    (2, 4, (1, 1), 8, 1, 55),
-    (6, 6, (1, 1), 4, 1, 27),
+    (6, 7, (1, 1), 14, 1, 57),
+    (6, 3, (1, 4, 2, 2), 3, 31, 106),
+    (4, 1, (2, 3, 9), 2, 12, 38),
+    (7, 4, (4, 1, 1, 1), 28, 24, 272),
+    (7, 3, (1, 1, 1, 3, 1), 21, 22, 259),
+    (2, 4, (1, 1), 8, 1, 39),
+    (6, 6, (1, 1), 4, 1, 23),
     (10, 4, (2, 3), 5, 10, 12),
+]
+# Each row's test id ends with its least strip-state budget under the
+# earlier strip walk, which filled slot j of every column before slot
+# j + 1 and keyed strips by rotation; the ids stay so that each row
+# keeps its name.
+PINNED_IDS = [
+    "8-3-f0-2-1-36", "3-2-f1-3-2-12", "10-9-f2-18-1-115", "2-3-f3-6-3-259",
+    "6-2-f4-2-10-44", "8-2-f5-4-3-20", "2-1-f6-2-20-116", "2-5-f7-2-3-12",
+    "6-3-f8-9-30-11238", "8-1-f9-2-3-18", "4-2-f10-2-18-118",
+    "3-7-f11-21-4-178", "2-4-f12-4-2-82", "9-4-f13-12-2-142",
+    "8-1-f14-2-10-605", "6-2-f15-8-3-245", "4-9-f16-2-1-6", "2-2-f17-2-3-308",
+    "8-1-f18-2-3-493", "4-3-f19-2-3-15", "12-2-f20-8-7-108",
+    "10-1-f21-5-10-24", "6-7-f22-14-1-91", "6-3-f23-3-31-110",
+    "4-1-f24-2-12-36", "7-4-f25-28-24-1237", "7-3-f26-21-22-1203",
+    "2-4-f27-8-1-55", "6-6-f28-4-1-27", "10-4-f29-5-10-12",
 ]
 COLUMN_BUDGETS = {
     (6, 2, (1, 2, 3, 2), 2): 9,
@@ -323,7 +338,8 @@ def _row_walk(place: Place, f, s: int, budget: int) -> int:
                  _weights(residue_power(place, s, 2), m, t), budget, refuse)
 
 
-@pytest.mark.parametrize("deg,d,f,s,placements,states", PINNED_BUDGETS)
+@pytest.mark.parametrize("deg,d,f,s,placements,states", PINNED_BUDGETS,
+                         ids=PINNED_IDS)
 def test_least_budgets_are_pinned(deg, d, f, s, placements, states):
     place = Place("U", deg, d)
     assert local_shape(place, f, s)[0] >= 2
@@ -551,6 +567,38 @@ def test_rotation_invariance():
                 place = Place("v", 2, 2)
                 rot = f[1:] + f[:1]
                 assert theta(place, f, s, q) == theta(place, rot, s, q)
+
+
+def test_theta_and_strip_counts_read_f_as_a_multiset():
+    # theta reads f_v only as the multiset of its non-zero parts, so the
+    # solver keys its memo on the sorted vector; strip_counts keys each
+    # element by its sorted strips, so every permutation of f has the same
+    # counts.  Seeded keys with up to four parts of size <= 3, against the
+    # walk of each permutation's set, t > 1 and l > 1 included.
+    rng = random.Random(4264)
+    seen = Counter()
+    while seen["checked"] < 200:
+        deg, d = rng.choice((1, 2, 3, 4, 6)), rng.choice((1, 2, 3))
+        f = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 4)))
+        s, q = rng.randint(1, 6), rng.choice((2, 3))
+        place = Place("v", deg, d)
+        try:
+            l, t, _, targets = local_shape(place, f, s)
+        except ValidationError:
+            continue
+        if targets is None or omega_size(place, f, s) > 300:
+            continue
+        perms = sorted(set(permutations(f)))
+        perms = rng.sample(perms, min(6, len(perms)))
+        assert len({theta_enum(place, g, s, q) for g in perms}
+                   | {theta(place, g, s, q) for g in perms}) == 1, \
+            (deg, d, f, s, q)
+        counts = [strip_counts(place, g, s) for g in perms]
+        assert all(c == counts[0] for c in counts), (deg, d, f, s)
+        seen.update(checked=1, l=l > 1, t=t > 1, lt=l > 1 < t,
+                    moved=len(perms) > 1)
+    assert min(seen["l"], seen["t"], seen["moved"]) > 25, seen
+    assert seen["lt"] > 5, seen
 
 
 def _seeded_order_keys(rng: random.Random, count: int) -> list[tuple]:
