@@ -56,17 +56,18 @@ def _level_solver(order: OrderSpec, budget: int = DEFAULT_BUDGET,
     An order has one row of one theta per place (`_order_levels`).  M_s,
     from `_level_mass`, depends on s alone and `theta(v, f, s, field=q)` on
     (deg, d, sorted f, s, field) alone, so each is computed once and
-    shared by every solve and every strip sum.  `budget` bounds each
-    theta's row or column placements.  With M_s = a/b and E the lcm of b
-    and q^{s2} - 1 over the levels s2 > s that s divides, h_s = (A *
-    product - sum B_s2 * h_s2) / (s E) for the integers A = (q^s - 1) a E/b
-    and B_s2 = (q^s - 1) s E/(q^{s2} - 1).
+    shared by every solve and every strip sum.  `budget` bounds the splits
+    each theta's walk builds, its row or column placements.  With M_s =
+    a/b and E the lcm of b and q^{s2} - 1 over the levels s2 > s that s
+    divides, h_s = (A * product - sum B_s2 * h_s2) / (s E) for the
+    integers A = (q^s - 1) a E/b and B_s2 = (q^s - 1) s E/(q^{s2} - 1).
 
     `counts(v, f, s)` is `strip_counts` once per (deg v, d_v, f as given,
-    s), its budget naming `layer`; `factor(v, f, s, S)` sums count * prod_w
-    theta(w, g_w, S/s, q^s) over those strip groups, w in
-    `places_above(v, s)`.  At S = s each w is at its level 1, where theta
-    is its strip's unit index, so the factor is theta(v, f, s) itself.
+    s), its budget bounding the splits its walk builds, as theta's, and
+    naming `layer`; `factor(v, f, s, S)` sums count * prod_w theta(w, g_w,
+    S/s, q^s) over those strip groups, w in `places_above(v, s)`.  At S =
+    s each w is at its level 1, where theta is its strip's unit index, so
+    the factor is theta(v, f, s) itself.
     """
     spec = order.algebra
     q = spec.base.q
@@ -184,8 +185,8 @@ def transfer_check(order: OrderSpec, s: int, s2: int, *,
     q^S - 1.  So the sum is solved on the lhs's solver, sharing each M_S
     and each theta factor, with its factor times s to turn the 1/S of level
     S into the 1/s' of D'_s.  An empty local set, met in label order, makes
-    the sum 0.  The budget bounds each place's strip state transitions and
-    each theta factor's row or column placements.
+    the sum 0.  The budget bounds the splits each walk builds: each place's
+    strip count and each theta factor's row or column placements.
     """
     solver = _level_solver(order, budget)
     s0 = solver.s0

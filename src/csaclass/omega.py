@@ -7,7 +7,8 @@ and whose column sums recover f_v.  It depends only on `local_shape`, how v
 splits in L_s = K F_{q^s}.  `enumerate_omega` walks the set, for `omega
 --list` and as the tests' oracle; `strip_counts` counts it by its strips
 without walking it, for the transfer check and for `selfcheck`'s check of
-the theta factors.
+the theta factors.  It counts them on `_walk`, the dynamic program over
+slots that `theta` and `omega_size` also take.
 """
 
 from __future__ import annotations
@@ -100,76 +101,91 @@ def strip_counts(place: Place, f_vec, s: int, *,
     the multiset of its non-zero parts, so the class number of the derived
     order an element cuts out depends only on this key.
 
-    The set is not walked: each column's t slots are filled in turn, each
-    for every place w at once.  A state is the sorted (strip so far, room
-    left) pairs of the places w and the budget left in the current column;
-    equal states merge and their counts add.  Places with equal pairs are
-    interchangeable, so a slot gives them non-decreasing entries and counts
-    each choice once per ordering.  The rooms sum to the budget left and
-    the later targets, and a column's last slot places its whole budget,
-    so every state completes to elements.  Raises BudgetExceededError,
-    naming the caller's `layer`, once the entries placed, one place w at a
-    time, exceed `budget`.
+    The set is not walked: `_walk` fills each column's t slots in turn, for
+    every place w at once, over the places' sorted strips, each with room
+    m_s minus its sum.  A column's last slot places all its target, so
+    every state completes to elements.  Raises BudgetExceededError, naming
+    the caller's `layer`, once the splits the walk builds exceed `budget`.
     """
     l, t, m_s, targets = local_shape(place, f_vec, s)
     if targets is None:
         return Counter()
-    placed = 0
 
-    def spend(n: int, _: int = 0) -> None:
-        nonlocal placed
-        placed += n
-        if placed > budget:
-            raise over_budget(layer, place, s, "strip states", budget)
+    def take(strips, entries, _):
+        return tuple(sorted(tuple(sorted((*strip, e))) if e else strip
+                            for strip, e in zip(strips, entries))), 1
 
-    states = {((((), m_s),) * l, 0): 1}
-    splits: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}
-    for pos in range(len(targets) * t):
-        last = pos % t == t - 1
-        merged: dict[tuple, int] = {}
-        for (pairs, b), count in states.items():
-            if not pos % t:
-                b = targets[pos // t]
-            # Places with equal pairs are adjacent, since pairs are sorted.
-            runs = (False, *map(eq, pairs[1:], pairs))
-            key = (tuple(room for _, room in pairs), runs, b, last)
-            if key not in splits:
-                splits[key] = _slot_entries(key, spend)
-            spend(len(splits[key]))
-            for entries, orderings in splits[key]:
-                nxt = (tuple(sorted(
-                           (tuple(sorted((*strip, e))), room - e) if e
-                           else (strip, room)
-                           for (strip, room), e in zip(pairs, entries))),
-                       b - sum(entries))
-                merged[nxt] = merged.get(nxt, 0) + count * orderings
-        states = merged
+    slots = [(None if j else b, j == t - 1) for b in targets for j in range(t)]
+    states = _walk(((),) * l, slots,
+                   lambda strips: tuple(m_s - sum(x) for x in strips), take,
+                   budget, lambda: over_budget(layer, place, s,
+                                               "strip states", budget))
     # Every room ends at 0, so distinct states have distinct strips.
-    return Counter({tuple(strip for strip, _ in pairs): count
-                    for (pairs, _), count in states.items()})
+    return Counter({strips: count for (strips, _), count in states.items()})
+
+
+def _walk(items: tuple, slots, rooms, take, budget: int, refuse) -> dict:
+    """The states {(items, budget left): weight} after every slot, from
+    `items` at weight 1: the one walk of `theta`, `omega_size` and
+    `strip_counts`.  A slot (amount, last) splits its amount, or the budget
+    left if amount is None, over the sorted items' `rooms(items)` by
+    `_slot_entries`, placing all of it if `last`; `take(items, entries, b)`
+    gives the next items and the split's factor, and equal states merge.
+    A split reads a room only up to b, so one list serves each (rooms
+    clamped to b, runs, b, last).  Every split a state takes counts once
+    against `budget`, built or reused; past it, also while a list grows,
+    the walk raises `refuse()`.
+    """
+    tried = 0
+
+    def spend(ways: int) -> None:
+        if tried + ways > budget:
+            raise refuse()
+
+    splits: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}
+    states = {(items, 0): 1}
+    for amount, last in slots:
+        merged: dict[tuple, int] = {}
+        for (items, b), weight in states.items():
+            if amount is not None:
+                b = amount
+            room = rooms(items)
+            if max(room) > b:
+                room = tuple([r if r < b else b for r in room])
+            # Equal items are adjacent, since items are sorted.
+            key = (room, (False, *map(eq, items[1:], items)), b, last)
+            split = splits.get(key)
+            if split is None:
+                split = splits[key] = _slot_entries(key, spend)
+            spend(len(split))
+            tried += len(split)
+            for entries, orderings in split:
+                nxt, factor = take(items, entries, b)
+                state = (nxt, 0 if last else b - sum(entries))
+                if orderings > 1:
+                    factor *= orderings
+                merged[state] = merged.get(state, 0) + factor * weight
+        states = merged
+    return states
 
 
 def _slot_entries(key, spend) -> list[tuple[tuple[int, ...], int]]:
-    """Entries of one slot for every place w, with their number of orderings.
+    """Entries of one slot for every item, with their number of orderings.
 
-    `key` is (rooms, runs, b, last): each place's room, whether its pair
-    equals the previous place's, the budget b to split, and whether the
-    places must take all of it.  Within a run of equal places the entries
-    are non-decreasing; each choice comes with the number of its distinct
-    orderings.  `strip_counts` splits a column's budget left over the
-    places w; `theta` splits a row's m_s over the columns (the rooms are
-    their budgets left) or a column's target over the rows (the rooms are
-    what each row has left of its m_s).  As each partial choice is
-    extended, `spend` gets the number of entries it tried and the number
-    of partial choices at this place so far, so a caller can refuse a
-    list while it grows.  Each bound below is exact, so every entry tried
-    completes to a choice, and the last place's count is the number of
-    choices.
+    `key` is (rooms, runs, b, last): each item's room, whether it equals
+    the item before it, the budget b to split, and whether the items must
+    take all of it.  Within a run of equal items the entries are
+    non-decreasing; each choice comes with the number of its distinct
+    orderings.  `_walk` is the one caller.  As each partial choice is
+    extended, `spend` gets the number of partial choices at this item so
+    far, so the walk can refuse a list while it grows.  Each bound below is
+    exact, so every entry tried completes to a choice, no item's partial
+    choices outnumber the choices, and a room past b reads as b.
     """
     rooms, runs, b, last = key
     l = len(rooms)
-    # Position of each place in its run, the places from it to the end of
-    # its run, and the rooms after it (places in a run have equal rooms).
+    # Position of each item in its run, the items from it to the end of
+    # its run, and the rooms after it (items in a run have equal rooms).
     j = [1] * l
     share = [1] * l
     after = [0] * l
@@ -187,7 +203,7 @@ def _slot_entries(key, spend) -> list[tuple[tuple[int, ...], int]]:
         grown = []
         add = grown.append
         run, room, split, j_k = runs[k], rooms[k], share[k], j[k]
-        # A last slot's places after this one absorb at most `rest`; any
+        # A last slot's items after this one absorb at most `rest`; any
         # other slot may leave its whole budget.
         rest = after[k] if last else b
         for entries, orderings, streak, left in ways:
@@ -207,6 +223,6 @@ def _slot_entries(key, spend) -> list[tuple[tuple[int, ...], int]]:
                     low = 0
                 for e in range(low, hi + 1):
                     add((entries + (e,), orderings, 1, left - e))
-            spend(hi + 1 - low, len(grown))
+            spend(len(grown))
         ways = grown
     return [(entries, orderings) for entries, orderings, _, _ in ways]

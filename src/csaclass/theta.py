@@ -23,12 +23,12 @@ Gaussian multinomial from `local_unit_index` (1 at Q = 0) times, for t > 1,
 the diagonal g_t of a table up to max N.  It builds no table at t = 1, nor
 when every N is 0 or 1, where g_t(N) is 1 or t.
 
-Otherwise `_walk` goes over the lines of one side, merging the partial
-sums that leave the same sorted capacities on the other; the weight is
-symmetric in each side's lines, so sorting loses nothing.  Each line but the
-last is a split of its amount over the capacities left from
-`omega._slot_entries`, the step `strip_counts` also takes, with lines of
-equal capacity given one choice per multiset and its number of orderings;
+Otherwise `omega._walk`, the walk `strip_counts` also takes, goes over the
+lines of one side, merging the partial sums that leave the same sorted
+capacities on the other; the weight is symmetric in each side's lines, so
+sorting loses nothing.  Each line but the last is a slot, a split of its
+amount over the capacities left, lines of equal capacity given one choice
+per multiset and its number of orderings, and `take` multiplies its cells;
 the last line takes every capacity left whole.  The rows walk the l amounts
 m_s over the sorted column budgets.  The columns walk the sorted targets b
 over the l rooms m_s: the row weights' product is [m_s]!_Q^l / prod_b
@@ -41,23 +41,23 @@ sorted rooms, C(l + m_s, l)) are no more than the rows' (the sorted budgets,
 prod of C(b + k, k) over each target b met k times): f = (100, 140) over
 twelve places takes milliseconds on rows and seconds on columns.
 
-All of it is integer arithmetic.  Each placement tried, one choice of a
-whole row's split over the columns or of a whole column's split over the
-rows, counts against a work budget, the forced last line not, and the
-refusal names "row placements" or "column placements".  This is the one
-theta engine: `selfcheck` checks it against the strip counts of
-`omega.strip_counts`, and the tests against a walk of the set and against
-the column form.
+All of it is integer arithmetic.  Each placement, one choice of a whole
+row's split over the columns or of a whole column's split over the rows,
+counts against a work budget once per state that takes it, the forced last
+line not, and the refusal names "row placements" or "column placements".
+This is the one theta engine: `selfcheck` checks it against the strip
+counts of `omega.strip_counts`, and the tests against a walk of the set
+and against the column form.
 """
 
 from __future__ import annotations
 
 from math import comb, prod
-from operator import eq, sub
+from operator import sub
 
 from .algebra import Place, shape_above
 from .errors import DEFAULT_BUDGET, over_budget
-from .omega import _slot_entries, local_shape
+from .omega import _walk, local_shape
 from .orders import local_unit_index, q_factorial
 
 
@@ -91,47 +91,6 @@ def _weights(Q: int, m: int, t: int) -> list[list[int]]:
     # contributes binom[left][N] * g[N]; over a row these give the weight.
     return [[binom[left][N] * g[N] for N in range(left + 1)]
             for left in range(m + 1)]
-
-
-def _walk(caps: tuple[int, ...], amounts, cell, budget: int, refuse) -> int:
-    """Sum over the matrices with line sums `amounts` and cross-line sums
-    `caps` (sorted, non-zero) of the product over each line, of amount a,
-    of cell[left][e] for its entries e, `left` counted down from a.  Each
-    split tried is a placement, charged as the splits are built: past
-    `budget` it raises `refuse()`."""
-    *walked, last = amounts
-    tried = 0
-
-    def spend(_: int, ways: int) -> None:
-        if tried + ways > budget:
-            raise refuse()
-
-    states = {caps: 1}
-    for amount in walked:
-        merged: dict[tuple[int, ...], int] = {}
-        for caps, weight in states.items():
-            runs = (False, *map(eq, caps[1:], caps))
-            splits = _slot_entries((caps, runs, amount, True), spend)
-            tried += len(splits)
-            for entries, orderings in splits:
-                term, left = weight * orderings, amount
-                for e in entries:
-                    if e:  # cell[left][0] is 1
-                        term *= cell[left][e]
-                        left -= e
-                key = sorted(map(sub, caps, entries))
-                key = tuple(key[key.count(0):])
-                merged[key] = merged.get(key, 0) + term
-        states = merged
-    # The capacities left sum to the last amount: it takes each one whole.
-    total = 0
-    for caps, weight in states.items():
-        left = last
-        for c in caps:
-            weight *= cell[left][c]
-            left -= c
-        total += weight
-    return total
 
 
 def _by_columns(l: int, m: int, cols: tuple[int, ...]) -> bool:
@@ -181,14 +140,33 @@ def _local_sum(layer: str, place: Place, f_vec, s: int, q: int,
     cols = tuple(sorted(filter(None, targets)))
     columns = _by_columns(l, m, cols)
     unit = "column placements" if columns else "row placements"
+    # Rows split m_s over the column budgets left, columns a target over the
+    # rooms left in the rows; each line's cells telescope from its amount.
+    caps, amounts = ((m,) * l, cols) if columns else (cols, (m,) * l)
+    *walked, last = amounts
+    cell = _weights(Q, last, t)
 
-    def refuse():
-        return over_budget(layer, place, s, unit, budget)
+    def take(caps, entries, left):
+        term = 1
+        for e in entries:
+            if e:  # cell[left][0] is 1
+                term *= cell[left][e]
+                left -= e
+        key = sorted(map(sub, caps, entries))
+        return tuple(key[key.count(0):]), term
 
-    if not columns:
-        return _walk(cols, (m,) * l, _weights(Q, m, t), budget, refuse)
-    total = _walk((m,) * l, cols, _weights(Q, cols[-1], t), budget, refuse)
-    if not Q:
+    states = _walk(caps, [(a, True) for a in walked], lambda caps: caps,
+                   take, budget,
+                   lambda: over_budget(layer, place, s, unit, budget))
+    # The capacities left sum to the last amount: it takes each one whole.
+    total = 0
+    for (caps, _), weight in states.items():
+        left = last
+        for c in caps:
+            weight *= cell[left][c]
+            left -= c
+        total += weight
+    if not (columns and Q):
         return total
     return (q_factorial(Q, m) ** l * total
             // prod(q_factorial(Q, b) for b in cols))

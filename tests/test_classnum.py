@@ -350,13 +350,14 @@ def _one_split_place(q: int, n: int, deg: int, f_vec) -> OrderSpec:
 
 
 @pytest.mark.parametrize("n,deg,f_vec,s,budget", [
-    (24, 4, (2,) * 12, 4, 10 ** 4),
+    (24, 4, (2,) * 12, 4, 5000),
     (24, 4, (1,) * 24, 2, 100),
-    (12, 6, (1,) * 12, 6, 100),
+    (12, 6, (1,) * 12, 6, 40),
 ], ids=["n24-deg4-2x12", "n24-deg4-iwahori", "n12-deg6-iwahori"])
 def test_transfer_strip_budget_trips_early(n, deg, f_vec, s, budget):
     # Each set at U has millions of elements or more; its strips are counted
-    # slot by slot, and the state transitions trip the budget at once.
+    # slot by slot, and the splits the walk builds trip the budget at once.
+    # The least budgets that pass are 6,626, 156 and 42.
     order = _one_split_place(2, n, deg, f_vec)
     started = time.monotonic()
     with pytest.raises(BudgetExceededError) as exc:
@@ -379,7 +380,7 @@ def _degree2_places(q: int, f_vecs) -> OrderSpec:
 
 def test_transfer_sums_many_places_without_a_derived_order_bound():
     # Four places with four strip groups each at s = 2: 256 derived orders,
-    # while no place takes more than 100 strip state transitions.  The sum
+    # while no place's strip count builds more than 100 splits.  The sum
     # over them is one solve, so no bound counts the derived orders.
     order = _degree2_places(3, [(1, 1, 2, 2, 2)] * 4)
     assert transfer_check(order, 2, 2, budget=100).equal

@@ -335,18 +335,19 @@ IW24D3_PATH = str(REACH_DIR / "iw24d3.json")
 
 def test_selfcheck_strip_states_count_against_the_budget(capsys, monkeypatch):
     # The solve takes milliseconds; the strip count of the set at U and
-    # s = 3 trips the budget at once, and no set is walked.
+    # s = 3 trips the budget at once, and no set is walked.  The least
+    # budget that passes is 360.
     def walk(*args):
         raise AssertionError("selfcheck walked a set")
 
     monkeypatch.setattr(cli, "enumerate_omega", walk)
     started = time.monotonic()
-    code = main(["--config", IW24D3_PATH, "--budget", "1000", "selfcheck"])
+    code = main(["--config", IW24D3_PATH, "--budget", "300", "selfcheck"])
     elapsed = time.monotonic() - started
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
     assert err == ("error: selfcheck: place 'U', s = 3: strip states "
-                   "exceed budget of 1000\n")
+                   "exceed budget of 300\n")
     assert elapsed < 1
 
 

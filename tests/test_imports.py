@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 private top-level function is used somewhere in the library, no library
 module uses `assert`, only the modules that hold rational values import
-`fractions`, `classnum` and `theta` do not walk local index sets, the
-tests' oracles stay out of the package, no module keeps state between
+`fractions`, `classnum` and `theta` do not walk local index sets, one
+walker splits every slot of a local count, the tests' oracles stay out of
+the package, no module keeps state between
 calls, no module imports `dataclasses`, importing the CLI loads no
 introspection module and no argparse, `cli` imports no private name from
 `classnum`, the package exports exactly what its `__init__.py`
@@ -151,6 +152,44 @@ def test_classnum_does_not_walk_index_sets():
 def test_theta_does_not_walk_index_sets():
     source = (SRC / "theta.py").read_text(encoding="utf-8")
     assert imported_names(source) & WALKS == set()
+
+
+def functions_naming(source: str, name: str) -> set[str]:
+    """Top-level functions of `source` that name `name`, nested functions
+    counted as their enclosing one, and "<module>" for a name or import
+    outside any function; a `def` of `name` is not a use."""
+    found = set()
+    for node in ast.parse(source).body:
+        where = (node.name if isinstance(node, ast.FunctionDef)
+                 else "<module>")
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Name) and sub.id == name
+                    or isinstance(sub, ast.Attribute) and sub.attr == name
+                    or isinstance(sub, ast.alias) and sub.name == name):
+                found.add(where)
+    return found
+
+
+def test_functions_naming_are_found():
+    source = ("from .omega import _slot_entries\n"
+              "def _slot_entries(key):\n    return key\n"
+              "def _walk(key):\n    def split():\n"
+              "        return _slot_entries(key)\n    return split()\n"
+              "def other(omega):\n    return omega._slot_entries\n"
+              "def unrelated():\n    return 0\n")
+    assert functions_naming(source, "_slot_entries") == {
+        "<module>", "_walk", "other"}
+
+
+def test_one_walker_splits_every_slot():
+    # theta, omega_size and strip_counts are one dynamic program: only
+    # `omega._walk` splits a slot, and theta takes the walk, not the step.
+    callers = {f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+               for where in functions_naming(
+                   path.read_text(encoding="utf-8"), "_slot_entries")}
+    assert callers == {"omega._walk"}
+    names = imported_names((SRC / "theta.py").read_text(encoding="utf-8"))
+    assert "_walk" in names and "_slot_entries" not in names
 
 
 def private_imports(source: str, module: str) -> set[str]:

@@ -15,7 +15,7 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
                       enumerate_omega, normalize_invariant, omega_size,
                       strip_counts, theta, transfer_check)
 from csaclass.errors import BudgetExceededError, ValidationError
-from csaclass.omega import local_shape
+from csaclass.omega import _slot_entries, local_shape
 from conftest import flatten_strip, with_listed_place
 
 
@@ -282,11 +282,37 @@ def test_strip_counts_places_equal_places_once_per_multiset():
     started = time.monotonic()
     assert strip_counts(place, (12, 12), 24) == {((1,),) * 24: 2_704_156}
     assert time.monotonic() - started < 1.0
-    # Each slot places 24 entries and takes its one choice: 50 in all.
-    assert strip_counts(place, (12, 12), 24, budget=50)
-    for budget in (23, 49):
+    # Each column's one slot has one choice, its 12 ones over the 24
+    # places: two choices in all.
+    assert strip_counts(place, (12, 12), 24, budget=2)
+    for budget in (0, 1):
         with pytest.raises(BudgetExceededError):
             strip_counts(place, (12, 12), 24, budget=budget)
+
+
+def test_slot_entries_read_each_room_only_up_to_the_budget():
+    # `_walk` keeps one split per (rooms clamped to b, runs, b, last): a
+    # room past the budget b reads as b, in the bound on each entry and in
+    # the rooms after it that a last slot must fill, so the list and the
+    # list lengths `spend` gets are the same.
+    rng = random.Random(43)
+    clamped_runs = Counter()
+    for _ in range(1000):
+        l = rng.randint(1, 8)
+        runs = (False, *(rng.random() < 0.4 for _ in range(l - 1)))
+        rooms = []
+        for run in runs:
+            rooms.append(rooms[-1] if run else rng.randint(0, 8))
+        b, last = rng.randint(0, 6), rng.random() < 0.5
+        clamped = tuple(min(room, b) for room in rooms)
+        spent = [[], []]
+        lists = [_slot_entries((key, runs, b, last), calls.append)
+                 for key, calls in zip((tuple(rooms), clamped), spent)]
+        assert lists[0] == lists[1], (rooms, runs, b, last)
+        assert spent[0] == spent[1], (rooms, runs, b, last)
+        if clamped != tuple(rooms) and any(runs) and lists[0]:
+            clamped_runs[last] += 1
+    assert min(clamped_runs[False], clamped_runs[True]) > 200
 
 
 def test_strip_counts_empty_set():

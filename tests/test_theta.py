@@ -18,8 +18,8 @@ from csaclass import (AlgebraSpec, BaseField, OrderSpec, Place,
 from csaclass.classnum import _level_solver
 from csaclass.cli import parse_config
 from csaclass.errors import BudgetExceededError, ValidationError
-from csaclass.omega import local_shape
-from csaclass.theta import _walk, _weights, omega_size, residue_power
+from csaclass.omega import _walk, local_shape
+from csaclass.theta import _weights, omega_size, residue_power
 from conftest import (PowerlessInt, random_definite_spec, random_order,
                       theta_columns, theta_enum)
 
@@ -241,7 +241,7 @@ def test_placements_are_refused_as_they_are_built(monkeypatch, f, budget,
     place = Place("U", 12)
     _, _, m, targets = local_shape(place, f, 12)
     amount = m if side == "row" else min(targets)
-    module = sys.modules[theta.__module__]
+    module = sys.modules[strip_counts.__module__]
     slot_entries = module._slot_entries
     counts = []
 
@@ -262,46 +262,46 @@ def test_placements_are_refused_as_they_are_built(monkeypatch, f, budget,
 
 
 # Seeded keys (deg v, d_v, f_v, s) with l >= 2 places above v, and the least
-# budgets at which theta's row walk (q = 2) and strip_counts pass: the row
-# placements and the strip states each tries.  theta walks the rows of each
-# key but those of COLUMN_BUDGETS, whose columns it walks, with the least
-# budget of that walk.
+# budgets at which theta's row walk (q = 2) and strip_counts pass: the
+# splits each walk builds, one charge per split a state takes.  theta walks
+# the rows of each key but those of COLUMN_BUDGETS, whose columns it walks,
+# with the least budget of that walk.
 PINNED_BUDGETS = [
-    (8, 3, (1, 1, 1, 1, 1, 1), 2, 1, 36),
-    (3, 2, (1, 1, 1), 3, 2, 12),
-    (10, 9, (1, 1), 18, 1, 69),
-    (2, 3, (1, 2, 1), 6, 3, 93),
-    (6, 2, (1, 2, 3, 2), 2, 10, 46),
-    (8, 2, (1, 1, 1, 1), 4, 3, 20),
-    (2, 1, (7, 4, 1, 1, 1), 2, 20, 116),
-    (2, 5, (4, 2), 2, 3, 12),
-    (6, 3, (1, 5, 2, 1), 9, 30, 1185),
-    (8, 1, (4, 4), 2, 3, 18),
-    (4, 2, (2, 2, 1, 1, 3, 1), 2, 18, 108),
-    (3, 7, (2, 1), 21, 4, 93),
-    (2, 4, (3, 1), 4, 2, 48),
-    (9, 4, (1, 1, 1), 12, 2, 72),
-    (8, 1, (1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2), 2, 10, 316),
-    (6, 2, (8, 4), 8, 3, 122),
-    (4, 9, (1, 1), 2, 1, 6),
-    (2, 2, (1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1), 2, 3, 243),
-    (8, 1, (1,) * 19 + (2, 1, 1, 1), 2, 3, 485),
-    (4, 3, (1, 1, 8), 2, 3, 15),
-    (12, 2, (2, 1, 1), 8, 7, 64),
-    (10, 1, (1, 2, 1, 1), 5, 10, 24),
-    (6, 7, (1, 1), 14, 1, 57),
-    (6, 3, (1, 4, 2, 2), 3, 31, 106),
-    (4, 1, (2, 3, 9), 2, 12, 38),
-    (7, 4, (4, 1, 1, 1), 28, 24, 272),
-    (7, 3, (1, 1, 1, 3, 1), 21, 22, 259),
-    (2, 4, (1, 1), 8, 1, 39),
-    (6, 6, (1, 1), 4, 1, 23),
-    (10, 4, (2, 3), 5, 10, 12),
+    (8, 3, (1, 1, 1, 1, 1, 1), 2, 1, 12),
+    (3, 2, (1, 1, 1), 3, 2, 3),
+    (10, 9, (1, 1), 18, 1, 50),
+    (2, 3, (1, 2, 1), 6, 3, 43),
+    (6, 2, (1, 2, 3, 2), 2, 10, 20),
+    (8, 2, (1, 1, 1, 1), 4, 3, 4),
+    (2, 1, (7, 4, 1, 1, 1), 2, 20, 64),
+    (2, 5, (4, 2), 2, 3, 4),
+    (6, 3, (1, 5, 2, 1), 9, 30, 531),
+    (8, 1, (4, 4), 2, 3, 6),
+    (4, 2, (2, 2, 1, 1, 3, 1), 2, 18, 50),
+    (3, 7, (2, 1), 21, 4, 55),
+    (2, 4, (3, 1), 4, 2, 19),
+    (9, 4, (1, 1, 1), 12, 2, 30),
+    (8, 1, (1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2), 2, 10, 156),
+    (6, 2, (8, 4), 8, 3, 52),
+    (4, 9, (1, 1), 2, 1, 2),
+    (2, 2, (1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1), 2, 3, 93),
+    (8, 1, (1,) * 19 + (2, 1, 1, 1), 2, 3, 165),
+    (4, 3, (1, 1, 8), 2, 3, 5),
+    (12, 2, (2, 1, 1), 8, 7, 14),
+    (10, 1, (1, 2, 1, 1), 5, 10, 4),
+    (6, 7, (1, 1), 14, 1, 38),
+    (6, 3, (1, 4, 2, 2), 3, 31, 32),
+    (4, 1, (2, 3, 9), 2, 12, 14),
+    (7, 4, (4, 1, 1, 1), 28, 24, 70),
+    (7, 3, (1, 1, 1, 3, 1), 21, 22, 46),
+    (2, 4, (1, 1), 8, 1, 20),
+    (6, 6, (1, 1), 4, 1, 8),
+    (10, 4, (2, 3), 5, 10, 2),
 ]
-# Each row's test id ends with its least strip-state budget under the
+# Each row's test id ends with its least strip-state budget under an
 # earlier strip walk, which filled slot j of every column before slot
-# j + 1 and keyed strips by rotation; the ids stay so that each row
-# keeps its name.
+# j + 1, keyed strips by rotation and charged the entries each new split
+# tried; the ids stay so that each row keeps its name.
 PINNED_IDS = [
     "8-3-f0-2-1-36", "3-2-f1-3-2-12", "10-9-f2-18-1-115", "2-3-f3-6-3-259",
     "6-2-f4-2-10-44", "8-2-f5-4-3-20", "2-1-f6-2-20-116", "2-5-f7-2-3-12",
@@ -328,14 +328,34 @@ COLUMN_BUDGETS = {
 
 
 def _row_walk(place: Place, f, s: int, budget: int) -> int:
-    """theta at q = 2 by its row walk, whichever side `theta` takes."""
+    """theta at q = 2 by its row walk, whichever side `theta` takes: each
+    row but the last splits m_s over the column budgets left, and the last
+    takes each one whole."""
     l, t, m, targets = local_shape(place, f, s)
+    cell = _weights(residue_power(place, s, 2), m, t)
+
+    def take(caps, entries, left):
+        term = 1
+        for e in entries:
+            term *= cell[left][e]
+            left -= e
+        return tuple(sorted(c - e for c, e in zip(caps, entries) if c > e)), \
+            term
 
     def refuse():
         return BudgetExceededError(f"row placements past {budget}")
 
-    return _walk(tuple(sorted(b for b in targets if b)), (m,) * l,
-                 _weights(residue_power(place, s, 2), m, t), budget, refuse)
+    states = _walk(tuple(sorted(b for b in targets if b)),
+                   [(m, True)] * (l - 1), lambda caps: caps, take, budget,
+                   refuse)
+    total = 0
+    for (caps, _), weight in states.items():
+        left = m
+        for c in caps:
+            weight *= cell[left][c]
+            left -= c
+        total += weight
+    return total
 
 
 @pytest.mark.parametrize("deg,d,f,s,placements,states", PINNED_BUDGETS,
